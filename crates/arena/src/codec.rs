@@ -37,8 +37,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SSTSNAP\0";
 
 /// Current snapshot format version. Bump on any layout change; old
 /// readers answer [`SnapshotError::UnsupportedVersion`] instead of
-/// misparsing.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// misparsing. Version 2 keys the cached example structures by example
+/// id and the intersection memo by example-id chains (version 1 keyed
+/// both by arena ids).
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

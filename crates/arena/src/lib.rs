@@ -1,4 +1,4 @@
-//! The flat, hash-consed program arena — the id-plane under the memoized
+//! The flat, hash-consed program arena — the on-disk form of the memoized
 //! synthesis stack.
 //!
 //! Program sets in the `Lu` language reach counts like 1.5·10³⁵³; the tree
@@ -21,9 +21,10 @@
 //! Layering: this crate sits below `sst-core` (which owns the `Du` tree
 //! types); `sst-core` converts trees to and from the arena reprs defined
 //! here ([`AtomRepr`], [`DagRepr`], [`ProgRepr`], [`NodeRepr`],
-//! [`StructRepr`]). Within one arena, equal ids ⇔ equal structures; the
-//! `DagCache`'s example-pair intersection memo keys on [`StructId`] pairs
-//! for exactly that reason.
+//! [`StructRepr`]). Within one arena, equal ids ⇔ equal structures. The
+//! `DagCache` builds a fresh arena only when it writes a snapshot (and
+//! reads one back on restore); learning works on the tree form and never
+//! interns.
 
 use std::hash::Hash;
 

@@ -9,9 +9,9 @@
 //! bytecode plane — interpreted vs compiled single-row nanoseconds and
 //! `run_column` rows/sec at each pool width over a synthesized
 //! `--apply-rows`-row column, with an `outputs_match` bit CI asserts.
-//! An `arena` section reports the hash-consed id-plane underneath the
-//! memo cache: per-task intern traffic, distinct stored values, the
-//! dedup ratio, and per-session resident bytes.
+//! An `arena` section reports the hash-consed arena a snapshot of each
+//! task's memo plane builds: per-task intern traffic, distinct stored
+//! values, the dedup ratio, and resident bytes.
 //! Two sections probe the incremental database plane over a
 //! `--scale-rows`-row lookup table: `mutate` (index rebuild ms vs
 //! per-row incremental insert/update/delete µs, and warm-`DagCache`
@@ -210,8 +210,9 @@ fn main() {
 
     let mutate = mutate_micro(scale_rows);
     let scale = reach_at_scale(scale_rows);
-    // Arena hash-consing per task (only meaningful with the memo plane
-    // on — with `--no-dag-cache` nothing ever reaches the arena).
+    // Arena hash-consing per task, measured on a snapshot of the memo
+    // plane (only meaningful with it on — with `--no-dag-cache` the
+    // snapshot carries no memo entries).
     let arena: Vec<ArenaReport> = tasks
         .iter()
         .map(|t| arena_micro(t, options.clone()))

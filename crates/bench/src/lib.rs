@@ -626,16 +626,16 @@ pub fn reach_at_scale(rows: usize) -> ScaleReport {
 
 /// Arena hash-consing observables of one task — the `arena` section of
 /// the perf snapshot. One engine, one session converged through the §3.2
-/// protocol plus one warm whole-set relearn, then the memo plane's arena
-/// counters: distinct values stored, intern traffic, hash-cons hits, and
-/// the session's resident bytes.
+/// protocol, then one snapshot; the counters of the arena that snapshot
+/// interned the memo plane into: distinct values stored, intern traffic,
+/// hash-cons hits, and resident bytes.
 #[derive(Debug)]
 pub struct ArenaReport {
     /// Task id (1..=50).
     pub id: usize,
     /// Task name.
     pub name: &'static str,
-    /// Distinct values in the arena after the protocol.
+    /// Distinct values in the snapshot arena after the protocol.
     pub stored: u64,
     /// Total intern calls (repeat structure hash-conses instead of
     /// allocating).
@@ -646,23 +646,28 @@ pub struct ArenaReport {
     /// collapsed (2.0 means half of all interned structures already
     /// existed).
     pub dedup_ratio: f64,
-    /// Estimated resident bytes of this session's arena.
+    /// Estimated resident bytes of this task's snapshot arena.
     pub resident_bytes: u64,
 }
 
-/// Runs one task's interaction protocol on an [`Engine`] and reads back
-/// the arena counters ([`Engine::arena_stats`]).
+/// Runs one task's interaction protocol on an [`Engine`], snapshots it to
+/// a temp file (the only place the memo plane is interned), and reads
+/// back that arena's counters ([`Engine::arena_stats`]).
 pub fn arena_micro(task: &BenchmarkTask, options: SynthesisOptions) -> ArenaReport {
     let engine = Engine::with_options(Arc::new(task.db.clone()), options);
     let mut session = engine.session();
     session
         .converge_with(&task.rows, MAX_EXAMPLES)
         .unwrap_or_else(|e| panic!("task {} ({}) failed to learn: {e}", task.id, task.name));
-    // One warm whole-set relearn: repeated structures must intern into
-    // existing ids, so this call moves `interned` but barely `stored`.
+    let path = std::env::temp_dir().join(format!(
+        "sst-arena-micro-{}-{}.snap",
+        std::process::id(),
+        task.id
+    ));
     engine
-        .learn(session.examples())
-        .expect("converged example set must be learnable");
+        .snapshot_to(&path)
+        .unwrap_or_else(|e| panic!("task {} ({}) failed to snapshot: {e}", task.id, task.name));
+    std::fs::remove_file(&path).ok();
     let stats = engine.arena_stats();
     ArenaReport {
         id: task.id,

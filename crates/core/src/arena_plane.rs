@@ -1,11 +1,13 @@
 //! Conversions between the `Du` tree types and the flat arena reprs of
-//! [`sst_arena`] — the bridge that gives every structure the cache hands
-//! out a content-addressed [`StructId`].
+//! [`sst_arena`] — the bridge the snapshot codec
+//! (`DagCache::encode_snapshot` / `DagCache::decode_snapshot`) writes and
+//! reads the memo plane through. Learning never interns.
 //!
 //! Interning is bottom-up (position sets → atoms → DAGs → programs →
-//! nodes → whole structure), so a [`StructId`] is a *value* name: two
-//! structurally equal structures intern to the same id no matter which
-//! code path built them or which process they came from. Extraction
+//! nodes → whole structure), so within one arena a [`StructId`] is a
+//! *value* name: two structurally equal structures intern to the same id
+//! no matter which code path built them, and a snapshot stores every
+//! distinct sub-structure once. Extraction
 //! inverts interning; an [`ExtractCtx`] shared across one decode pass
 //! rebuilds the `Arc` sharing the tree form relies on (every reference to
 //! one interned DAG aliases one allocation, exactly like a live
@@ -28,7 +30,7 @@ use crate::dstruct::{GenCondU, GenLookupU, GenPredU, SemDStruct, SemNode};
 /// column of an activated row references the row's key DAG); a per-call
 /// pointer memo interns each distinct allocation once, so interning cost
 /// tracks the *shared* size, not the unfolded size.
-pub fn intern_struct(arena: &mut Arena, d: &SemDStruct) -> StructId {
+pub(crate) fn intern_struct(arena: &mut Arena, d: &SemDStruct) -> StructId {
     let mut dag_memo: IntMap<usize, DagId> = IntMap::default();
     let mut intern_dag = |arena: &mut Arena, dag: &Arc<Dag<NodeId>>| -> DagId {
         let key = Arc::as_ptr(dag) as usize;
@@ -83,13 +85,13 @@ pub fn intern_struct(arena: &mut Arena, d: &SemDStruct) -> StructId {
 /// to one `Arc<Dag>` allocation, re-establishing the pointer sharing that
 /// intersection's nested-DAG memos and `prune`'s traversal memos exploit.
 #[derive(Debug, Default)]
-pub struct ExtractCtx {
+pub(crate) struct ExtractCtx {
     dags: IntMap<u32, Arc<Dag<NodeId>>>,
 }
 
 impl ExtractCtx {
     /// An empty context.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ExtractCtx::default()
     }
 
@@ -104,7 +106,7 @@ impl ExtractCtx {
 }
 
 /// Rebuilds the tree form of one interned structure.
-pub fn extract_struct(arena: &Arena, id: StructId, ctx: &mut ExtractCtx) -> SemDStruct {
+pub(crate) fn extract_struct(arena: &Arena, id: StructId, ctx: &mut ExtractCtx) -> SemDStruct {
     let repr = arena.structs.get(id.0).clone();
     let mut nodes = Vec::with_capacity(repr.nodes.len());
     for &node_id in repr.nodes.iter() {

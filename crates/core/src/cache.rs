@@ -26,17 +26,16 @@
 //!   the example's interned input/output symbols. `Synthesize` on a grown
 //!   example prefix replays generation for every earlier example; the memo
 //!   serves a cheap clone (`Arc`-shared DAGs, shallow condition handles)
-//!   instead.
-//! * **Example-pair intersections** — whole `Intersect_u` results keyed by
-//!   the [`StructId`]s of the two operands. Every structure the cache
-//!   hands out (example memo hit or stored intersection result) carries
-//!   its hash-consed arena id — a *content address*: equal ids ⇔
-//!   structurally equal values, in this process or any process that
-//!   restored the same arena. A `(id, id)` key therefore identifies the
-//!   operand *values*, never addresses — a re-learn on a grown prefix
+//!   instead. Each entry carries a dense *example id* minted from a
+//!   monotone counter: the id names exactly one structure value, forever —
+//!   it is never reused, and never rebound to a different value.
+//! * **Intersection chains** — whole `Intersect_u` results keyed by the
+//!   chain of example ids they fold: `[e₁, e₂]` names `G(e₁) ∩ G(e₂)`,
+//!   `[e₁, e₂, e₃]` names `(G(e₁) ∩ G(e₂)) ∩ G(e₃)`. Because each id names
+//!   one value and intersection is a pure structural function of its
+//!   operands, a chain names one value too — a re-learn on a grown prefix
 //!   replays `d₁ ∩ d₂ ∩ … ∩ dₖ` as k−1 memo hits and only intersects the
-//!   genuinely new final example. Arena ids are never reused or rebound,
-//!   so a stale id can at worst miss.
+//!   genuinely new final example.
 //!
 //! # Concurrency
 //!
@@ -48,37 +47,54 @@
 //! lock with a double-check, keeping the first-inserted value canonical so
 //! racing writers converge on one shared allocation.
 //!
-//! # Validation
+//! # Validation: stale entries, compare on regenerate
 //!
 //! Only the example memo is scoped to one database state. Per-value DAGs
 //! are pure functions of the ordered source-symbol list behind their
 //! `SourcesEpoch` key, and intersection entries are pure structural
 //! functions of the id-named operand *values* — neither reads the
 //! database, so both survive every mutation. The cache records the
-//! [`Database::epoch`] it was filled under; [`DagCache::validate`] clears
-//! the example memo when the epoch moved, and the delta-aware
+//! [`Database::epoch`] it was filled under; [`DagCache::validate`] marks
+//! every example entry *stale* when the epoch moved, and the delta-aware
 //! [`DagCache::validate_db`] does better: it asks the database for the
-//! [`DbDelta`](sst_tables::DbDelta) spanning the move and *retains* every
+//! [`DbDelta`](sst_tables::DbDelta) spanning the move and keeps every
 //! example entry whose recorded reads (the tables its `Select`s touch, the
 //! node values that drove its reachability) provably don't intersect the
-//! delta — so a row-level write into one background table leaves entries
-//! keyed to other tables warm. Structural mutations (a table added changes
-//! the default depth bound) and entries generated without the substring
-//! gate (whose activations aren't summarized by node values) fall back to
-//! eviction. Epoch interning never restarts and arena ids are content
-//! addresses, so stale keys can never collide with post-mutation entries.
+//! delta fresh — so a row-level write into one background table leaves
+//! entries keyed to other tables warm. Structural mutations (a table added
+//! changes the default depth bound) and entries generated without the
+//! substring gate (whose activations aren't summarized by node values)
+//! fall back to marking everything stale.
 //!
-//! # The arena underneath
+//! A stale entry probes as a miss, so the example is regenerated; the
+//! regenerated structure is then *compared* with the stale value. Equal
+//! (the common case: an insert-then-delete, or a write that happened not
+//! to change this example's programs) keeps the old id, so every chain
+//! keyed on it stays warm — and the comparison is cheap, since
+//! `Arc<T: Eq>` equality checks pointers first and the per-value DAGs the
+//! structure references survive mutations. Different mints a fresh id and
+//! drops every chain naming the old one (they could never be served
+//! again).
 //!
-//! Every structure the cache retains is also interned into a per-cache
-//! [`Arena`] (hash-consed, append-only): that is where [`StructId`]s come
-//! from, what the snapshot codec serializes ([`DagCache::encode_snapshot`]
-//! / [`DagCache::decode_snapshot`]), and why memo flushes are safe — the
-//! arena is never cleared, so an id held by in-flight work still names its
-//! value after a flush.
+//! # Memory
+//!
+//! Each memo flushes wholesale when it outgrows its threshold
+//! ([`MAX_DAG_ENTRIES`], [`MAX_EXAMPLE_ENTRIES`] — stale entries included,
+//! and taking the chains with it — and [`MAX_INTERSECTION_ENTRIES`]):
+//! correctness never depends on an entry being present, so eviction is
+//! just a refill cost on workloads large enough to hit it.
+//!
+//! # Snapshots
+//!
+//! The hash-consed [`Arena`] is the *snapshot format*, not a live mirror:
+//! [`DagCache::encode_snapshot`] interns the live DAG, example and chain
+//! entries into a fresh arena and writes it (equal sub-structures are
+//! stored once on disk), and [`DagCache::decode_snapshot`] extracts the
+//! tree forms back out of the restored one. Learning never touches an
+//! arena.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use std::sync::Arc;
 
@@ -121,16 +137,22 @@ pub(crate) struct ExampleDeps {
     pub(crate) vals: Box<[Symbol]>,
 }
 
-/// One example-memo entry: the structure, its arena id, and (when the
+/// One example-memo entry: the structure, its example id, and (when the
 /// generation ran with the substring gate on) the reads that make it
 /// revalidatable across non-structural mutations.
 #[derive(Debug, Clone)]
 struct ExampleEntry {
-    uid: StructId,
+    /// Names `d` in intersection chains. Minted from
+    /// `CacheState::next_example`; never reused or rebound.
+    id: u32,
     d: SemDStruct,
-    /// `None` = not revalidatable (gate-off generation): evicted on any
-    /// epoch move.
+    /// `None` = not revalidatable (gate-off generation): marked stale on
+    /// any epoch move.
     deps: Option<ExampleDeps>,
+    /// A mutation may have changed this example's generation: the entry
+    /// probes as a miss, and `d` is kept only to compare the regenerated
+    /// structure against (see the module docs).
+    stale: bool,
 }
 
 /// Cache hit/miss counters, exposed for benches and tests.
@@ -144,10 +166,10 @@ pub struct DagCacheStats {
     pub example_hits: u64,
     /// Whole-example misses (full generations).
     pub example_misses: u64,
-    /// Example-pair intersection hits.
+    /// Intersection-chain hits.
     pub intersect_hits: u64,
-    /// Example-pair intersection misses (full `Intersect_u` runs through
-    /// the memoized path).
+    /// Intersection-chain misses (full `Intersect_u` runs through the
+    /// memoized path).
     pub intersect_misses: u64,
 }
 
@@ -163,13 +185,9 @@ const MAX_DAG_ENTRIES: usize = 1 << 16;
 /// needs a handful.
 const MAX_EXAMPLE_ENTRIES: usize = 1 << 12;
 
-/// Flush threshold for the example-pair intersection memo; sized like the
+/// Flush threshold for the intersection-chain memo; sized like the
 /// example memo (its entries are the same shape).
 const MAX_INTERSECTION_ENTRIES: usize = 1 << 12;
-
-/// One memoized DAG: its arena id (the name the snapshot codec writes)
-/// plus the shared live structure.
-type DagEntry = (DagId, Arc<Dag<NodeId>>);
 
 /// The lock-guarded cache state (see [`DagCache`]).
 #[derive(Debug, Default)]
@@ -183,19 +201,16 @@ struct CacheState {
     /// session keeps its `SourcesEpoch` for the step) can never collide
     /// with a later snapshot's id and serve a stale DAG.
     next_epoch: u32,
-    /// `(sources epoch, value) → (arena id, DAG) of all expressions
-    /// producing the value over that snapshot`. The arena id names the
-    /// same DAG for the snapshot codec; live hits share the `Arc`.
-    dags: IntMap<(u32, Symbol), DagEntry>,
+    /// `(sources epoch, value) → DAG of all expressions producing the
+    /// value over that snapshot`; hits share the `Arc`.
+    dags: IntMap<(u32, Symbol), Arc<Dag<NodeId>>>,
     /// Whole-example generation memo.
     examples: IntMap<ExampleKey, ExampleEntry>,
-    /// Example-pair intersection memo: operand ids → (result id,
-    /// structure).
-    intersections: IntMap<(StructId, StructId), (StructId, SemDStruct)>,
-    /// The id-plane every retained structure is interned into. Append-only
-    /// and **never cleared** — memo flushes drop entries, not values, so
-    /// ids held by in-flight work stay valid forever.
-    arena: Arena,
+    /// Next example id. Monotone for the cache's lifetime — never reset
+    /// by flushes — so an id names one value forever.
+    next_example: u32,
+    /// Intersection memo: example-id chain → the folded intersection.
+    intersections: IntMap<Box<[u32]>, SemDStruct>,
 }
 
 /// Lock-free hit/miss counters.
@@ -218,13 +233,13 @@ struct AtomicStats {
 ///
 /// Memory is bounded: each memo flushes wholesale when it outgrows its
 /// threshold ([`MAX_DAG_ENTRIES`], [`MAX_EXAMPLE_ENTRIES`],
-/// [`MAX_INTERSECTION_ENTRIES`]) — correctness never depends on an entry
-/// being present, so eviction is just a refill cost on workloads large
-/// enough to hit it.
+/// [`MAX_INTERSECTION_ENTRIES`]).
 #[derive(Debug, Default)]
 pub struct DagCache {
     state: RwLock<CacheState>,
     stats: AtomicStats,
+    /// Counters of the arena built by the last snapshot encode or decode.
+    arena_stats: Mutex<ArenaStats>,
 }
 
 impl DagCache {
@@ -249,32 +264,35 @@ impl DagCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Rebinds the cache to `db_epoch`, clearing the example memo when the
-    /// database mutated since the cache was filled. The per-value DAG and
-    /// intersection memos survive: they are pure functions of their keys
-    /// (source-symbol snapshots and operand uids) and never read the
-    /// database. The common case — the epoch did not move — is a read-lock
-    /// check, so concurrent learns validating the same state never
-    /// contend. Prefer [`DagCache::validate_db`], which retains example
-    /// entries a known mutation span provably left intact.
+    /// Rebinds the cache to `db_epoch`, marking every example entry stale
+    /// when the database mutated since the cache was filled. The per-value
+    /// DAG and intersection memos survive: they are pure functions of
+    /// their keys (source-symbol snapshots and example-id chains) and
+    /// never read the database. The common case — the epoch did not move
+    /// — is a read-lock check, so concurrent learns validating the same
+    /// state never contend. Prefer [`DagCache::validate_db`], which keeps
+    /// fresh the example entries a known mutation span provably left
+    /// intact.
     pub fn validate(&self, db_epoch: u64) {
         if self.read().db_epoch == db_epoch {
             return;
         }
         let mut state = self.write();
         if state.db_epoch != db_epoch {
-            state.examples.clear();
+            for e in state.examples.values_mut() {
+                e.stale = true;
+            }
             state.db_epoch = db_epoch;
         }
     }
 
     /// Delta-aware [`DagCache::validate`]: when the epoch moved, asks the
     /// database for the [`DbDelta`](sst_tables::DbDelta) spanning the move
-    /// and retains every revalidatable example entry the delta provably
-    /// didn't affect (no read table mutated, no touched value
-    /// substring-related to a node value). Falls back to clearing the
-    /// example memo when the span is structural, has left the journal, or
-    /// belongs to a diverged database lineage.
+    /// and marks stale only the example entries the delta may have
+    /// affected (a read table mutated, or a touched value
+    /// substring-related to a node value). Marks every entry stale when
+    /// the span is structural, has left the journal, or belongs to a
+    /// diverged database lineage.
     pub fn validate_db(&self, db: &Database) {
         let db_epoch = db.epoch();
         if self.read().db_epoch == db_epoch {
@@ -284,15 +302,15 @@ impl DagCache {
         if state.db_epoch == db_epoch {
             return;
         }
-        match db.delta_since(state.db_epoch) {
-            Some(delta) if !delta.structural => {
-                state.examples.retain(|_, e| {
-                    e.deps
-                        .as_ref()
-                        .is_some_and(|deps| !delta.affects(&deps.tables, &deps.vals))
-                });
-            }
-            _ => state.examples.clear(),
+        let delta = db
+            .delta_since(state.db_epoch)
+            .filter(|delta| !delta.structural);
+        for e in state.examples.values_mut() {
+            let intact = match (&delta, &e.deps) {
+                (Some(delta), Some(deps)) => !delta.affects(&deps.tables, &deps.vals),
+                _ => false,
+            };
+            e.stale |= !intact;
         }
         state.db_epoch = db_epoch;
     }
@@ -319,12 +337,13 @@ impl DagCache {
         self.read().dags.len()
     }
 
-    /// Number of cached whole-example structures.
+    /// Number of whole-example structures that would be served (stale
+    /// entries, kept only for compare-on-regenerate, are not counted).
     pub fn example_entries(&self) -> usize {
-        self.read().examples.len()
+        self.read().examples.values().filter(|e| !e.stale).count()
     }
 
-    /// Number of cached example-pair intersections.
+    /// Number of cached intersection chains.
     pub fn intersection_entries(&self) -> usize {
         self.read().intersections.len()
     }
@@ -356,30 +375,28 @@ impl DagCache {
         value: Symbol,
         build: impl FnOnce() -> Dag<NodeId>,
     ) -> Arc<Dag<NodeId>> {
-        if let Some((_, dag)) = self.read().dags.get(&(epoch.0, value)) {
+        if let Some(dag) = self.read().dags.get(&(epoch.0, value)) {
             self.stats.dag_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(dag);
         }
         self.stats.dag_misses.fetch_add(1, Ordering::Relaxed);
         let dag = Arc::new(build());
         let mut state = self.write();
-        if let Some((_, hit)) = state.dags.get(&(epoch.0, value)) {
+        if let Some(hit) = state.dags.get(&(epoch.0, value)) {
             return Arc::clone(hit); // raced: keep the first insert canonical
         }
         if state.dags.len() >= MAX_DAG_ENTRIES {
             // Epochs key into `dags`, so both flush together; the next
-            // sync re-interns the live snapshot. (The arena keeps the
-            // values — ids outlive the memo.)
+            // sync re-interns the live snapshot.
             state.dags.clear();
             state.epochs.clear();
         }
-        let id = state.arena.intern_dag(&dag);
-        state.dags.insert((epoch.0, value), (id, Arc::clone(&dag)));
+        state.dags.insert((epoch.0, value), Arc::clone(&dag));
         dag
     }
 
-    /// A previously generated per-example structure and its arena id, if
-    /// any.
+    /// A previously generated per-example structure and its example id,
+    /// if a fresh (non-stale) entry exists.
     ///
     /// `db_epoch` is the database epoch the caller validated against;
     /// probes and stores are epoch-checked under the lock, so a cache
@@ -392,16 +409,16 @@ impl DagCache {
         db_epoch: u64,
         inputs: &[Symbol],
         output: Symbol,
-    ) -> Option<(StructId, SemDStruct)> {
+    ) -> Option<(u32, SemDStruct)> {
         let key = ExampleKey {
             inputs: inputs.into(),
             output,
         };
         let state = self.read();
         match state.examples.get(&key) {
-            Some(e) if state.db_epoch == db_epoch => {
+            Some(e) if !e.stale && state.db_epoch == db_epoch => {
                 self.stats.example_hits.fetch_add(1, Ordering::Relaxed);
-                Some((e.uid, e.d.clone()))
+                Some((e.id, e.d.clone()))
             }
             _ => {
                 self.stats.example_misses.fetch_add(1, Ordering::Relaxed);
@@ -410,14 +427,19 @@ impl DagCache {
         }
     }
 
-    /// Stores a freshly generated per-example structure, returning its
-    /// arena id. `deps` records what the generation read (for selective
-    /// retention by [`DagCache::validate_db`]); `None` marks the entry
-    /// non-revalidatable. The id is a content address, so racing stores of
-    /// the same key trivially converge; if the cache was concurrently
-    /// rebound to a different database epoch, the structure is interned
-    /// (interning is db-independent) but *not* memoized — it would poison
-    /// the new epoch's entries.
+    /// Stores a freshly generated per-example structure, returning the
+    /// example id that names it. `deps` records what the generation read
+    /// (for selective retention by [`DagCache::validate_db`]); `None` marks
+    /// the entry non-revalidatable.
+    ///
+    /// A fresh entry under the same key wins a race (generation is
+    /// deterministic, so both values are equal). A stale entry is compared
+    /// with `d`: equal keeps its id, so chains over it stay warm; different
+    /// mints a fresh id and drops the chains naming the old one. If the
+    /// cache was concurrently rebound to a different database epoch, the
+    /// structure is *not* memoized — it would poison the new epoch's
+    /// entries — and no id is returned, so the caller's chain goes
+    /// unmemoized too.
     pub(crate) fn store_example(
         &self,
         db_epoch: u64,
@@ -425,47 +447,58 @@ impl DagCache {
         output: Symbol,
         d: &SemDStruct,
         deps: Option<ExampleDeps>,
-    ) -> StructId {
+    ) -> Option<u32> {
         let key = ExampleKey {
             inputs: inputs.into(),
             output,
         };
-        let mut state = self.write();
-        let uid = intern_struct(&mut state.arena, d);
+        let mut guard = self.write();
+        let state = &mut *guard;
         if state.db_epoch != db_epoch {
-            return uid;
+            return None;
         }
-        if let Some(e) = state.examples.get(&key) {
-            return e.uid;
+        if let Some(e) = state.examples.get_mut(&key) {
+            if !e.stale {
+                return Some(e.id);
+            }
+            e.stale = false;
+            e.deps = deps;
+            if e.d != *d {
+                let old = e.id;
+                e.id = state.next_example;
+                e.d = d.clone();
+                state.next_example += 1;
+                state.intersections.retain(|chain, _| !chain.contains(&old));
+            }
+            return Some(e.id);
         }
         if state.examples.len() >= MAX_EXAMPLE_ENTRIES {
+            // Every chain names a dropped id: flush both.
             state.examples.clear();
+            state.intersections.clear();
         }
+        let id = state.next_example;
+        state.next_example += 1;
         state.examples.insert(
             key,
             ExampleEntry {
-                uid,
+                id,
                 d: d.clone(),
                 deps,
+                stale: false,
             },
         );
-        uid
+        Some(id)
     }
 
-    /// A previously intersected example pair (by operand arena ids) and
-    /// the result's own id, if cached. Epoch-checked like
-    /// [`DagCache::example`].
-    pub(crate) fn intersection(
-        &self,
-        db_epoch: u64,
-        a: StructId,
-        b: StructId,
-    ) -> Option<(StructId, SemDStruct)> {
+    /// A previously intersected chain of examples (by example ids, in
+    /// fold order), if cached. Epoch-checked like [`DagCache::example`].
+    pub(crate) fn intersection(&self, db_epoch: u64, chain: &[u32]) -> Option<SemDStruct> {
         let state = self.read();
-        match state.intersections.get(&(a, b)) {
-            Some((uid, d)) if state.db_epoch == db_epoch => {
+        match state.intersections.get(chain) {
+            Some(d) if state.db_epoch == db_epoch => {
                 self.stats.intersect_hits.fetch_add(1, Ordering::Relaxed);
-                Some((*uid, d.clone()))
+                Some(d.clone())
             }
             _ => {
                 self.stats.intersect_misses.fetch_add(1, Ordering::Relaxed);
@@ -474,47 +507,65 @@ impl DagCache {
         }
     }
 
-    /// Stores one intersection result under its operand ids, returning the
-    /// result's arena id (first insert wins on a race — trivially
-    /// value-consistent, since ids are content addresses; a stale epoch
-    /// interns but skips the memo insert, like
+    /// Stores one intersection result under its example-id chain (first
+    /// insert wins on a race — both values are equal, since the chain
+    /// names its operand values; a stale epoch skips the insert, like
     /// [`DagCache::store_example`]).
-    pub(crate) fn store_intersection(
-        &self,
-        db_epoch: u64,
-        a: StructId,
-        b: StructId,
-        d: &SemDStruct,
-    ) -> StructId {
+    pub(crate) fn store_intersection(&self, db_epoch: u64, chain: &[u32], d: &SemDStruct) {
         let mut state = self.write();
-        let uid = intern_struct(&mut state.arena, d);
-        if state.db_epoch != db_epoch {
-            return uid;
-        }
-        if let Some((uid, _)) = state.intersections.get(&(a, b)) {
-            return *uid;
+        if state.db_epoch != db_epoch || state.intersections.contains_key(chain) {
+            return;
         }
         if state.intersections.len() >= MAX_INTERSECTION_ENTRIES {
             state.intersections.clear();
         }
-        state.intersections.insert((a, b), (uid, d.clone()));
-        uid
+        state.intersections.insert(chain.into(), d.clone());
     }
 
-    /// Hash-cons counters of the underlying arena (distinct values,
-    /// intern traffic, resident-bytes estimate).
+    /// Hash-cons counters (distinct values, intern traffic,
+    /// resident-bytes estimate) of the arena built by the last
+    /// [`DagCache::encode_snapshot`] or [`DagCache::decode_snapshot`];
+    /// zeros before either. Learning never interns.
     pub fn arena_stats(&self) -> ArenaStats {
-        self.read().arena.stats()
+        *self
+            .arena_stats
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Writes the cache's learned state — the arena and all three memos,
-    /// entries as arena ids — into a snapshot payload. Hit/miss counters
+    /// Writes the cache's learned state into a snapshot payload: every
+    /// live DAG, example and chain entry is interned into a fresh
+    /// hash-consed [`Arena`] (equal sub-structures are written once), then
+    /// the arena and the three memos, entries as arena ids, follow.
+    /// Example ids, stale flags and `next_example` are written as-is, so a
+    /// restored cache keeps every chain key meaningful. Hit/miss counters
     /// and the database-epoch binding are deliberately not serialized:
     /// both are process-local (the restoring side binds to its own
     /// restored database's epoch).
     pub fn encode_snapshot(&self, w: &mut Writer, sym: &mut SymEncoder) {
         let state = self.read();
-        state.arena.encode(w, sym);
+        let mut arena = Arena::new();
+        let dags: Vec<_> = state
+            .dags
+            .iter()
+            .map(|(&key, dag)| (key, arena.intern_dag(dag)))
+            .collect();
+        let examples: Vec<_> = state
+            .examples
+            .iter()
+            .map(|(key, e)| (key, e, intern_struct(&mut arena, &e.d)))
+            .collect();
+        // A learn racing a re-mint can store a chain naming an id no
+        // entry carries any more; it can never be served, so it is not
+        // written (the decoder refuses such chains).
+        let live: IntMap<u32, ()> = state.examples.values().map(|e| (e.id, ())).collect();
+        let intersections: Vec<_> = state
+            .intersections
+            .iter()
+            .filter(|(chain, _)| chain.iter().all(|id| live.contains_key(id)))
+            .map(|(chain, d)| (chain, intern_struct(&mut arena, d)))
+            .collect();
+        arena.encode(w, sym);
         w.u32(state.epochs.len() as u32);
         for (syms, &id) in state.epochs.iter() {
             w.u32(syms.len() as u32);
@@ -524,20 +575,23 @@ impl DagCache {
             w.u32(id);
         }
         w.u32(state.next_epoch);
-        w.u32(state.dags.len() as u32);
-        for (&(epoch, value), &(id, _)) in state.dags.iter() {
+        w.u32(dags.len() as u32);
+        for ((epoch, value), id) in dags {
             w.u32(epoch);
             sym.sym(value, w);
             w.u32(id.0);
         }
-        w.u32(state.examples.len() as u32);
-        for (key, entry) in state.examples.iter() {
+        w.u32(state.next_example);
+        w.u32(examples.len() as u32);
+        for (key, entry, sid) in examples {
             w.u32(key.inputs.len() as u32);
             for &s in key.inputs.iter() {
                 sym.sym(s, w);
             }
             sym.sym(key.output, w);
-            w.u32(entry.uid.0);
+            w.u32(entry.id);
+            w.bool(entry.stale);
+            w.u32(sid.0);
             match &entry.deps {
                 None => w.bool(false),
                 Some(deps) => {
@@ -553,21 +607,29 @@ impl DagCache {
                 }
             }
         }
-        w.u32(state.intersections.len() as u32);
-        for (&(a, b), &(uid, _)) in state.intersections.iter() {
-            w.u32(a.0);
-            w.u32(b.0);
-            w.u32(uid.0);
+        w.u32(intersections.len() as u32);
+        for (chain, sid) in intersections {
+            w.u32(chain.len() as u32);
+            for &id in chain.iter() {
+                w.u32(id);
+            }
+            w.u32(sid.0);
         }
+        drop(state);
+        *self
+            .arena_stats
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = arena.stats();
     }
 
     /// Reads a cache written by [`DagCache::encode_snapshot`], extracting
     /// every memoized structure back out of the restored arena (one shared
     /// [`ExtractCtx`], so restored entries re-share `Arc` allocations like
-    /// a live fill would). Every id is bounds- and structure-validated —
-    /// a crafted payload fails typed, never panics. The cache binds to
-    /// `db_epoch`, the restoring process's epoch for the restored
-    /// database; counters start at zero.
+    /// a live fill would). Every id is bounds- and structure-validated,
+    /// example ids are checked unique and below `next_example`, and every
+    /// chain must name restored examples only — a crafted payload fails
+    /// typed, never panics. The cache binds to `db_epoch`, the restoring
+    /// process's epoch for the restored database; counters start at zero.
     pub fn decode_snapshot(
         r: &mut Reader<'_>,
         sym: &SymDecoder,
@@ -614,11 +676,13 @@ impl DagCache {
             };
             arena.validate_dag_nodes(id, num_nodes)?;
             let dag = Arc::new(arena.extract_dag(id));
-            if state.dags.insert((epoch, value), (id, dag)).is_some() {
+            if state.dags.insert((epoch, value), dag).is_some() {
                 return Err(corrupt("duplicate dag-memo key"));
             }
         }
+        state.next_example = r.u32()?;
         let n = r.count()?;
+        let mut example_ids: IntMap<u32, ()> = IntMap::default();
         for _ in 0..n {
             let len = r.count()?;
             let mut inputs = Vec::with_capacity(len);
@@ -626,8 +690,16 @@ impl DagCache {
                 inputs.push(sym.sym(r)?);
             }
             let output = sym.sym(r)?;
-            let uid = StructId(r.u32()?);
-            arena.validate_struct(uid)?;
+            let id = r.u32()?;
+            if id >= state.next_example {
+                return Err(corrupt(format!("example id {id} beyond next_example")));
+            }
+            if example_ids.insert(id, ()).is_some() {
+                return Err(corrupt(format!("duplicate example id {id}")));
+            }
+            let stale = r.bool()?;
+            let sid = StructId(r.u32()?);
+            arena.validate_struct(sid)?;
             let deps = if r.bool()? {
                 let n_tables = r.count()?;
                 let mut tables = Vec::with_capacity(n_tables);
@@ -646,36 +718,47 @@ impl DagCache {
             } else {
                 None
             };
-            let d = extract_struct(&arena, uid, &mut ctx);
+            let entry = ExampleEntry {
+                id,
+                d: extract_struct(&arena, sid, &mut ctx),
+                deps,
+                stale,
+            };
             let key = ExampleKey {
                 inputs: inputs.into(),
                 output,
             };
-            if state
-                .examples
-                .insert(key, ExampleEntry { uid, d, deps })
-                .is_some()
-            {
+            if state.examples.insert(key, entry).is_some() {
                 return Err(corrupt("duplicate example-memo key"));
             }
         }
         let n = r.count()?;
         for _ in 0..n {
-            let a = StructId(r.u32()?);
-            let b = StructId(r.u32()?);
-            let uid = StructId(r.u32()?);
-            for id in [a, b, uid] {
-                arena.validate_struct(id)?;
+            let len = r.count()?;
+            if len < 2 {
+                return Err(corrupt(format!("intersection chain of length {len}")));
             }
-            let d = extract_struct(&arena, uid, &mut ctx);
-            if state.intersections.insert((a, b), (uid, d)).is_some() {
+            let mut chain = Vec::with_capacity(len);
+            for _ in 0..len {
+                let id = r.u32()?;
+                if !example_ids.contains_key(&id) {
+                    return Err(corrupt(format!(
+                        "intersection chain names unknown example id {id}"
+                    )));
+                }
+                chain.push(id);
+            }
+            let sid = StructId(r.u32()?);
+            arena.validate_struct(sid)?;
+            let d = extract_struct(&arena, sid, &mut ctx);
+            if state.intersections.insert(chain.into(), d).is_some() {
                 return Err(corrupt("duplicate intersection-memo key"));
             }
         }
-        state.arena = arena;
         Ok(DagCache {
             state: RwLock::new(state),
             stats: AtomicStats::default(),
+            arena_stats: Mutex::new(arena.stats()),
         })
     }
 }
@@ -727,18 +810,13 @@ mod tests {
     }
 
     #[test]
-    fn validate_clears_examples_on_epoch_move_only() {
+    fn validate_stales_examples_on_epoch_move_only() {
         let c = DagCache::new();
         c.validate(7);
         let e = c.epoch_of(&[Symbol::intern("s")]);
         c.dag_for(e, Symbol::intern("v"), || dag(2));
-        c.store_example(
-            7,
-            &[Symbol::intern("vi")],
-            Symbol::intern("vo"),
-            &SemDStruct::default(),
-            None,
-        );
+        let (ins, out) = ([Symbol::intern("vi")], Symbol::intern("vo"));
+        c.store_example(7, &ins, out, &SemDStruct::default(), None);
         c.validate(7);
         assert_eq!(c.dag_entries(), 1, "same epoch keeps entries");
         assert_eq!(c.example_entries(), 1);
@@ -751,8 +829,9 @@ mod tests {
         assert_eq!(
             c.example_entries(),
             0,
-            "moved epoch clears the example memo"
+            "moved epoch stales the example memo"
         );
+        assert!(c.example(8, &ins, out).is_none(), "stale entries miss");
         assert_eq!(c.db_epoch(), 8);
     }
 
@@ -812,7 +891,7 @@ mod tests {
         assert_eq!(c.example_entries(), 3);
 
         // A row insert into Month: the Comp entry survives, the Month
-        // entry and the non-revalidatable entry are evicted.
+        // entry and the non-revalidatable entry go stale.
         db.insert_rows(1, vec![vec!["vm3", "VMarch"]]).unwrap();
         c.validate_db(&db);
         assert_eq!(c.db_epoch(), db.epoch());
@@ -826,12 +905,12 @@ mod tests {
             .is_some());
 
         // A mutation touching a value substring-related to the surviving
-        // entry's node values evicts it even though the table differs.
+        // entry's node values stales it even though the table differs.
         db.insert_rows(1, vec![vec!["vm4", "VGoogleplex"]]).unwrap();
         c.validate_db(&db);
-        assert_eq!(c.example_entries(), 0, "substring-related delta evicts");
+        assert_eq!(c.example_entries(), 0, "substring-related delta stales");
 
-        // A structural mutation clears wholesale.
+        // A structural mutation stales wholesale.
         let deps = ExampleDeps {
             tables: Box::new([0]),
             vals: Box::new([Symbol::intern("vc1")]),
@@ -846,7 +925,7 @@ mod tests {
         db.add_table(Table::new("P", vec!["K"], vec![vec!["vk1"]]).unwrap())
             .unwrap();
         c.validate_db(&db);
-        assert_eq!(c.example_entries(), 0, "structural delta clears examples");
+        assert_eq!(c.example_entries(), 0, "structural delta stales examples");
     }
 
     /// A tiny structure distinguishable by its node value.
@@ -861,45 +940,57 @@ mod tests {
     }
 
     #[test]
-    fn intersection_memo_keys_by_struct_id_pair() {
+    fn intersection_memo_keys_by_example_id_chain() {
         let c = DagCache::new();
         let da = named_struct("sid-a");
         let db = named_struct("sid-b");
-        let ua = c.store_example(0, &[Symbol::intern("ia")], Symbol::intern("oa"), &da, None);
-        let ub = c.store_example(0, &[Symbol::intern("ib")], Symbol::intern("ob"), &db, None);
-        assert_ne!(ua, ub, "distinct values, distinct ids");
-        // Ids are content addresses: the same value under a different
-        // example key names the same id.
-        let ua2 = c.store_example(0, &[Symbol::intern("ic")], Symbol::intern("oc"), &da, None);
-        assert_eq!(ua, ua2, "equal values intern to equal ids");
-        assert!(c.intersection(0, ua, ub).is_none());
-        let uid = c.store_intersection(0, ua, ub, &da);
-        assert_eq!(uid, ua, "the result id is the result value's id");
-        let (hit_uid, _) = c.intersection(0, ua, ub).expect("stored");
-        assert_eq!(hit_uid, uid);
+        let ea = c.store_example(0, &[Symbol::intern("ia")], Symbol::intern("oa"), &da, None);
+        let eb = c.store_example(0, &[Symbol::intern("ib")], Symbol::intern("ob"), &db, None);
+        let (ea, eb) = (ea.unwrap(), eb.unwrap());
+        assert_ne!(ea, eb, "distinct examples, distinct ids");
+        // Ids name example entries, not contents: the same value under a
+        // different example key is a different id.
+        let ec = c.store_example(0, &[Symbol::intern("ic")], Symbol::intern("oc"), &da, None);
+        assert_ne!(ec, Some(ea), "each example entry mints its own id");
+        assert!(c.intersection(0, &[ea, eb]).is_none());
+        c.store_intersection(0, &[ea, eb], &da);
+        let hit = c.intersection(0, &[ea, eb]).expect("stored");
+        assert_eq!(hit.nodes[0].vals, da.nodes[0].vals);
         assert!(
-            c.intersection(0, ub, ua).is_none(),
+            c.intersection(0, &[eb, ea]).is_none(),
             "order is part of the key"
+        );
+        assert!(
+            c.intersection(0, &[ea, eb, eb]).is_none(),
+            "a longer chain is a different fold"
         );
         assert_eq!(c.intersection_entries(), 1);
         // A probe validated against a different db epoch must miss even
         // though the key is present (cross-database cache sharing).
-        assert!(c.intersection(42, ua, ub).is_none());
+        assert!(c.intersection(42, &[ea, eb]).is_none());
         // Validation to a new db state *keeps* the intersection memo: ids
         // name operand values (never reused or rebound), so the pure
         // `d₁ ∩ d₂` result stays sound across mutations.
         c.validate(99);
-        let (rebound_uid, _) = c.intersection(99, ua, ub).expect("pure memo survives");
-        assert_eq!(rebound_uid, uid);
-        // Stores against a stale epoch still name the value (interning is
-        // db-independent) but are not memoized — they could be mid-flight
-        // results from a diverged database sharing the cache.
-        let stale_uid = c.store_intersection(0, ub, ua, &db);
-        assert_eq!(stale_uid, ub, "content address even when not stored");
+        assert!(
+            c.intersection(99, &[ea, eb]).is_some(),
+            "pure memo survives"
+        );
+        // Stores against a stale epoch are not memoized — they could be
+        // mid-flight results from a diverged database sharing the cache.
+        c.store_intersection(0, &[eb, ea], &db);
         assert_eq!(c.intersection_entries(), 1, "stale-epoch store dropped");
-        let uid2 = c.store_intersection(99, ub, ua, &db);
-        assert_eq!(uid2, ub);
+        assert_eq!(
+            c.store_example(0, &[Symbol::intern("id")], Symbol::intern("od"), &db, None),
+            None,
+            "stale-epoch example store names no id"
+        );
+        c.store_intersection(99, &[eb, ea], &db);
         assert_eq!(c.intersection_entries(), 2);
+        // First insert wins.
+        c.store_intersection(99, &[eb, ea], &da);
+        let kept = c.intersection(99, &[eb, ea]).unwrap();
+        assert_eq!(kept.nodes[0].vals, db.nodes[0].vals);
     }
 
     #[test]
@@ -909,10 +1000,11 @@ mod tests {
         let ins = [Symbol::intern("fi")];
         let out = Symbol::intern("fo");
         let u1 = c.store_example(0, &ins, out, &d, None);
-        let u2 = c.store_example(0, &ins, out, &d, None);
+        let u2 = c.store_example(0, &ins, out, &named_struct("fiw-2"), None);
         assert_eq!(u1, u2, "re-store returns the canonical id");
-        let (hit, _) = c.example(0, &ins, out).expect("stored");
-        assert_eq!(hit, u1);
+        let (hit, hd) = c.example(0, &ins, out).expect("stored");
+        assert_eq!(Some(hit), u1);
+        assert_eq!(hd.nodes[0].vals, d.nodes[0].vals, "first value kept");
         assert!(
             c.example(7, &ins, out).is_none(),
             "epoch-mismatched probe misses"
@@ -920,21 +1012,90 @@ mod tests {
     }
 
     #[test]
-    fn arena_stats_track_dedup() {
+    fn regenerated_equal_example_keeps_its_id_and_chains() {
+        let c = DagCache::new();
+        let (da, db) = (named_struct("keep-a"), named_struct("keep-b"));
+        let (ka, kb) = ([Symbol::intern("ka")], [Symbol::intern("kb")]);
+        let out = Symbol::intern("ko");
+        let ea = c.store_example(0, &ka, out, &da, None).unwrap();
+        let eb = c.store_example(0, &kb, out, &db, None).unwrap();
+        c.store_intersection(0, &[ea, eb], &da);
+        c.validate(1);
+        assert!(c.example(1, &ka, out).is_none(), "stale probes miss");
+        assert_eq!(c.example_entries(), 0);
+        // Regenerated to an equal value (a fresh allocation): same id.
+        assert_eq!(c.store_example(1, &ka, out, &da.clone(), None), Some(ea));
+        assert_eq!(c.store_example(1, &kb, out, &db, None), Some(eb));
+        assert_eq!(c.example_entries(), 2);
+        assert_eq!(c.example(1, &ka, out).map(|(id, _)| id), Some(ea));
+        assert!(c.intersection(1, &[ea, eb]).is_some(), "chain stays warm");
+    }
+
+    #[test]
+    fn regenerated_changed_example_mints_a_fresh_id() {
+        let c = DagCache::new();
+        let (da, db) = (named_struct("chg-a"), named_struct("chg-b"));
+        let (ka, kb) = ([Symbol::intern("ca")], [Symbol::intern("cb")]);
+        let out = Symbol::intern("co");
+        let ea = c.store_example(0, &ka, out, &da, None).unwrap();
+        let eb = c.store_example(0, &kb, out, &db, None).unwrap();
+        c.store_intersection(0, &[ea, eb], &da);
+        c.store_intersection(0, &[eb, eb], &db);
+        c.validate(1);
+        let changed = named_struct("chg-a2");
+        let ea2 = c.store_example(1, &ka, out, &changed, None).unwrap();
+        assert_ne!(ea2, ea, "a changed value never keeps the old id");
+        assert!(ea2 > eb, "ids are minted monotonically, never reused");
+        let (id, d) = c.example(1, &ka, out).expect("fresh entry");
+        assert_eq!(id, ea2);
+        assert_eq!(d.nodes[0].vals, changed.nodes[0].vals);
+        assert!(c.intersection(1, &[ea2, eb]).is_none());
+        assert!(c.intersection(1, &[ea, eb]).is_none(), "old chain dropped");
+        assert_eq!(c.intersection_entries(), 1, "unrelated chains survive");
+    }
+
+    /// Snapshot payload of `c` (symbol table first, as the service writes
+    /// it).
+    fn encode(c: &DagCache) -> Vec<u8> {
+        let mut body = sst_arena::Writer::new();
+        let mut enc = SymEncoder::new();
+        c.encode_snapshot(&mut body, &mut enc);
+        let mut w = sst_arena::Writer::new();
+        enc.write_table(&mut w);
+        w.raw(&body.into_bytes());
+        w.into_bytes()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<DagCache, SnapshotError> {
+        let mut r = sst_arena::Reader::new(bytes);
+        let dec = SymDecoder::read_table(&mut r)?;
+        let c = DagCache::decode_snapshot(&mut r, &dec, 77)?;
+        r.expect_end()?;
+        Ok(c)
+    }
+
+    #[test]
+    fn arena_is_built_only_by_snapshots() {
         let c = DagCache::new();
         let d = named_struct("dup");
         c.store_example(0, &[Symbol::intern("a1")], Symbol::intern("b1"), &d, None);
         c.store_example(0, &[Symbol::intern("a2")], Symbol::intern("b2"), &d, None);
+        assert_eq!(
+            c.arena_stats(),
+            ArenaStats::default(),
+            "learning never interns"
+        );
+        let bytes = encode(&c);
         let stats = c.arena_stats();
         assert!(stats.hits() > 0, "second intern of the same value hits");
         assert!(stats.dedup_ratio() > 1.0);
         assert!(stats.resident_bytes > 0);
+        let restored = decode(&bytes).unwrap();
+        assert_eq!(restored.arena_stats().stored, stats.stored);
     }
 
     #[test]
     fn snapshot_round_trips_cache_state() {
-        use sst_arena::{SymDecoder, SymEncoder};
-
         let c = DagCache::new();
         c.validate(5);
         let e = c.epoch_of(&[Symbol::intern("snap-src")]);
@@ -948,36 +1109,31 @@ mod tests {
             tables: Box::new([0]),
             vals: Box::new([Symbol::intern("snap-in")]),
         };
-        let ua = c.store_example(5, &ins, out, &da, Some(deps));
-        let ub = c.store_example(5, &[Symbol::intern("snap-in2")], out, &db, None);
-        c.store_intersection(5, ua, ub, &da);
+        let ua = c.store_example(5, &ins, out, &da, Some(deps)).unwrap();
+        let ub = c
+            .store_example(5, &[Symbol::intern("snap-in2")], out, &db, None)
+            .unwrap();
+        let stale_key = [Symbol::intern("snap-stale")];
+        c.store_example(5, &stale_key, out, &db, None);
+        c.store_intersection(5, &[ua, ub], &da);
+        // Stale entries travel with their flag.
+        let key = ExampleKey {
+            inputs: stale_key.into(),
+            output: out,
+        };
+        c.write().examples.get_mut(&key).expect("stored").stale = true;
 
-        let mut body = sst_arena::Writer::new();
-        let mut enc = SymEncoder::new();
-        c.encode_snapshot(&mut body, &mut enc);
-        let mut w = sst_arena::Writer::new();
-        enc.write_table(&mut w);
-        let body = body.into_bytes();
-        w.raw(&body);
-        let bytes = w.into_bytes();
-
-        let mut r = sst_arena::Reader::new(&bytes);
-        let dec = SymDecoder::read_table(&mut r).unwrap();
-        let restored = DagCache::decode_snapshot(&mut r, &dec, 77).unwrap();
-        r.expect_end().unwrap();
-
+        let restored = decode(&encode(&c)).unwrap();
         assert_eq!(restored.db_epoch(), 77, "binds to the caller's epoch");
-        assert_eq!(restored.example_entries(), 2);
+        assert_eq!(restored.example_entries(), 2, "stale entry not counted");
         assert_eq!(restored.intersection_entries(), 1);
         assert_eq!(restored.dag_entries(), 1);
+        assert!(restored.example(77, &stale_key, out).is_none());
         // Warm probes hit and return the same ids.
-        let (uid, d) = restored.example(77, &ins, out).expect("warm example");
-        assert_eq!(uid, ua);
+        let (id, d) = restored.example(77, &ins, out).expect("warm example");
+        assert_eq!(id, ua);
         assert_eq!(d.nodes[0].vals, da.nodes[0].vals);
-        let (iuid, _) = restored
-            .intersection(77, ua, ub)
-            .expect("warm intersection");
-        assert_eq!(iuid, ua);
+        assert!(restored.intersection(77, &[ua, ub]).is_some());
         let hit = restored.dag_for(
             restored.epoch_of(&[Symbol::intern("snap-src")]),
             dag_val,
@@ -985,33 +1141,95 @@ mod tests {
         );
         assert_eq!(hit.num_nodes, 3);
         assert!(restored.stats().example_hits > 0);
+        // The id counter travels too: the next example never reuses one.
+        let next = restored
+            .store_example(77, &[Symbol::intern("snap-in3")], out, &da, None)
+            .unwrap();
+        assert_eq!(next, c.read().next_example);
     }
 
     #[test]
     fn decode_rejects_out_of_range_ids() {
-        use sst_arena::{SymDecoder, SymEncoder};
-
         let c = DagCache::new();
         let d = named_struct("oob");
         c.store_example(0, &[Symbol::intern("oi")], Symbol::intern("oo"), &d, None);
-        let mut body = sst_arena::Writer::new();
-        let mut enc = SymEncoder::new();
-        c.encode_snapshot(&mut body, &mut enc);
-        let mut w = sst_arena::Writer::new();
-        enc.write_table(&mut w);
-        let body = body.into_bytes();
-        // The example entry's struct id is the last u32 before its deps
-        // flag byte (one trailing u32 intersection count + none follow);
-        // rather than byte-surgery, decode a truncated payload instead.
-        w.raw(&body[..body.len() - 4]);
-        let bytes = w.into_bytes();
-        let mut r = sst_arena::Reader::new(&bytes);
-        let dec = SymDecoder::read_table(&mut r).unwrap();
-        let err = DagCache::decode_snapshot(&mut r, &dec, 0).unwrap_err();
+        let bytes = encode(&c);
+        // Rather than byte-surgery, decode a truncated payload.
+        let err = decode(&bytes[..bytes.len() - 4]).unwrap_err();
         assert!(
             matches!(err, SnapshotError::Truncated | SnapshotError::Corrupt(_)),
             "typed error, no panic: {err}"
         );
+    }
+
+    /// A hand-written cache payload over a one-structure arena: example
+    /// entries with the given ids, `next_example`, and intersection
+    /// chains — every field the decoder cross-checks, none of the
+    /// encoder's invariants.
+    fn crafted(ids: &[u32], next_example: u32, chains: &[&[u32]]) -> Vec<u8> {
+        let mut arena = Arena::new();
+        let sid = intern_struct(&mut arena, &named_struct("crafted"));
+        let mut body = sst_arena::Writer::new();
+        let mut enc = SymEncoder::new();
+        arena.encode(&mut body, &mut enc);
+        body.u32(0); // sources epochs
+        body.u32(0); // next_epoch
+        body.u32(0); // dag memo
+        body.u32(next_example);
+        body.u32(ids.len() as u32);
+        for (i, &id) in ids.iter().enumerate() {
+            body.u32(1);
+            enc.sym(Symbol::intern(&format!("crafted-in{i}")), &mut body);
+            enc.sym(Symbol::intern("crafted-out"), &mut body);
+            body.u32(id);
+            body.bool(false); // stale
+            body.u32(sid.0);
+            body.bool(false); // deps
+        }
+        body.u32(chains.len() as u32);
+        for chain in chains {
+            body.u32(chain.len() as u32);
+            for &id in chain.iter() {
+                body.u32(id);
+            }
+            body.u32(sid.0);
+        }
+        let mut w = sst_arena::Writer::new();
+        enc.write_table(&mut w);
+        w.raw(&body.into_bytes());
+        w.into_bytes()
+    }
+
+    #[test]
+    fn decode_rejects_inconsistent_example_ids() {
+        let ok = decode(&crafted(&[0, 1], 2, &[&[0, 1], &[1, 0, 1]])).expect("valid frame");
+        assert_eq!(ok.example_entries(), 2);
+        assert_eq!(ok.intersection_entries(), 2);
+        let cases: [(&str, Vec<u8>); 4] = [
+            ("duplicate example id", crafted(&[0, 0], 2, &[])),
+            ("example id beyond next_example", crafted(&[0, 2], 2, &[])),
+            ("chain names an unknown id", crafted(&[0, 1], 3, &[&[0, 2]])),
+            ("chain shorter than a fold", crafted(&[0, 1], 2, &[&[0]])),
+        ];
+        for (why, bytes) in cases {
+            match decode(&bytes) {
+                Err(SnapshotError::Corrupt(_)) => {}
+                other => panic!("{why}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn encode_skips_chains_naming_dropped_ids() {
+        let c = DagCache::new();
+        let d = named_struct("orphan");
+        let e = c.store_example(0, &[Symbol::intern("or")], Symbol::intern("oo"), &d, None);
+        let e = e.unwrap();
+        c.store_intersection(0, &[e, e], &d);
+        // A chain a racing learn stored after its id was re-minted.
+        c.store_intersection(0, &[e, e + 100], &d);
+        let restored = decode(&encode(&c)).expect("live state always decodes");
+        assert_eq!(restored.intersection_entries(), 1);
     }
 
     #[test]

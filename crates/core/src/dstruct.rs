@@ -68,7 +68,7 @@ pub enum GenLookupU {
 }
 
 /// One lookup node: a reachable string and its generalized programs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SemNode {
     /// The node's interned value under each example's input state.
     pub vals: Vec<Symbol>,
@@ -81,7 +81,7 @@ pub struct SemNode {
 }
 
 /// The `Du` data structure: lookup nodes plus the top-level output DAG.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SemDStruct {
     /// Lookup nodes (`η̃`), including one per distinct input value.
     pub nodes: Vec<SemNode>,

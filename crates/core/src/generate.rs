@@ -29,7 +29,6 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use sst_arena::StructId;
 use sst_lookup::reach::{reach, Activation, ReachPolicy, ReachState};
 use sst_lookup::NodeId;
 use sst_par::CancelToken;
@@ -336,11 +335,11 @@ pub fn generate_str_u_cached(
     generate_str_u_keyed(db, inputs, output, opts, cache, &CancelToken::default()).0
 }
 
-/// [`generate_str_u_cached`] that also reports the structure's arena id,
-/// the key half of the example-pair intersection memo (`Synthesizer::learn`
-/// keys `d₁ ∩ d₂` on the operands' ids). A cancellation observed during
-/// the build skips the whole-example store (the partial structure never
-/// enters the memo) and reports no id.
+/// [`generate_str_u_cached`] that also reports the structure's example
+/// id, the link of the intersection memo's chain keys (`Synthesizer::learn`
+/// keys `d₁ ∩ d₂ ∩ …` on the examples' ids, in fold order). A
+/// cancellation observed during the build skips the whole-example store
+/// (the partial structure never enters the memo) and reports no id.
 pub(crate) fn generate_str_u_keyed(
     db: &Database,
     inputs: &[&str],
@@ -348,7 +347,7 @@ pub(crate) fn generate_str_u_keyed(
     opts: &LuOptions,
     cache: &DagCache,
     cancel: &CancelToken,
-) -> (SemDStruct, Option<StructId>) {
+) -> (SemDStruct, Option<u32>) {
     // Whole-example memo: `Synthesize` on a growing example prefix (the
     // §3.2 loop) replays generation for every earlier example; generation
     // is deterministic in (db, inputs, output, opts), so an unmutated
@@ -357,8 +356,8 @@ pub(crate) fn generate_str_u_keyed(
     cache.validate_db(db);
     let ins: Vec<Symbol> = inputs.iter().map(|s| Symbol::intern(s)).collect();
     let out = Symbol::intern(output);
-    if let Some((uid, hit)) = cache.example(db_epoch, &ins, out) {
-        return (hit, Some(uid));
+    if let Some((id, hit)) = cache.example(db_epoch, &ins, out) {
+        return (hit, Some(id));
     }
     let d = generate_str_u_impl(db, inputs, output, opts, Some(cache), cancel);
     if cancel.is_cancelled() {
@@ -369,8 +368,8 @@ pub(crate) fn generate_str_u_keyed(
     // exactly the strings that could activate cells, so recording the
     // reads makes the entry revalidatable across unrelated row-level
     // mutations; gate-off activations also depend on shared characters,
-    // which the summary cannot prove unaffected — those entries evict on
-    // any epoch move.
+    // which the summary cannot prove unaffected — those entries go stale
+    // on any epoch move.
     let deps = opts.substring_gate.then(|| {
         let (tables, vals) = d.reads();
         ExampleDeps {
@@ -378,8 +377,8 @@ pub(crate) fn generate_str_u_keyed(
             vals: vals.into(),
         }
     });
-    let uid = cache.store_example(db_epoch, &ins, out, &d, deps);
-    (d, Some(uid))
+    let id = cache.store_example(db_epoch, &ins, out, &d, deps);
+    (d, id)
 }
 
 fn generate_str_u_impl(

@@ -65,7 +65,6 @@ mod paraphrase;
 mod rank;
 mod synthesizer;
 
-pub use arena_plane::{extract_struct, intern_struct, ExtractCtx};
 pub use cache::{DagCache, DagCacheStats, SourcesEpoch};
 pub use compiled::{ApplyScratch, CompiledProgram};
 pub use dstruct::{GenCondU, GenLookupU, GenPredU, SemDStruct, SemNode};

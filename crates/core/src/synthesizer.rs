@@ -7,7 +7,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-use sst_arena::StructId;
 use sst_counting::BigUint;
 use sst_par::{CancelToken, Pool};
 use sst_syntactic::TokenSet;
@@ -121,10 +120,11 @@ pub struct SynthesisOptions {
     /// Whether learning runs on the memoized DAG plane ([`DagCache`]):
     /// per-value predicate/top DAGs shared by `(sources_epoch, value)`,
     /// whole repeated examples served from the session memo, and repeated
-    /// example-pair intersections served from the uid-keyed intersection
-    /// memo. Results are bit-identical either way (pinned by
-    /// `tests/dag_memo_equivalence.rs`); the toggle exists for that
-    /// differential harness and for perf comparisons. Default: enabled.
+    /// intersections served from the intersection memo, keyed by the
+    /// chain of example ids they fold. Results are bit-identical either
+    /// way (pinned by `tests/dag_memo_equivalence.rs`); the toggle exists
+    /// for that differential harness and for perf comparisons. Default:
+    /// enabled.
     pub dag_cache: bool,
     /// Worker threads for the parallel `Intersect_u` plane. `1` reproduces
     /// the serial execution exactly; any other width produces bit-identical
@@ -363,8 +363,8 @@ impl Synthesizer {
     /// warm path, so concurrent learns over clones share one warm plane
     /// without serializing. Intersections run through the parallel
     /// `Intersect_u` plane sized by [`SynthesisOptions::threads`]; repeated
-    /// example-pair intersections (the §3.2 loop's replays) are served
-    /// from the uid-keyed intersection memo.
+    /// intersections (the §3.2 loop's replays of a growing prefix) are
+    /// served from the intersection memo, keyed by example-id chains.
     pub fn learn(&self, examples: &[Example]) -> Result<LearnedPrograms, SynthesisError> {
         let first = examples.first().ok_or(SynthesisError::NoExamples)?;
         let arity = first.inputs.len();
@@ -381,7 +381,7 @@ impl Synthesizer {
         let db_epoch = self.db.epoch();
         let cancel = &self.options.cancel;
         let cache: Option<&DagCache> = self.options.dag_cache.then_some(&*self.cache);
-        let generate = |e: &Example| -> (SemDStruct, Option<StructId>) {
+        let generate = |e: &Example| -> (SemDStruct, Option<u32>) {
             match cache {
                 Some(c) => generate_str_u_keyed(
                     &self.db,
@@ -403,7 +403,8 @@ impl Synthesizer {
                 ),
             }
         };
-        let (mut d, mut d_uid) = generate(first);
+        let (mut d, first_id) = generate(first);
+        let mut chain = first_id.map(|id| vec![id]);
         if cancel.is_cancelled() {
             return Err(SynthesisError::Cancelled);
         }
@@ -415,7 +416,7 @@ impl Synthesizer {
         let mut reads: Option<(Vec<TableId>, Vec<Symbol>)> =
             self.options.lu.substring_gate.then(|| d.reads());
         for e in &examples[1..] {
-            let (next, next_uid) = generate(e);
+            let (next, next_id) = generate(e);
             if cancel.is_cancelled() {
                 return Err(SynthesisError::Cancelled);
             }
@@ -428,13 +429,13 @@ impl Synthesizer {
                 vals.sort_unstable();
                 vals.dedup();
             }
-            (d, d_uid) = intersect_step(
+            (d, chain) = intersect_step(
                 cache,
                 db_epoch,
                 d,
-                d_uid,
+                chain,
                 &next,
-                next_uid,
+                next_id,
                 &pool,
                 self.options.parallel_edge_product_min,
                 cancel,
@@ -459,11 +460,11 @@ impl Synthesizer {
     }
 }
 
-/// One `d ∩ next` step of the learn loop: served from the example-pair
-/// intersection memo when both operands carry arena ids (ids are content
-/// addresses, so the operands' *values* are then exactly the memo key's),
-/// computed through the parallel plane and stored otherwise. Chained steps
-/// stay memoized because the stored result's own id keys the next step. A
+/// One `d ∩ next` step of the learn loop: served from the intersection
+/// memo when `d` carries the chain of example ids it folds and `next` an
+/// example id (each id names one value forever, so the extended chain
+/// names exactly the result's value), computed through the parallel plane
+/// and stored otherwise. The extended chain keys the next step. A
 /// cancellation observed during the compute skips the store — partial
 /// intersections never enter the memo — and the caller aborts the learn at
 /// its own checkpoint.
@@ -472,24 +473,25 @@ fn intersect_step(
     cache: Option<&DagCache>,
     db_epoch: u64,
     a: SemDStruct,
-    a_uid: Option<StructId>,
+    a_chain: Option<Vec<u32>>,
     b: &SemDStruct,
-    b_uid: Option<StructId>,
+    b_id: Option<u32>,
     pool: &Pool,
     parallel_edge_product_min: usize,
     cancel: &CancelToken,
-) -> (SemDStruct, Option<StructId>) {
-    match (cache, a_uid, b_uid) {
-        (Some(c), Some(ia), Some(ib)) => {
-            if let Some((uid, hit)) = c.intersection(db_epoch, ia, ib) {
-                return (hit, Some(uid));
+) -> (SemDStruct, Option<Vec<u32>>) {
+    match (cache, a_chain, b_id) {
+        (Some(c), Some(mut chain), Some(ib)) => {
+            chain.push(ib);
+            if let Some(hit) = c.intersection(db_epoch, &chain) {
+                return (hit, Some(chain));
             }
             let r = intersect_du_budgeted(&a, b, pool, parallel_edge_product_min, cancel);
             if cancel.is_cancelled() {
                 return (r, None);
             }
-            let uid = c.store_intersection(db_epoch, ia, ib, &r);
-            (r, Some(uid))
+            c.store_intersection(db_epoch, &chain, &r);
+            (r, Some(chain))
         }
         _ => (
             intersect_du_budgeted(&a, b, pool, parallel_edge_product_min, cancel),

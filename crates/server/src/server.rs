@@ -890,9 +890,11 @@ fn metrics_response(state: &State) -> Response {
             );
         }
     }
+    // The arena is rebuilt by every snapshot write or restore, so even
+    // its `_total` series can move down: all four are gauges.
     out.push_str("# TYPE sst_arena_nodes gauge\n");
-    out.push_str("# TYPE sst_arena_interned_total counter\n");
-    out.push_str("# TYPE sst_arena_hashcons_hits_total counter\n");
+    out.push_str("# TYPE sst_arena_interned_total gauge\n");
+    out.push_str("# TYPE sst_arena_hashcons_hits_total gauge\n");
     out.push_str("# TYPE sst_arena_resident_bytes gauge\n");
     for name in &state.engine_names {
         let arena = state.engines[name].arena_stats();

@@ -123,21 +123,24 @@ impl Engine {
         self.inner.cache.stats()
     }
 
-    /// Hash-cons counters of the memo plane's arena (distinct values,
-    /// intern traffic, resident-bytes estimate) — the `/metrics` and
+    /// Hash-cons counters (distinct values, intern traffic,
+    /// resident-bytes estimate) of the arena built by the last
+    /// [`Engine::snapshot_to`] or [`Engine::restore_from`]; zeros before
+    /// either, since learning never interns — the `/metrics` and
     /// `perf_snapshot` observable.
     pub fn arena_stats(&self) -> ArenaStats {
         self.inner.cache.arena_stats()
     }
 
     /// Persists the engine's warm state — database, interned symbols, and
-    /// the arena-resident memo plane — to `path` as one versioned binary
-    /// snapshot (temp file + rename; a crash never tears the file).
-    /// Returns the snapshot size in bytes.
+    /// the memo plane, hash-consed into an arena on the way out — to
+    /// `path` as one versioned binary snapshot (temp file + rename; a
+    /// crash never tears the file). Returns the snapshot size in bytes.
     ///
     /// The cache is revalidated against the current database state first,
-    /// so the snapshot never carries entries from a database the file
-    /// doesn't contain.
+    /// so the snapshot never carries a servable entry from a database the
+    /// file doesn't contain (entries a mutation may have changed travel
+    /// marked stale, kept only to compare a regeneration against).
     pub fn snapshot_to(&self, path: &Path) -> Result<u64, ServiceError> {
         self.validate_cache();
         let db = self.db();
@@ -255,10 +258,10 @@ impl Engine {
         self.inner.cache.validate_db(&self.read_db());
     }
 
-    /// Entry counts of the shared memo plane `(per-value DAGs, examples,
-    /// intersections)` — alongside [`Engine::cache_stats`], the
-    /// observable the warm-across-mutation tests and benchmarks assert
-    /// on.
+    /// Entry counts of the shared memo plane `(per-value DAGs, servable
+    /// (non-stale) examples, intersection chains)` — alongside
+    /// [`Engine::cache_stats`], the observable the warm-across-mutation
+    /// tests and benchmarks assert on.
     pub fn cache_entries(&self) -> (usize, usize, usize) {
         let c = &self.inner.cache;
         (

@@ -325,6 +325,107 @@ fn unrelated_mutation_keeps_sessions_and_plane_warm() {
     );
 }
 
+/// Everything a learned program set answers with: the structure itself,
+/// its exact count, and the top-3 programs with their outputs on `rows`.
+type Observables = (
+    sst_core::SemDStruct,
+    String,
+    Vec<(String, Vec<Option<String>>)>,
+);
+
+fn learned_observables(learned: &sst_core::LearnedPrograms, rows: &[&str]) -> Observables {
+    let top = learned
+        .top_k(3)
+        .iter()
+        .map(|p| (p.to_string(), rows.iter().map(|r| p.run(&[r])).collect()))
+        .collect();
+    (learned.dstruct().clone(), learned.count().to_decimal(), top)
+}
+
+/// A mutation the cached examples *read* marks them stale; when the
+/// regenerated structures compare equal (an insert undone by a delete),
+/// they keep their example ids, so the re-learn's intersection chain is
+/// served warm: fresh generations, no fresh intersections.
+#[test]
+fn undone_mutation_keeps_example_ids_and_chains_warm() {
+    let engine = comp_engine();
+    let examples = [
+        Example::new(vec!["c2"], "Google"),
+        Example::new(vec!["c3"], "Apple"),
+        Example::new(vec!["c4"], "Facebook"),
+    ];
+    let before = engine.learn(&examples).unwrap();
+    let stats = engine.cache_stats();
+    assert!(
+        stats.intersect_misses >= 2,
+        "the cold learn fills the chain"
+    );
+
+    let ids = engine.insert_rows(0, vec![vec!["c9", "Zeta"]]).unwrap();
+    engine.delete_rows(0, &ids).unwrap();
+    engine.validate_cache();
+    assert_eq!(engine.cache_entries().1, 0, "the read table moved: stale");
+
+    let after = engine.learn(&examples).unwrap();
+    let stats2 = engine.cache_stats();
+    assert_eq!(
+        stats2.example_misses - stats.example_misses,
+        3,
+        "stale examples regenerate"
+    );
+    assert_eq!(
+        stats2.intersect_misses, stats.intersect_misses,
+        "equal regenerations keep their ids: no fresh intersection"
+    );
+    assert_eq!(stats2.intersect_hits - stats.intersect_hits, 2);
+    assert_eq!(engine.cache_entries().1, 3, "regenerated entries are fresh");
+    let rows = ["c1", "c2", "c3", "c4"];
+    assert_eq!(
+        learned_observables(&after, &rows),
+        learned_observables(&before, &rows)
+    );
+}
+
+/// A mutation that changes a cached example's structure mints a fresh
+/// example id: the old chain is never served, and the re-learn answers
+/// exactly like a cold engine over the mutated database.
+#[test]
+fn changed_regeneration_never_serves_the_old_chain() {
+    let engine = comp_engine();
+    let examples = [
+        Example::new(vec!["c2"], "Google"),
+        Example::new(vec!["c3"], "Apple"),
+    ];
+    engine.learn(&examples).unwrap();
+    let stats = engine.cache_stats();
+    let chains = engine.cache_entries().2;
+
+    // A row whose Name is an input value: `c2` now also reaches "Google"
+    // through a reverse lookup, so G(c2 → Google) gains a program.
+    engine.insert_rows(0, vec![vec!["Google", "c2"]]).unwrap();
+    let warm = engine.learn(&examples).unwrap();
+    let stats2 = engine.cache_stats();
+    assert_eq!(
+        stats2.intersect_misses - stats.intersect_misses,
+        1,
+        "the changed example's fresh id misses the chain"
+    );
+    assert_eq!(stats2.intersect_hits, stats.intersect_hits);
+    assert_eq!(
+        engine.cache_entries().2,
+        chains,
+        "the chain over the old id was dropped, the new one stored"
+    );
+
+    let cold = Engine::new(engine.db()).learn(&examples).unwrap();
+    let rows = ["c1", "c2", "c3", "c4", "Google"];
+    assert_eq!(
+        learned_observables(&warm, &rows),
+        learned_observables(&cold, &rows),
+        "bit-identical to a cold engine"
+    );
+}
+
 #[test]
 fn failed_learns_do_not_disturb_session_state() {
     // Regression: status()/distinguishing_input() used to lose the

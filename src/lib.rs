@@ -22,7 +22,7 @@
 //!   (§6): time, months, ordinals, currencies, phone codes, US states.
 //! * [`benchmarks`] — the reconstructed 50-task evaluation suite (§7) and
 //!   synthetic worst-case workload generators.
-//! * [`arena`] — the hash-consed id-plane under the memo cache: flat
+//! * [`arena`] — the hash-consed snapshot form of the memo cache: flat
 //!   typed stores interning DAG nodes, predicate programs and whole
 //!   program-set structures as dense `u32` ids, plus the versioned
 //!   binary snapshot codec.
@@ -237,27 +237,27 @@
 //! assert_eq!(session.run(&["c1"]).unwrap().as_deref(), Some("Microsoft Corp"));
 //! ```
 //!
-//! # The arena id-plane and snapshots
+//! # Memo keys, the arena and snapshots
 //!
-//! Underneath the memo cache sits an arena ([`sst_arena`], re-exported as
-//! [`arena`]): every learned structure — position sets, token sequences,
-//! atoms, DAGs, predicate programs, whole program-set structures — is
-//! *hash-consed* into flat typed stores, so structurally equal
-//! subprograms are stored once per engine and named by a dense `u32` id.
-//! Content addressing changes the memo keys: the example-pair
-//! intersection memo is keyed by `(StructId, StructId)` — the *values*
-//! of the operands — instead of `Arc` pointer identity or monotone uids,
-//! so two examples that independently produce equal structures share one
-//! memo line. This is sound precisely because equal ids mean equal
-//! structure: an intersection result is a pure function of its operand
+//! The memo cache names every cached example structure by a dense
+//! *example id*, minted once and never reused, and keys the intersection
+//! memo by the *chain* of example ids an intersection folds: `[e₁, e₂]`
+//! names `G(e₁) ∩ G(e₂)`, `[e₁, e₂, e₃]` names `(G(e₁) ∩ G(e₂)) ∩ G(e₃)`.
+//! This is sound because an id names one structure value forever (a
+//! mutation that changes an example's regenerated structure mints a fresh
+//! id) and an intersection result is a pure function of its operand
 //! values. Everything observable stays bit-identical (pinned by the
 //! `dag_memo_equivalence`, `parallel_equivalence` and
 //! `service_equivalence` harnesses).
 //!
-//! The id-plane is also what makes the engine *persistable*: ids are
-//! process-independent names, so
-//! [`Engine::snapshot_to`](service::Engine::snapshot_to) can write the
-//! database, interner symbols and arena-resident memo plane as one
+//! The arena ([`sst_arena`], re-exported as [`arena`]) is what makes the
+//! engine *persistable*: at snapshot time every cached structure —
+//! position sets, token sequences, atoms, DAGs, predicate programs, whole
+//! program-set structures — is *hash-consed* into flat typed stores, so
+//! structurally equal subprograms are written once and named by
+//! process-independent `u32` ids. Learning itself never interns.
+//! [`Engine::snapshot_to`](service::Engine::snapshot_to) writes the
+//! database, interner symbols and the interned memo plane as one
 //! versioned, checksummed binary file, and
 //! [`Engine::restore_from`](service::Engine::restore_from) rebuilds an
 //! engine in a fresh process that serves replayed requests memo-warm.

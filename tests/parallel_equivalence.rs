@@ -101,8 +101,8 @@ fn every_thread_count_agrees_on_every_task() {
 
 #[test]
 fn parallel_intersection_serves_the_memo_on_replays() {
-    // The §3.2 loop replays earlier pairs: the uid-keyed intersection memo
-    // must see traffic on a task that needs ≥ 2 examples.
+    // The §3.2 loop replays earlier prefixes: the chain-keyed intersection
+    // memo must see traffic on a task that needs ≥ 2 examples.
     let task = all_tasks()
         .into_iter()
         .find(|t| {

@@ -187,10 +187,52 @@ fn wrong_version_is_typed() {
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 
+    // Version 1 keyed the memo plane by arena ids; this build refuses it
+    // typed rather than misreading its example and intersection entries.
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert_ne!(SNAPSHOT_VERSION, 1);
+    match open_snapshot(&bytes) {
+        Err(SnapshotError::UnsupportedVersion(1)) => {}
+        other => panic!("expected UnsupportedVersion(1), got {other:?}"),
+    }
+
     // And a wrong magic is BadMagic, not a checksum complaint.
     bytes[0] ^= 0xff;
     assert!(matches!(
         open_snapshot(&bytes),
         Err(SnapshotError::BadMagic)
     ));
+}
+
+/// Work-counter pin: learning never interns — the arena exists only in
+/// a snapshot. A suite task converged on a fresh engine reports zero
+/// arena traffic; the snapshot then interns the memo plane with real
+/// hash-consing payoff, and a restore reports the arena it read.
+#[test]
+fn only_snapshots_build_the_arena() {
+    let task = semantic_strings::benchmarks::all_tasks()
+        .into_iter()
+        .find(|t| t.name == "ex1_selling_price")
+        .expect("suite task");
+    let engine = Engine::new(Arc::new(task.db.clone()));
+    engine
+        .session()
+        .converge_with(&task.rows, 3)
+        .expect("suite task converges");
+    let learned = engine.arena_stats();
+    assert_eq!(learned.interned, 0, "the learn path interned");
+    assert_eq!(learned.stored, 0);
+
+    let path = case_path("arena-pin", 0);
+    engine.snapshot_to(&path).expect("snapshot");
+    let snap = engine.arena_stats();
+    assert!(snap.stored > 0 && snap.interned > 0 && snap.resident_bytes > 0);
+    assert!(
+        snap.dedup_ratio() >= 2.0,
+        "hash-consing payoff: {}",
+        snap.dedup_ratio()
+    );
+    let restored = Engine::restore_from(&path, SynthesisOptions::default());
+    std::fs::remove_file(&path).ok();
+    assert_eq!(restored.expect("restore").arena_stats().stored, snap.stored);
 }
