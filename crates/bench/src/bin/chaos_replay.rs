@@ -523,8 +523,10 @@ fn main() {
             .converge_with(&task.rows, MAX_EXAMPLES)
             .expect("in-process convergence");
         let cells = session.run_column(&inputs_of(task)).expect("run_column");
-        let applies =
-            engine.apply_batch(&[ApplyRequest::new(wire_examples.clone(), inputs_of(task))]);
+        let applies = engine.apply_batch(
+            &[ApplyRequest::new(wire_examples.clone(), inputs_of(task))],
+            None,
+        );
         let apply_equal = wire_applies.len() == 1
             && match (&applies[0].result, &wire_applies[0].result) {
                 (Ok(local_cells), Ok(wire_cells)) => local_cells == wire_cells,

@@ -3,9 +3,7 @@
 //! `relaxed_reachability` micro-section timing one `GenerateStr_u` call per
 //! task (the §5.3 hot loop the `SubstringIndex` postings serve), a
 //! `dag_cache` micro-section timing cold vs warm learns through the
-//! memoized DAG plane, a `parallel_micro` section timing one warm
-//! `Intersect_u` per task at 1, 2 and N worker threads (the parallel
-//! intersection plane), and an `apply` section measuring the compiled
+//! memoized DAG plane, and an `apply` section measuring the compiled
 //! bytecode plane — interpreted vs compiled single-row nanoseconds and
 //! `run_column` rows/sec at each pool width over a synthesized
 //! `--apply-rows`-row column, with an `outputs_match` bit CI asserts.
@@ -26,7 +24,6 @@
 //!   `cargo run --release -p sst-bench --bin perf_snapshot -- --no-dag-cache`
 //!   `cargo run --release -p sst-bench --bin perf_snapshot -- --threads 4`
 //!   `cargo run --release -p sst-bench --bin perf_snapshot -- --serve`
-//!   `cargo run --release -p sst-bench --bin perf_snapshot -- --edge-product-min 512`
 //!   `cargo run --release -p sst-bench --bin perf_snapshot -- --apply-rows 1000000`
 //!
 //! `--smoke` evaluates only the first [`SMOKE_PER_CATEGORY`] tasks of
@@ -34,9 +31,9 @@
 //! including the semantic one the substring index serves — and proves the
 //! snapshot stays generatable without replaying the suite. `--no-dag-cache`
 //! runs the per-task reports with the `DagCache` disabled; `--threads N`
-//! sizes the `Intersect_u` worker pool (default: machine parallelism; `1`
-//! is the serial execution); `--edge-product-min N` sets the parallel
-//! dispatch threshold (`SynthesisOptions::parallel_edge_product_min`);
+//! sizes the engine pool that batch requests and `run_column` fan out
+//! across (default: machine parallelism; `1` is the serial execution; the
+//! per-task reports run through that pool only under `--serve`);
 //! `--serve` replays the per-task protocol through the service plane
 //! (`Engine` sessions + `learn_batch`) instead of direct `Synthesizer`
 //! calls; `--scale-rows N` sizes the scaled lookup table of the `mutate`
@@ -51,8 +48,8 @@ use std::time::Duration;
 
 use sst_bench::{
     apply_micro, arena_micro, dag_cache_times, evaluate_tasks_served_with_options,
-    evaluate_tasks_with_options, generate_u_time, intersect_micro_times, mutate_micro,
-    reach_at_scale, ApplyReport, ArenaReport,
+    evaluate_tasks_with_options, generate_u_time, mutate_micro, reach_at_scale, ApplyReport,
+    ArenaReport,
 };
 use sst_benchmarks::Category;
 use sst_core::SynthesisOptions;
@@ -90,14 +87,6 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(|v| v.parse().expect("--threads takes a positive integer"))
         .unwrap_or(0);
-    let edge_product_min: Option<usize> = args
-        .iter()
-        .position(|a| a == "--edge-product-min")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse()
-                .expect("--edge-product-min takes a non-negative integer")
-        });
     let apply_rows: usize = args
         .iter()
         .position(|a| a == "--apply-rows")
@@ -119,13 +108,10 @@ fn main() {
             SCALE_ROWS_DEFAULT
         });
     let mutate_roundtrip = args.iter().any(|a| a == "--mutate-roundtrip");
-    let mut builder = SynthesisOptions::builder()
+    let options = SynthesisOptions::builder()
         .dag_cache(dag_cache)
-        .threads(threads);
-    if let Some(min_product) = edge_product_min {
-        builder = builder.parallel_edge_product_min(min_product);
-    }
-    let options = builder.build();
+        .threads(threads)
+        .build();
     let effective_threads = options.threads;
     let mut tasks = sst_benchmarks::all_tasks();
     if smoke {
@@ -171,20 +157,11 @@ fn main() {
         .collect();
     let total_cold: Duration = cache_micro.iter().map(|(c, _)| *c).sum();
     let total_warm: Duration = cache_micro.iter().map(|(_, w)| *w).sum();
-    // Warm-intersection widths: serial, two workers, the configured width
+    // `run_column` widths: serial, two workers, the configured width
     // (deduplicated, ascending).
     let mut widths: Vec<usize> = vec![1, 2, effective_threads];
     widths.sort_unstable();
     widths.dedup();
-    let par_micro: Vec<Vec<Duration>> = tasks
-        .iter()
-        .map(|t| intersect_micro_times(t, &widths))
-        .collect();
-    let par_totals: Vec<Duration> = widths
-        .iter()
-        .enumerate()
-        .map(|(i, _)| par_micro.iter().map(|row| row[i]).sum())
-        .collect();
     let apply: Vec<ApplyReport> = tasks
         .iter()
         .map(|t| apply_micro(t, apply_rows, &widths))
@@ -233,10 +210,6 @@ fn main() {
     println!("  \"dag_cache\": {dag_cache},");
     println!("  \"threads\": {effective_threads},");
     println!("  \"serve\": {serve},");
-    println!(
-        "  \"parallel_edge_product_min\": {},",
-        options.parallel_edge_product_min
-    );
     println!("  \"tasks\": [");
     for (i, r) in reports.iter().enumerate() {
         let comma = if i + 1 < reports.len() { "," } else { "" };
@@ -280,23 +253,6 @@ fn main() {
             task.category,
             cold.as_secs_f64() * 1e3,
             warm.as_secs_f64() * 1e3,
-        );
-    }
-    println!("  ],");
-    println!("  \"parallel_micro\": [");
-    for (i, (task, times)) in tasks.iter().zip(&par_micro).enumerate() {
-        let comma = if i + 1 < tasks.len() { "," } else { "" };
-        let cols: Vec<String> = widths
-            .iter()
-            .zip(times)
-            .map(|(w, t)| format!("\"intersect_t{}_ms\": {:.3}", w, t.as_secs_f64() * 1e3))
-            .collect();
-        println!(
-            "    {{\"id\": {}, \"name\": \"{}\", \"category\": \"{:?}\", {}}}{comma}",
-            task.id,
-            json_escape(task.name),
-            task.category,
-            cols.join(", "),
         );
     }
     println!("  ],");
@@ -405,13 +361,6 @@ fn main() {
         "    \"total_learn_warm_ms\": {:.3},",
         total_warm.as_secs_f64() * 1e3
     );
-    for (w, t) in widths.iter().zip(&par_totals) {
-        println!(
-            "    \"total_intersect_t{}_ms\": {:.3},",
-            w,
-            t.as_secs_f64() * 1e3
-        );
-    }
     println!(
         "    \"apply_interp_row_ns\": {:.1},",
         total_interp_ns / apply.iter().map(|a| a.rows as f64).sum::<f64>()

@@ -28,12 +28,7 @@
 //! Usage:
 //!   `cargo run --release -p sst-bench --bin traffic_replay > BENCH_PR8.json`
 //!   `cargo run --release -p sst-bench --bin traffic_replay -- --smoke`
-//!   `... -- --sessions 2000 --connections 32 --edge-product-min 512`
-//!
-//! `--edge-product-min N` sets the parallel-dispatch threshold on every
-//! hosted engine, so sweeping it under replayed traffic is how that knob
-//! gets tuned on serving-shaped (memo-warm, many-small-requests) load
-//! rather than cold microbenchmarks.
+//!   `... -- --sessions 2000 --connections 32`
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -270,14 +265,9 @@ fn main() {
     } else {
         APPLY_REPS_DEFAULT
     });
-    let edge_product_min = flag("--edge-product-min");
     let session_ttl = Duration::from_secs(flag("--session-ttl-secs").unwrap_or(600) as u64);
 
-    let mut builder = SynthesisOptions::builder();
-    if let Some(min) = edge_product_min {
-        builder = builder.parallel_edge_product_min(min);
-    }
-    let options = builder.build();
+    let options = SynthesisOptions::default();
 
     let engines: Vec<(String, Engine)> = tasks
         .iter()
@@ -415,8 +405,10 @@ fn main() {
             .converge_with(&task.rows, MAX_EXAMPLES)
             .expect("in-process convergence");
         let cells = session.run_column(&inputs_of(task)).expect("run_column");
-        let applies =
-            engine.apply_batch(&[ApplyRequest::new(outcome.examples.clone(), inputs_of(task))]);
+        let applies = engine.apply_batch(
+            &[ApplyRequest::new(outcome.examples.clone(), inputs_of(task))],
+            None,
+        );
         let wire_apply = apply_results
             .iter()
             .find(|(t, _)| *t == task_idx)
@@ -466,12 +458,11 @@ fn main() {
         "  \"suite\": \"traffic_replay\",\n  \"smoke\": {smoke},\n"
     ));
     out.push_str(&format!(
-        "  \"config\": {{\"tasks\": {}, \"sessions\": {}, \"connections\": {}, \"apply_reps\": {}, \"edge_product_min\": {}, \"session_ttl_s\": {}}},\n",
+        "  \"config\": {{\"tasks\": {}, \"sessions\": {}, \"connections\": {}, \"apply_reps\": {}, \"session_ttl_s\": {}}},\n",
         tasks.len(),
         sessions,
         connections,
         apply_reps,
-        edge_product_min.map_or("null".to_string(), |v| v.to_string()),
         session_ttl.as_secs(),
     ));
     out.push_str(&format!(

@@ -14,10 +14,7 @@ use std::time::{Duration, Instant};
 use sst_benchmarks::{
     apply_column, scaled_lookup_database, scaled_lookup_row, BenchmarkTask, Category,
 };
-use sst_core::{
-    converge, generate_str_u, intersect_du_with, LuOptions, Pool, SemDStruct, SynthesisOptions,
-    Synthesizer,
-};
+use sst_core::{converge, generate_str_u, LuOptions, Pool, SynthesisOptions, Synthesizer};
 use sst_counting::BigUint;
 use sst_service::{Engine, LearnRequest};
 use sst_tables::{Database, SubstringIndex, Table, ValueIndex};
@@ -64,23 +61,14 @@ pub fn evaluate_task(task: &BenchmarkTask) -> TaskReport {
 /// memo, so the timed `learn` below measures warm-path work (intersection
 /// and ranking) when the cache is on, and full regeneration when off.
 pub fn evaluate_task_with(task: &BenchmarkTask, dag_cache: bool) -> TaskReport {
-    evaluate_task_opts(task, dag_cache, 0)
-}
-
-/// [`evaluate_task_with`] at an explicit `Intersect_u` pool width
-/// (`0` = the machine default), the `--threads` axis of `perf_snapshot`.
-pub fn evaluate_task_opts(task: &BenchmarkTask, dag_cache: bool, threads: usize) -> TaskReport {
     evaluate_task_with_options(
         task,
-        SynthesisOptions::builder()
-            .dag_cache(dag_cache)
-            .threads(threads)
-            .build(),
+        SynthesisOptions::builder().dag_cache(dag_cache).build(),
     )
 }
 
 /// The fully general per-task protocol: any [`SynthesisOptions`] (built
-/// with the builder — e.g. an explicit `parallel_edge_product_min`).
+/// with the builder — e.g. an explicit `top_k`).
 pub fn evaluate_task_with_options(task: &BenchmarkTask, options: SynthesisOptions) -> TaskReport {
     let synthesizer = Synthesizer::with_options(Arc::new(task.db.clone()), options);
     let report = converge(&synthesizer, &task.rows, MAX_EXAMPLES)
@@ -126,22 +114,13 @@ pub fn evaluate_tasks(tasks: &[BenchmarkTask]) -> Vec<TaskReport> {
 
 /// [`evaluate_tasks`] with the `DagCache` toggled.
 pub fn evaluate_tasks_with(tasks: &[BenchmarkTask], dag_cache: bool) -> Vec<TaskReport> {
-    evaluate_tasks_opts(tasks, dag_cache, 0)
+    evaluate_tasks_with_options(
+        tasks,
+        &SynthesisOptions::builder().dag_cache(dag_cache).build(),
+    )
 }
 
-/// [`evaluate_tasks_with`] at an explicit pool width (`0` = default).
-pub fn evaluate_tasks_opts(
-    tasks: &[BenchmarkTask],
-    dag_cache: bool,
-    threads: usize,
-) -> Vec<TaskReport> {
-    tasks
-        .iter()
-        .map(|t| evaluate_task_opts(t, dag_cache, threads))
-        .collect()
-}
-
-/// [`evaluate_task_opts`] replayed through the **service plane**: the
+/// [`evaluate_task_with`] replayed through the **service plane**: the
 /// interaction loop runs on an [`Engine`] session
 /// (`Session::converge_with`, no caller-side re-learn loop) and the
 /// metric learns go through [`Engine::learn_batch`] — one batch carrying
@@ -173,7 +152,7 @@ pub fn evaluate_task_served_options(task: &BenchmarkTask, options: SynthesisOpti
         LearnRequest::new(session.examples().to_vec()),
     ];
     let start = Instant::now();
-    let responses = engine.learn_batch(&requests);
+    let responses = engine.learn_batch(&requests, None);
     let learn_time = start.elapsed();
     let fail = |r: &sst_service::LearnResponse| {
         panic!(
@@ -261,44 +240,6 @@ pub fn dag_cache_times(task: &BenchmarkTask, dag_cache: bool) -> (Duration, Dura
     let warm_time = warm_start.elapsed();
     drop(warm);
     (cold_time, warm_time)
-}
-
-/// Timing iterations per intersection micro-measurement; the minimum is
-/// reported (warm times are sub-millisecond and scheduler noise dominates
-/// single shots).
-const INTERSECT_MICRO_ITERS: usize = 3;
-
-/// Warm `Intersect_u` wall-clock on one task at each pool width: the two
-/// example structures are generated once (so timing isolates intersection
-/// from generation and memo traffic — the `Synthesizer`'s example-pair
-/// memo is deliberately *not* in this loop), then `d₁ ∩ d₂` runs
-/// [`INTERSECT_MICRO_ITERS`] times per width and the minimum is reported.
-/// This is the `parallel_micro` section of the perf snapshot — the direct
-/// measurement of the parallel intersection plane.
-pub fn intersect_micro_times(task: &BenchmarkTask, widths: &[usize]) -> Vec<Duration> {
-    let examples = task.examples(2);
-    let opts = LuOptions::default();
-    let structures: Vec<SemDStruct> = examples
-        .iter()
-        .map(|e| generate_str_u(&task.db, &e.input_refs(), &e.output, &opts))
-        .collect();
-    let (d1, d2) = (&structures[0], &structures[1]);
-    widths
-        .iter()
-        .map(|&w| {
-            let pool = Pool::new(w);
-            (0..INTERSECT_MICRO_ITERS)
-                .map(|_| {
-                    let start = Instant::now();
-                    let r = intersect_du_with(d1, d2, &pool);
-                    let elapsed = start.elapsed();
-                    drop(r);
-                    elapsed
-                })
-                .min()
-                .expect("at least one iteration")
-        })
-        .collect()
 }
 
 /// Wall-clock time of one `GenerateStr_u` call on a task's first example —

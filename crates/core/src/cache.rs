@@ -1,6 +1,6 @@
 //! The memoized DAG plane: a per-synthesizer cache that removes the
-//! dominant repeated work in `GenerateStr_u` (§5.3) and, since the
-//! parallel-intersection PR, in `Intersect_u`'s §3.2 replays too.
+//! dominant repeated work in `GenerateStr_u` (§5.3) and in
+//! `Intersect_u`'s §3.2 replays.
 //!
 //! Profiling after the substring-index PR showed DAG *construction* — the
 //! top-level output DAG plus a fresh nested predicate DAG per candidate-key

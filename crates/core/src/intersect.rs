@@ -18,11 +18,8 @@
 use std::sync::Arc;
 
 use sst_lookup::NodeId;
-use sst_par::{CancelToken, Pool};
-use sst_syntactic::{
-    assemble_product_dag, intersect_dags_memo, intersect_dags_memo_unpruned, product_edge_atoms,
-    product_path_masks, AtomSet, Dag, PosMemo, PosSet, ProductMasks,
-};
+use sst_par::CancelToken;
+use sst_syntactic::{intersect_dags_memo, intersect_dags_memo_unpruned, Dag, PosMemo};
 use sst_tables::IntMap;
 
 use crate::dstruct::{GenCondU, GenLookupU, GenPredU, SemDStruct, SemNode};
@@ -56,78 +53,17 @@ pub fn intersect_du_unpruned(a: &SemDStruct, b: &SemDStruct) -> SemDStruct {
     intersect_du_impl(a, b, Tuning::ORACLE, &CancelToken::default())
 }
 
-/// Default estimated top-level edge-pair product below which the parallel
-/// plane is not worth its setup (discovery pass + two `thread::scope`
-/// spawns): small intersections run the serial path, which is observably
-/// identical. Tunable per synthesizer via
-/// `SynthesisOptions::builder().parallel_edge_product_min(..)` — the
-/// constant is untuned on real multi-core hardware (ROADMAP follow-on).
-pub const DEFAULT_PARALLEL_EDGE_PRODUCT_MIN: usize = 256;
-
-/// [`intersect_du`] dispatched through a worker pool: node-pair
-/// intersections fan out across `pool`'s threads when the pool is parallel
-/// and the product is big enough to amortize the setup, and fall back to
-/// the serial path otherwise. Dispatches at the default threshold
-/// [`DEFAULT_PARALLEL_EDGE_PRODUCT_MIN`]; [`intersect_du_tuned`] takes an
-/// explicit one.
-///
-/// Every observable of the result — program counts, structure size,
-/// ranking, evaluation — is **bit-identical at every pool width** (pinned
-/// by `tests/parallel_equivalence.rs` and the property tests): the
-/// parallel plane computes the same node pairs, the same program products
-/// and the same DAG intersections, merging them in a discovery order fixed
-/// before any worker runs. Only the internal numbering of the output's
-/// lookup nodes may differ from the serial path, and no observable
-/// depends on it (counts and sizes are order-free sums; ranked programs
-/// carry no node ids).
-pub fn intersect_du_with(a: &SemDStruct, b: &SemDStruct, pool: &Pool) -> SemDStruct {
-    intersect_du_tuned(a, b, pool, DEFAULT_PARALLEL_EDGE_PRODUCT_MIN)
-}
-
-/// [`intersect_du_with`] at an explicit parallel-dispatch threshold: the
-/// parallel plane runs only when the top-level edge-pair product reaches
-/// `parallel_edge_product_min`. The threshold trades scheduling overhead
-/// against fan-out and **cannot change any observable** — both paths are
-/// pinned bit-identical — so it is exposed as a perf knob
-/// (`SynthesisOptions::parallel_edge_product_min`).
-pub fn intersect_du_tuned(
+/// [`intersect_du`] under a cooperative [`CancelToken`], checked once per
+/// node pair. When the token fires mid-intersection the return value is an
+/// *empty* structure that the caller must discard after checking the token
+/// — cancellation is a control signal, not a result. An un-fired token
+/// changes nothing: results stay bit-identical to [`intersect_du`].
+pub(crate) fn intersect_du_budgeted(
     a: &SemDStruct,
     b: &SemDStruct,
-    pool: &Pool,
-    parallel_edge_product_min: usize,
-) -> SemDStruct {
-    intersect_du_budgeted(
-        a,
-        b,
-        pool,
-        parallel_edge_product_min,
-        &CancelToken::default(),
-    )
-}
-
-/// [`intersect_du_tuned`] under a cooperative [`CancelToken`], checked at
-/// coarse granularity (per node pair on the serial path; per discovery
-/// step, per row unit and per wave on the parallel plane). When the token
-/// fires mid-intersection the return value is an *empty* structure that the
-/// caller must discard after checking the token — cancellation is a
-/// control signal, not a result. An un-fired token changes nothing:
-/// results stay bit-identical to [`intersect_du_tuned`].
-pub fn intersect_du_budgeted(
-    a: &SemDStruct,
-    b: &SemDStruct,
-    pool: &Pool,
-    parallel_edge_product_min: usize,
     cancel: &CancelToken,
 ) -> SemDStruct {
-    let worthwhile = match (&a.top, &b.top) {
-        (Some(ta), Some(tb)) => ta.edges.len() * tb.edges.len() >= parallel_edge_product_min,
-        _ => false,
-    };
-    if pool.is_parallel() && worthwhile {
-        intersect_du_parallel_budgeted(a, b, pool, cancel)
-    } else {
-        intersect_du_impl(a, b, Tuning::OPTIMIZED, cancel)
-    }
+    intersect_du_impl(a, b, Tuning::OPTIMIZED, cancel)
 }
 
 /// Which product-pruning optimizations run (see [`intersect_du`]).
@@ -363,763 +299,6 @@ impl Ctx<'_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The parallel intersection plane.
-//
-// The serial `Ctx` interleaves three mutually recursive computations: DAG
-// products call `pair_src` to mint node pairs, minting a pair eagerly
-// intersects its program products, and program products intersect nested
-// predicate DAGs — back to the first step. The key structural fact that
-// unlocks parallelism is that the recursion only ever passes *ids*
-// downward: a DAG product needs the id (and input-emptiness) of each
-// referenced node pair, never its intersected programs, and a node pair's
-// programs need the nested DAG *results*, never other pairs' programs. The
-// plane therefore splits into
-//
-//   1. a serial **discovery** pass that walks the structure (edge pairs
-//      under the product masks, atom-kind-compatible source pairs, program
-//      products, condition alignment) and assigns every node pair and
-//      every distinct nested DAG pair a dense id — no position
-//      intersections, no atom hashing, no program work;
-//   2. a parallel wave of **DAG-pair intersections**, each an independent
-//      pure product over the discovery ids, probing a pre-warmed
-//      frozen position memo lock-free;
-//   3. a parallel wave of **per-pair program products**, each reading only
-//      the input structures and the wave-2 results;
-//   4. a serial assembly in discovery order, then the usual productivity
-//      prune.
-//
-// The serial path's one result-dependent control decision — a condition's
-// predicate DAGs intersect left to right and stop at the first empty
-// result — is replayed by running the phases in *waves*: a condition's
-// later DAG pairs wait as a `PredChain` continuation that each wave's
-// results advance, so a DAG pair is computed iff the serial recursion
-// would have computed it. Work, pairs, program lists and orders, DAG
-// edges and atom orders all match the serial computation under the id
-// bijection; only the output's internal node numbering differs, and no
-// observable depends on it.
-// ---------------------------------------------------------------------------
-
-/// One nested-DAG intersection work unit: the two operand DAGs (identity-
-/// deduplicated, matching the serial `Arc`-keyed memo) plus their product
-/// masks from discovery. A job that is not `live` (the source pair cannot
-/// structurally reach the target pair) intersects to `None` without work.
-struct DagJob {
-    a: Arc<Dag<NodeId>>,
-    b: Arc<Dag<NodeId>>,
-    masks: ProductMasks,
-    live: bool,
-}
-
-/// A pinned pair of position-vector handles: a position-memo key whose
-/// addresses stay valid while the pair is held.
-type PosPair = (Arc<Vec<PosSet>>, Arc<Vec<PosSet>>);
-
-/// A pair of predicate-DAG operands (one nested intersection).
-type DagPair = (Arc<Dag<NodeId>>, Arc<Dag<NodeId>>);
-
-/// The pre-warmed, read-only position memo of one parallel intersection
-/// session: every distinct position pair the discovery found, intersected
-/// ahead of phase 2c (in parallel, without locks on the probe side). The
-/// `_pins` keep the keyed `Arc`s alive, exactly like the serial
-/// [`PosMemo`]'s entries. Pairs outside the pre-warm set (impossible by
-/// construction — discovery enumerates a superset of the products'
-/// `SubStr × SubStr` combinations) fall back to an uncached computation,
-/// which returns the same value a memo hit would.
-struct FrozenPosMemo {
-    map: IntMap<(usize, usize), Option<Arc<Vec<PosSet>>>>,
-    _pins: Vec<PosPair>,
-}
-
-impl sst_syntactic::PosIntersect for FrozenPosMemo {
-    fn intersect_pos(
-        &self,
-        a: &Arc<Vec<PosSet>>,
-        b: &Arc<Vec<PosSet>>,
-    ) -> Option<Arc<Vec<PosSet>>> {
-        match self
-            .map
-            .get(&(Arc::as_ptr(a) as usize, Arc::as_ptr(b) as usize))
-        {
-            Some(hit) => hit.clone(),
-            None => {
-                debug_assert!(false, "position pair missed the pre-warm");
-                let v = sst_syntactic::intersect_pos_lists(a, b);
-                if v.is_empty() {
-                    None
-                } else {
-                    Some(Arc::new(v))
-                }
-            }
-        }
-    }
-}
-
-/// One *row* of one job's edge-pair product: the `ai`-th edge of the
-/// A-side DAG, paired against every on-path B-side edge by the worker
-/// that claims it. Row granularity keeps the unit list proportional to
-/// `E_a` instead of `E_a × E_b` (big products reach 10⁵–10⁶ edge pairs,
-/// and per-pair bookkeeping would dwarf the cheap products), while the
-/// work-stealing pool still balances uneven rows.
-struct RowUnit {
-    job: u32,
-    ai: u32,
-}
-
-/// The discovery pass state: dense ids for node pairs and DAG-pair jobs,
-/// plus everything the parallel phases consume — the flattened edge-pair
-/// unit list (job-major, edge-pair order) and the distinct position-vector
-/// pairs the products will intersect. One walk per job collects all three,
-/// so the edge-pair product is enumerated exactly once serially.
-struct Discovery<'a> {
-    a: &'a SemDStruct,
-    b: &'a SemDStruct,
-    pair_ids: IntMap<(NodeId, NodeId), NodeId>,
-    pairs: Vec<(NodeId, NodeId)>,
-    job_ids: IntMap<(usize, usize), u32>,
-    jobs: Vec<DagJob>,
-    units: Vec<RowUnit>,
-    /// Per job: its `units` range (aligned with `jobs`; filled at walk
-    /// time, and jobs are walked in creation order).
-    job_units: Vec<(usize, usize)>,
-    pos_keys: IntMap<(usize, usize), u32>,
-    pos_pairs: Vec<PosPair>,
-    /// Predicate-chain continuations (see [`PredChain`]): conditions whose
-    /// later predicate DAG pairs are only enqueued once every earlier one
-    /// intersected nonempty, replaying the serial early exit.
-    conts: Vec<PredChain>,
-}
-
-/// One condition's zipped predicate DAG pairs, intersected lazily left to
-/// right: `next` is the first pair not yet enqueued, unlocked only when
-/// pair `next - 1`'s result is nonempty. This is what keeps the parallel
-/// plane's *work* identical to the serial path — without it, a condition
-/// whose first predicate dies would still pay for its remaining
-/// predicates' DAG products.
-struct PredChain {
-    chain: Vec<DagPair>,
-    next: usize,
-}
-
-/// Registers the node pair `(na, nb)` exactly when the serial `pair_src`
-/// would mint it (both sides have programs). Free function so `walk_job`
-/// can call it while holding borrows of other `Discovery` fields.
-fn ref_pair(
-    a: &SemDStruct,
-    b: &SemDStruct,
-    pair_ids: &mut IntMap<(NodeId, NodeId), NodeId>,
-    pairs: &mut Vec<(NodeId, NodeId)>,
-    na: NodeId,
-    nb: NodeId,
-) {
-    if a.node(na).progs.is_empty() || b.node(nb).progs.is_empty() {
-        return;
-    }
-    if pair_ids.contains_key(&(na, nb)) {
-        return;
-    }
-    let id = NodeId(pairs.len() as u32);
-    pair_ids.insert((na, nb), id);
-    pairs.push((na, nb));
-}
-
-impl<'a> Discovery<'a> {
-    fn new(a: &'a SemDStruct, b: &'a SemDStruct) -> Self {
-        Discovery {
-            a,
-            b,
-            pair_ids: IntMap::default(),
-            pairs: Vec::new(),
-            job_ids: IntMap::default(),
-            jobs: Vec::new(),
-            units: Vec::new(),
-            job_units: Vec::new(),
-            pos_keys: IntMap::default(),
-            pos_pairs: Vec::new(),
-            conts: Vec::new(),
-        }
-    }
-
-    /// Registers a DAG pair by operand identity (the serial nested memo's
-    /// key), computing its masks on first sight.
-    fn add_job(&mut self, da: &Arc<Dag<NodeId>>, db: &Arc<Dag<NodeId>>) {
-        let key = (Arc::as_ptr(da) as usize, Arc::as_ptr(db) as usize);
-        if self.job_ids.contains_key(&key) {
-            return;
-        }
-        let masks = product_path_masks(&**da, &**db);
-        let live = masks.source_on_path(&**da, &**db);
-        self.job_ids.insert(key, self.jobs.len() as u32);
-        self.jobs.push(DagJob {
-            a: Arc::clone(da),
-            b: Arc::clone(db),
-            masks,
-            live,
-        });
-    }
-
-    /// Walks one DAG-pair job's on-path edge pairs once, collecting the
-    /// three things the parallel phases need: the referenced node pairs
-    /// (every atom-kind-compatible source pair on an on-path edge pair is
-    /// exactly one future `src_intersect` call), the per-row work units,
-    /// and the distinct position-vector pairs of the `SubStr × SubStr`
-    /// products.
-    ///
-    /// The sweep itself touches every edge pair only for a mask check and
-    /// one boolean store: edges are first collapsed into *profiles*
-    /// (distinct source-set + position-set combinations — generation DAGs
-    /// reuse a handful across thousands of edges), the sweep marks which
-    /// profile pairs co-occur on an on-path edge pair, and the source and
-    /// position products then run once per seen profile pair. This is
-    /// exact — a profile pair is marked iff some on-path edge pair carries
-    /// it — and keeps discovery from redoing O(E² · sources) work the
-    /// products will do in parallel anyway.
-    fn walk_job(&mut self, idx: usize) {
-        let Discovery {
-            a,
-            b,
-            pair_ids,
-            pairs,
-            jobs,
-            units,
-            job_units,
-            pos_keys,
-            pos_pairs,
-            ..
-        } = self;
-        debug_assert_eq!(job_units.len(), idx, "jobs walked in creation order");
-        let start = units.len();
-        let job = &jobs[idx];
-        if job.live {
-            let n2 = job.b.num_nodes as usize;
-            let (a_prof, a_ids) = edge_profiles(&job.a);
-            let (b_prof, b_ids) = edge_profiles(&job.b);
-            let mut seen = vec![false; a_prof.len() * b_prof.len()];
-            for (i, &(a1, b1)) in job.a.edges.keys().enumerate() {
-                let mut row_used = false;
-                for (j, &(a2, b2)) in job.b.edges.keys().enumerate() {
-                    if job.masks.fwd[a1 as usize * n2 + a2 as usize]
-                        && job.masks.bwd[b1 as usize * n2 + b2 as usize]
-                    {
-                        row_used = true;
-                        seen[a_ids[i] as usize * b_prof.len() + b_ids[j] as usize] = true;
-                    }
-                }
-                if row_used {
-                    units.push(RowUnit {
-                        job: idx as u32,
-                        ai: i as u32,
-                    });
-                }
-            }
-            for (pi, pa) in a_prof.iter().enumerate() {
-                for (pj, pb) in b_prof.iter().enumerate() {
-                    if !seen[pi * b_prof.len() + pj] {
-                        continue;
-                    }
-                    for &x in &pa.whole {
-                        for &y in &pb.whole {
-                            ref_pair(a, b, pair_ids, pairs, x, y);
-                        }
-                    }
-                    for &x in &pa.substr {
-                        for &y in &pb.substr {
-                            ref_pair(a, b, pair_ids, pairs, x, y);
-                        }
-                    }
-                    for boundary in 0..2 {
-                        for p1 in &pa.pos[boundary] {
-                            for p2 in &pb.pos[boundary] {
-                                let key = (Arc::as_ptr(p1) as usize, Arc::as_ptr(p2) as usize);
-                                pos_keys.entry(key).or_insert_with(|| {
-                                    pos_pairs.push((Arc::clone(p1), Arc::clone(p2)));
-                                    (pos_pairs.len() - 1) as u32
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        job_units.push((start, units.len()));
-    }
-
-    /// Walks one node pair's program products, registering the nested DAG
-    /// pairs the serial `intersect_cond` reaches — *lazily*: the serial
-    /// path intersects a condition's predicates left to right and stops at
-    /// the first empty result, so only each chain's first DAG pair is
-    /// enqueued now; the rest wait as a [`PredChain`] continuation that
-    /// the wave loop advances one link per nonempty result, exactly
-    /// replaying the serial early exit.
-    fn walk_pair(&mut self, idx: usize) {
-        let (na, nb) = self.pairs[idx];
-        let (a, b) = (self.a, self.b);
-        for ga in &a.node(na).progs {
-            for gb in &b.node(nb).progs {
-                let (
-                    GenLookupU::Select {
-                        col: c1,
-                        table: t1,
-                        conds: conds1,
-                    },
-                    GenLookupU::Select {
-                        col: c2,
-                        table: t2,
-                        conds: conds2,
-                    },
-                ) = (ga, gb)
-                else {
-                    continue;
-                };
-                if c1 != c2 || t1 != t2 {
-                    continue;
-                }
-                for x in conds1.iter() {
-                    let Some(y) = conds2.iter().find(|y| y.key == x.key) else {
-                        continue;
-                    };
-                    if x.preds.len() != y.preds.len() {
-                        continue;
-                    }
-                    // The serial path intersects the zipped predicate DAGs
-                    // in order, stopping at a column mismatch (before
-                    // touching the mismatched pair) or an empty result.
-                    let chain: Vec<DagPair> = x
-                        .preds
-                        .iter()
-                        .zip(&y.preds)
-                        .take_while(|(p, q)| p.col == q.col)
-                        .map(|(p, q)| (Arc::clone(&p.dag), Arc::clone(&q.dag)))
-                        .collect();
-                    let Some((first_a, first_b)) = chain.first() else {
-                        continue;
-                    };
-                    self.add_job(first_a, first_b);
-                    if chain.len() > 1 {
-                        self.conts.push(PredChain { chain, next: 1 });
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Distinct atom sources (by kind — `Whole` only pairs with `Whole`,
-/// `SubStr` with `SubStr`; other combinations never call `src_intersect`)
-/// and distinct `SubStr` position-vector handles (`pos[0]` = starts,
-/// `pos[1]` = ends) of one edge's atoms.
-struct EdgeInfo<'j> {
-    whole: Vec<NodeId>,
-    substr: Vec<NodeId>,
-    pos: [Vec<&'j Arc<Vec<PosSet>>>; 2],
-}
-
-fn edge_info(atoms: &[AtomSet<NodeId>]) -> EdgeInfo<'_> {
-    let mut info = EdgeInfo {
-        whole: Vec::new(),
-        substr: Vec::new(),
-        pos: [Vec::new(), Vec::new()],
-    };
-    for atom in atoms {
-        match atom {
-            AtomSet::ConstStr(_) => {}
-            AtomSet::Whole(n) => {
-                if !info.whole.contains(n) {
-                    info.whole.push(*n);
-                }
-            }
-            AtomSet::SubStr { src, p1, p2 } => {
-                if !info.substr.contains(src) {
-                    info.substr.push(*src);
-                }
-                if !info.pos[0].iter().any(|x| Arc::ptr_eq(x, p1)) {
-                    info.pos[0].push(p1);
-                }
-                if !info.pos[1].iter().any(|x| Arc::ptr_eq(x, p2)) {
-                    info.pos[1].push(p2);
-                }
-            }
-        }
-    }
-    info
-}
-
-/// Collapses a DAG's edges into distinct [`EdgeInfo`] profiles plus the
-/// per-edge profile id (edge order). Generation DAGs reference the same
-/// few sources and shared position vectors across thousands of edges, so
-/// the profile count stays tiny — which is what lets discovery run source
-/// and position products per profile pair instead of per edge pair.
-fn edge_profiles(dag: &Dag<NodeId>) -> (Vec<EdgeInfo<'_>>, Vec<u32>) {
-    let mut profiles: Vec<EdgeInfo<'_>> = Vec::new();
-    let mut by_key: std::collections::HashMap<Vec<u64>, u32> = std::collections::HashMap::new();
-    let mut ids: Vec<u32> = Vec::with_capacity(dag.edges.len());
-    for atoms in dag.edges.values() {
-        let info = edge_info(atoms);
-        let mut key: Vec<u64> = Vec::with_capacity(
-            info.whole.len() + info.substr.len() + info.pos[0].len() + info.pos[1].len() + 3,
-        );
-        key.extend(info.whole.iter().map(|n| n.0 as u64));
-        key.push(u64::MAX);
-        key.extend(info.substr.iter().map(|n| n.0 as u64));
-        key.push(u64::MAX);
-        key.extend(info.pos[0].iter().map(|p| Arc::as_ptr(p) as u64));
-        key.push(u64::MAX);
-        key.extend(info.pos[1].iter().map(|p| Arc::as_ptr(p) as u64));
-        let next = profiles.len() as u32;
-        let id = *by_key.entry(key).or_insert(next);
-        if id == next {
-            profiles.push(info);
-        }
-        ids.push(id);
-    }
-    (profiles, ids)
-}
-
-/// The parallel plane itself, with no size threshold — [`intersect_du_with`]
-/// is the dispatching entry point. Public so the differential harnesses can
-/// drive the discovery-scheduled path on structures of every size; results
-/// are observably identical to [`intersect_du`] at any pool width.
-pub fn intersect_du_parallel(a: &SemDStruct, b: &SemDStruct, pool: &Pool) -> SemDStruct {
-    intersect_du_parallel_budgeted(a, b, pool, &CancelToken::default())
-}
-
-/// [`intersect_du_parallel`] under a cooperative [`CancelToken`]. The
-/// checkpoints are coarse: per discovery step, per wave, and per row unit
-/// inside the worker closures. A worker that observes the token returns a
-/// trivial (empty) result for its unit — every output slot is still
-/// written exactly once, keeping the pool's slot protocol sound — and the
-/// wave loop then abandons the session, returning an empty structure for
-/// the caller to discard.
-fn intersect_du_parallel_budgeted(
-    a: &SemDStruct,
-    b: &SemDStruct,
-    pool: &Pool,
-    cancel: &CancelToken,
-) -> SemDStruct {
-    let (Some(ta), Some(tb)) = (&a.top, &b.top) else {
-        return SemDStruct::default();
-    };
-
-    // Phase 1 + 2, interleaved in waves. Serial discovery walks jobs and
-    // pairs in creation order (the pair graph may be cyclic; the id maps
-    // make every walk run once); whenever the walk frontier drains, the
-    // newly discovered work runs in parallel — distinct position-pair
-    // intersections first (frozen into the lock-free memo), then the
-    // edge-pair atom products, then the per-job DAG reassembly — and the
-    // fresh results advance the predicate-chain continuations, which may
-    // unlock further jobs for the next wave. Waves replay the serial
-    // path's laziness exactly: a predicate DAG pair is computed iff the
-    // serial recursion would have computed it. Typical sessions need one
-    // or two waves (chains are candidate-key width, rarely > 2).
-    let mut disc = Discovery::new(a, b);
-    disc.add_job(ta, tb);
-    let (mut next_job, mut next_pair) = (0usize, 0usize);
-    let mut pos_memo = FrozenPosMemo {
-        map: IntMap::default(),
-        _pins: Vec::new(),
-    };
-    let mut result_of: IntMap<(usize, usize), Option<Arc<Dag<NodeId>>>> = IntMap::default();
-    let mut dag_results: Vec<Option<Arc<Dag<NodeId>>>> = Vec::new();
-    let (mut done_pos, mut done_units, mut done_jobs) = (0usize, 0usize, 0usize);
-    loop {
-        // Serial discovery to the current fixpoint (checking the token
-        // once per walked job/pair — each walk is one bounded unit).
-        while next_job < disc.jobs.len() || next_pair < disc.pairs.len() {
-            if cancel.is_cancelled() {
-                return SemDStruct::default();
-            }
-            if next_job < disc.jobs.len() {
-                disc.walk_job(next_job);
-                next_job += 1;
-            } else {
-                disc.walk_pair(next_pair);
-                next_pair += 1;
-            }
-        }
-        if cancel.is_cancelled() {
-            return SemDStruct::default();
-        }
-        if done_jobs == disc.jobs.len() {
-            break;
-        }
-
-        // Wave position pre-warm: the distinct position pairs the new
-        // units introduced, intersected in parallel and frozen — the
-        // product workers below probe the memo without any lock, and
-        // every hit aliases one canonical allocation chosen before they
-        // run (deterministic identity).
-        let new_pos = &disc.pos_pairs[done_pos..];
-        let pos_results: Vec<Option<Arc<Vec<PosSet>>>> =
-            pool.par_map_indexed(new_pos, |_, (pa, pb)| {
-                // Cancelled workers fill their slot with a trivial value;
-                // the wave loop discards the whole session right after.
-                if cancel.is_cancelled() {
-                    return None;
-                }
-                let v = sst_syntactic::intersect_pos_lists(pa, pb);
-                if v.is_empty() {
-                    None
-                } else {
-                    Some(Arc::new(v))
-                }
-            });
-        for ((pa, pb), res) in new_pos.iter().zip(pos_results) {
-            pos_memo
-                .map
-                .insert((Arc::as_ptr(pa) as usize, Arc::as_ptr(pb) as usize), res);
-        }
-        pos_memo
-            ._pins
-            .extend(disc.pos_pairs[done_pos..].iter().cloned());
-        done_pos = disc.pos_pairs.len();
-
-        // Wave atom products — the O(atoms²) hashing-and-pairing work. A
-        // unit is one A-side edge row: the worker sweeps that row's
-        // on-path B-side edges and returns the surviving `(product edge,
-        // atoms)` list in B-edge order. Row granularity keeps the unit
-        // list small while still splitting one oversized product
-        // (typically the top-level DAG's) across all workers; the source
-        // callback is a pure read of the discovery tables (plus the
-        // input-emptiness check the serial `pair_src` applies), so workers
-        // share nothing mutable.
-        let jobs = &disc.jobs;
-        let pair_ids = &disc.pair_ids;
-        type EdgeTables<'j> = (
-            Vec<&'j [AtomSet<NodeId>]>,
-            Vec<&'j [AtomSet<NodeId>]>,
-            Vec<(u32, u32)>,
-            Vec<(u32, u32)>,
-        );
-        // Only this wave's jobs need tables: a unit created by walking job
-        // `j` always has `unit.job == j >= done_jobs` (jobs are walked in
-        // creation order, and all pre-wave jobs were walked already).
-        let edge_tables: Vec<EdgeTables<'_>> = jobs[done_jobs..]
-            .iter()
-            .map(|job| {
-                (
-                    job.a.edges.values().map(Vec::as_slice).collect(),
-                    job.b.edges.values().map(Vec::as_slice).collect(),
-                    job.a.edges.keys().copied().collect(),
-                    job.b.edges.keys().copied().collect(),
-                )
-            })
-            .collect();
-        let new_units = &disc.units[done_units..];
-        let pos_memo_ref = &pos_memo;
-        type RowProducts = Vec<((u64, u64), Vec<AtomSet<NodeId>>)>;
-        let unit_atoms: Vec<RowProducts> = pool.par_map_indexed(new_units, |_, unit| {
-            // Per-row-unit cancellation checkpoint: a trivial return keeps
-            // the slot protocol sound, and the wave loop discards the
-            // session before any trivial row can reach the output.
-            if cancel.is_cancelled() {
-                return Vec::new();
-            }
-            let job = &jobs[unit.job as usize];
-            let (a_slices, b_slices, a_keys, b_keys) = &edge_tables[unit.job as usize - done_jobs];
-            let i = unit.ai as usize;
-            let (a1, b1) = a_keys[i];
-            let n2 = job.b.num_nodes as usize;
-            let mut src = |x: &NodeId, y: &NodeId| -> Option<NodeId> {
-                if a.node(*x).progs.is_empty() || b.node(*y).progs.is_empty() {
-                    return None;
-                }
-                Some(*pair_ids.get(&(*x, *y)).expect("pair discovered in phase 1"))
-            };
-            let mut out: RowProducts = Vec::new();
-            for (j, &(a2, b2)) in b_keys.iter().enumerate() {
-                if !(job.masks.fwd[a1 as usize * n2 + a2 as usize]
-                    && job.masks.bwd[b1 as usize * n2 + b2 as usize])
-                {
-                    continue;
-                }
-                if let Some(atoms) =
-                    product_edge_atoms(a_slices[i], b_slices[j], &mut src, pos_memo_ref)
-                {
-                    out.push((
-                        (
-                            a1 as u64 * job.b.num_nodes as u64 + a2 as u64,
-                            b1 as u64 * job.b.num_nodes as u64 + b2 as u64,
-                        ),
-                        atoms,
-                    ));
-                }
-            }
-            out
-        });
-        if cancel.is_cancelled() {
-            return SemDStruct::default();
-        }
-        done_units = disc.units.len();
-
-        // Reassemble each new job's product DAG from its rows, in row and
-        // B-edge order (the serial edge-pair order), then prune —
-        // identical to the serial tail.
-        let mut unit_results = unit_atoms.into_iter();
-        for (job, &(start, end)) in jobs.iter().zip(&disc.job_units).skip(done_jobs) {
-            let res = if job.live {
-                let mut edges: std::collections::BTreeMap<(u64, u64), Vec<AtomSet<NodeId>>> =
-                    std::collections::BTreeMap::new();
-                for _ in start..end {
-                    for (key, atoms) in unit_results.next().expect("one result per row unit") {
-                        edges.insert(key, atoms);
-                    }
-                }
-                assemble_product_dag(&*job.a, &*job.b, edges).map(Arc::new)
-            } else {
-                None
-            };
-            result_of.insert(
-                (Arc::as_ptr(&job.a) as usize, Arc::as_ptr(&job.b) as usize),
-                res.clone(),
-            );
-            dag_results.push(res);
-        }
-        done_jobs = disc.jobs.len();
-
-        // Advance the predicate chains: each nonempty result unlocks the
-        // chain's next DAG pair (possibly a brand-new job for the next
-        // wave); an empty result kills the chain, exactly like the serial
-        // `?` early exit.
-        let mut still_pending: Vec<PredChain> = Vec::new();
-        for mut cont in std::mem::take(&mut disc.conts) {
-            loop {
-                let (prev_a, prev_b) = &cont.chain[cont.next - 1];
-                let key = (Arc::as_ptr(prev_a) as usize, Arc::as_ptr(prev_b) as usize);
-                match result_of.get(&key) {
-                    Some(Some(_)) => {
-                        let (na, nb) = {
-                            let (x, y) = &cont.chain[cont.next];
-                            (Arc::clone(x), Arc::clone(y))
-                        };
-                        disc.add_job(&na, &nb);
-                        cont.next += 1;
-                        if cont.next >= cont.chain.len() {
-                            break; // chain fully enqueued
-                        }
-                    }
-                    Some(None) => break, // chain dead: serial would stop here
-                    None => {
-                        // Waiting on a job enqueued this wave but not yet
-                        // computed (it was added after the cut) — next
-                        // wave will resolve it.
-                        still_pending.push(cont);
-                        break;
-                    }
-                }
-            }
-        }
-        disc.conts = still_pending;
-    }
-    let pairs = disc.pairs;
-
-    // Phase 3: every node pair's program product in parallel, nested DAG
-    // intersections served from phase 2.
-    let progs: Vec<Vec<GenLookupU>> = pool.par_map_indexed(&pairs, |_, &(na, nb)| {
-        if cancel.is_cancelled() {
-            return Vec::new();
-        }
-        let mut out: Vec<GenLookupU> = Vec::new();
-        for ga in &a.node(na).progs {
-            for gb in &b.node(nb).progs {
-                if let Some(g) = intersect_prog_precomputed(ga, gb, &result_of) {
-                    out.push(g);
-                }
-            }
-        }
-        out
-    });
-
-    if cancel.is_cancelled() {
-        return SemDStruct::default();
-    }
-
-    // Phase 4: assemble in discovery order and prune, exactly as serial.
-    let nodes: Vec<SemNode> = pairs
-        .iter()
-        .zip(progs)
-        .map(|(&(na, nb), progs)| {
-            let mut vals = a.node(na).vals.clone();
-            vals.extend(b.node(nb).vals.iter().copied());
-            SemNode { vals, progs }
-        })
-        .collect();
-    let mut out = SemDStruct {
-        nodes,
-        top: dag_results[0].clone(),
-    };
-    if !out.prune() {
-        out.top = None;
-    }
-    out
-}
-
-/// The serial `intersect_prog`, with nested DAG intersections looked up
-/// from the phase-2 results instead of recursing.
-fn intersect_prog_precomputed(
-    ga: &GenLookupU,
-    gb: &GenLookupU,
-    results: &IntMap<(usize, usize), Option<Arc<Dag<NodeId>>>>,
-) -> Option<GenLookupU> {
-    match (ga, gb) {
-        (GenLookupU::Var(i), GenLookupU::Var(j)) if i == j => Some(GenLookupU::Var(*i)),
-        (
-            GenLookupU::Select {
-                col: c1,
-                table: t1,
-                conds: conds1,
-            },
-            GenLookupU::Select {
-                col: c2,
-                table: t2,
-                conds: conds2,
-            },
-        ) if c1 == c2 && t1 == t2 => {
-            let mut conds = Vec::new();
-            for x in conds1.iter() {
-                let Some(y) = conds2.iter().find(|y| y.key == x.key) else {
-                    continue;
-                };
-                if let Some(c) = intersect_cond_precomputed(x, y, results) {
-                    conds.push(c);
-                }
-            }
-            if conds.is_empty() {
-                None
-            } else {
-                Some(GenLookupU::Select {
-                    col: *c1,
-                    table: *t1,
-                    conds: Arc::new(conds),
-                })
-            }
-        }
-        _ => None,
-    }
-}
-
-fn intersect_cond_precomputed(
-    x: &GenCondU,
-    y: &GenCondU,
-    results: &IntMap<(usize, usize), Option<Arc<Dag<NodeId>>>>,
-) -> Option<GenCondU> {
-    if x.preds.len() != y.preds.len() {
-        return None;
-    }
-    let mut preds = Vec::with_capacity(x.preds.len());
-    for (p, q) in x.preds.iter().zip(&y.preds) {
-        if p.col != q.col {
-            return None;
-        }
-        let key = (Arc::as_ptr(&p.dag) as usize, Arc::as_ptr(&q.dag) as usize);
-        let dag = results
-            .get(&key)
-            .expect("DAG pair discovered in phase 1")
-            .clone()?;
-        preds.push(GenPredU { col: p.col, dag });
-    }
-    Some(GenCondU { key: x.key, preds })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1216,79 +395,6 @@ mod tests {
         let empty = SemDStruct::default();
         assert!(!intersect_du(&d1, &empty).has_programs());
         assert!(!intersect_du(&empty, &d1).has_programs());
-    }
-
-    /// All observables of an intersection result, for differential checks:
-    /// emptiness, exact count, size, and the top-3 programs' outputs on a
-    /// row of probe inputs.
-    fn observe(
-        d: &SemDStruct,
-        db: &Database,
-        probes: &[&str],
-    ) -> (bool, String, usize, Vec<Vec<Option<String>>>) {
-        let w = LuRankWeights::default();
-        let tokens = LuOptions::default().syntactic.token_set;
-        let outputs = w
-            .top_k(d, 2, 3)
-            .iter()
-            .map(|r| {
-                probes
-                    .iter()
-                    .map(|p| eval_sem(&r.expr, db, &[p], &tokens))
-                    .collect()
-            })
-            .collect();
-        (d.has_programs(), d.count(2).to_decimal(), d.size(), outputs)
-    }
-
-    #[test]
-    fn parallel_plane_matches_serial_observables() {
-        let db = comp_db();
-        let cases = [
-            (("c2", "Google"), ("c5", "IBM")),
-            (("c2", "Google"), ("c2", "Apple")),
-            (("c2", "same"), ("c5", "same")),
-            (
-                ("c4 c3 c1", "Facebook Apple Microsoft"),
-                ("c2 c5 c6", "Google IBM Xerox"),
-            ),
-            (("zzz", "!!??!!"), ("zzz", "!!??!!")),
-        ];
-        let probes = ["c1", "c2", "c6"];
-        for ((i1, o1), (i2, o2)) in cases {
-            let d1 = gen(&db, &[i1], o1);
-            let d2 = gen(&db, &[i2], o2);
-            let serial = intersect_du(&d1, &d2);
-            for threads in [2, 4] {
-                // Call the parallel plane directly, below any threshold.
-                let par = intersect_du_parallel(&d1, &d2, &Pool::new(threads));
-                assert_eq!(
-                    observe(&par, &db, &probes),
-                    observe(&serial, &db, &probes),
-                    "parallel/serial drift on ({i1}->{o1}) x ({i2}->{o2}) at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn intersect_du_with_dispatches_by_pool_and_size() {
-        // Serial pool or small product: identical structures bit-for-bit
-        // (it is the serial path).
-        let db = comp_db();
-        let d1 = gen(&db, &["c2"], "Google");
-        let d2 = gen(&db, &["c5"], "IBM");
-        let via_with = intersect_du_with(&d1, &d2, &Pool::new(1));
-        let serial = intersect_du(&d1, &d2);
-        assert_eq!(
-            observe(&via_with, &db, &["c3"]),
-            observe(&serial, &db, &["c3"])
-        );
-        let via_par_pool = intersect_du_with(&d1, &d2, &Pool::new(4));
-        assert_eq!(
-            observe(&via_par_pool, &db, &["c3"]),
-            observe(&serial, &db, &["c3"])
-        );
     }
 
     #[test]

@@ -71,10 +71,7 @@ pub use dstruct::{GenCondU, GenLookupU, GenPredU, SemDStruct, SemNode};
 pub use eval::{eval_lookup_u, eval_sem};
 pub use generate::{generate_str_u, generate_str_u_cached, LuOptions};
 pub use interaction::{converge, distinguishing_input, highlight_ambiguous, ConvergenceReport};
-pub use intersect::{
-    intersect_du, intersect_du_budgeted, intersect_du_parallel, intersect_du_tuned,
-    intersect_du_unpruned, intersect_du_with, DEFAULT_PARALLEL_EDGE_PRODUCT_MIN,
-};
+pub use intersect::{intersect_du, intersect_du_unpruned};
 pub use language::{
     display_sem, sem_depth, sem_select_count, LookupU, PredRhsU, PredicateU, SemAtom, SemExpr,
     VarId,

@@ -8,7 +8,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use sst_counting::BigUint;
-use sst_par::{CancelToken, Pool};
+use sst_par::CancelToken;
 use sst_syntactic::TokenSet;
 use sst_tables::{Database, DbDelta, Symbol, Table, TableError, TableId};
 
@@ -94,8 +94,8 @@ impl fmt::Display for SynthesisError {
 
 impl std::error::Error for SynthesisError {}
 
-/// Synthesis configuration: generation options, ranking weights and the
-/// perf knobs of the memoized/parallel planes.
+/// Synthesis configuration: generation options, ranking weights, the
+/// memoized DAG plane toggle and the serving pool width.
 ///
 /// The struct is `#[non_exhaustive]` — construct it through the builder
 /// ([`SynthesisOptions::builder`]), which stays source-compatible as knobs
@@ -126,26 +126,18 @@ pub struct SynthesisOptions {
     /// for that differential harness and for perf comparisons. Default:
     /// enabled.
     pub dag_cache: bool,
-    /// Worker threads for the parallel `Intersect_u` plane. `1` reproduces
-    /// the serial execution exactly; any other width produces bit-identical
-    /// counts, sizes and ranking (pinned by `tests/parallel_equivalence.rs`
-    /// — the parallel plane's merge order is fixed before any worker
-    /// runs). Default: [`sst_par::default_threads`] (the machine's
-    /// available parallelism).
+    /// Width of the engine pool that the service plane (`sst-service`'s
+    /// `Engine`) builds from these options: batch requests fan out across
+    /// it, and so do `run_column`'s row ranges. Learning itself is serial,
+    /// so the width never changes a learned observable (pinned at widths 1,
+    /// 2 and the machine width by `tests/service_equivalence.rs`). Default:
+    /// [`sst_par::default_threads`] (the machine's available parallelism).
     pub threads: usize,
     /// How many top-ranked programs APIs that don't take an explicit `k`
     /// consider: [`LearnedPrograms::top_ranked`], and upstream the service
     /// plane's `Session::top_k` / ambiguity highlighting (§3.2 flags inputs
     /// where the `top_k` best programs disagree). Default: 10.
     pub top_k: usize,
-    /// Estimated top-level edge-pair product below which `Intersect_u`
-    /// runs the serial path even when [`SynthesisOptions::threads`] allows
-    /// fan-out (the parallel plane's setup — discovery pass plus two
-    /// `thread::scope` spawns — isn't worth amortizing on small products).
-    /// Purely a perf knob: both paths are pinned bit-identical. Default:
-    /// [`crate::DEFAULT_PARALLEL_EDGE_PRODUCT_MIN`]; untuned on real
-    /// multi-core hardware.
-    pub parallel_edge_product_min: usize,
     /// Cooperative cancellation for the synthesis hot loops. The default
     /// is the inert token (zero overhead — a single `None` branch per
     /// checkpoint); a live token (deadline- or caller-triggered, see
@@ -166,7 +158,6 @@ impl Default for SynthesisOptions {
             dag_cache: true,
             threads: sst_par::default_threads(),
             top_k: 10,
-            parallel_edge_product_min: crate::intersect::DEFAULT_PARALLEL_EDGE_PRODUCT_MIN,
             cancel: CancelToken::default(),
         }
     }
@@ -227,8 +218,8 @@ impl SynthesisOptionsBuilder {
         self
     }
 
-    /// Worker threads for the parallel `Intersect_u` plane; `0` means the
-    /// machine's available parallelism and `1` the exact serial execution.
+    /// Width of the serving pool (see [`SynthesisOptions::threads`]); `0`
+    /// means the machine's available parallelism.
     pub fn threads(mut self, threads: usize) -> Self {
         self.options.threads = if threads == 0 {
             sst_par::default_threads()
@@ -242,13 +233,6 @@ impl SynthesisOptionsBuilder {
     /// [`SynthesisOptions::top_k`]).
     pub fn top_k(mut self, k: usize) -> Self {
         self.options.top_k = k.max(1);
-        self
-    }
-
-    /// Parallel-dispatch threshold for `Intersect_u` (see
-    /// [`SynthesisOptions::parallel_edge_product_min`]).
-    pub fn parallel_edge_product_min(mut self, min_product: usize) -> Self {
-        self.options.parallel_edge_product_min = min_product;
         self
     }
 
@@ -361,10 +345,10 @@ impl Synthesizer {
     ///
     /// The session cache is probed lock-free-ish (read locks only) on the
     /// warm path, so concurrent learns over clones share one warm plane
-    /// without serializing. Intersections run through the parallel
-    /// `Intersect_u` plane sized by [`SynthesisOptions::threads`]; repeated
-    /// intersections (the §3.2 loop's replays of a growing prefix) are
-    /// served from the intersection memo, keyed by example-id chains.
+    /// without serializing. Each further example folds in through one
+    /// serial `Intersect_u` (§5.3); repeated intersections (the §3.2 loop's
+    /// replays of a growing prefix) are served from the intersection memo,
+    /// keyed by example-id chains.
     pub fn learn(&self, examples: &[Example]) -> Result<LearnedPrograms, SynthesisError> {
         let first = examples.first().ok_or(SynthesisError::NoExamples)?;
         let arity = first.inputs.len();
@@ -377,7 +361,6 @@ impl Synthesizer {
                 });
             }
         }
-        let pool = Pool::new(self.options.threads);
         let db_epoch = self.db.epoch();
         let cancel = &self.options.cancel;
         let cache: Option<&DagCache> = self.options.dag_cache.then_some(&*self.cache);
@@ -429,17 +412,7 @@ impl Synthesizer {
                 vals.sort_unstable();
                 vals.dedup();
             }
-            (d, chain) = intersect_step(
-                cache,
-                db_epoch,
-                d,
-                chain,
-                &next,
-                next_id,
-                &pool,
-                self.options.parallel_edge_product_min,
-                cancel,
-            );
+            (d, chain) = intersect_step(cache, db_epoch, d, chain, &next, next_id, cancel);
             if cancel.is_cancelled() {
                 return Err(SynthesisError::Cancelled);
             }
@@ -463,12 +436,10 @@ impl Synthesizer {
 /// One `d ∩ next` step of the learn loop: served from the intersection
 /// memo when `d` carries the chain of example ids it folds and `next` an
 /// example id (each id names one value forever, so the extended chain
-/// names exactly the result's value), computed through the parallel plane
-/// and stored otherwise. The extended chain keys the next step. A
-/// cancellation observed during the compute skips the store — partial
-/// intersections never enter the memo — and the caller aborts the learn at
-/// its own checkpoint.
-#[allow(clippy::too_many_arguments)]
+/// names exactly the result's value), computed and stored otherwise. The
+/// extended chain keys the next step. A cancellation observed during the
+/// compute skips the store — partial intersections never enter the memo —
+/// and the caller aborts the learn at its own checkpoint.
 fn intersect_step(
     cache: Option<&DagCache>,
     db_epoch: u64,
@@ -476,8 +447,6 @@ fn intersect_step(
     a_chain: Option<Vec<u32>>,
     b: &SemDStruct,
     b_id: Option<u32>,
-    pool: &Pool,
-    parallel_edge_product_min: usize,
     cancel: &CancelToken,
 ) -> (SemDStruct, Option<Vec<u32>>) {
     match (cache, a_chain, b_id) {
@@ -486,17 +455,14 @@ fn intersect_step(
             if let Some(hit) = c.intersection(db_epoch, &chain) {
                 return (hit, Some(chain));
             }
-            let r = intersect_du_budgeted(&a, b, pool, parallel_edge_product_min, cancel);
+            let r = intersect_du_budgeted(&a, b, cancel);
             if cancel.is_cancelled() {
                 return (r, None);
             }
             c.store_intersection(db_epoch, &chain, &r);
             (r, Some(chain))
         }
-        _ => (
-            intersect_du_budgeted(&a, b, pool, parallel_edge_product_min, cancel),
-            None,
-        ),
+        _ => (intersect_du_budgeted(&a, b, cancel), None),
     }
 }
 

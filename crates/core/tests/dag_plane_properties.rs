@@ -21,8 +21,8 @@
 use proptest::prelude::*;
 
 use sst_core::{
-    eval_sem, generate_str_u, generate_str_u_cached, intersect_du, intersect_du_parallel,
-    intersect_du_unpruned, DagCache, LuOptions, LuRankWeights, Pool, SemDStruct,
+    eval_sem, generate_str_u, generate_str_u_cached, intersect_du, intersect_du_unpruned, DagCache,
+    LuOptions, LuRankWeights, SemDStruct,
 };
 use sst_tables::{Database, Table};
 
@@ -152,35 +152,6 @@ proptest! {
         let oracle = intersect_du_unpruned(&d1, &d2);
         let ctx = format!("{in1:?}->{out1:?} x {in2:?}->{out2:?}");
         assert_observably_equal(&pruned, &oracle, &db, &[&in1, &in2], &ctx)?;
-    }
-
-    /// The discovery-scheduled parallel plane agrees with the serial
-    /// intersection on every observable, at every pool width, on
-    /// randomized tables and outputs (including the conflicting-output
-    /// cases that intersect to empty).
-    #[test]
-    fn parallel_plane_matches_serial_on_random_cases(
-        n in 3usize..7,
-        seed in 0u8..20,
-        pick1 in 0usize..8,
-        pick2 in 0usize..8,
-        repeat in 0u8..2,
-        extra in "[a-z]{0,3}",
-        threads in 2usize..5,
-    ) {
-        let table = code_table(n, seed, repeat == 1);
-        let (p1, p2) = (pick1 % n, pick2 % n);
-        let in1 = table.cell(0, p1 as u32).to_string();
-        let out1 = format!("{}{extra}", table.cell(1, p1 as u32));
-        let in2 = table.cell(0, p2 as u32).to_string();
-        let out2 = format!("{}{extra}", table.cell(1, p2 as u32));
-        let db = Database::from_tables(vec![table]).unwrap();
-        let d1 = gen(&db, &in1, &out1);
-        let d2 = gen(&db, &in2, &out2);
-        let serial = intersect_du(&d1, &d2);
-        let par = intersect_du_parallel(&d1, &d2, &Pool::new(threads));
-        let ctx = format!("{in1:?}->{out1:?} x {in2:?}->{out2:?} @ {threads} threads");
-        assert_observably_equal(&par, &serial, &db, &[&in1, &in2], &ctx)?;
     }
 
     /// A randomized multi-step session through one `DagCache` produces

@@ -1,9 +1,10 @@
 //! Scoped work-stealing pool for deterministic data parallelism.
 //!
 //! The build container has no registry access, so this crate vendors the
-//! small slice of rayon the synthesis hot path needs: fan a fixed slice of
-//! independent work items over a bounded set of worker threads and collect
-//! the results **in input order**. Determinism is by construction — every
+//! small slice of rayon the service plane needs (batch fan-out and
+//! `run_column`'s row ranges): fan a fixed slice of independent work items
+//! over a bounded set of worker threads and collect the results **in input
+//! order**. Determinism is by construction — every
 //! item's result is written into its own pre-assigned output slot, so
 //! thread scheduling can only change *when* a slot is filled, never *which*
 //! value it holds or where it lands.

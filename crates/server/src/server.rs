@@ -705,10 +705,7 @@ fn learn(state: &State, engine: &Engine, body: &str, budget: Option<Duration>) -
         Err(err) => return decode_error(err),
     };
     admitted(state, || {
-        let responses = match budget {
-            Some(budget) => engine.learn_batch_with_budget(&requests, budget),
-            None => engine.learn_batch(&requests),
-        };
+        let responses = engine.learn_batch(&requests, budget);
         if let Some(err) = whole_batch_deadline(responses.iter().map(|r| r.result.as_ref().err())) {
             return error_response(&err);
         }
@@ -726,10 +723,7 @@ fn apply(state: &State, engine: &Engine, body: &str, budget: Option<Duration>) -
         Err(err) => return decode_error(err),
     };
     admitted(state, || {
-        let responses = match budget {
-            Some(budget) => engine.apply_batch_with_budget(&requests, budget),
-            None => engine.apply_batch(&requests),
-        };
+        let responses = engine.apply_batch(&requests, budget);
         if let Some(err) = whole_batch_deadline(responses.iter().map(|r| r.result.as_ref().err())) {
             return error_response(&err);
         }

@@ -32,8 +32,8 @@ pub(crate) struct EngineInner {
     /// Engine-wide synthesis options (a session cannot diverge from them:
     /// the shared cache is only sound across equal generation options).
     options: SynthesisOptions,
-    /// The global worker pool: batch requests fan out across it, and its
-    /// width also sizes each learn's parallel `Intersect_u` plane.
+    /// The global worker pool: batch requests and `run_column` row ranges
+    /// fan out across it; learning itself is serial.
     pool: Pool,
 }
 
@@ -277,25 +277,6 @@ impl Engine {
         Ok(self.synthesizer().learn(examples)?)
     }
 
-    /// [`Engine::learn`] under a wall-clock budget: the synthesis is
-    /// cooperatively cancelled once `budget` elapses, every shared memo
-    /// stays valid (partial results are never inserted), and the abort
-    /// surfaces as [`ServiceError::DeadlineExceeded`]. A retry without a
-    /// budget is bit-identical to a cold learn (pinned by
-    /// `tests/cancellation_equivalence.rs`).
-    pub fn learn_with_budget(
-        &self,
-        examples: &[Example],
-        budget: Duration,
-    ) -> Result<LearnedPrograms, ServiceError> {
-        with_deadline_error(
-            self.synthesizer_with_budget(budget)
-                .learn(examples)
-                .map_err(ServiceError::from),
-            budget,
-        )
-    }
-
     /// Serves a batch of independent learning requests, fanned across the
     /// engine pool.
     ///
@@ -307,36 +288,19 @@ impl Engine {
     /// calls at every pool width; a failed request yields an `Err`
     /// response without disturbing its neighbors.
     ///
-    /// When the batch actually fans out, each worker's inner `Intersect_u`
-    /// plane runs serial (`threads = 1`): batch-level parallelism already
-    /// saturates the pool width, and nesting the per-learn plane inside it
-    /// would spawn up to `threads²` OS threads. Per-learn results are
-    /// bit-identical at every inner width, so this is invisible; a
-    /// single-request or serial-pool batch keeps the full inner width.
-    pub fn learn_batch(&self, requests: &[LearnRequest]) -> Vec<LearnResponse> {
-        self.learn_batch_inner(requests, None)
-    }
-
-    /// [`Engine::learn_batch`] under one shared wall-clock budget for the
-    /// whole batch: every request races the same deadline, requests the
-    /// deadline interrupts answer [`ServiceError::DeadlineExceeded`]
+    /// With a `budget`, every request races one shared wall-clock deadline:
+    /// the synthesis is cooperatively cancelled once it elapses, requests
+    /// it interrupts answer [`ServiceError::DeadlineExceeded`]
     /// individually, and requests that finished in time keep their
-    /// results. All shared memos stay valid either way.
-    pub fn learn_batch_with_budget(
-        &self,
-        requests: &[LearnRequest],
-        budget: Duration,
-    ) -> Vec<LearnResponse> {
-        self.learn_batch_inner(requests, Some(budget))
-    }
-
-    fn learn_batch_inner(
+    /// results. All shared memos stay valid either way (partial results
+    /// are never inserted), so a retry without a budget is bit-identical
+    /// to a cold learn (pinned by `tests/cancellation_equivalence.rs`).
+    pub fn learn_batch(
         &self,
         requests: &[LearnRequest],
         budget: Option<Duration>,
     ) -> Vec<LearnResponse> {
-        let fans_out = self.inner.pool.is_parallel() && requests.len() > 1;
-        let synthesizer = self.batch_synthesizer(fans_out, budget);
+        let synthesizer = self.budgeted_synthesizer(budget);
         let default_k = self.inner.options.top_k;
         self.inner.pool.par_map_indexed(requests, |i, request| {
             let mut result = synthesizer
@@ -357,24 +321,6 @@ impl Engine {
         })
     }
 
-    /// The synthesizer view a batch entry point learns through: the shared
-    /// warm memo plane, a serial inner `Intersect_u` plane when the batch
-    /// itself fans out (see [`Engine::learn_batch`]), and — under a budget
-    /// — one deadline token shared by every request in the batch.
-    fn batch_synthesizer(&self, fans_out: bool, budget: Option<Duration>) -> Synthesizer {
-        if !fans_out && budget.is_none() {
-            return self.synthesizer();
-        }
-        let mut builder = self.inner.options.to_builder();
-        if fans_out {
-            builder = builder.threads(1);
-        }
-        if let Some(budget) = budget {
-            builder = builder.cancel_token(CancelToken::with_deadline(budget));
-        }
-        Synthesizer::with_shared_cache(self.db(), builder.build(), Arc::clone(&self.inner.cache))
-    }
-
     /// Learns from `examples`, compiles the top-ranked program and applies
     /// it to every input row, fanning row ranges across the engine pool —
     /// the stateless batch-apply entry point ([`Session::run_column`] is
@@ -392,52 +338,22 @@ impl Engine {
         Ok(top.compile().run_column(rows, &self.inner.pool))
     }
 
-    /// [`Engine::apply`] under a wall-clock budget covering the learn
-    /// phase (the row application of an already-learned program is bounded
-    /// work and runs to completion). Deadline aborts surface as
-    /// [`ServiceError::DeadlineExceeded`]; all shared memos stay valid.
-    pub fn apply_with_budget(
-        &self,
-        examples: &[Example],
-        rows: &[Vec<String>],
-        budget: Duration,
-    ) -> Result<Vec<Option<String>>, ServiceError> {
-        let learned = self.learn_with_budget(examples, budget)?;
-        let top = learned
-            .top()
-            .ok_or(ServiceError::Synthesis(SynthesisError::NoConsistentProgram))?;
-        Ok(top.compile().run_column(rows, &self.inner.pool))
-    }
-
     /// Serves a batch of independent [`ApplyRequest`]s, fanned across the
     /// engine pool with the same discipline as [`Engine::learn_batch`]:
     /// request-ordered responses, one shared database snapshot and warm
-    /// memo plane, and — when the batch actually fans out — serial inner
-    /// planes (both the per-learn `Intersect_u` plane and each request's
-    /// `run_column`), since batch-level parallelism already saturates the
-    /// pool. Results are bit-identical at every width.
-    pub fn apply_batch(&self, requests: &[ApplyRequest]) -> Vec<ApplyResponse> {
-        self.apply_batch_inner(requests, None)
-    }
-
-    /// [`Engine::apply_batch`] under one shared wall-clock budget for the
-    /// whole batch, with the same per-request deadline typing as
-    /// [`Engine::learn_batch_with_budget`].
-    pub fn apply_batch_with_budget(
-        &self,
-        requests: &[ApplyRequest],
-        budget: Duration,
-    ) -> Vec<ApplyResponse> {
-        self.apply_batch_inner(requests, Some(budget))
-    }
-
-    fn apply_batch_inner(
+    /// memo plane, and an optional `budget` covering every request's learn
+    /// phase (the row application of an already-learned program is bounded
+    /// work and runs to completion). When the batch actually fans out,
+    /// each request's `run_column` runs serial, since batch-level
+    /// parallelism already saturates the pool. Results are bit-identical
+    /// at every width.
+    pub fn apply_batch(
         &self,
         requests: &[ApplyRequest],
         budget: Option<Duration>,
     ) -> Vec<ApplyResponse> {
         let fans_out = self.inner.pool.is_parallel() && requests.len() > 1;
-        let synthesizer = self.batch_synthesizer(fans_out, budget);
+        let synthesizer = self.budgeted_synthesizer(budget);
         let serial = Pool::new(1);
         let row_pool: &Pool = if fans_out { &serial } else { &self.inner.pool };
         self.inner.pool.par_map_indexed(requests, |i, request| {
@@ -473,11 +389,13 @@ impl Engine {
         )
     }
 
-    /// A synthesizer view whose learns race a fresh deadline of `budget`
-    /// from *now* — what the budgeted entry points and budgeted sessions
-    /// learn through. Shares the warm memo plane like
-    /// [`Engine::synthesizer`].
-    pub(crate) fn synthesizer_with_budget(&self, budget: Duration) -> Synthesizer {
+    /// [`Engine::synthesizer`] whose learns, under a `budget`, race one
+    /// fresh deadline from *now* — what batches and sessions learn through.
+    /// A batch shares the one deadline token across all its requests.
+    pub(crate) fn budgeted_synthesizer(&self, budget: Option<Duration>) -> Synthesizer {
+        let Some(budget) = budget else {
+            return self.synthesizer();
+        };
         Synthesizer::with_shared_cache(
             self.db(),
             self.inner

@@ -243,10 +243,7 @@ impl Session {
     /// *added* (structural — it changes the default lookup depth) still
     /// invalidates everyone.
     fn ensure_learned(&mut self) -> Result<(), ServiceError> {
-        let synthesizer = match self.budget {
-            Some(budget) => self.engine.synthesizer_with_budget(budget),
-            None => self.engine.synthesizer(),
-        };
+        let synthesizer = self.engine.budgeted_synthesizer(self.budget);
         let db = synthesizer.db_arc();
         let db_epoch = db.epoch();
         let hash = examples_hash(&self.examples);

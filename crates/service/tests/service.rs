@@ -119,7 +119,7 @@ fn learn_batch_keeps_request_order_and_isolates_failures() {
         // Empty example set is a per-request error, not a batch failure.
         LearnRequest::new(vec![]),
     ];
-    let responses = engine.learn_batch(&requests);
+    let responses = engine.learn_batch(&requests, None);
     assert_eq!(responses.len(), 4);
     for (i, r) in responses.iter().enumerate() {
         assert_eq!(r.request, i);
@@ -157,7 +157,7 @@ fn learn_batch_is_bit_identical_to_sequential_learns() {
         .iter()
         .map(|e| LearnRequest::new(e.clone()))
         .collect();
-    let responses = engine.learn_batch(&requests);
+    let responses = engine.learn_batch(&requests, None);
 
     let baseline = Synthesizer::new(Arc::new(Database::from_tables(vec![comp_table()]).unwrap()));
     for (req, resp) in examples.iter().zip(&responses) {
@@ -176,10 +176,10 @@ fn learn_batch_is_bit_identical_to_sequential_learns() {
 fn batch_requests_share_the_warm_plane() {
     let engine = comp_engine();
     let request = LearnRequest::new(vec![Example::new(vec!["c2"], "Google")]);
-    engine.learn_batch(std::slice::from_ref(&request));
+    engine.learn_batch(std::slice::from_ref(&request), None);
     let cold = engine.cache_stats();
     assert!(cold.example_misses > 0);
-    engine.learn_batch(std::slice::from_ref(&request));
+    engine.learn_batch(std::slice::from_ref(&request), None);
     let warm = engine.cache_stats();
     assert!(
         warm.example_hits > cold.example_hits,
@@ -453,10 +453,10 @@ fn failed_learns_do_not_disturb_session_state() {
 #[test]
 fn zero_top_k_requests_still_materialize_the_best_program() {
     let engine = comp_engine();
-    let responses =
-        engine.learn_batch(&[
-            LearnRequest::new(vec![Example::new(vec!["c2"], "Google")]).with_top_k(0)
-        ]);
+    let responses = engine.learn_batch(
+        &[LearnRequest::new(vec![Example::new(vec!["c2"], "Google")]).with_top_k(0)],
+        None,
+    );
     assert!(
         responses[0].best().is_some(),
         "a successful learn must carry at least its best program"
@@ -498,14 +498,12 @@ fn engine_options_flow_into_sessions() {
         .threads(1)
         .dag_cache(true)
         .top_k(2)
-        .parallel_edge_product_min(64)
         .build();
     let engine = Engine::with_options(
         Arc::new(Database::from_tables(vec![comp_table()]).unwrap()),
         options,
     );
     assert_eq!(engine.options().top_k, 2);
-    assert_eq!(engine.options().parallel_edge_product_min, 64);
     let mut session = engine.session();
     session.add_example(Example::new(vec!["c2"], "Google"));
     assert!(session.top_k().unwrap().len() <= 2);

@@ -14,26 +14,12 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::hash::Hash;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use sst_tables::{IntMap, ProgSet};
 
 use crate::dag::{AtomSet, Dag, PosSet};
 use crate::language::RegexSeq;
-
-/// A memoized position-list intersector. The two implementations trade
-/// sharing for synchronization: [`PosMemo`] is single-threaded
-/// (`RefCell`), [`SyncPosMemo`] is shareable across the parallel
-/// `Intersect_u` workers (sharded `RwLock`s, read-mostly). Both are
-/// *pure caches* — a hit returns exactly what [`intersect_pos_lists`]
-/// would compute, so which implementation (or which worker's insert)
-/// serves a call can never change an intersection result, only the `Arc`
-/// identity of the equal value it returns.
-pub trait PosIntersect {
-    /// The memoized intersection of two position lists; `None` when empty.
-    fn intersect_pos(&self, a: &Arc<Vec<PosSet>>, b: &Arc<Vec<PosSet>>)
-        -> Option<Arc<Vec<PosSet>>>;
-}
 
 /// Memo for position-list intersections, keyed by the *identity* of the two
 /// input `Arc`s. Generation shares one position vector per (source,
@@ -59,9 +45,8 @@ impl PosMemo {
     pub fn new() -> Self {
         PosMemo::default()
     }
-}
 
-impl PosIntersect for PosMemo {
+    /// The memoized intersection of two position lists; `None` when empty.
     fn intersect_pos(
         &self,
         a: &Arc<Vec<PosSet>>,
@@ -81,67 +66,6 @@ impl PosIntersect for PosMemo {
             .borrow_mut()
             .insert(key, (Arc::clone(a), Arc::clone(b), out.clone()));
         out
-    }
-}
-
-/// Number of [`SyncPosMemo`] shards; position-pair keys hash uniformly
-/// (they are addresses), so a handful of shards suffices to keep the
-/// write-side locks off each other's readers.
-const POS_MEMO_SHARDS: usize = 8;
-
-/// Thread-safe [`PosMemo`]: a position memo shareable across concurrent
-/// intersection sessions, sharded by key hash. (The parallel `Intersect_u`
-/// plane itself pre-warms a frozen lock-free memo instead, because it can
-/// enumerate its position pairs up front; this locking variant serves
-/// callers that cannot.) Reads (the overwhelmingly
-/// common case once warm) take a shard read lock; a miss computes the
-/// intersection *outside* any lock and inserts under the shard write lock,
-/// keeping the first-inserted `Arc` so concurrent misses on one key
-/// converge to a single canonical result allocation.
-#[derive(Debug, Default)]
-pub struct SyncPosMemo {
-    shards: [RwLock<PosMemoMap>; POS_MEMO_SHARDS],
-}
-
-impl SyncPosMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        SyncPosMemo::default()
-    }
-
-    fn shard(&self, key: (usize, usize)) -> &RwLock<PosMemoMap> {
-        // Addresses are at least word-aligned; drop the dead low bits
-        // before folding so shards do not alias on alignment.
-        let h = (key.0 >> 3)
-            .wrapping_mul(0x9E37_79B9)
-            .wrapping_add(key.1 >> 3);
-        &self.shards[(h ^ (h >> 7)) & (POS_MEMO_SHARDS - 1)]
-    }
-}
-
-impl PosIntersect for SyncPosMemo {
-    fn intersect_pos(
-        &self,
-        a: &Arc<Vec<PosSet>>,
-        b: &Arc<Vec<PosSet>>,
-    ) -> Option<Arc<Vec<PosSet>>> {
-        let key = (Arc::as_ptr(a) as usize, Arc::as_ptr(b) as usize);
-        let shard = self.shard(key);
-        if let Some((_, _, hit)) = shard.read().expect("pos memo poisoned").get(&key) {
-            return hit.clone();
-        }
-        let v = intersect_pos_lists(a, b);
-        let computed = if v.is_empty() {
-            None
-        } else {
-            Some(Arc::new(v))
-        };
-        let mut map = shard.write().expect("pos memo poisoned");
-        if let Some((_, _, hit)) = map.get(&key) {
-            return hit.clone(); // raced: keep the first insert canonical
-        }
-        map.insert(key, (Arc::clone(a), Arc::clone(b), computed.clone()));
-        computed
     }
 }
 
@@ -171,7 +95,7 @@ pub fn intersect_dags_memo<S1, S2, S3>(
     a: &Dag<S1>,
     b: &Dag<S2>,
     src_intersect: &mut impl FnMut(&S1, &S2) -> Option<S3>,
-    pos_memo: &impl PosIntersect,
+    pos_memo: &PosMemo,
 ) -> Option<Dag<S3>>
 where
     S3: Eq + Hash,
@@ -188,7 +112,7 @@ pub fn intersect_dags_memo_unpruned<S1, S2, S3>(
     a: &Dag<S1>,
     b: &Dag<S2>,
     src_intersect: &mut impl FnMut(&S1, &S2) -> Option<S3>,
-    pos_memo: &impl PosIntersect,
+    pos_memo: &PosMemo,
 ) -> Option<Dag<S3>>
 where
     S3: Eq + Hash,
@@ -196,41 +120,21 @@ where
     intersect_dags_impl(a, b, src_intersect, pos_memo, None)
 }
 
-/// [`intersect_dags_memo`] with caller-supplied [`ProductMasks`], for
-/// sessions that already computed a DAG pair's masks (e.g. to enumerate
-/// the node pairs its products will reference) and want the full product
-/// to reuse them instead of recomputing. The parallel `Intersect_u` plane
-/// goes one granularity finer — [`product_edge_atoms`] per edge pair plus
-/// [`assemble_product_dag`] — but this whole-product entry point is the
-/// single-call form of the same construction.
-pub fn intersect_dags_prepared<S1, S2, S3>(
-    a: &Dag<S1>,
-    b: &Dag<S2>,
-    src_intersect: &mut impl FnMut(&S1, &S2) -> Option<S3>,
-    pos_memo: &impl PosIntersect,
-    masks: &ProductMasks,
-) -> Option<Dag<S3>>
-where
-    S3: Eq + Hash,
-{
-    intersect_dags_impl(a, b, src_intersect, pos_memo, Some(masks))
-}
-
 /// Reachability bitmaps over a structural product graph (see
 /// [`product_path_masks`]), indexed `x1 * b.num_nodes + x2`.
 #[derive(Debug, Clone)]
-pub struct ProductMasks {
+struct ProductMasks {
     /// Reachable from the source pair.
-    pub fwd: Vec<bool>,
+    fwd: Vec<bool>,
     /// Co-reachable to the target pair.
-    pub bwd: Vec<bool>,
+    bwd: Vec<bool>,
 }
 
 impl ProductMasks {
     /// True iff the source pair can structurally reach the target pair —
     /// a necessary condition for the intersection to be nonempty (except
     /// the trivially handled both-empty-outputs case).
-    pub fn source_on_path<S1, S2>(&self, a: &Dag<S1>, b: &Dag<S2>) -> bool {
+    fn source_on_path<S1, S2>(&self, a: &Dag<S1>, b: &Dag<S2>) -> bool {
         self.bwd[(a.source as usize) * b.num_nodes as usize + b.source as usize]
     }
 }
@@ -247,7 +151,7 @@ impl ProductMasks {
 /// is what makes skipping its atom product a pure optimization: the §5.3
 /// `Intersect_u` edge product is O(edges² · atoms²), and the mask removes
 /// the atoms² factor for every edge pair off all source→target paths.
-pub fn product_path_masks<S1, S2>(a: &Dag<S1>, b: &Dag<S2>) -> ProductMasks {
+fn product_path_masks<S1, S2>(a: &Dag<S1>, b: &Dag<S2>) -> ProductMasks {
     let n2 = b.num_nodes as usize;
     let idx = |x1: u32, x2: u32| x1 as usize * n2 + x2 as usize;
     let total = a.num_nodes as usize * n2;
@@ -287,7 +191,7 @@ fn intersect_dags_impl<S1, S2, S3>(
     a: &Dag<S1>,
     b: &Dag<S2>,
     src_intersect: &mut impl FnMut(&S1, &S2) -> Option<S3>,
-    pos_memo: &impl PosIntersect,
+    pos_memo: &PosMemo,
     masks: Option<&ProductMasks>,
 ) -> Option<Dag<S3>>
 where
@@ -328,15 +232,12 @@ where
 
 /// The atom-set products of one edge pair (the O(atoms²) inner loop of the
 /// §5.3 product), hash-deduplicated in product order; `None` when every
-/// product is empty. Exposed so the parallel `Intersect_u` plane can fan
-/// edge pairs — the product's real work — across workers individually:
-/// one oversized DAG pair (the top-level product, typically) then spreads
-/// instead of serializing a whole worker.
-pub fn product_edge_atoms<S1, S2, S3>(
+/// product is empty.
+fn product_edge_atoms<S1, S2, S3>(
     atoms1: &[AtomSet<S1>],
     atoms2: &[AtomSet<S2>],
     src_intersect: &mut impl FnMut(&S1, &S2) -> Option<S3>,
-    pos_memo: &impl PosIntersect,
+    pos_memo: &PosMemo,
 ) -> Option<Vec<AtomSet<S3>>>
 where
     S3: Eq + Hash,
@@ -360,10 +261,8 @@ where
 
 /// Assembles a product DAG from its surviving edge products, keyed by the
 /// product pair ids `n1 * b.num_nodes + n2`: compacts the sparse pair ids
-/// to dense node ids in lexicographic (topological) order and prunes. The
-/// counterpart of [`product_edge_atoms`] for the parallel plane; the
-/// serial construction funnels through the same code.
-pub fn assemble_product_dag<S1, S2, S3>(
+/// to dense node ids in lexicographic (topological) order and prunes.
+fn assemble_product_dag<S1, S2, S3>(
     a: &Dag<S1>,
     b: &Dag<S2>,
     edges: BTreeMap<(u64, u64), Vec<AtomSet<S3>>>,
@@ -411,12 +310,12 @@ pub fn intersect_atom_sets<S1, S2, S3>(
     intersect_atom_sets_memo(x, y, src_intersect, &PosMemo::new())
 }
 
-/// [`intersect_atom_sets`] with a shared [`PosIntersect`] memo.
+/// [`intersect_atom_sets`] with a shared [`PosMemo`].
 pub fn intersect_atom_sets_memo<S1, S2, S3>(
     x: &AtomSet<S1>,
     y: &AtomSet<S2>,
     src_intersect: &mut impl FnMut(&S1, &S2) -> Option<S3>,
-    pos_memo: &impl PosIntersect,
+    pos_memo: &PosMemo,
 ) -> Option<AtomSet<S3>> {
     match (x, y) {
         (AtomSet::ConstStr(s1), AtomSet::ConstStr(s2)) if s1 == s2 => {
@@ -677,54 +576,6 @@ mod tests {
         assert!(intersect_atom_sets(&w0, &w0.clone(), &mut var_eq).is_some());
         assert!(intersect_atom_sets(&w0, &w1, &mut var_eq).is_none());
         assert!(intersect_atom_sets(&c1, &w0, &mut var_eq).is_none());
-    }
-
-    #[test]
-    fn sync_pos_memo_agrees_with_serial_memo() {
-        let a = Arc::new(vec![
-            PosSet::CPos(3),
-            PosSet::Pos {
-                r1s: vec![RegexSeq::token(Token::Num)],
-                r2s: vec![RegexSeq::epsilon()],
-                cs: vec![1, -2],
-            },
-        ]);
-        let b = Arc::new(vec![PosSet::CPos(3), PosSet::CPos(4)]);
-        let serial = PosMemo::new();
-        let sync = SyncPosMemo::new();
-        let expect = serial.intersect_pos(&a, &b);
-        assert_eq!(sync.intersect_pos(&a, &b), expect);
-        // Warm hits (including from other threads) serve the same value
-        // and the same canonical allocation.
-        let first = sync.intersect_pos(&a, &b).unwrap();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let hit = sync.intersect_pos(&a, &b).unwrap();
-                    assert!(Arc::ptr_eq(&hit, &first));
-                });
-            }
-        });
-        // Empty intersections memoize as None on both implementations.
-        let c = Arc::new(vec![PosSet::CPos(9)]);
-        assert_eq!(serial.intersect_pos(&b, &c), None);
-        assert_eq!(sync.intersect_pos(&b, &c), None);
-        assert_eq!(sync.intersect_pos(&b, &c), None);
-    }
-
-    #[test]
-    fn prepared_masks_match_inline_computation() {
-        let d1 = gen(&["ab 12 cd"], "12");
-        let d2 = gen(&["x 345 yz"], "345");
-        let masks = product_path_masks(&d1, &d2);
-        let inline = intersect_dags(&d1, &d2, &mut var_eq).expect("nonempty");
-        let prepared = intersect_dags_prepared(&d1, &d2, &mut var_eq, &SyncPosMemo::new(), &masks)
-            .expect("nonempty");
-        assert_eq!(
-            inline.count_programs(&mut |_| BigUint::one()),
-            prepared.count_programs(&mut |_| BigUint::one())
-        );
-        assert_eq!(inline.size(&mut |_| 1), prepared.size(&mut |_| 1));
     }
 
     #[test]

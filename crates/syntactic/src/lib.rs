@@ -47,10 +47,8 @@ pub use dag::{AtomSet, Dag, PosSet};
 pub use eval::{eval_atom, eval_expr, eval_on_state, eval_pos, eval_pos_with_runs};
 pub use generate::{generate_dag, generate_dag_prepared, GenOptions, PreparedSources};
 pub use intersect::{
-    assemble_product_dag, intersect_atom_sets, intersect_atom_sets_memo, intersect_dags,
-    intersect_dags_memo, intersect_dags_memo_unpruned, intersect_dags_prepared,
-    intersect_pos_lists, intersect_pos_sets, product_edge_atoms, product_path_masks, PosIntersect,
-    PosMemo, ProductMasks, SyncPosMemo,
+    intersect_atom_sets, intersect_atom_sets_memo, intersect_dags, intersect_dags_memo,
+    intersect_dags_memo_unpruned, intersect_pos_lists, intersect_pos_sets, PosMemo,
 };
 pub use language::{AtomicExpr, PosExpr, RegexSeq, StringExpr, Var, VarId};
 pub use matches::Matcher;

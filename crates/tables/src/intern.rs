@@ -16,9 +16,9 @@
 //! of any map hasher) picks one of [`SHARDS`] shards, and a symbol id
 //! encodes its shard in the low [`SHARD_BITS`] bits with the slab index
 //! above them. Concurrent `intern`/`get` calls for different values
-//! therefore take different locks with probability `1 - 1/SHARDS`, and the
-//! multi-threaded `Intersect_u` plane never funnels through one global
-//! `RwLock` (the pre-shard design).
+//! therefore take different locks with probability `1 - 1/SHARDS`, and
+//! concurrent learns (engine pool workers, server connections) never
+//! funnel through one global `RwLock` (the pre-shard design).
 //!
 //! Resolution ([`Symbol::as_str`]) takes **no lock at all**: each shard
 //! stores its strings in an append-only slab of doubling buckets. A bucket

@@ -43,7 +43,7 @@ fn main() {
             Example::new(vec!["c2"], "Google (Mountain View)"),
         ]),
     ];
-    let responses = engine.learn_batch(&requests);
+    let responses = engine.learn_batch(&requests, None);
 
     for response in &responses {
         match response.programs() {
@@ -78,7 +78,7 @@ fn main() {
     // memory (the stats prove the requests shared one engine, not three
     // private synthesizers).
     let before = engine.cache_stats();
-    engine.learn_batch(&requests);
+    engine.learn_batch(&requests, None);
     let after = engine.cache_stats();
     println!(
         "\nwarm replay: example memo hits {} -> {}",

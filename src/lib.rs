@@ -27,9 +27,9 @@
 //!   program-set structures as dense `u32` ids, plus the versioned
 //!   binary snapshot codec.
 //! * [`counting`] — arbitrary-precision counters for program-set sizes.
-//! * [`par`] — vendored scoped work-stealing pool powering the parallel
-//!   `Intersect_u` plane and batch serving (deterministic-order
-//!   `par_map_indexed`).
+//! * [`par`] — vendored scoped work-stealing pool powering batch serving
+//!   and `run_column` (deterministic-order `par_map_indexed`); learning
+//!   itself is serial.
 //!
 //! # Quickstart: an interactive session
 //!
@@ -91,7 +91,7 @@
 //! let responses = engine.learn_batch(&[
 //!     LearnRequest::new(vec![Example::new(vec!["c2"], "Google")]),
 //!     LearnRequest::new(vec![Example::new(vec!["c1"], "Microsoft")]),
-//! ]);
+//! ], None);
 //! assert_eq!(responses[0].best().unwrap().run(&["c3"]).unwrap(), "Apple");
 //! ```
 //!
@@ -247,8 +247,7 @@
 //! mutation that changes an example's regenerated structure mints a fresh
 //! id) and an intersection result is a pure function of its operand
 //! values. Everything observable stays bit-identical (pinned by the
-//! `dag_memo_equivalence`, `parallel_equivalence` and
-//! `service_equivalence` harnesses).
+//! `dag_memo_equivalence` and `service_equivalence` harnesses).
 //!
 //! The arena ([`sst_arena`], re-exported as [`arena`]) is what makes the
 //! engine *persistable*: at snapshot time every cached structure —
@@ -282,7 +281,7 @@
 //! # let comp = Table::new("Comp", vec!["Id", "Name"],
 //! #     vec![vec!["c1", "Microsoft"], vec!["c2", "Google"], vec!["c3", "Apple"]]).unwrap();
 //! let db = Arc::new(Database::from_tables(vec![comp]).unwrap());
-//! let options = SynthesisOptions::builder().threads(1).dag_cache(true).build();
+//! let options = SynthesisOptions::builder().dag_cache(true).top_k(5).build();
 //! let synthesizer = Synthesizer::with_options(db, options);
 //! let learned = synthesizer
 //!     .learn(&[Example::new(vec!["c2"], "Google")])

@@ -31,7 +31,9 @@ fn expired_budget_aborts_in_bounded_time_and_leaves_caches_clean() {
         // The aborted attempt: typed error, bounded wall-clock.
         let started = Instant::now();
         let err = engine
-            .learn_with_budget(&examples, Duration::ZERO)
+            .learn_batch(&[LearnRequest::new(examples.clone())], Some(Duration::ZERO))
+            .remove(0)
+            .result
             .expect_err("zero budget must abort");
         let elapsed = started.elapsed();
         assert!(
@@ -84,6 +86,70 @@ fn expired_budget_aborts_in_bounded_time_and_leaves_caches_clean() {
                 task.name
             );
         }
+    }
+}
+
+/// A batched apply's budget covers every request's learn phase: an
+/// expired one aborts each request with the typed error in bounded time
+/// and stores no example or intersection structure, and a generous one answers exactly what the
+/// budgetless batch answers.
+#[test]
+fn apply_batch_budget_bounds_every_request_and_otherwise_changes_nothing() {
+    for task in all_tasks() {
+        let examples = task_examples(&task.rows);
+        let rows: Vec<Vec<String>> = task.rows.iter().map(|r| r.inputs.clone()).collect();
+        let requests: Vec<ApplyRequest> = (1..=examples.len())
+            .map(|n| ApplyRequest::new(examples[..n].to_vec(), rows.clone()))
+            .collect();
+
+        let engine = Engine::new(Arc::new(task.db.clone()));
+        let started = Instant::now();
+        let aborted = engine.apply_batch(&requests, Some(Duration::ZERO));
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < ABORT_BOUND,
+            "task {} ({}): batched abort took {elapsed:?}",
+            task.id,
+            task.name
+        );
+        for response in &aborted {
+            assert!(
+                matches!(
+                    response.result,
+                    Err(ServiceError::DeadlineExceeded { budget_ms: 0 })
+                ),
+                "task {} ({}) request {}: expected DeadlineExceeded, got {:?}",
+                task.id,
+                task.name,
+                response.request,
+                response.result
+            );
+        }
+        // Per-value DAGs are complete whenever they are stored; what must
+        // stay empty is the example and intersection-chain memo.
+        let (_, examples_memo, chains_memo) = engine.cache_entries();
+        assert_eq!(
+            (examples_memo, chains_memo),
+            (0, 0),
+            "task {} ({}): the aborted batch left partial structures in the memo plane",
+            task.id,
+            task.name
+        );
+
+        let results = |responses: Vec<ApplyResponse>| -> Vec<_> {
+            responses
+                .into_iter()
+                .map(|r| (r.request, r.result))
+                .collect()
+        };
+        let generous = results(engine.apply_batch(&requests, Some(Duration::from_secs(3600))));
+        let unbounded =
+            results(Engine::new(Arc::new(task.db.clone())).apply_batch(&requests, None));
+        assert_eq!(
+            generous, unbounded,
+            "task {} ({}): a generous budget changed the batched apply",
+            task.id, task.name
+        );
     }
 }
 
@@ -149,7 +215,7 @@ fn wire_deadline_abort_then_budgetless_retry_is_bit_identical_to_a_cold_engine()
             .expect("budgetless retry");
         assert_eq!(status, 200);
         let cold: Vec<WireLearnResponse> = Engine::new(Arc::new(task.db.clone()))
-            .learn_batch(&requests)
+            .learn_batch(&requests, None)
             .iter()
             .map(WireLearnResponse::from_response)
             .collect();

@@ -116,3 +116,27 @@ fn cache_actually_serves_hits_on_the_suite() {
         "disabled cache must see no traffic: {off:?}"
     );
 }
+
+#[test]
+fn intersection_memo_serves_replays() {
+    // The §3.2 loop replays earlier prefixes: the chain-keyed intersection
+    // memo must see traffic on a task that needs ≥ 2 examples.
+    let task = all_tasks()
+        .into_iter()
+        .find(|t| {
+            let s = synthesizer(&t.db, true);
+            converge(&s, &t.rows, MAX_EXAMPLES)
+                .map(|r| r.examples_used >= 2)
+                .unwrap_or(false)
+        })
+        .expect("some task needs two examples");
+    let s = synthesizer(&task.db, true);
+    converge(&s, &task.rows, MAX_EXAMPLES).expect("converges");
+    let report = converge(&s, &task.rows, MAX_EXAMPLES).expect("replay converges");
+    assert!(report.learned.is_some());
+    let stats = s.cache_stats();
+    assert!(
+        stats.intersect_hits > 0,
+        "no intersection-memo hits recorded: {stats:?}"
+    );
+}

@@ -67,7 +67,7 @@ fn served_responses_are_bit_identical_to_the_service_plane() {
                 .map(|n| LearnRequest::new(examples[..n].to_vec()))
                 .collect();
             let local_learn: Vec<WireLearnResponse> = twin
-                .learn_batch(&learn_requests)
+                .learn_batch(&learn_requests, None)
                 .iter()
                 .map(WireLearnResponse::from_response)
                 .collect();
@@ -87,7 +87,7 @@ fn served_responses_are_bit_identical_to_the_service_plane() {
                 ApplyRequest::new(examples[..1].to_vec(), inputs.clone()),
                 ApplyRequest::new(examples.clone(), inputs.clone()),
             ];
-            let local_apply = twin.apply_batch(&apply_requests);
+            let local_apply = twin.apply_batch(&apply_requests, None);
             let wire_apply = client
                 .apply(&name, &apply_requests)
                 .unwrap_or_else(|e| panic!("task {} ({}) apply: {e}", task.id, task.name));

@@ -6,9 +6,11 @@
 //! single observable: this harness replays the full 50-task benchmark
 //! suite through the batch path at pool widths 1, 2 and the machine width
 //! and asserts exact program counts, structure sizes and top-k ranked
-//! outputs **bit-identical** to sequential `Synthesizer::learn` calls,
-//! then drives multi-session conversations and checks they converge
-//! exactly like the core `converge` loop.
+//! outputs **bit-identical** to sequential `Synthesizer::learn` calls (and
+//! the top program's column through `Engine::apply` and
+//! `Session::run_column` identical to running it row by row), then drives
+//! multi-session conversations and checks they converge exactly like the
+//! core `converge` loop.
 
 use std::sync::Arc;
 
@@ -61,6 +63,7 @@ fn learn_batch_matches_sequential_learning_on_every_task() {
         task: semantic_strings::benchmarks::BenchmarkTask,
         examples: Vec<Example>,
         expected: Vec<(String, usize, TopKOutputs)>,
+        top_column: Vec<Option<String>>,
     }
     let baselines: Vec<Baseline> = all_tasks()
         .into_iter()
@@ -78,10 +81,24 @@ fn learn_batch_matches_sequential_learning_on_every_task() {
                     observe(&learned, &task.rows)
                 })
                 .collect();
+            let top = report
+                .learned
+                .as_ref()
+                .and_then(|l| l.top())
+                .expect("converge returns a learned set");
+            let top_column = task
+                .rows
+                .iter()
+                .map(|r| {
+                    let refs: Vec<&str> = r.inputs.iter().map(String::as_str).collect();
+                    top.run(&refs)
+                })
+                .collect();
             Baseline {
                 task,
                 examples: report.examples,
                 expected,
+                top_column,
             }
         })
         .collect();
@@ -95,7 +112,7 @@ fn learn_batch_matches_sequential_learning_on_every_task() {
             let requests: Vec<LearnRequest> = (1..=baseline.examples.len())
                 .map(|n| LearnRequest::new(baseline.examples[..n].to_vec()))
                 .collect();
-            let responses = engine.learn_batch(&requests);
+            let responses = engine.learn_batch(&requests, None);
             assert_eq!(responses.len(), requests.len());
             for (i, (response, expected)) in responses.iter().zip(&baseline.expected).enumerate() {
                 assert_eq!(response.request, i, "responses must keep request order");
@@ -115,7 +132,7 @@ fn learn_batch_matches_sequential_learning_on_every_task() {
             }
 
             // Replaying the same batch is memo-served and still identical.
-            let replay = engine.learn_batch(&requests);
+            let replay = engine.learn_batch(&requests, None);
             for (i, (response, expected)) in replay.iter().zip(&baseline.expected).enumerate() {
                 assert_eq!(
                     &observe(
@@ -128,6 +145,33 @@ fn learn_batch_matches_sequential_learning_on_every_task() {
                     baseline.task.name
                 );
             }
+
+            // The pool's other use: the top program's column, with row
+            // ranges fanned across the pool through `Engine::apply` and
+            // `Session::run_column`, equals the sequential top program run
+            // row by row.
+            let column: Vec<Vec<String>> = baseline
+                .task
+                .rows
+                .iter()
+                .map(|r| r.inputs.clone())
+                .collect();
+            let applied = engine
+                .apply(&baseline.examples, &column)
+                .expect("converged examples apply");
+            assert_eq!(
+                applied, baseline.top_column,
+                "task {} ({}) width {threads} Engine::apply drifted",
+                baseline.task.id, baseline.task.name
+            );
+            let mut session = engine.session();
+            session.add_examples(baseline.examples.iter().cloned());
+            let session_column = session.run_column(&column).expect("converged examples run");
+            assert_eq!(
+                session_column, baseline.top_column,
+                "task {} ({}) width {threads} Session::run_column drifted",
+                baseline.task.id, baseline.task.name
+            );
         }
     }
 }
