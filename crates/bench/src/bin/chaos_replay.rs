@@ -3,8 +3,8 @@
 //! responses, and handler panics — then proves the stack absorbed all of
 //! it: no hangs, no poisoned locks, every fault surfaced as a *typed*
 //! error, and a final fault-free wave bit-identical to the in-process
-//! plane with the engine caches still warm. Emits a JSON chaos report
-//! (`BENCH_PR9.json`), including the cancellation-latency quantiles for
+//! plane with the engine caches still warm. Emits a JSON chaos report on
+//! standard output, including the cancellation-latency quantiles for
 //! deadline-aborted learns.
 //!
 //! Phases:
@@ -30,7 +30,7 @@
 //!    must not have cost the memo plane anything).
 //!
 //! Usage:
-//!   `cargo run --release -p sst-bench --bin chaos_replay > BENCH_PR9.json`
+//!   `cargo run --release -p sst-bench --bin chaos_replay > chaos.json`
 //!   `cargo run --release -p sst-bench --bin chaos_replay -- --smoke`
 //!   `... -- --sessions 500 --fault-rate-ppm 120000 --seed 7`
 

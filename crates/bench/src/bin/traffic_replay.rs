@@ -1,6 +1,6 @@
 //! Replays the §7 benchmark suite as live traffic against a real
 //! `sst-server` over real sockets, proving the serving stack under load
-//! and emitting a JSON load report (`BENCH_PR8.json`).
+//! and emitting a JSON load report on standard output.
 //!
 //! The generator boots one server hosting all fifty task databases as
 //! named engines (`task-{id}`), then runs five phases:
@@ -26,7 +26,7 @@
 //!    to what came over the wire (`equivalence.ok` in the report).
 //!
 //! Usage:
-//!   `cargo run --release -p sst-bench --bin traffic_replay > BENCH_PR8.json`
+//!   `cargo run --release -p sst-bench --bin traffic_replay > replay.json`
 //!   `cargo run --release -p sst-bench --bin traffic_replay -- --smoke`
 //!   `... -- --sessions 2000 --connections 32`
 

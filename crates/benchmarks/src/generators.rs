@@ -292,27 +292,30 @@ mod tests {
 
     #[test]
     fn scaled_lookup_keys_are_unique_and_learnable() {
-        let rows = 500;
-        let (db, examples) = scaled_lookup_database(rows);
-        let big = db.table_id("Big").expect("Big exists");
-        let t = db.table(big);
-        assert_eq!(t.len(), rows);
-        // Bijective permutation: every key distinct (with_keys validated
-        // it), and rows synthesized past the end stay distinct too.
-        let fresh = scaled_lookup_row(rows + 7);
-        assert!(
-            t.row_ids().all(|r| t.cell(0, r) != fresh[0]),
-            "synthesized key collides with the table"
-        );
-        // The depth-1 lookup is learnable and generalizes to held-out
-        // rows.
         use sst_core::Synthesizer;
         use std::sync::Arc;
-        let synthesizer = Synthesizer::new(Arc::new(db));
-        let learned = synthesizer.learn(&examples).expect("scaled learn");
-        let top = learned.top().expect("top program");
-        let probe = scaled_lookup_row(17);
-        assert_eq!(top.run(&[&probe[0]]).as_deref(), Some(probe[1].as_str()));
+        for rows in [500, 20_000] {
+            let (db, examples) = scaled_lookup_database(rows);
+            let big = db.table_id("Big").expect("Big exists");
+            let t = db.table(big);
+            assert_eq!(t.len(), rows);
+            // Bijective permutation: every key distinct (with_keys
+            // validated it), and rows synthesized past the end stay
+            // distinct too.
+            let fresh = scaled_lookup_row(rows + 7);
+            assert!(
+                t.row_ids().all(|r| t.cell(0, r) != fresh[0]),
+                "synthesized key collides with the table"
+            );
+            // The depth-1 lookup is learnable and generalizes to held-out
+            // rows.
+            let synthesizer = Synthesizer::new(Arc::new(db));
+            let learned = synthesizer.learn(&examples).expect("scaled learn");
+            let top = learned.top().expect("top program");
+            for probe in [scaled_lookup_row(17), scaled_lookup_row(rows / 2)] {
+                assert_eq!(top.run(&[&probe[0]]).as_deref(), Some(probe[1].as_str()));
+            }
+        }
     }
 
     #[test]

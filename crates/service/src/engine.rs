@@ -127,7 +127,7 @@ impl Engine {
     /// resident-bytes estimate) of the arena built by the last
     /// [`Engine::snapshot_to`] or [`Engine::restore_from`]; zeros before
     /// either, since learning never interns — the `/metrics` and
-    /// `perf_snapshot` observable.
+    /// perfbench `arena.*` observable.
     pub fn arena_stats(&self) -> ArenaStats {
         self.inner.cache.arena_stats()
     }

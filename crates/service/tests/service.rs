@@ -280,6 +280,7 @@ fn unrelated_mutation_keeps_sessions_and_plane_warm() {
         vec![Some("Microsoft".to_string()), Some("Apple".to_string())]
     );
     let compiled_before = session.compiled_top().unwrap();
+    let observed_before = (session.count().unwrap(), session.size().unwrap());
     let stats_before = engine.cache_stats();
     let entries_before = engine.cache_entries();
     assert!(entries_before.1 > 0, "the learn warmed the example memo");
@@ -305,6 +306,12 @@ fn unrelated_mutation_keeps_sessions_and_plane_warm() {
     assert_eq!(
         stats_after.example_misses, stats_before.example_misses,
         "unrelated mutation must not force a regeneration"
+    );
+
+    assert_eq!(
+        (session.count().unwrap(), session.size().unwrap()),
+        observed_before,
+        "unrelated mutation must not change the program count or size"
     );
 
     // The shared plane revalidates without losing a single entry.

@@ -191,8 +191,8 @@
 //! the 50-task suite over real sockets and asserts the response bodies
 //! are byte-identical to encoding the in-process results;
 //! `crates/bench/src/bin/traffic_replay.rs` drives 1000+ concurrent
-//! sessions against one server and records latency quantiles and cache
-//! hit rates into `BENCH_PR8.json`.
+//! sessions against one server and prints latency quantiles and cache
+//! hit rates as a JSON report.
 //!
 //! # Mutating tables at scale
 //!

@@ -10,9 +10,11 @@
 //! agree at every pool width with deterministic row order. This harness
 //! replays the full 50-task benchmark suite through the §3.2 convergence
 //! loop, compares the top-k compiled programs against the interpreter on
-//! every suite row plus a synthesized miss-heavy column, and closes with a
-//! property test over randomized rows.
+//! every suite row plus a synthesized miss-heavy column, runs the top
+//! program over a column long enough for `run_column` to split into
+//! chunks, and closes with a property test over randomized rows.
 
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
@@ -23,19 +25,22 @@ use semantic_strings::prelude::*;
 const MAX_EXAMPLES: usize = 3;
 const TOP_K: usize = 3;
 
-/// Synthesized-column length per task: enough to cross the parallel
-/// plane's chunking threshold on at least some tasks while keeping the
-/// 50-task replay fast.
+/// Synthesized-column length per task for the top-k comparison, short
+/// enough to keep the 50-task replay fast. `run_column` applies a column
+/// this short serially at every width.
 const COLUMN_ROWS: usize = 300;
 
+/// Length of the one column per task that reaches `run_column`'s chunked
+/// path: it splits a column across the pool only from 2 × 1 024 rows on,
+/// and 2 100 rows give two full chunks and a ragged tail.
+const CHUNKED_ROWS: usize = 2_100;
+
 /// Pool widths every `run_column` output is compared across: serial, two
-/// workers, and the machine width when that differs.
+/// and four workers, and the machine width.
 fn widths() -> Vec<usize> {
-    let wide = default_threads().max(2);
-    let mut w = vec![1usize, 2];
-    if wide > 2 {
-        w.push(wide);
-    }
+    let mut w = vec![1, 2, 4, default_threads()];
+    w.sort_unstable();
+    w.dedup();
     w
 }
 
@@ -98,6 +103,31 @@ fn compiled_matches_interpreter_on_every_task() {
                     task.name,
                 );
             }
+        }
+
+        // Most of a long column repeats suite rows, so each distinct row
+        // is interpreted once.
+        let top = learned.top().expect("converged set has a top program");
+        let compiled = top.compile();
+        let column = apply_column(&task, CHUNKED_ROWS);
+        let mut interpreted = HashMap::new();
+        let expected: Vec<Option<String>> = column
+            .iter()
+            .map(|row| {
+                interpreted
+                    .entry(row)
+                    .or_insert_with(|| interpret(&top, row))
+                    .clone()
+            })
+            .collect();
+        for &w in &widths {
+            assert_eq!(
+                compiled.run_column(&column, &Pool::new(w)),
+                expected,
+                "task {} ({}) top program's chunked run_column at {w} threads",
+                task.id,
+                task.name,
+            );
         }
     }
 }

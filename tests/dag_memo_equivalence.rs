@@ -8,7 +8,10 @@
 //! enabled and disabled. This harness replays the full benchmark suite
 //! both ways, including warm-cache relearns (the §3.2 loop is what fills
 //! the memo), so any stale or mis-keyed hit fails loudly on the exact
-//! task that exposed it.
+//! task that exposed it. A second replay runs every task that has a table
+//! on a database that took a benign insert-then-delete round trip: the
+//! incremental index paths must leave every observable, and the snapshot
+//! arena's counters, as an unmutated database gives them.
 
 use semantic_strings::benchmarks::all_tasks;
 use semantic_strings::core::{converge, SynthesisOptions};
@@ -62,6 +65,18 @@ fn cache_on_and_off_agree_on_every_task() {
             (rc.examples_used, rc.converged),
             (ru.examples_used, ru.converged),
             "convergence drifted on task {} ({})",
+            task.id,
+            task.name
+        );
+        let first = |s: &Synthesizer, examples: &[Example]| {
+            s.learn(&examples[..1])
+                .unwrap_or_else(|e| panic!("task {} ({}) first: {e}", task.id, task.name))
+                .size()
+        };
+        assert_eq!(
+            first(&cached, &rc.examples),
+            first(&uncached, &ru.examples),
+            "first-example size drifted on task {} ({})",
             task.id,
             task.name
         );
@@ -139,4 +154,86 @@ fn intersection_memo_serves_replays() {
         stats.intersect_hits > 0,
         "no intersection-memo hits recorded: {stats:?}"
     );
+}
+
+/// Everything the suite protocol observes on one engine: convergence,
+/// first-example size, the converged set's `observe`, the `(stored,
+/// interned)` counters of the arena a snapshot builds, and the count and
+/// size learned from `probe` last.
+#[allow(clippy::type_complexity)]
+fn observe_engine(
+    task: &semantic_strings::benchmarks::BenchmarkTask,
+    db: &Database,
+    probe: &Example,
+    tag: &str,
+) -> (
+    (usize, bool),
+    usize,
+    (String, usize, Vec<Vec<Option<String>>>),
+    (u64, u64),
+    Option<(String, usize)>,
+) {
+    let engine = Engine::new(std::sync::Arc::new(db.clone()));
+    let mut session = engine.session();
+    let outcome = session
+        .converge_with(&task.rows, MAX_EXAMPLES)
+        .unwrap_or_else(|e| panic!("task {} ({}) {tag}: {e}", task.id, task.name));
+    let first = engine
+        .learn(&session.examples()[..1])
+        .unwrap_or_else(|e| panic!("task {} ({}) {tag} first: {e}", task.id, task.name))
+        .size();
+    let learned = observe(session.learned().expect("converged"), &task.rows);
+    let path = std::env::temp_dir().join(format!(
+        "sst-dag-memo-{tag}-{}-{}.snap",
+        std::process::id(),
+        task.id
+    ));
+    engine
+        .snapshot_to(&path)
+        .unwrap_or_else(|e| panic!("task {} ({}) {tag} snapshot: {e}", task.id, task.name));
+    std::fs::remove_file(&path).ok();
+    let arena = engine.arena_stats();
+    let probed = engine
+        .learn(std::slice::from_ref(probe))
+        .ok()
+        .map(|l| (l.count().to_decimal(), l.size()));
+    (
+        (outcome.examples_used, outcome.converged),
+        first,
+        learned,
+        (arena.stored, arena.interned),
+        probed,
+    )
+}
+
+#[test]
+fn mutation_round_trip_leaves_every_task_unchanged() {
+    // Tasks over an empty database have no table to mutate.
+    for task in all_tasks().into_iter().filter(|t| !t.db.is_empty()) {
+        // One benign row into table 0, then deleted again. The lone
+        // tombstone stays far below the compaction threshold, so the
+        // incremental index paths (not the rebuild fallback) carry the
+        // whole trip.
+        let mut db = task.db.clone();
+        let row: Vec<String> = (0..db.table(0).width())
+            .map(|c| format!("\u{2047}noop{c}\u{2047}"))
+            .collect();
+        // The deleted row's first cell, learned as an example: a
+        // generation that still finds the row in the indexes learns more
+        // programs than the unmutated database gives.
+        let probe = Example::new(
+            vec![row[0].clone(); task.rows[0].inputs.len()],
+            row[0].clone(),
+        );
+        let ids = db.insert_rows(0, vec![row]).expect("round-trip insert");
+        db.delete_rows(0, &ids).expect("round-trip delete");
+
+        assert_eq!(
+            observe_engine(&task, &db, &probe, "mutated"),
+            observe_engine(&task, &task.db, &probe, "plain"),
+            "mutation round trip changed an observable on task {} ({})",
+            task.id,
+            task.name
+        );
+    }
 }

@@ -4,7 +4,7 @@
 //! worker pool over one shared warm `DagCache`; `Session` drives the §3.2
 //! incremental protocol through the same plane. Neither may change a
 //! single observable: this harness replays the full 50-task benchmark
-//! suite through the batch path at pool widths 1, 2 and the machine width
+//! suite through the batch path at pool widths 1, 2, 4 and the machine width
 //! and asserts exact program counts, structure sizes and top-k ranked
 //! outputs **bit-identical** to sequential `Synthesizer::learn` calls (and
 //! the top program's column through `Engine::apply` and
@@ -52,11 +52,9 @@ fn observe(
 /// for bit.
 #[test]
 fn learn_batch_matches_sequential_learning_on_every_task() {
-    let wide = default_threads().max(2);
-    let mut widths = vec![1usize, 2];
-    if wide > 2 {
-        widths.push(wide);
-    }
+    let mut widths = vec![1, 2, 4, default_threads()];
+    widths.sort_unstable();
+    widths.dedup();
 
     // Sequential baseline (and the example sequences): plain Synthesizer.
     struct Baseline {

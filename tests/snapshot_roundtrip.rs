@@ -11,6 +11,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use semantic_strings::arena::{open_snapshot, SnapshotError, SNAPSHOT_VERSION};
+use semantic_strings::benchmarks::{all_tasks, Category};
 use semantic_strings::prelude::*;
 
 /// A fresh per-case snapshot path (proptest cases run in one process).
@@ -205,34 +206,61 @@ fn wrong_version_is_typed() {
 }
 
 /// Work-counter pin: learning never interns — the arena exists only in
-/// a snapshot. A suite task converged on a fresh engine reports zero
-/// arena traffic; the snapshot then interns the memo plane with real
-/// hash-consing payoff, and a restore reports the arena it read.
+/// a snapshot. Over the first three tasks of each category, a task
+/// converged on a fresh engine reports zero arena traffic; its snapshot
+/// then interns the memo plane with hash-consing payoff (`interned /
+/// stored` at least 2, per task and summed over the subset), and a
+/// restore reports the arena it read.
 #[test]
 fn only_snapshots_build_the_arena() {
-    let task = semantic_strings::benchmarks::all_tasks()
-        .into_iter()
-        .find(|t| t.name == "ex1_selling_price")
-        .expect("suite task");
-    let engine = Engine::new(Arc::new(task.db.clone()));
-    engine
-        .session()
-        .converge_with(&task.rows, 3)
-        .expect("suite task converges");
-    let learned = engine.arena_stats();
-    assert_eq!(learned.interned, 0, "the learn path interned");
-    assert_eq!(learned.stored, 0);
+    let (mut lookup, mut semantic) = (0, 0);
+    let mut tasks = all_tasks();
+    tasks.retain(|t| {
+        let seen = match t.category {
+            Category::Lookup => &mut lookup,
+            Category::Semantic => &mut semantic,
+        };
+        *seen += 1;
+        *seen <= 3
+    });
+    assert_eq!(tasks.len(), 6);
+    let (mut stored, mut interned) = (0, 0);
+    for task in tasks {
+        let engine = Engine::new(Arc::new(task.db.clone()));
+        engine
+            .session()
+            .converge_with(&task.rows, 3)
+            .expect("suite task converges");
+        let learned = engine.arena_stats();
+        assert_eq!(
+            learned.interned, 0,
+            "{}: the learn path interned",
+            task.name
+        );
+        assert_eq!(learned.stored, 0, "{}", task.name);
 
-    let path = case_path("arena-pin", 0);
-    engine.snapshot_to(&path).expect("snapshot");
-    let snap = engine.arena_stats();
-    assert!(snap.stored > 0 && snap.interned > 0 && snap.resident_bytes > 0);
+        let path = case_path("arena-pin", task.id as u64);
+        engine.snapshot_to(&path).expect("snapshot");
+        let snap = engine.arena_stats();
+        assert!(
+            snap.stored > 0 && snap.interned > 0 && snap.resident_bytes > 0,
+            "{}: {snap:?}",
+            task.name
+        );
+        assert!(
+            snap.dedup_ratio() >= 2.0,
+            "{}: hash-consing payoff {}",
+            task.name,
+            snap.dedup_ratio()
+        );
+        let restored = Engine::restore_from(&path, SynthesisOptions::default());
+        std::fs::remove_file(&path).ok();
+        assert_eq!(restored.expect("restore").arena_stats().stored, snap.stored);
+        stored += snap.stored;
+        interned += snap.interned;
+    }
     assert!(
-        snap.dedup_ratio() >= 2.0,
-        "hash-consing payoff: {}",
-        snap.dedup_ratio()
+        interned as f64 / stored as f64 >= 2.0,
+        "hash-consing payoff: {interned} interned over {stored} stored"
     );
-    let restored = Engine::restore_from(&path, SynthesisOptions::default());
-    std::fs::remove_file(&path).ok();
-    assert_eq!(restored.expect("restore").arena_stats().stored, snap.stored);
 }
