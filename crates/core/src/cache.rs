@@ -12,7 +12,7 @@
 //! the same §3.2 loop re-intersects the same example *pairs* step after
 //! step.
 //!
-//! [`DagCache`] memoizes at three granularities, each keyed so a hit is
+//! [`DagCache`] memoizes at four granularities, each keyed so a hit is
 //! *provably* bit-identical to a recomputation:
 //!
 //! * **Per-value DAGs** — `generate_dag_prepared` results keyed by
@@ -36,6 +36,22 @@
 //!   operands, a chain names one value too — a re-learn on a grown prefix
 //!   replays `d₁ ∩ d₂ ∩ … ∩ dₖ` as k−1 memo hits and only intersects the
 //!   genuinely new final example.
+//! * **Ranked top programs** — the learned structure's top program, keyed
+//!   by the same example-id chains (single-example chains `[e₁]`
+//!   included) plus the lookup depth and the [`LuRankWeights`] it was
+//!   ranked under. Ranking is a pure function of the structure's value,
+//!   the weights and the depth, and reads no database, so a hit is the
+//!   program a re-rank would extract. One cache can serve several weight
+//!   sets (`Synthesizer::with_shared_cache` is public), and the depth
+//!   moves when a table is added, so both are part of the key. The same
+//!   entry holds the top program's compiled code, scoped to the
+//!   [`Database::epoch`] it was lowered against: lowering bakes cells in,
+//!   so the code is served only at that epoch. The code holds no database
+//!   (each `CompiledProgram` pairs it with the caller's), so a memo entry
+//!   never pins one — a pinned database would turn every copy-on-write
+//!   mutation into a deep clone of its tables and indexes. `learn` hands
+//!   each `LearnedPrograms` a handle to its entry, so `top()` and
+//!   `compile()` on a warm apply are lookups.
 //!
 //! # Concurrency
 //!
@@ -49,11 +65,12 @@
 //!
 //! # Validation: stale entries, compare on regenerate
 //!
-//! Only the example memo is scoped to one database state. Per-value DAGs
-//! are pure functions of the ordered source-symbol list behind their
-//! `SourcesEpoch` key, and intersection entries are pure structural
-//! functions of the id-named operand *values* — neither reads the
-//! database, so both survive every mutation. The cache records the
+//! Only the example memo (and each compiled program, see above) is scoped
+//! to one database state. Per-value DAGs are pure functions of the
+//! ordered source-symbol list behind their `SourcesEpoch` key, and
+//! intersection and ranked entries are pure functions of the id-named
+//! *values* — none reads the database, so all three survive every
+//! mutation. The cache records the
 //! [`Database::epoch`] it was filled under; [`DagCache::validate`] marks
 //! every example entry *stale* when the epoch moved, and the delta-aware
 //! [`DagCache::validate_db`] does better: it asks the database for the
@@ -82,7 +99,9 @@
 //! ([`MAX_DAG_ENTRIES`], [`MAX_EXAMPLE_ENTRIES`] — stale entries included,
 //! and taking the chains with it — and [`MAX_INTERSECTION_ENTRIES`]):
 //! correctness never depends on an entry being present, so eviction is
-//! just a refill cost on workloads large enough to hit it.
+//! just a refill cost on workloads large enough to hit it. The ranked memo
+//! has no threshold of its own: it is keyed by the same chains, flushed
+//! with them and pruned with them when an example id is re-minted.
 //!
 //! # Snapshots
 //!
@@ -91,12 +110,11 @@
 //! entries into a fresh arena and writes it (equal sub-structures are
 //! stored once on disk), and [`DagCache::decode_snapshot`] extracts the
 //! tree forms back out of the restored one. Learning never touches an
-//! arena.
+//! arena. The ranked memo is not written: a restored cache re-ranks each
+//! structure once, on its first `top()`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 
 use sst_arena::{
     Arena, ArenaStats, DagId, Reader, SnapshotError, StructId, SymDecoder, SymEncoder, Writer,
@@ -106,7 +124,9 @@ use sst_syntactic::Dag;
 use sst_tables::{Database, IntMap, Symbol, TableId};
 
 use crate::arena_plane::{extract_struct, intern_struct, ExtractCtx};
+use crate::compiled::{Code, CompiledProgram};
 use crate::dstruct::SemDStruct;
+use crate::rank::{LuRankWeights, RankedSem};
 
 /// Identity of one σ ∪ η̃ snapshot: equal epochs ⇔ equal ordered source
 /// symbol lists (within one database state). Allocated densely by
@@ -171,6 +191,15 @@ pub struct DagCacheStats {
     /// Intersection-chain misses (full `Intersect_u` runs through the
     /// memoized path).
     pub intersect_misses: u64,
+    /// `LearnedPrograms::top` calls served from the ranked memo.
+    pub rank_hits: u64,
+    /// `LearnedPrograms::top` calls that ranked the structure.
+    pub rank_misses: u64,
+    /// `Program::compile` calls on a memoized top program served without
+    /// lowering.
+    pub compile_hits: u64,
+    /// `Program::compile` calls on a memoized top program that lowered it.
+    pub compile_misses: u64,
 }
 
 /// Flush threshold for the per-value DAG memo (and its epoch interner):
@@ -211,6 +240,124 @@ struct CacheState {
     next_example: u32,
     /// Intersection memo: example-id chain → the folded intersection.
     intersections: IntMap<Box<[u32]>, SemDStruct>,
+    /// Ranked memo: example-id chain → one entry per weight set (each
+    /// records the depth it ranks at).
+    ranked: IntMap<Box<[u32]>, Vec<Arc<TopEntry>>>,
+}
+
+impl CacheState {
+    /// Flushes both chain-keyed memos.
+    fn clear_chains(&mut self) {
+        self.intersections.clear();
+        self.ranked.clear();
+    }
+}
+
+/// One ranked-memo entry: the top program of the structure its chain
+/// names, ranked at `depth` under `weights`, and that program's compiled
+/// form. `learn` also builds *private* entries — never listed in a cache —
+/// for structures no chain names (`dag_cache(false)`, a chain an epoch
+/// race left unmemoized), so a learned set still ranks once.
+#[derive(Debug)]
+pub(crate) struct TopEntry {
+    depth: usize,
+    weights: LuRankWeights,
+    /// `LuRankWeights::best` of the structure, filled by the first `top()`.
+    top: OnceLock<Option<RankedSem>>,
+    /// The top program's compiled code and the [`Database::epoch`] it was
+    /// lowered against (shared entries only).
+    compiled: Mutex<Option<(u64, Arc<Code>)>>,
+}
+
+impl TopEntry {
+    pub(crate) fn new(depth: usize, weights: LuRankWeights) -> Self {
+        TopEntry {
+            depth,
+            weights,
+            top: OnceLock::new(),
+            compiled: Mutex::new(None),
+        }
+    }
+}
+
+/// A learned set's handle on its [`TopEntry`], behind
+/// `LearnedPrograms::top` and the returned program's `Program::compile`.
+#[derive(Debug, Clone)]
+pub(crate) struct TopMemo {
+    entry: Arc<TopEntry>,
+    /// The cache the entry is listed in; `None` for a private entry.
+    cache: Option<Weak<DagCache>>,
+    /// This learned set's own compiled top program, against the database
+    /// the learned set already holds: a learned set compiles at most once.
+    own: Arc<OnceLock<Arc<CompiledProgram>>>,
+}
+
+impl TopMemo {
+    /// A handle on `entry`, listed in `cache` (`None`: private).
+    pub(crate) fn new(entry: Arc<TopEntry>, cache: Option<Weak<DagCache>>) -> Self {
+        TopMemo {
+            entry,
+            cache,
+            own: Arc::default(),
+        }
+    }
+
+    fn cache(&self) -> Option<Arc<DagCache>> {
+        self.cache.as_ref().and_then(Weak::upgrade)
+    }
+
+    /// The top program of `d`, ranked on the entry's first call.
+    pub(crate) fn top(&self, d: &SemDStruct) -> Option<&RankedSem> {
+        let mut ranked = false;
+        let top = self.entry.top.get_or_init(|| {
+            ranked = true;
+            self.entry.weights.best(d, self.entry.depth)
+        });
+        if let Some(cache) = self.cache() {
+            let s = &cache.stats;
+            count(!ranked, &s.rank_hits, &s.rank_misses);
+        }
+        top.as_ref()
+    }
+
+    /// The top program compiled against `db`: this learned set's own
+    /// copy, else the shared entry's code when it was lowered at `db`'s
+    /// epoch, else `lower()`'s (stored in both).
+    pub(crate) fn compile(
+        &self,
+        db: &Arc<Database>,
+        lower: impl FnOnce() -> CompiledProgram,
+    ) -> Arc<CompiledProgram> {
+        let cache = self.cache();
+        let mut lowered = false;
+        let compiled = self.own.get_or_init(|| {
+            if cache.is_none() {
+                lowered = true;
+                return Arc::new(lower());
+            }
+            // A poisoned slot is recovered: it only ever holds a complete
+            // value.
+            let mut slot = self
+                .entry
+                .compiled
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            if let Some((epoch, code)) = &*slot {
+                if *epoch == db.epoch() {
+                    return Arc::new(CompiledProgram::with_code(Arc::clone(db), Arc::clone(code)));
+                }
+            }
+            lowered = true;
+            let compiled = lower();
+            *slot = Some((db.epoch(), Arc::clone(compiled.code())));
+            Arc::new(compiled)
+        });
+        if let Some(cache) = &cache {
+            let s = &cache.stats;
+            count(!lowered, &s.compile_hits, &s.compile_misses);
+        }
+        Arc::clone(compiled)
+    }
 }
 
 /// Lock-free hit/miss counters.
@@ -222,6 +369,15 @@ struct AtomicStats {
     example_misses: AtomicU64,
     intersect_hits: AtomicU64,
     intersect_misses: AtomicU64,
+    rank_hits: AtomicU64,
+    rank_misses: AtomicU64,
+    compile_hits: AtomicU64,
+    compile_misses: AtomicU64,
+}
+
+/// Counts one hit or one miss.
+fn count(hit: bool, hits: &AtomicU64, misses: &AtomicU64) {
+    if hit { hits } else { misses }.fetch_add(1, Ordering::Relaxed);
 }
 
 /// The memoized DAG plane (see the module docs). One cache serves one
@@ -329,6 +485,10 @@ impl DagCache {
             example_misses: self.stats.example_misses.load(Ordering::Relaxed),
             intersect_hits: self.stats.intersect_hits.load(Ordering::Relaxed),
             intersect_misses: self.stats.intersect_misses.load(Ordering::Relaxed),
+            rank_hits: self.stats.rank_hits.load(Ordering::Relaxed),
+            rank_misses: self.stats.rank_misses.load(Ordering::Relaxed),
+            compile_hits: self.stats.compile_hits.load(Ordering::Relaxed),
+            compile_misses: self.stats.compile_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -469,13 +629,14 @@ impl DagCache {
                 e.d = d.clone();
                 state.next_example += 1;
                 state.intersections.retain(|chain, _| !chain.contains(&old));
+                state.ranked.retain(|chain, _| !chain.contains(&old));
             }
             return Some(e.id);
         }
         if state.examples.len() >= MAX_EXAMPLE_ENTRIES {
-            // Every chain names a dropped id: flush both.
+            // Every chain names a dropped id: flush them all.
             state.examples.clear();
-            state.intersections.clear();
+            state.clear_chains();
         }
         let id = state.next_example;
         state.next_example += 1;
@@ -517,9 +678,58 @@ impl DagCache {
             return;
         }
         if state.intersections.len() >= MAX_INTERSECTION_ENTRIES {
-            state.intersections.clear();
+            state.clear_chains();
         }
         state.intersections.insert(chain.into(), d.clone());
+    }
+
+    /// The shared ranked-memo entry of the structure `chain` names, at
+    /// lookup depth `depth` under `weights`, created empty on a miss.
+    /// Epoch-checked like [`DagCache::store_intersection`]: `None` when
+    /// the cache was rebound to another database epoch. A weight set gets
+    /// one entry per chain, so a moved depth (a table was added) replaces
+    /// the entry ranked at the old depth.
+    pub(crate) fn top_entry(
+        &self,
+        db_epoch: u64,
+        chain: &[u32],
+        depth: usize,
+        weights: &LuRankWeights,
+    ) -> Option<Arc<TopEntry>> {
+        let find = |state: &CacheState| {
+            state.ranked.get(chain).and_then(|entries| {
+                entries
+                    .iter()
+                    .find(|e| e.depth == depth && e.weights == *weights)
+                    .cloned()
+            })
+        };
+        {
+            let state = self.read();
+            if state.db_epoch != db_epoch {
+                return None;
+            }
+            if let Some(entry) = find(&state) {
+                return Some(entry);
+            }
+        }
+        let mut state = self.write();
+        if state.db_epoch != db_epoch {
+            return None;
+        }
+        if let Some(entry) = find(&state) {
+            return Some(entry); // raced: keep the first insert canonical
+        }
+        let entry = Arc::new(TopEntry::new(depth, weights.clone()));
+        let entries = state.ranked.entry(chain.into()).or_default();
+        entries.retain(|e| e.weights != *weights);
+        entries.push(Arc::clone(&entry));
+        Some(entry)
+    }
+
+    /// Number of ranked-memo entries (one per chain and weight set).
+    pub fn ranked_entries(&self) -> usize {
+        self.read().ranked.values().map(Vec::len).sum()
     }
 
     /// Hash-cons counters (distinct values, intern traffic,
@@ -1052,6 +1262,46 @@ mod tests {
         assert!(c.intersection(1, &[ea2, eb]).is_none());
         assert!(c.intersection(1, &[ea, eb]).is_none(), "old chain dropped");
         assert_eq!(c.intersection_entries(), 1, "unrelated chains survive");
+    }
+
+    #[test]
+    fn ranked_entries_key_on_chain_depth_and_weights() {
+        let c = DagCache::new();
+        let w = LuRankWeights::default();
+        let cheap = LuRankWeights {
+            select: 0,
+            ..LuRankWeights::default()
+        };
+        let e = c.top_entry(0, &[1, 2], 1, &w).expect("same epoch");
+        let same = c.top_entry(0, &[1, 2], 1, &w).expect("same epoch");
+        assert!(Arc::ptr_eq(&e, &same), "equal keys share one entry");
+        let other_chain = c.top_entry(0, &[1], 1, &w).unwrap();
+        assert!(!Arc::ptr_eq(&e, &other_chain));
+        let other_weights = c.top_entry(0, &[1, 2], 1, &cheap).unwrap();
+        assert!(!Arc::ptr_eq(&e, &other_weights), "weights are keyed");
+        assert_eq!(c.ranked_entries(), 3);
+        let deeper = c.top_entry(0, &[1, 2], 2, &w).unwrap();
+        assert!(!Arc::ptr_eq(&e, &deeper), "the depth is keyed");
+        assert_eq!(
+            c.ranked_entries(),
+            3,
+            "a moved depth replaces the weight set's entry"
+        );
+        assert!(
+            c.top_entry(5, &[1, 2], 1, &w).is_none(),
+            "another database epoch gets a private entry"
+        );
+        // Re-minting an example id prunes the chains naming it; a flush of
+        // the example memo takes every chain with it.
+        let (ka, out) = ([Symbol::intern("rk-a")], Symbol::intern("rk-o"));
+        let id = c
+            .store_example(0, &ka, out, &named_struct("rk-1"), None)
+            .unwrap();
+        c.top_entry(0, &[id], 1, &w).unwrap();
+        assert_eq!(c.ranked_entries(), 4);
+        c.validate(1);
+        c.store_example(1, &ka, out, &named_struct("rk-2"), None);
+        assert_eq!(c.ranked_entries(), 3, "the re-minted id's chain is pruned");
     }
 
     /// Snapshot payload of `c` (symbol table first, as the service writes

@@ -188,17 +188,17 @@ pub struct ApplyScratch {
 
 impl ApplyScratch {
     fn ensure(&mut self, p: &CompiledProgram) {
-        if self.slots.len() < p.n_slots as usize {
-            self.slots.resize(p.n_slots as usize, SlotVal::Unset);
+        if self.slots.len() < p.code.n_slots as usize {
+            self.slots.resize(p.code.n_slots as usize, SlotVal::Unset);
         }
-        if self.bufs.len() < p.n_bufs as usize {
-            self.bufs.resize_with(p.n_bufs as usize, String::new);
+        if self.bufs.len() < p.code.n_bufs as usize {
+            self.bufs.resize_with(p.code.n_bufs as usize, String::new);
         }
-        if self.runs.len() < p.n_runs as usize {
-            self.runs.resize_with(p.n_runs as usize, RunsBuf::new);
+        if self.runs.len() < p.code.n_runs as usize {
+            self.runs.resize_with(p.code.n_runs as usize, RunsBuf::new);
         }
-        if self.pos.len() < p.n_pos as usize {
-            self.pos.resize(p.n_pos as usize, 0);
+        if self.pos.len() < p.code.n_pos as usize {
+            self.pos.resize(p.code.n_pos as usize, 0);
         }
     }
 }
@@ -215,6 +215,16 @@ impl ApplyScratch {
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     db: Arc<Database>,
+    code: Arc<Code>,
+}
+
+/// The lowered form of a compiled program: everything but the database it
+/// runs against. Cells baked in at lowering time are interned `'static`
+/// strings, so the code holds no reference into the database and can be
+/// kept — by the ranked memo — without pinning one; it is only valid for
+/// databases at the epoch it was lowered against.
+#[derive(Debug)]
+pub(crate) struct Code {
     plan: TokenPlan,
     ops: Box<[Op]>,
     output: Box<[u32]>,
@@ -240,8 +250,7 @@ impl CompiledProgram {
             )
         };
         plan.seal();
-        CompiledProgram {
-            db,
+        let code = Code {
             plan,
             ops: ops.into_boxed_slice(),
             output: output.into_boxed_slice(),
@@ -250,18 +259,30 @@ impl CompiledProgram {
             n_bufs,
             n_runs,
             n_pos,
-        }
+        };
+        CompiledProgram::with_code(db, Arc::new(code))
+    }
+
+    /// Pairs lowered `code` with `db`, a database at the epoch it was
+    /// lowered against.
+    pub(crate) fn with_code(db: Arc<Database>, code: Arc<Code>) -> Self {
+        CompiledProgram { db, code }
+    }
+
+    /// The lowered code, without the database.
+    pub(crate) fn code(&self) -> &Arc<Code> {
+        &self.code
     }
 
     /// Number of lowered ops (introspection/benchmarks).
     pub fn op_count(&self) -> usize {
-        self.ops.len()
+        self.code.ops.len()
     }
 
     /// Number of distinct tokens the program's positions consult —
     /// typically a small fraction of the learner's full `TokenSet`.
     pub fn token_count(&self) -> usize {
-        self.plan.len()
+        self.code.plan.len()
     }
 
     /// A scratch sized for this program.
@@ -296,7 +317,7 @@ impl CompiledProgram {
             conds,
             out,
         } = scratch;
-        for op in self.ops.iter() {
+        for op in self.code.ops.iter() {
             match op {
                 Op::Const { dst, idx } => slots[*dst as usize] = SlotVal::Const(*idx),
                 Op::Input { dst, var } => {
@@ -307,7 +328,7 @@ impl CompiledProgram {
                 }
                 Op::Runs { runs: r, src } => {
                     let subject = self.val_str(slots[*src as usize], bufs, row);
-                    runs[*r as usize].compute(subject, &self.plan);
+                    runs[*r as usize].compute(subject, &self.code.plan);
                 }
                 Op::Pos {
                     dst,
@@ -394,13 +415,13 @@ impl CompiledProgram {
         }
         // A single interner-backed output (the pure-lookup shape) needs no
         // copy: the cell outlives every scratch.
-        if let [part] = self.output[..] {
+        if let [part] = self.code.output[..] {
             if let SlotVal::Cell(s) = slots[part as usize] {
                 return Some(s);
             }
         }
         out.clear();
-        for &part in self.output.iter() {
+        for &part in self.code.output.iter() {
             out.push_str(self.val_str(slots[part as usize], bufs, row));
         }
         Some(out)
@@ -446,7 +467,7 @@ impl CompiledProgram {
     ) -> &'a str {
         match val {
             SlotVal::Input(v) => row[v as usize].as_ref(),
-            SlotVal::Const(i) => &self.consts[i as usize],
+            SlotVal::Const(i) => &self.code.consts[i as usize],
             SlotVal::Cell(s) => s,
             SlotVal::Buf(b) => &bufs[b as usize],
             SlotVal::Unset => {

@@ -7,13 +7,18 @@
 //! ground truth, which is also how the evaluation counts "number of
 //! examples required" (§7, Effectiveness of ranking).
 
+use std::sync::Arc;
+
 use crate::compiled::{ApplyScratch, CompiledProgram};
 use crate::synthesizer::{Example, LearnedPrograms, SynthesisError, Synthesizer};
 
 /// The `k` best programs, ranked once and lowered to bytecode once, so a
 /// whole-spreadsheet ambiguity scan doesn't re-run the ranking DP (or
 /// re-interpret the trees) per candidate row.
-fn ranked_compiled(learned: &LearnedPrograms, k: usize) -> Vec<(CompiledProgram, ApplyScratch)> {
+fn ranked_compiled(
+    learned: &LearnedPrograms,
+    k: usize,
+) -> Vec<(Arc<CompiledProgram>, ApplyScratch)> {
     learned
         .top_k(k)
         .iter()

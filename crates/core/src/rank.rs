@@ -24,7 +24,7 @@ use crate::language::{LookupU, PredRhsU, PredicateU, SemExpr};
 
 /// Weights for the lookup layer of `Lu` ranking (the syntactic layer uses
 /// [`RankWeights`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LuRankWeights {
     /// Syntactic weights for DAGs (top level and nested predicates).
     pub syntactic: RankWeights,

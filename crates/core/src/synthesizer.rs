@@ -12,7 +12,7 @@ use sst_par::CancelToken;
 use sst_syntactic::TokenSet;
 use sst_tables::{Database, DbDelta, Symbol, Table, TableError, TableId};
 
-use crate::cache::DagCache;
+use crate::cache::{DagCache, TopEntry, TopMemo};
 use crate::dstruct::SemDStruct;
 use crate::eval::eval_sem;
 use crate::generate::{generate_str_u_budgeted, generate_str_u_keyed, LuOptions};
@@ -295,7 +295,8 @@ impl Synthesizer {
     /// batch request shares the plane. The cache must only ever be shared
     /// across synthesizers with equal generation options (entries are not
     /// keyed on `LuOptions`); it self-validates against the database
-    /// epoch, so sharing across database *states* is safe.
+    /// epoch, so sharing across database *states* is safe. Ranking weights
+    /// may differ: ranked entries are keyed on them.
     pub fn with_shared_cache(
         db: Arc<Database>,
         options: SynthesisOptions,
@@ -348,7 +349,10 @@ impl Synthesizer {
     /// without serializing. Each further example folds in through one
     /// serial `Intersect_u` (§5.3); repeated intersections (the §3.2 loop's
     /// replays of a growing prefix) are served from the intersection memo,
-    /// keyed by example-id chains.
+    /// keyed by example-id chains. The result carries a handle to the
+    /// ranked memo entry of the same chain, so its [`LearnedPrograms::top`]
+    /// and the top program's [`Program::compile`] are served from memory
+    /// when another learn already ranked and compiled this structure.
     pub fn learn(&self, examples: &[Example]) -> Result<LearnedPrograms, SynthesisError> {
         let first = examples.first().ok_or(SynthesisError::NoExamples)?;
         let arity = first.inputs.len();
@@ -423,12 +427,22 @@ impl Synthesizer {
         if !d.has_programs() {
             return Err(SynthesisError::NoConsistentProgram);
         }
+        let depth = self.options.lu.depth_for(&self.db);
+        let weights = &self.options.weights;
+        let shared = cache
+            .zip(chain)
+            .and_then(|(c, chain)| c.top_entry(db_epoch, &chain, depth, weights));
+        let memo = match shared {
+            Some(entry) => TopMemo::new(entry, Some(Arc::downgrade(&self.cache))),
+            None => TopMemo::new(Arc::new(TopEntry::new(depth, weights.clone())), None),
+        };
         Ok(LearnedPrograms {
-            depth: self.options.lu.depth_for(&self.db),
+            depth,
             dstruct: d,
             db: Arc::clone(&self.db),
             options: self.options.clone(),
             reads,
+            memo,
         })
     }
 }
@@ -478,6 +492,10 @@ pub struct LearnedPrograms {
     /// node values), for [`LearnedPrograms::survives`]. `None` when the
     /// learn ran without the substring gate (not revalidatable).
     reads: Option<(Vec<TableId>, Vec<Symbol>)>,
+    /// The ranked memo entry behind [`LearnedPrograms::top`]: shared
+    /// through the [`DagCache`] when an example-id chain names the
+    /// structure, private to this learned set (and its clones) otherwise.
+    memo: TopMemo,
 }
 
 impl LearnedPrograms {
@@ -516,16 +534,20 @@ impl LearnedPrograms {
     }
 
     /// The top-ranked program.
+    ///
+    /// Memoized: the structure is ranked once per memo entry — shared by
+    /// every learn of the same examples through one [`DagCache`] at the
+    /// same lookup depth and weights, or private to this learned set — and
+    /// later calls clone the stored program. The returned program's
+    /// [`Program::compile`] is memoized the same way.
     pub fn top(&self) -> Option<Program> {
-        self.options
-            .weights
-            .best(&self.dstruct, self.depth)
-            .map(|r| Program {
-                expr: r.expr,
-                cost: r.cost,
-                db: Arc::clone(&self.db),
-                tokens: self.options.lu.syntactic.token_set.clone(),
-            })
+        self.memo.top(&self.dstruct).map(|r| Program {
+            expr: r.expr.clone(),
+            cost: r.cost,
+            db: Arc::clone(&self.db),
+            tokens: self.options.lu.syntactic.token_set.clone(),
+            memo: Some(self.memo.clone()),
+        })
     }
 
     /// The configured number of top-ranked programs
@@ -547,6 +569,7 @@ impl LearnedPrograms {
                 cost: r.cost,
                 db: Arc::clone(&self.db),
                 tokens: self.options.lu.syntactic.token_set.clone(),
+                memo: None,
             })
             .collect()
     }
@@ -572,6 +595,9 @@ pub struct Program {
     cost: u64,
     db: Arc<Database>,
     tokens: TokenSet,
+    /// Set on [`LearnedPrograms::top`]'s program: where
+    /// [`Program::compile`] finds and stores its compiled form.
+    memo: Option<TopMemo>,
 }
 
 impl Program {
@@ -594,8 +620,18 @@ impl Program {
     /// ([`crate::CompiledProgram`]): pre-resolved token plans, compile-time
     /// interned constant probe values, reusable buffers. Output is
     /// bit-identical to [`Program::run`] on every row.
-    pub fn compile(&self) -> crate::CompiledProgram {
-        crate::CompiledProgram::lower(&self.expr, Arc::clone(&self.db), &self.tokens)
+    ///
+    /// Memoized for the program [`LearnedPrograms::top`] returns: its
+    /// learned set lowers it once, and learned sets sharing a ranked memo
+    /// entry share the compiled form while the database stays at the
+    /// epoch it was lowered against. Other programs lower on every call.
+    pub fn compile(&self) -> Arc<crate::CompiledProgram> {
+        let lower =
+            || crate::CompiledProgram::lower(&self.expr, Arc::clone(&self.db), &self.tokens);
+        match &self.memo {
+            Some(memo) => memo.compile(&self.db, lower),
+            None => Arc::new(lower()),
+        }
     }
 
     /// An English description of the program (§3.2's paraphrasing).
@@ -794,6 +830,37 @@ mod tests {
             s.learn(&[Example::new(vec!["c3"], "Apple")]).unwrap_err(),
             SynthesisError::Cancelled
         );
+    }
+
+    #[test]
+    fn compiled_top_is_scoped_to_the_database_epoch() {
+        // Two database states sharing one cache: the example's structure
+        // (and so its chain and ranking) is the same in both, but the
+        // compiled program bakes in the lookup table's cells.
+        let cache = Arc::new(DagCache::new());
+        let synthesizer = |db: Database| {
+            Synthesizer::with_shared_cache(
+                Arc::new(db),
+                SynthesisOptions::default(),
+                Arc::clone(&cache),
+            )
+        };
+        let example = [Example::new(vec!["c2"], "Google")];
+        let before = synthesizer(comp_db()).learn(&example).unwrap();
+        let compiled = before.top().unwrap().compile();
+        assert_eq!(compiled.run_row(&["c3"]).as_deref(), Some("Apple"));
+
+        let mut mutated = comp_db();
+        mutated.update_cell(0, 1, 2, "Apricot").unwrap();
+        let after = synthesizer(mutated).learn(&example).unwrap();
+        let top = after.top().unwrap();
+        assert_eq!(cache.stats().rank_hits, 1, "the ranking is served");
+        assert_eq!(
+            top.compile().run_row(&["c3"]).as_deref(),
+            Some("Apricot"),
+            "a compiled program lowered at another epoch was served"
+        );
+        assert_eq!(cache.stats().compile_misses, 2);
     }
 
     #[test]

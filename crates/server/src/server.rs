@@ -873,6 +873,8 @@ fn metrics_response(state: &State) -> Response {
             ("dag", stats.dag_hits, stats.dag_misses),
             ("example", stats.example_hits, stats.example_misses),
             ("intersect", stats.intersect_hits, stats.intersect_misses),
+            ("rank", stats.rank_hits, stats.rank_misses),
+            ("compile", stats.compile_hits, stats.compile_misses),
         ] {
             let _ = writeln!(
                 out,

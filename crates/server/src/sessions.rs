@@ -8,12 +8,15 @@
 //! granularity-sized ticks, the wheel has one slot per tick across the
 //! ttl span, and arming a deadline is one `Vec::push` into
 //! `slot[deadline % slots]` — no sorted structure, no per-session timer.
+//! A session is armed once, at creation; a touch only moves its deadline.
 //! A sweep (driven by the server's sweeper thread, and opportunistically
 //! by any access) advances the cursor one tick at a time, draining each
-//! slot it passes; a drained entry whose arming is stale (the session was
-//! touched since — its generation moved) is dropped, one whose deadline
-//! really passed evicts the session, and a re-armed future deadline is
-//! pushed back into its new slot.
+//! slot it passes; a drained arming whose session was closed is dropped,
+//! one whose deadline really passed evicts the session, and one whose
+//! session was touched since is pushed into the slot of its new deadline.
+//! The wheel thus holds one arming per session, not one per request: with
+//! a five-minute ttl, arming every touch would keep a wheel entry for
+//! every request of the last five minutes.
 //!
 //! Requests naming an evicted (or never-created) session get the typed
 //! [`ServiceError::SessionNotFound`] — over the wire, an HTTP 404 with
@@ -33,19 +36,17 @@ use sst_service::{ServiceError, Session};
 #[derive(Debug)]
 struct Entry {
     session: Arc<Mutex<Session>>,
-    /// Tick at which the session expires unless touched again.
+    /// Tick at which the session expires unless touched again. Its one
+    /// wheel arming sits at or before this tick.
     deadline: u64,
-    /// Bumped on every touch; wheel armings carry the generation they
-    /// were made under, so stale armings identify themselves.
-    generation: u64,
 }
 
 #[derive(Debug)]
 struct Inner {
     map: HashMap<u64, Entry>,
-    /// `slots[deadline % slots.len()]` holds `(session id, generation)`
-    /// armings.
-    slots: Vec<Vec<(u64, u64)>>,
+    /// `slots[deadline % slots.len()]` holds the ids of the sessions
+    /// armed for that deadline.
+    slots: Vec<Vec<u64>>,
     /// The last tick the sweep fully processed.
     cursor: u64,
     next_id: u64,
@@ -104,13 +105,12 @@ impl SessionStore {
         inner.next_id += 1;
         let deadline = now + self.ttl_ticks;
         let slot = (deadline % inner.slots.len() as u64) as usize;
-        inner.slots[slot].push((id, 0));
+        inner.slots[slot].push(id);
         inner.map.insert(
             id,
             Entry {
                 session: Arc::new(Mutex::new(session)),
                 deadline,
-                generation: 0,
             },
         );
         id
@@ -123,7 +123,6 @@ impl SessionStore {
         let now = self.tick(Instant::now());
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         self.sweep_locked(&mut inner, now);
-        let slots = inner.slots.len() as u64;
         let entry = inner
             .map
             .get_mut(&id)
@@ -138,13 +137,9 @@ impl SessionStore {
             self.evicted.fetch_add(1, Ordering::Relaxed);
             return Err(ServiceError::SessionNotFound(id));
         }
+        // The arming stays where it is; the sweep re-arms on reaching it.
         entry.deadline = now + self.ttl_ticks;
-        entry.generation += 1;
-        let armed = (entry.deadline, entry.generation);
-        let session = Arc::clone(&entry.session);
-        let slot = (armed.0 % slots) as usize;
-        inner.slots[slot].push((id, armed.1));
-        Ok(session)
+        Ok(Arc::clone(&entry.session))
     }
 
     /// Closes a session explicitly.
@@ -175,23 +170,19 @@ impl SessionStore {
             let cursor = inner.cursor;
             let slot = (cursor % slots) as usize;
             let drained = std::mem::take(&mut inner.slots[slot]);
-            for (id, generation) in drained {
+            for id in drained {
                 let Some(entry) = inner.map.get(&id) else {
                     continue; // closed since arming
                 };
-                if entry.generation != generation {
-                    continue; // touched since arming; a newer arming exists
-                }
                 if entry.deadline <= cursor {
                     inner.map.remove(&id);
                     self.evicted.fetch_add(1, Ordering::Relaxed);
                 } else {
-                    // Same generation but a later deadline in this slot
-                    // ring: re-arm (happens when ttl spans the wheel more
-                    // than once is impossible here — slots > ttl_ticks —
-                    // but kept for safety).
+                    // Touched since arming: re-arm at the new deadline. A
+                    // slot the cursor reaches before the deadline (after a
+                    // catch-up sweep) only re-arms it once more.
                     let slot = (entry.deadline % slots) as usize;
-                    inner.slots[slot].push((id, generation));
+                    inner.slots[slot].push(id);
                 }
             }
         }
@@ -245,6 +236,19 @@ mod tests {
             store.touch(id),
             Err(ServiceError::SessionNotFound(i)) if i == id
         ));
+    }
+
+    #[test]
+    fn touches_move_the_deadline_without_arming_again() {
+        let engine = engine();
+        let store = SessionStore::new(Duration::from_secs(60), Duration::from_millis(10));
+        let id = store.create(engine.session());
+        for _ in 0..1000 {
+            store.touch(id).expect("touched session stays live");
+        }
+        let inner = store.inner.lock().expect("no panics under the lock");
+        let armings: usize = inner.slots.iter().map(Vec::len).sum();
+        assert_eq!(armings, 1, "one wheel arming per session, not per touch");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use sst_core::Example;
 use sst_server::{Client, ClientConfig, ClientError, Server, ServerConfig, DRAIN_STOPPED};
-use sst_service::{Engine, LearnRequest, ServiceError};
+use sst_service::{ApplyRequest, ApplyResponse, Engine, LearnRequest, ServiceError};
 use sst_tables::{Database, Table};
 
 fn engine() -> Engine {
@@ -73,6 +73,50 @@ fn idle_sessions_are_evicted_and_answer_typed_not_found() {
         expect_http(client.run_column("default", info.session, &[vec!["c1".to_string()]]));
     assert_eq!(status, 404);
     assert!(matches!(error, ServiceError::SessionNotFound(_)));
+}
+
+/// The value of the first `/metrics` line starting with `series`.
+fn metric(text: &str, series: &str) -> u64 {
+    text.lines()
+        .find(|l| l.starts_with(series))
+        .and_then(|l| l.rsplit(' ').next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("metric {series} missing:\n{text}"))
+}
+
+#[test]
+fn metrics_export_rank_and_compile_memo_layers() {
+    let server = Server::bind(engine(), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let series = |kind: &str, layer: &str| {
+        format!("sst_cache_{kind}_total{{engine=\"default\",layer=\"{layer}\"}}")
+    };
+    let text = client.metrics_text().unwrap();
+    for layer in ["rank", "compile"] {
+        for kind in ["hits", "misses"] {
+            assert_eq!(metric(&text, &series(kind, layer)), 0, "{layer} {kind}");
+        }
+    }
+    let requests = [ApplyRequest::new(
+        vec![Example::new(vec!["c2"], "Google")],
+        vec![vec!["c1".into()], vec!["c3".into()]],
+    )];
+    let first = client.apply("default", &requests).unwrap();
+    let text = client.metrics_text().unwrap();
+    let rank_hits = metric(&text, &series("hits", "rank"));
+    assert_eq!(metric(&text, &series("misses", "rank")), 1);
+    assert_eq!(metric(&text, &series("misses", "compile")), 1);
+    let outputs =
+        |responses: Vec<ApplyResponse>| responses[0].outputs().map(<[Option<String>]>::to_vec);
+    let again = client.apply("default", &requests).unwrap();
+    assert_eq!(outputs(again), outputs(first));
+    let text = client.metrics_text().unwrap();
+    assert_eq!(
+        metric(&text, &series("hits", "rank")),
+        rank_hits + 1,
+        "a repeated /apply is served from the ranked memo"
+    );
+    assert_eq!(metric(&text, &series("hits", "compile")), 1);
 }
 
 #[test]

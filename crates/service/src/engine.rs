@@ -331,11 +331,7 @@ impl Engine {
         examples: &[Example],
         rows: &[Vec<String>],
     ) -> Result<Vec<Option<String>>, ServiceError> {
-        let learned = self.learn(examples)?;
-        let top = learned
-            .top()
-            .ok_or(ServiceError::Synthesis(SynthesisError::NoConsistentProgram))?;
-        Ok(top.compile().run_column(rows, &self.inner.pool))
+        apply_with(&self.synthesizer(), examples, rows, &self.inner.pool)
     }
 
     /// Serves a batch of independent [`ApplyRequest`]s, fanned across the
@@ -357,15 +353,7 @@ impl Engine {
         let serial = Pool::new(1);
         let row_pool: &Pool = if fans_out { &serial } else { &self.inner.pool };
         self.inner.pool.par_map_indexed(requests, |i, request| {
-            let mut result = synthesizer
-                .learn(&request.examples)
-                .map_err(ServiceError::from)
-                .and_then(|learned| {
-                    learned
-                        .top()
-                        .ok_or(ServiceError::Synthesis(SynthesisError::NoConsistentProgram))
-                })
-                .map(|top| top.compile().run_column(&request.rows, row_pool));
+            let mut result = apply_with(&synthesizer, &request.examples, &request.rows, row_pool);
             if let Some(budget) = budget {
                 result = with_deadline_error(result, budget);
             }
@@ -410,4 +398,21 @@ impl Engine {
     fn read_db(&self) -> Arc<Database> {
         Arc::clone(&self.inner.db.read().unwrap_or_else(PoisonError::into_inner))
     }
+}
+
+/// The one apply path behind [`Engine::apply`] and
+/// [`Engine::apply_batch`]: learn, take the top program, compile it and
+/// run it over `rows`. On a warm engine the learn, the ranking and the
+/// compilation are all memo hits.
+fn apply_with(
+    synthesizer: &Synthesizer,
+    examples: &[Example],
+    rows: &[Vec<String>],
+    pool: &Pool,
+) -> Result<Vec<Option<String>>, ServiceError> {
+    let top = synthesizer
+        .learn(examples)?
+        .top()
+        .ok_or(ServiceError::Synthesis(SynthesisError::NoConsistentProgram))?;
+    Ok(top.compile().run_column(rows, pool))
 }

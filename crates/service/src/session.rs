@@ -26,11 +26,6 @@ struct CachedLearn {
     /// `tests/service.rs`).
     examples_hash: u64,
     learned: LearnedPrograms,
-    /// The top-ranked program lowered to bytecode, filled on first apply —
-    /// cached per `(db_epoch, examples_hash)` by construction (this struct
-    /// is replaced whenever either moves), so repeated [`Session::run`] /
-    /// [`Session::run_column`] calls neither re-rank nor re-interpret.
-    compiled_top: Option<Arc<CompiledProgram>>,
 }
 
 /// Order-sensitive FNV-1a content hash of an example sequence, with every
@@ -275,27 +270,16 @@ impl Session {
             db_epoch,
             examples_hash: hash,
             learned,
-            compiled_top: None,
         });
         Ok(())
     }
 
-    /// The compiled top-ranked program, lowering it on first use and
-    /// serving it from the learn cache afterwards (invalidated with it
-    /// when the examples or the database move).
+    /// The compiled top-ranked program. Ranking and lowering are memoized
+    /// by the cached learned set ([`LearnedPrograms::top`],
+    /// [`Program::compile`]), so repeated calls neither re-rank nor
+    /// re-lower until the examples or the database move.
     pub fn compiled_top(&mut self) -> Result<Arc<CompiledProgram>, ServiceError> {
-        self.ensure_learned()?;
-        let cached = self.learned.as_mut().expect("just ensured");
-        if cached.compiled_top.is_none() {
-            let top = cached
-                .learned
-                .top()
-                .ok_or(ServiceError::Synthesis(SynthesisError::NoConsistentProgram))?;
-            cached.compiled_top = Some(Arc::new(top.compile()));
-        }
-        Ok(Arc::clone(
-            cached.compiled_top.as_ref().expect("just filled"),
-        ))
+        Ok(self.top()?.compile())
     }
 
     /// The top-ranked program.
@@ -317,7 +301,7 @@ impl Session {
     }
 
     /// Runs the top-ranked program on a fresh input row — through the
-    /// cached compiled form, so repeated calls stop re-ranking and
+    /// memoized compiled form, so repeated calls stop re-ranking and
     /// re-interpreting (bit-identical to `self.top()?.run(inputs)`).
     pub fn run(&mut self, inputs: &[&str]) -> Result<Option<String>, ServiceError> {
         Ok(self.compiled_top()?.run_row(inputs))
@@ -325,8 +309,8 @@ impl Session {
 
     /// Applies the top-ranked program to a whole input column, fanning row
     /// ranges across the engine pool (deterministic row order at every
-    /// width). The compiled program is cached with the learn, so replaying
-    /// columns — or mixing `run` and `run_column` — compiles once.
+    /// width). The compiled program is memoized by the learned set, so
+    /// replaying columns — or mixing `run` and `run_column` — compiles once.
     pub fn run_column(
         &mut self,
         rows: &[Vec<String>],

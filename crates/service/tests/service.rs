@@ -255,6 +255,37 @@ fn add_table_bumps_epoch_once_and_invalidates_every_session() {
     assert!(matches!(err, ServiceError::Table(_)));
 }
 
+/// A warm apply leaves no memo entry pinning the database: the memo plane
+/// keeps the top program's compiled code without its database, so the next
+/// mutation's `Arc::make_mut` mutates in place instead of deep-cloning the
+/// tables and their indexes.
+#[test]
+fn warm_apply_leaves_the_database_unpinned() {
+    let engine = comp_engine();
+    let examples = [Example::new(vec!["c2"], "Google")];
+    let rows = vec![vec!["c1".to_string()]];
+    engine.apply(&examples, &rows).unwrap();
+    let warm = engine.apply(&examples, &rows).unwrap();
+    assert_eq!(warm, vec![Some("Microsoft".to_string())]);
+    assert!(
+        engine.cache_stats().compile_hits > 0,
+        "the second apply is served from the compiled memo"
+    );
+    // Each `engine.db()` handle is dropped at the end of its statement.
+    let before = Arc::as_ptr(&engine.db());
+    engine.insert_rows(0, vec![vec!["c5", "IBM"]]).unwrap();
+    assert_eq!(
+        Arc::as_ptr(&engine.db()),
+        before,
+        "a memo entry pinned the database: the insert deep-cloned it"
+    );
+    assert_eq!(
+        engine.apply(&examples, &[vec!["c5".to_string()]]).unwrap(),
+        vec![Some("IBM".to_string())],
+        "the next apply recompiles against the mutated database"
+    );
+}
+
 /// The mutation satellite: a row-level write to a table no learned program
 /// reads must keep other sessions warm — no re-learn, no re-compile, warm
 /// shared-plane entries preserved — while a write to a table the program

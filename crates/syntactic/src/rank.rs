@@ -19,7 +19,7 @@ use crate::dag::{AtomSet, Dag, PosSet};
 use crate::language::{AtomicExpr, PosExpr, RegexSeq, StringExpr};
 
 /// Tunable score weights; lower cost = preferred.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankWeights {
     /// Charge per concatenation argument (prefers fewer atoms).
     pub per_atom: u64,

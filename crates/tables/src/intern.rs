@@ -29,14 +29,23 @@
 //! never moved or freed, which is what makes the unsynchronized entry read
 //! sound.
 //!
+//! # Footprint
+//!
+//! Interned strings are never freed, so each costs as little as the
+//! design allows: its bytes are copied into per-shard arena chunks (no
+//! allocation per string), the shard map stores only the 4-byte symbol id
+//! (hashed and compared as the string it names, through the slab), and
+//! the slab holds one `&'static str` per string.
+//!
 //! `Symbol(0)` is always the empty string, so emptiness tests need no
 //! resolution. Symbol ids are **not** ordered by interning time (the shard
 //! lives in the low bits); `Ord` exists for use in ordered containers and
 //! is stable within a process, nothing more — sort resolved strings when
 //! presentation order matters.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::borrow::Borrow;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::sync::{OnceLock, RwLock};
 
@@ -53,6 +62,11 @@ const SLAB_BUCKETS: usize = 26;
 /// Capacity of the first slab bucket.
 const BUCKET0: u32 = 64;
 
+/// Size of one string-arena chunk. Strings longer than a quarter chunk
+/// get an allocation of their own, so a chunk wastes at most a quarter of
+/// itself when the next string does not fit.
+const CHUNK: usize = 4096;
+
 /// An interned string: a `u32` id into the process-global sharded interner
 /// (shard in the low bits, per-shard slab index above).
 ///
@@ -62,11 +76,55 @@ const BUCKET0: u32 = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
+/// A shard-map entry: the full symbol id of an interned string, hashed,
+/// compared and borrowed as that string (resolved through the slab, which
+/// holds it before the entry is inserted). Equal ids ⇔ equal strings, so
+/// the `Borrow<str>` contract holds.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key(u32);
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        Symbol(self.0).as_str().hash(state);
+    }
+}
+
+impl Borrow<str> for Key {
+    fn borrow(&self) -> &str {
+        Symbol(self.0).as_str()
+    }
+}
+
+/// The insert side of a shard, under its lock.
+#[derive(Default)]
+struct ShardMap {
+    /// Every interned string of the shard, by symbol id. Read-locked on
+    /// probe, write-locked only on first-time inserts.
+    keys: HashSet<Key>,
+    /// The unused tail of the current arena chunk.
+    free: &'static mut [u8],
+}
+
+impl ShardMap {
+    /// A `'static` copy of `s`, carved from the arena chunk.
+    fn store(&mut self, s: &str) -> &'static str {
+        let len = s.len();
+        if len > CHUNK / 4 {
+            return Box::leak(s.into());
+        }
+        if self.free.len() < len {
+            self.free = Box::leak(vec![0u8; CHUNK].into_boxed_slice());
+        }
+        let (bytes, rest) = std::mem::take(&mut self.free).split_at_mut(len);
+        self.free = rest;
+        bytes.copy_from_slice(s.as_bytes());
+        std::str::from_utf8(bytes).expect("a copy of a str is UTF-8")
+    }
+}
+
 /// One interner shard: the insert-side map plus the lock-free resolve slab.
 struct Shard {
-    /// String → full symbol id. Read-locked on probe, write-locked only on
-    /// first-time inserts.
-    map: RwLock<HashMap<&'static str, u32>>,
+    map: RwLock<ShardMap>,
     /// Append-only bucket pointers; each is a leaked `[&'static str]` of
     /// `BUCKET0 << b` entries, published once with `Release`.
     buckets: [AtomicPtr<&'static str>; SLAB_BUCKETS],
@@ -78,7 +136,7 @@ struct Shard {
 impl Shard {
     fn empty() -> Shard {
         Shard {
-            map: RwLock::new(HashMap::with_capacity(64)),
+            map: RwLock::new(ShardMap::default()),
             buckets: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
             len: AtomicU32::new(0),
         }
@@ -166,18 +224,19 @@ impl Symbol {
         let shard = &shards()[shard_idx];
         {
             let map = shard.map.read().expect("interner poisoned");
-            if let Some(&id) = map.get(s) {
+            if let Some(&Key(id)) = map.keys.get(s) {
                 return Symbol(id);
             }
         }
         let mut map = shard.map.write().expect("interner poisoned");
-        if let Some(&id) = map.get(s) {
+        if let Some(&Key(id)) = map.keys.get(s) {
             return Symbol(id); // raced: someone interned between locks
         }
-        let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-        let slab_idx = shard.push(leaked);
+        let stored = map.store(s);
+        let slab_idx = shard.push(stored);
         let id = (slab_idx << SHARD_BITS) | shard_idx as u32;
-        map.insert(leaked, id);
+        // After the push: the key resolves through the slab to hash.
+        map.keys.insert(Key(id));
         Symbol(id)
     }
 
@@ -192,8 +251,9 @@ impl Symbol {
             .map
             .read()
             .expect("interner poisoned")
+            .keys
             .get(s)
-            .map(|&id| Symbol(id))
+            .map(|&Key(id)| Symbol(id))
     }
 
     /// The interned string. Lock-free: one `Acquire` load of the shard
@@ -284,6 +344,23 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(a.as_str(), "hello");
         assert_eq!(c.as_str(), "world");
+    }
+
+    #[test]
+    fn strings_round_trip_across_arena_chunks() {
+        // Short strings share chunks; one longer than a quarter chunk gets
+        // its own allocation.
+        let long = "λ".repeat(CHUNK);
+        let values: Vec<String> = (0..2 * CHUNK)
+            .map(|i| format!("chunked-{i}"))
+            .chain([long.clone()])
+            .collect();
+        let symbols: Vec<Symbol> = values.iter().map(|v| Symbol::intern(v)).collect();
+        for (v, s) in values.iter().zip(&symbols) {
+            assert_eq!(s.as_str(), v);
+            assert_eq!(Symbol::get(v), Some(*s));
+        }
+        assert_eq!(Symbol::intern(&long), symbols[2 * CHUNK]);
     }
 
     #[test]

@@ -11,10 +11,18 @@
 //! task that exposed it. A second replay runs every task that has a table
 //! on a database that took a benign insert-then-delete round trip: the
 //! incremental index paths must leave every observable, and the snapshot
-//! arena's counters, as an unmutated database gives them.
+//! arena's counters, as an unmutated database gives them. A third replay
+//! pins the ranked memo: the memoized `top()` and its compiled form must
+//! match an uncached ranking on a warm hit, after a snapshot restore,
+//! after a mutation round trip, after an added table moves the lookup
+//! depth, and under two weight sets sharing one cache.
+
+use std::sync::Arc;
 
 use semantic_strings::benchmarks::all_tasks;
-use semantic_strings::core::{converge, SynthesisOptions};
+use semantic_strings::core::{
+    converge, DagCache, DagCacheStats, LuRankWeights, Pool, SynthesisOptions,
+};
 use semantic_strings::prelude::*;
 
 const MAX_EXAMPLES: usize = 3;
@@ -234,6 +242,182 @@ fn mutation_round_trip_leaves_every_task_unchanged() {
             "mutation round trip changed an observable on task {} ({})",
             task.id,
             task.name
+        );
+    }
+}
+
+/// What a learned set's top program shows: its display string, its cost
+/// and its compiled `run_column` outputs over `rows`.
+type TopView = (String, u64, Vec<Option<String>>);
+
+fn top_view(learned: &LearnedPrograms, rows: &[Vec<String>], pool: &Pool) -> TopView {
+    let top = learned.top().expect("a consistent program");
+    (
+        top.to_string(),
+        top.cost(),
+        top.compile().run_column(rows, pool),
+    )
+}
+
+/// The top program an uncached synthesizer ranks under `weights`.
+fn uncached_view(
+    db: Arc<Database>,
+    weights: &LuRankWeights,
+    examples: &[Example],
+    rows: &[Vec<String>],
+    pool: &Pool,
+) -> TopView {
+    let options = SynthesisOptions::builder()
+        .dag_cache(false)
+        .weights(weights.clone())
+        .build();
+    let learned = Synthesizer::with_options(db, options)
+        .learn(examples)
+        .expect("the examples learn uncached");
+    top_view(&learned, rows, pool)
+}
+
+/// `(rank hits, rank misses, compile hits, compile misses)` moved from
+/// `before` to `after`.
+fn memo_moves(before: DagCacheStats, after: DagCacheStats) -> (u64, u64, u64, u64) {
+    (
+        after.rank_hits - before.rank_hits,
+        after.rank_misses - before.rank_misses,
+        after.compile_hits - before.compile_hits,
+        after.compile_misses - before.compile_misses,
+    )
+}
+
+#[test]
+fn rank_and_compile_memo_match_uncached_ranking_on_every_task() {
+    let pool = Pool::new(2);
+    let default = LuRankWeights::default();
+    // `ablation_ranking`'s cheap-deep-selects variant.
+    let cheap = LuRankWeights {
+        select: 0,
+        pred: 0,
+        ..LuRankWeights::default()
+    };
+    for task in all_tasks() {
+        let tag = format!("task {} ({})", task.id, task.name);
+        let db = Arc::new(task.db.clone());
+        let uncached = synthesizer(&task.db, false);
+        let examples = converge(&uncached, &task.rows, MAX_EXAMPLES)
+            .unwrap_or_else(|e| panic!("{tag}: {e}"))
+            .examples;
+        let rows: Vec<Vec<String>> = task.rows.iter().map(|r| r.inputs.clone()).collect();
+        let want = uncached_view(Arc::clone(&db), &default, &examples, &rows, &pool);
+        let engine = Engine::new(Arc::clone(&db));
+        let learn = |engine: &Engine| engine.learn(&examples).expect("warm learn");
+
+        // A second apply is served: ranked once, compiled once.
+        assert_eq!(
+            top_view(&learn(&engine), &rows, &pool),
+            want,
+            "{tag}: first"
+        );
+        let before = engine.cache_stats();
+        assert_eq!(top_view(&learn(&engine), &rows, &pool), want, "{tag}: hit");
+        assert_eq!(
+            memo_moves(before, engine.cache_stats()),
+            (1, 0, 1, 0),
+            "{tag}: the second apply must be a rank and compile hit"
+        );
+        assert_eq!(engine.apply(&examples, &rows).unwrap(), want.2, "{tag}");
+
+        // A restored engine starts with an empty ranked memo and ranks
+        // the same program.
+        let path = std::env::temp_dir().join(format!(
+            "sst-rank-memo-{}-{}.snap",
+            std::process::id(),
+            task.id
+        ));
+        engine.snapshot_to(&path).expect("snapshot");
+        let restored = Engine::restore_from(&path, SynthesisOptions::default()).expect("restore");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(restored.apply(&examples, &rows).unwrap(), want.2, "{tag}");
+        assert_eq!(
+            top_view(&learn(&restored), &rows, &pool),
+            want,
+            "{tag}: restored"
+        );
+
+        if !task.db.is_empty() {
+            // An insert-then-delete round trip moves the epoch: the
+            // ranking is served, the compiled code is lowered again.
+            let row: Vec<String> = (0..task.db.table(0).width())
+                .map(|c| format!("\u{2047}rank{c}\u{2047}"))
+                .collect();
+            let ids = engine.insert_rows(0, vec![row]).expect("insert");
+            engine.delete_rows(0, &ids).expect("delete");
+            let before = engine.cache_stats();
+            assert_eq!(
+                top_view(&learn(&engine), &rows, &pool),
+                want,
+                "{tag}: round trip"
+            );
+            assert_eq!(
+                memo_moves(before, engine.cache_stats()),
+                (1, 0, 0, 1),
+                "{tag}: a round trip keeps the ranking and recompiles"
+            );
+        }
+
+        // An unrelated table moves the default depth: the structure is
+        // ranked again, and matches an uncached ranking of the grown
+        // database.
+        let depth_before = SynthesisOptions::default().lu.depth_for(&engine.db());
+        engine
+            .add_table(
+                Table::new(
+                    "RankMemoUnrelated",
+                    vec!["K", "V"],
+                    vec![vec!["\u{2047}k\u{2047}", "\u{2047}v\u{2047}"]],
+                )
+                .unwrap(),
+            )
+            .expect("add table");
+        let grown = engine.db();
+        let before = engine.cache_stats();
+        assert_eq!(
+            top_view(&learn(&engine), &rows, &pool),
+            uncached_view(Arc::clone(&grown), &default, &examples, &rows, &pool),
+            "{tag}: after add_table"
+        );
+        if SynthesisOptions::default().lu.depth_for(&grown) != depth_before {
+            assert_eq!(
+                memo_moves(before, engine.cache_stats()).1,
+                1,
+                "{tag}: a moved depth must re-rank, not serve"
+            );
+        }
+
+        // Two weight sets sharing one cache each get their own program.
+        let cache = Arc::new(DagCache::new());
+        let shared = |weights: &LuRankWeights| {
+            Synthesizer::with_shared_cache(
+                Arc::clone(&db),
+                SynthesisOptions::builder().weights(weights.clone()).build(),
+                Arc::clone(&cache),
+            )
+        };
+        let (plain, cheap_selects) = (shared(&default), shared(&cheap));
+        let want_cheap = uncached_view(Arc::clone(&db), &cheap, &examples, &rows, &pool);
+        for round in 0..2 {
+            for (s, want) in [(&plain, &want), (&cheap_selects, &want_cheap)] {
+                let learned = s.learn(&examples).expect("shared learn");
+                assert_eq!(
+                    &top_view(&learned, &rows, &pool),
+                    want,
+                    "{tag}: shared cache, round {round}"
+                );
+            }
+        }
+        assert_eq!(cache.ranked_entries(), 2, "{tag}: one entry per weight set");
+        assert_eq!(
+            (cache.stats().rank_hits, cache.stats().rank_misses),
+            (2, 2),
+            "{tag}: the second round is served"
         );
     }
 }
