@@ -2,19 +2,24 @@
 //!
 //! Hand-rolled in the same vendored spirit as `sst-service::wire` (the
 //! build container has no registry access, so there is no `serde` here) —
-//! but binary rather than NDJSON: a snapshot holds an entire arena plus a
-//! database, and flat little-endian tables are both smaller and
+//! but binary rather than NDJSON: a snapshot holds a database plus the
+//! whole memo plane, and a compact byte stream is both smaller and
 //! mechanically checkable. Layout:
 //!
 //! ```text
 //! magic "SSTSNAP\0" · u32 version · u64 payload_len · payload · u64 fnv1a(payload)
 //! ```
 //!
+//! The frame fields are fixed-width little-endian; inside the payload
+//! every `u32` (counts, lengths, indices) is an LEB128 varint and every
+//! `i32` a zigzag varint, so the small numbers that dominate a memo plane
+//! take one byte. [`Reader`] refuses overlong and overflowing varints.
+//!
 //! Every decode path is bounds-checked and returns a typed
 //! [`SnapshotError`]; no input — truncated, bit-flipped, wrong-version or
 //! adversarial — panics. The payload-wide FNV-1a checksum catches random
-//! corruption; structural validation (id bounds at arena decode,
-//! [`Arena::validate_struct`] node-reference bounds) catches the rest.
+//! corruption; the structural checks of each decoder (here and in
+//! `sst-core`'s memo-plane decoder) catch the rest.
 //!
 //! Interned [`Symbol`]s are process-local (shard-packed ids), so a
 //! snapshot never stores raw symbol ids: [`SymEncoder`] assigns dense
@@ -27,20 +32,15 @@ use std::fmt;
 use sst_syntactic::{PosSet, RegexSeq, Token};
 use sst_tables::{ColId, Database, Symbol, SymbolMap, Table};
 
-use crate::{
-    Arena, AtomListId, AtomRepr, CondRepr, DagId, DagRepr, NodeRepr, PosListId, ProgId, ProgRepr,
-    StructId, SymListId,
-};
-
 /// Magic prefix of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SSTSNAP\0";
 
 /// Current snapshot format version. Bump on any layout change; old
 /// readers answer [`SnapshotError::UnsupportedVersion`] instead of
-/// misparsing. Version 2 keys the cached example structures by example
-/// id and the intersection memo by example-id chains (version 1 keyed
-/// both by arena ids).
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// misparsing. Version 3 writes the memo plane as a pointer-shared tree
+/// with varint integers (version 2 wrote a hash-consed arena of
+/// fixed-width tables; version 1 also keyed the memos by arena ids).
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,7 +145,7 @@ pub fn open_snapshot(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
     Ok(payload)
 }
 
-/// Little-endian payload writer.
+/// Payload writer: varint `u32`/`i32`, little-endian `u64`.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
@@ -177,9 +177,13 @@ impl Writer {
         self.buf.push(v);
     }
 
-    /// Appends one `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    /// Appends one `u32` as an LEB128 varint (1–5 bytes).
+    pub fn u32(&mut self, mut v: u32) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
     /// Appends one `u64`.
@@ -187,9 +191,10 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends one `i32` (two's complement).
+    /// Appends one `i32` as a zigzag varint (small magnitudes of either
+    /// sign take one byte).
     pub fn i32(&mut self, v: i32) {
-        self.u32(v as u32);
+        self.u32(((v << 1) ^ (v >> 31)) as u32);
     }
 
     /// Appends one bool.
@@ -201,6 +206,19 @@ impl Writer {
     pub fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
+    }
+
+    /// Appends a count, then each item through `f`.
+    pub fn list<I: IntoIterator<IntoIter: ExactSizeIterator>>(
+        &mut self,
+        items: I,
+        mut f: impl FnMut(&mut Self, I::Item),
+    ) {
+        let items = items.into_iter();
+        self.u32(items.len() as u32);
+        for item in items {
+            f(self, item);
+        }
     }
 
     /// Appends raw bytes (framing already accounted for by the caller).
@@ -241,9 +259,26 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// One `u32`.
+    /// One LEB128 varint `u32`. An encoding longer than needed (a zero
+    /// final byte after the first) or one that overflows 32 bits is
+    /// corrupt: every value has exactly one accepted encoding.
     pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        let mut v = 0u32;
+        let mut shift = 0;
+        loop {
+            let b = self.u8()?;
+            if shift == 28 && b > 0x0f {
+                return Err(corrupt("varint overflows u32"));
+            }
+            v |= u32::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                if b == 0 && shift > 0 {
+                    return Err(corrupt("overlong varint"));
+                }
+                return Ok(v);
+            }
+            shift += 7;
+        }
     }
 
     /// One `u64`.
@@ -251,9 +286,10 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// One `i32`.
+    /// One zigzag varint `i32`.
     pub fn i32(&mut self) -> Result<i32, SnapshotError> {
-        Ok(self.u32()? as i32)
+        let u = self.u32()?;
+        Ok((u >> 1) as i32 ^ -((u & 1) as i32))
     }
 
     /// One bool (`0` or `1`; anything else is corrupt).
@@ -272,7 +308,7 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(bytes).map_err(|_| corrupt("invalid utf-8 in string"))
     }
 
-    /// One element count: a `u32` sanity-bounded by the remaining payload
+    /// One element count: a varint sanity-bounded by the remaining payload
     /// (every encoded element is at least one byte), so a corrupted count
     /// fails typed instead of driving a huge allocation.
     pub fn count(&mut self) -> Result<usize, SnapshotError> {
@@ -281,6 +317,19 @@ impl<'a> Reader<'a> {
             return Err(corrupt("element count exceeds remaining payload"));
         }
         Ok(n)
+    }
+
+    /// A [`Reader::count`], then that many items read by `f`.
+    pub fn list<T>(
+        &mut self,
+        mut f: impl FnMut(&mut Self) -> Result<T, SnapshotError>,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let n = self.count()?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(f(self)?);
+        }
+        Ok(out)
     }
 
     /// Fails unless the payload was consumed exactly.
@@ -307,30 +356,21 @@ impl SymEncoder {
         SymEncoder::default()
     }
 
-    /// The dense index of `s`, assigned on first reference.
-    pub fn index_of(&mut self, s: Symbol) -> u32 {
-        if let Some(&id) = self.ids.get(&s) {
-            return id;
-        }
-        let id = self.order.len() as u32;
-        self.ids.insert(s, id);
-        self.order.push(s);
-        id
-    }
-
-    /// Writes one symbol reference.
+    /// Writes one symbol reference: its dense index, assigned on first
+    /// reference.
     pub fn sym(&mut self, s: Symbol, w: &mut Writer) {
-        let id = self.index_of(s);
+        let next = self.order.len() as u32;
+        let id = *self.ids.entry(s).or_insert(next);
+        if id == next {
+            self.order.push(s);
+        }
         w.u32(id);
     }
 
     /// Writes the string table (decode this *before* the payload that
     /// references it).
     pub fn write_table(&self, w: &mut Writer) {
-        w.u32(self.order.len() as u32);
-        for s in &self.order {
-            w.str(s.as_str());
-        }
+        w.list(&self.order, |w, s| w.str(s.as_str()));
     }
 }
 
@@ -344,11 +384,7 @@ pub struct SymDecoder {
 impl SymDecoder {
     /// Reads the string table.
     pub fn read_table(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        let n = r.count()?;
-        let mut syms = Vec::with_capacity(n);
-        for _ in 0..n {
-            syms.push(Symbol::intern(r.str()?));
-        }
+        let syms = r.list(|r| Ok(Symbol::intern(r.str()?)))?;
         Ok(SymDecoder { syms })
     }
 
@@ -359,16 +395,6 @@ impl SymDecoder {
             .get(idx)
             .copied()
             .ok_or_else(|| corrupt(format!("symbol index {idx} out of range")))
-    }
-
-    /// Number of table entries.
-    pub fn len(&self) -> usize {
-        self.syms.len()
-    }
-
-    /// True iff the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.syms.is_empty()
     }
 }
 
@@ -414,23 +440,8 @@ fn decode_token(r: &mut Reader<'_>) -> Result<Token, SnapshotError> {
     })
 }
 
-fn encode_regex_seq(seq: &RegexSeq, w: &mut Writer) {
-    w.u32(seq.0.len() as u32);
-    for &t in &seq.0 {
-        encode_token(t, w);
-    }
-}
-
-fn decode_regex_seq(r: &mut Reader<'_>) -> Result<RegexSeq, SnapshotError> {
-    let n = r.count()?;
-    let mut tokens = Vec::with_capacity(n);
-    for _ in 0..n {
-        tokens.push(decode_token(r)?);
-    }
-    Ok(RegexSeq(tokens))
-}
-
-fn encode_pos(p: &PosSet, w: &mut Writer) {
+/// Writes one position set.
+pub fn encode_pos(p: &PosSet, w: &mut Writer) {
     match p {
         PosSet::CPos(k) => {
             w.u8(0);
@@ -439,406 +450,28 @@ fn encode_pos(p: &PosSet, w: &mut Writer) {
         PosSet::Pos { r1s, r2s, cs } => {
             w.u8(1);
             for rs in [r1s, r2s] {
-                w.u32(rs.len() as u32);
-                for seq in rs {
-                    encode_regex_seq(seq, w);
-                }
+                w.list(rs, |w, seq| w.list(&seq.0, |w, &t| encode_token(t, w)));
             }
-            w.u32(cs.len() as u32);
-            for &c in cs {
-                w.i32(c);
-            }
+            w.list(cs, |w, &c| w.i32(c));
         }
     }
 }
 
-fn decode_pos(r: &mut Reader<'_>) -> Result<PosSet, SnapshotError> {
+/// Reads one position set written by [`encode_pos`].
+pub fn decode_pos(r: &mut Reader<'_>) -> Result<PosSet, SnapshotError> {
     Ok(match r.u8()? {
         0 => PosSet::CPos(r.i32()?),
         1 => {
-            let mut lists = [Vec::new(), Vec::new()];
-            for list in &mut lists {
-                let n = r.count()?;
-                list.reserve(n);
-                for _ in 0..n {
-                    list.push(decode_regex_seq(r)?);
-                }
+            let mut seqs = || r.list(|r| Ok(RegexSeq(r.list(decode_token)?)));
+            let (r1s, r2s) = (seqs()?, seqs()?);
+            PosSet::Pos {
+                r1s,
+                r2s,
+                cs: r.list(Reader::i32)?,
             }
-            let [r1s, r2s] = lists;
-            let n = r.count()?;
-            let mut cs = Vec::with_capacity(n);
-            for _ in 0..n {
-                cs.push(r.i32()?);
-            }
-            PosSet::Pos { r1s, r2s, cs }
         }
         other => return Err(corrupt(format!("unknown pos-set tag {other}"))),
     })
-}
-
-// ---------------------------------------------------------------------------
-// Arena
-// ---------------------------------------------------------------------------
-
-fn encode_id_list(list: &[u32], w: &mut Writer) {
-    w.u32(list.len() as u32);
-    for &id in list {
-        w.u32(id);
-    }
-}
-
-fn decode_id_list(
-    r: &mut Reader<'_>,
-    bound: usize,
-    what: &str,
-) -> Result<Box<[u32]>, SnapshotError> {
-    let n = r.count()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = r.u32()?;
-        if id as usize >= bound {
-            return Err(corrupt(format!("{what} id {id} out of range (< {bound})")));
-        }
-        out.push(id);
-    }
-    Ok(out.into())
-}
-
-impl Arena {
-    /// Writes every store as a flat table, in dependency order. Symbols go
-    /// through `sym`; all intra-arena references are plain ids (valid by
-    /// construction: children intern before parents).
-    pub fn encode(&self, w: &mut Writer, sym: &mut SymEncoder) {
-        w.u32(self.pos.len() as u32);
-        for p in self.pos.iter() {
-            encode_pos(p, w);
-        }
-        w.u32(self.pos_lists.len() as u32);
-        for list in self.pos_lists.iter() {
-            encode_id_list(list, w);
-        }
-        w.u32(self.atoms.len() as u32);
-        for atom in self.atoms.iter() {
-            match atom {
-                AtomRepr::Const(s) => {
-                    w.u8(0);
-                    sym.sym(*s, w);
-                }
-                AtomRepr::Whole(n) => {
-                    w.u8(1);
-                    w.u32(*n);
-                }
-                AtomRepr::SubStr { src, p1, p2 } => {
-                    w.u8(2);
-                    w.u32(*src);
-                    w.u32(p1.0);
-                    w.u32(p2.0);
-                }
-            }
-        }
-        w.u32(self.atom_lists.len() as u32);
-        for list in self.atom_lists.iter() {
-            encode_id_list(list, w);
-        }
-        w.u32(self.dags.len() as u32);
-        for dag in self.dags.iter() {
-            w.u32(dag.num_nodes);
-            w.u32(dag.source);
-            w.u32(dag.target);
-            w.u32(dag.edges.len() as u32);
-            for &(a, b, atoms) in dag.edges.iter() {
-                w.u32(a);
-                w.u32(b);
-                w.u32(atoms.0);
-            }
-        }
-        w.u32(self.progs.len() as u32);
-        for prog in self.progs.iter() {
-            match prog {
-                ProgRepr::Var(v) => {
-                    w.u8(0);
-                    w.u32(*v);
-                }
-                ProgRepr::Select { col, table, conds } => {
-                    w.u8(1);
-                    w.u32(*col);
-                    w.u32(*table);
-                    w.u32(conds.len() as u32);
-                    for cond in conds.iter() {
-                        w.u32(cond.key);
-                        w.u32(cond.preds.len() as u32);
-                        for &(col, dag) in cond.preds.iter() {
-                            w.u32(col);
-                            w.u32(dag.0);
-                        }
-                    }
-                }
-            }
-        }
-        w.u32(self.sym_lists.len() as u32);
-        for list in self.sym_lists.iter() {
-            w.u32(list.len() as u32);
-            for &s in list.iter() {
-                sym.sym(s, w);
-            }
-        }
-        w.u32(self.nodes.len() as u32);
-        for node in self.nodes.iter() {
-            w.u32(node.vals.0);
-            w.u32(node.progs.len() as u32);
-            for &ProgId(p) in node.progs.iter() {
-                w.u32(p);
-            }
-        }
-        w.u32(self.structs.len() as u32);
-        for st in self.structs.iter() {
-            w.u32(st.nodes.len() as u32);
-            for &crate::NodeRepId(n) in st.nodes.iter() {
-                w.u32(n);
-            }
-            match st.top {
-                None => w.u32(0),
-                Some(DagId(d)) => w.u32(d + 1),
-            }
-        }
-    }
-
-    /// Reads an arena written by [`Arena::encode`], re-hash-consing every
-    /// value (the snapshot is deduplicated by construction; a duplicate is
-    /// corruption) and bounds-checking every cross-store reference.
-    pub fn decode(r: &mut Reader<'_>, sym: &SymDecoder) -> Result<Arena, SnapshotError> {
-        let mut arena = Arena::new();
-        let n = r.count()?;
-        for i in 0..n {
-            let p = decode_pos(r)?;
-            intern_checked(&mut arena.pos, p, i, "pos")?;
-        }
-        let n = r.count()?;
-        for i in 0..n {
-            let list = decode_id_list(r, arena.pos.len(), "pos")?;
-            intern_checked(&mut arena.pos_lists, list, i, "pos list")?;
-        }
-        let n = r.count()?;
-        for i in 0..n {
-            let atom = match r.u8()? {
-                0 => AtomRepr::Const(sym.sym(r)?),
-                1 => AtomRepr::Whole(r.u32()?),
-                2 => {
-                    let src = r.u32()?;
-                    let p1 = r.u32()?;
-                    let p2 = r.u32()?;
-                    for p in [p1, p2] {
-                        if p as usize >= arena.pos_lists.len() {
-                            return Err(corrupt(format!("pos-list id {p} out of range")));
-                        }
-                    }
-                    AtomRepr::SubStr {
-                        src,
-                        p1: PosListId(p1),
-                        p2: PosListId(p2),
-                    }
-                }
-                other => return Err(corrupt(format!("unknown atom tag {other}"))),
-            };
-            intern_checked(&mut arena.atoms, atom, i, "atom")?;
-        }
-        let n = r.count()?;
-        for i in 0..n {
-            let list = decode_id_list(r, arena.atoms.len(), "atom")?;
-            intern_checked(&mut arena.atom_lists, list, i, "atom list")?;
-        }
-        let n = r.count()?;
-        for i in 0..n {
-            let num_nodes = r.u32()?;
-            let source = r.u32()?;
-            let target = r.u32()?;
-            if num_nodes == 0 || source >= num_nodes || target >= num_nodes {
-                return Err(corrupt("dag source/target out of range"));
-            }
-            let n_edges = r.count()?;
-            let mut edges = Vec::with_capacity(n_edges);
-            let mut last_key = None;
-            for _ in 0..n_edges {
-                let a = r.u32()?;
-                let b = r.u32()?;
-                let atoms = r.u32()?;
-                if a >= b || b >= num_nodes {
-                    return Err(corrupt("dag edge endpoints out of range"));
-                }
-                if last_key.is_some_and(|k| k >= (a, b)) {
-                    return Err(corrupt("dag edges out of order"));
-                }
-                last_key = Some((a, b));
-                if atoms as usize >= arena.atom_lists.len() {
-                    return Err(corrupt(format!("atom-list id {atoms} out of range")));
-                }
-                edges.push((a, b, AtomListId(atoms)));
-            }
-            let dag = DagRepr {
-                num_nodes,
-                source,
-                target,
-                edges: edges.into(),
-            };
-            intern_checked(&mut arena.dags, dag, i, "dag")?;
-        }
-        let n = r.count()?;
-        for i in 0..n {
-            let prog = match r.u8()? {
-                0 => ProgRepr::Var(r.u32()?),
-                1 => {
-                    let col = r.u32()?;
-                    let table = r.u32()?;
-                    let n_conds = r.count()?;
-                    let mut conds = Vec::with_capacity(n_conds);
-                    for _ in 0..n_conds {
-                        let key = r.u32()?;
-                        let n_preds = r.count()?;
-                        let mut preds = Vec::with_capacity(n_preds);
-                        for _ in 0..n_preds {
-                            let col = r.u32()?;
-                            let dag = r.u32()?;
-                            if dag as usize >= arena.dags.len() {
-                                return Err(corrupt(format!("dag id {dag} out of range")));
-                            }
-                            preds.push((col, DagId(dag)));
-                        }
-                        conds.push(CondRepr {
-                            key,
-                            preds: preds.into(),
-                        });
-                    }
-                    ProgRepr::Select {
-                        col,
-                        table,
-                        conds: conds.into(),
-                    }
-                }
-                other => return Err(corrupt(format!("unknown prog tag {other}"))),
-            };
-            intern_checked(&mut arena.progs, prog, i, "prog")?;
-        }
-        let n = r.count()?;
-        for i in 0..n {
-            let len = r.count()?;
-            let mut list = Vec::with_capacity(len);
-            for _ in 0..len {
-                list.push(sym.sym(r)?);
-            }
-            intern_checked(&mut arena.sym_lists, list.into_boxed_slice(), i, "sym list")?;
-        }
-        let n = r.count()?;
-        for i in 0..n {
-            let vals = r.u32()?;
-            if vals as usize >= arena.sym_lists.len() {
-                return Err(corrupt(format!("sym-list id {vals} out of range")));
-            }
-            let progs = decode_id_list(r, arena.progs.len(), "prog")?;
-            let node = NodeRepr {
-                vals: SymListId(vals),
-                progs: progs.iter().map(|&p| ProgId(p)).collect(),
-            };
-            intern_checked(&mut arena.nodes, node, i, "node")?;
-        }
-        let n = r.count()?;
-        for i in 0..n {
-            let nodes = decode_id_list(r, arena.nodes.len(), "node")?;
-            let top = match r.u32()? {
-                0 => None,
-                d => {
-                    let d = d - 1;
-                    if d as usize >= arena.dags.len() {
-                        return Err(corrupt(format!("top dag id {d} out of range")));
-                    }
-                    Some(DagId(d))
-                }
-            };
-            let st = crate::StructRepr {
-                nodes: nodes.iter().map(|&id| crate::NodeRepId(id)).collect(),
-                top,
-            };
-            intern_checked(&mut arena.structs, st, i, "struct")?;
-        }
-        Ok(arena)
-    }
-
-    /// Checks that every node reference inside `dag` (whole-source and
-    /// substring atoms) stays below `num_struct_nodes` — the bound a
-    /// containing structure or generation snapshot imposes.
-    pub fn validate_dag_nodes(
-        &self,
-        id: DagId,
-        num_struct_nodes: u32,
-    ) -> Result<(), SnapshotError> {
-        if id.0 as usize >= self.dags.len() {
-            return Err(corrupt(format!("dag id {} out of range", id.0)));
-        }
-        let dag = self.dags.get(id.0);
-        for &(_, _, atoms) in dag.edges.iter() {
-            for &atom in self.atom_lists.get(atoms.0).iter() {
-                let node = match self.atoms.get(atom) {
-                    AtomRepr::Const(_) => continue,
-                    AtomRepr::Whole(n) => *n,
-                    AtomRepr::SubStr { src, .. } => *src,
-                };
-                if node >= num_struct_nodes {
-                    return Err(corrupt(format!(
-                        "atom references node {node}, structure has {num_struct_nodes}"
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Semantic validation of one restored structure: every atom's node
-    /// reference (top DAG and all nested predicate DAGs) stays inside the
-    /// structure's node list, and every node carries the same number of
-    /// per-example values. Catches crafted files the frame checksum and
-    /// the id-bounds checks of [`Arena::decode`] cannot.
-    pub fn validate_struct(&self, id: StructId) -> Result<(), SnapshotError> {
-        if id.0 as usize >= self.structs.len() {
-            return Err(corrupt(format!("struct id {} out of range", id.0)));
-        }
-        let st = self.structs.get(id.0).clone();
-        let n = st.nodes.len() as u32;
-        if let Some(top) = st.top {
-            self.validate_dag_nodes(top, n)?;
-        }
-        let mut vals_len = None;
-        for &node in st.nodes.iter() {
-            let node = self.nodes.get(node.0);
-            let len = self.sym_lists.get(node.vals.0).len();
-            if *vals_len.get_or_insert(len) != len {
-                return Err(corrupt("nodes disagree on per-example value count"));
-            }
-            for &prog in node.progs.iter() {
-                if let ProgRepr::Select { conds, .. } = self.progs.get(prog.0) {
-                    for cond in conds.iter() {
-                        for &(_, dag) in cond.preds.iter() {
-                            self.validate_dag_nodes(dag, n)?;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-fn intern_checked<T: Eq + std::hash::Hash + Clone>(
-    store: &mut crate::Store<T>,
-    value: T,
-    expected: usize,
-    what: &str,
-) -> Result<(), SnapshotError> {
-    let id = store.intern(value);
-    if id as usize != expected {
-        return Err(corrupt(format!(
-            "{what} table not hash-consed (duplicate at index {expected})"
-        )));
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -854,18 +487,10 @@ pub fn encode_database(db: &Database, w: &mut Writer, sym: &mut SymEncoder) {
     for (_, table) in db.iter() {
         w.str(table.name());
         let columns = table.columns();
-        w.u32(columns.len() as u32);
-        for col in columns {
-            w.str(col);
-        }
-        let keys = table.candidate_keys();
-        w.u32(keys.len() as u32);
-        for key in keys {
-            w.u32(key.len() as u32);
-            for &c in key {
-                w.u32(c);
-            }
-        }
+        w.list(columns, |w, col| w.str(col));
+        w.list(table.candidate_keys(), |w, key| {
+            w.list(key, |w, &c| w.u32(c))
+        });
         w.u32(table.len() as u32);
         for row in table.row_ids() {
             for c in 0..columns.len() {
@@ -880,42 +505,24 @@ pub fn encode_database(db: &Database, w: &mut Writer, sym: &mut SymEncoder) {
 /// exactly as declared, and the database draws a **fresh** mutation
 /// epoch — snapshot epochs are process-local and never serialized.
 pub fn decode_database(r: &mut Reader<'_>, sym: &SymDecoder) -> Result<Database, SnapshotError> {
-    let n_tables = r.count()?;
-    let mut tables = Vec::with_capacity(n_tables);
-    for _ in 0..n_tables {
+    let tables = r.list(|r| {
         let name = r.str()?.to_string();
-        let n_cols = r.count()?;
-        let mut columns = Vec::with_capacity(n_cols);
-        for _ in 0..n_cols {
-            columns.push(r.str()?.to_string());
-        }
-        let n_keys = r.count()?;
-        let mut keys = Vec::with_capacity(n_keys);
-        for _ in 0..n_keys {
-            let width = r.count()?;
-            let mut key = Vec::with_capacity(width);
-            for _ in 0..width {
-                let c = r.u32()?;
-                if c as usize >= n_cols {
-                    return Err(corrupt(format!("key column {c} out of range")));
-                }
-                key.push(c as ColId);
-            }
-            keys.push(key);
-        }
-        let n_rows = r.count()?;
-        let mut rows = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            let mut row = Vec::with_capacity(n_cols);
-            for _ in 0..n_cols {
-                row.push(sym.sym(r)?.as_str().to_string());
-            }
-            rows.push(row);
-        }
-        let table = Table::from_parts(name, columns, rows, keys)
-            .map_err(|e| corrupt(format!("table rejected: {e}")))?;
-        tables.push(table);
-    }
+        let columns = r.list(|r| Ok(r.str()?.to_string()))?;
+        let n_cols = columns.len();
+        let keys = r.list(|r| {
+            r.list(|r| match r.u32()? {
+                c if (c as usize) < n_cols => Ok(c as ColId),
+                c => Err(corrupt(format!("key column {c} out of range"))),
+            })
+        })?;
+        let rows = r.list(|r| {
+            (0..n_cols)
+                .map(|_| Ok(sym.sym(r)?.as_str().to_string()))
+                .collect()
+        })?;
+        Table::from_parts(name, columns, rows, keys)
+            .map_err(|e| corrupt(format!("table rejected: {e}")))
+    })?;
     Database::from_tables(tables).map_err(|e| corrupt(format!("database rejected: {e}")))
 }
 
@@ -968,6 +575,62 @@ mod tests {
     }
 
     #[test]
+    fn varints_round_trip_at_the_edges() {
+        let us = [0, 1, 127, 128, 16_383, 16_384, u32::MAX - 1, u32::MAX];
+        let is = [0, 1, -1, 63, -64, 64, -65, i32::MAX, i32::MIN, i32::MIN + 1];
+        let mut w = Writer::new();
+        w.list(us, |w, u| w.u32(u));
+        w.list(is, |w, i| w.i32(i));
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.list(Reader::u32).unwrap(), us);
+        assert_eq!(r.list(Reader::i32).unwrap(), is);
+        r.expect_end().unwrap();
+        let encoded = |f: fn(&mut Writer)| {
+            let mut w = Writer::new();
+            f(&mut w);
+            w.into_bytes()
+        };
+        let max = [0xff, 0xff, 0xff, 0xff, 0x0f];
+        assert_eq!(encoded(|w| w.u32(127)), [0x7f]);
+        assert_eq!(encoded(|w| w.u32(128)), [0x80, 0x01]);
+        assert_eq!(encoded(|w| w.u32(u32::MAX)), max);
+        assert_eq!(
+            encoded(|w| w.i32(-64)),
+            [0x7f],
+            "zigzag keeps small negatives short"
+        );
+        assert_eq!(encoded(|w| w.i32(i32::MIN)), max);
+    }
+
+    #[test]
+    fn malformed_varints_fail_typed() {
+        let read = |bytes: &[u8]| Reader::new(bytes).u32();
+        let cases: [(&str, &[u8]); 5] = [
+            ("overlong zero", &[0x80, 0x00]),
+            ("overlong one", &[0x81, 0x80, 0x00]),
+            ("5th byte above 0x0f", &[0xff, 0xff, 0xff, 0xff, 0x10]),
+            ("5th byte continues", &[0xff, 0xff, 0xff, 0xff, 0x8f, 0x01]),
+            ("5th byte 0x7f", &[0x80, 0x80, 0x80, 0x80, 0x7f]),
+        ];
+        for (why, bytes) in cases {
+            assert!(
+                matches!(read(bytes), Err(SnapshotError::Corrupt(_))),
+                "{why}: {:?}",
+                read(bytes)
+            );
+        }
+        assert!(matches!(
+            Reader::new(&[0x80, 0x80, 0x80, 0x80, 0x10]).i32(),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        for cut in [&[][..], &[0x80], &[0xff, 0xff, 0xff, 0xff]] {
+            assert_eq!(read(cut), Err(SnapshotError::Truncated), "cut {cut:?}");
+        }
+        assert_eq!(read(&[0xff, 0xff, 0xff, 0xff, 0x0f]), Ok(u32::MAX));
+    }
+
+    #[test]
     fn symbols_round_trip_densely() {
         let mut w = Writer::new();
         let mut enc = SymEncoder::new();
@@ -984,9 +647,9 @@ mod tests {
         enc.write_table(&mut w);
         w.raw(&body.into_bytes());
         let bytes = w.into_bytes();
+        assert_eq!(bytes[0], 3, "repeat referenced once: a three-entry table");
         let mut r = Reader::new(&bytes);
         let dec = SymDecoder::read_table(&mut r).unwrap();
-        assert_eq!(dec.len(), 3, "repeat referenced once");
         for &s in &syms {
             assert_eq!(dec.sym(&mut r).unwrap(), s);
         }

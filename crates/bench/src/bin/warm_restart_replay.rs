@@ -15,7 +15,7 @@
 //!
 //! CI diffs the two JSON documents with wall-clock keys stripped: every
 //! observable must be bit-identical, and the replay must show warm cache
-//! hits on every task (the restored arena really served the work — a
+//! hits on every task (the restored memo plane really served the work — a
 //! silently cold restore would still match byte-for-byte, just slowly).
 //!
 //! Usage:

@@ -105,28 +105,26 @@
 //!
 //! # Snapshots
 //!
-//! The hash-consed [`Arena`] is the *snapshot format*, not a live mirror:
-//! [`DagCache::encode_snapshot`] interns the live DAG, example and chain
-//! entries into a fresh arena and writes it (equal sub-structures are
-//! stored once on disk), and [`DagCache::decode_snapshot`] extracts the
-//! tree forms back out of the restored one. Learning never touches an
-//! arena. The ranked memo is not written: a restored cache re-ranks each
-//! structure once, on its first `top()`.
+//! [`DagCache::encode_snapshot`] writes the live DAG, example and chain
+//! entries as a plain tree walk. One pointer memo spans the whole encode,
+//! so each distinct `Arc` allocation (a DAG, a position list, a condition
+//! list) is written once and every later reference is a back-reference;
+//! [`DagCache::decode_snapshot`] rebuilds exactly that sharing. Learning
+//! never writes a snapshot. The ranked memo is not written: a restored
+//! cache re-ranks each structure once, on its first `top()`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 
-use sst_arena::{
-    Arena, ArenaStats, DagId, Reader, SnapshotError, StructId, SymDecoder, SymEncoder, Writer,
-};
+use sst_arena::{ArenaStats, Reader, SnapshotError, SymDecoder, SymEncoder, Writer};
 use sst_lookup::NodeId;
 use sst_syntactic::Dag;
 use sst_tables::{Database, IntMap, Symbol, TableId};
 
-use crate::arena_plane::{extract_struct, intern_struct, ExtractCtx};
 use crate::compiled::{Code, CompiledProgram};
 use crate::dstruct::SemDStruct;
 use crate::rank::{LuRankWeights, RankedSem};
+use crate::snapshot::{corrupt, within, TreeDecoder, TreeEncoder};
 
 /// Identity of one σ ∪ η̃ snapshot: equal epochs ⇔ equal ordered source
 /// symbol lists (within one database state). Allocated densely by
@@ -394,7 +392,7 @@ fn count(hit: bool, hits: &AtomicU64, misses: &AtomicU64) {
 pub struct DagCache {
     state: RwLock<CacheState>,
     stats: AtomicStats,
-    /// Counters of the arena built by the last snapshot encode or decode.
+    /// Sharing counters of the last snapshot encode or decode.
     arena_stats: Mutex<ArenaStats>,
 }
 
@@ -732,10 +730,10 @@ impl DagCache {
         self.read().ranked.values().map(Vec::len).sum()
     }
 
-    /// Hash-cons counters (distinct values, intern traffic,
-    /// resident-bytes estimate) of the arena built by the last
+    /// Sharing counters (allocations written in full, references
+    /// written, memo-section bytes) of the last
     /// [`DagCache::encode_snapshot`] or [`DagCache::decode_snapshot`];
-    /// zeros before either. Learning never interns.
+    /// zeros before either. Learning never writes a snapshot.
     pub fn arena_stats(&self) -> ArenaStats {
         *self
             .arena_stats
@@ -743,28 +741,49 @@ impl DagCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Writes the cache's learned state into a snapshot payload: every
-    /// live DAG, example and chain entry is interned into a fresh
-    /// hash-consed [`Arena`] (equal sub-structures are written once), then
-    /// the arena and the three memos, entries as arena ids, follow.
+    fn set_arena_stats(&self, stats: ArenaStats) {
+        *self
+            .arena_stats
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = stats;
+    }
+
+    /// Writes the cache's learned state into a snapshot payload: the
+    /// sources epochs, then the DAG, example and chain memos, each
+    /// structure written inline through one [`TreeEncoder`] — so every
+    /// `Arc` the memos share is written once and back-referenced after.
     /// Example ids, stale flags and `next_example` are written as-is, so a
     /// restored cache keeps every chain key meaningful. Hit/miss counters
     /// and the database-epoch binding are deliberately not serialized:
     /// both are process-local (the restoring side binds to its own
     /// restored database's epoch).
     pub fn encode_snapshot(&self, w: &mut Writer, sym: &mut SymEncoder) {
+        let start = w.len();
         let state = self.read();
-        let mut arena = Arena::new();
-        let dags: Vec<_> = state
-            .dags
-            .iter()
-            .map(|(&key, dag)| (key, arena.intern_dag(dag)))
-            .collect();
-        let examples: Vec<_> = state
-            .examples
-            .iter()
-            .map(|(key, e)| (key, e, intern_struct(&mut arena, &e.d)))
-            .collect();
+        let mut tree = TreeEncoder::default();
+        w.list(&state.epochs, |w, (syms, &id)| {
+            w.list(syms.iter(), |w, &s| sym.sym(s, w));
+            w.u32(id);
+        });
+        w.u32(state.next_epoch);
+        w.list(&state.dags, |w, (&(epoch, value), dag)| {
+            w.u32(epoch);
+            sym.sym(value, w);
+            tree.dag(dag, w, sym);
+        });
+        w.u32(state.next_example);
+        w.list(&state.examples, |w, (key, entry)| {
+            w.list(key.inputs.iter(), |w, &s| sym.sym(s, w));
+            sym.sym(key.output, w);
+            w.u32(entry.id);
+            w.bool(entry.stale);
+            w.bool(entry.deps.is_some());
+            if let Some(deps) = &entry.deps {
+                w.list(deps.tables.iter(), |w, &t| w.u32(t));
+                w.list(deps.vals.iter(), |w, &v| sym.sym(v, w));
+            }
+            tree.structure(&entry.d, w, sym);
+        });
         // A learn racing a re-mint can store a chain naming an id no
         // entry carries any more; it can never be served, so it is not
         // written (the decoder refuses such chains).
@@ -773,82 +792,34 @@ impl DagCache {
             .intersections
             .iter()
             .filter(|(chain, _)| chain.iter().all(|id| live.contains_key(id)))
-            .map(|(chain, d)| (chain, intern_struct(&mut arena, d)))
             .collect();
-        arena.encode(w, sym);
-        w.u32(state.epochs.len() as u32);
-        for (syms, &id) in state.epochs.iter() {
-            w.u32(syms.len() as u32);
-            for &s in syms.iter() {
-                sym.sym(s, w);
-            }
-            w.u32(id);
-        }
-        w.u32(state.next_epoch);
-        w.u32(dags.len() as u32);
-        for ((epoch, value), id) in dags {
-            w.u32(epoch);
-            sym.sym(value, w);
-            w.u32(id.0);
-        }
-        w.u32(state.next_example);
-        w.u32(examples.len() as u32);
-        for (key, entry, sid) in examples {
-            w.u32(key.inputs.len() as u32);
-            for &s in key.inputs.iter() {
-                sym.sym(s, w);
-            }
-            sym.sym(key.output, w);
-            w.u32(entry.id);
-            w.bool(entry.stale);
-            w.u32(sid.0);
-            match &entry.deps {
-                None => w.bool(false),
-                Some(deps) => {
-                    w.bool(true);
-                    w.u32(deps.tables.len() as u32);
-                    for &t in deps.tables.iter() {
-                        w.u32(t);
-                    }
-                    w.u32(deps.vals.len() as u32);
-                    for &v in deps.vals.iter() {
-                        sym.sym(v, w);
-                    }
-                }
-            }
-        }
-        w.u32(intersections.len() as u32);
-        for (chain, sid) in intersections {
-            w.u32(chain.len() as u32);
-            for &id in chain.iter() {
-                w.u32(id);
-            }
-            w.u32(sid.0);
-        }
+        w.list(intersections, |w, (chain, d)| {
+            w.list(chain.iter(), |w, &id| w.u32(id));
+            tree.structure(d, w, sym);
+        });
         drop(state);
-        *self
-            .arena_stats
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = arena.stats();
+        self.set_arena_stats(ArenaStats {
+            resident_bytes: (w.len() - start) as u64,
+            ..tree.stats
+        });
     }
 
-    /// Reads a cache written by [`DagCache::encode_snapshot`], extracting
-    /// every memoized structure back out of the restored arena (one shared
-    /// [`ExtractCtx`], so restored entries re-share `Arc` allocations like
-    /// a live fill would). Every id is bounds- and structure-validated,
-    /// example ids are checked unique and below `next_example`, and every
-    /// chain must name restored examples only — a crafted payload fails
-    /// typed, never panics. The cache binds to `db_epoch`, the restoring
-    /// process's epoch for the restored database; counters start at zero.
+    /// Reads a cache written by [`DagCache::encode_snapshot`] through one
+    /// [`TreeDecoder`], so restored entries re-share `Arc` allocations
+    /// exactly as the encoded ones did. Every back-reference is
+    /// bounds-checked, every node reference is checked against the
+    /// structure (or sources epoch) referencing it, example ids are checked
+    /// unique and below `next_example`, and every chain must name restored
+    /// examples only — a crafted payload fails typed, never panics. The
+    /// cache binds to `db_epoch`, the restoring process's epoch for the
+    /// restored database; counters start at zero.
     pub fn decode_snapshot(
         r: &mut Reader<'_>,
         sym: &SymDecoder,
         db_epoch: u64,
     ) -> Result<DagCache, SnapshotError> {
-        fn corrupt(why: impl Into<String>) -> SnapshotError {
-            SnapshotError::Corrupt(why.into())
-        }
-        let arena = Arena::decode(r, sym)?;
+        let start = r.remaining();
+        let mut tree = TreeDecoder::default();
         let mut state = CacheState {
             db_epoch,
             ..CacheState::default()
@@ -856,11 +827,7 @@ impl DagCache {
         let n = r.count()?;
         let mut epoch_lens: IntMap<u32, u32> = IntMap::default();
         for _ in 0..n {
-            let len = r.count()?;
-            let mut syms = Vec::with_capacity(len);
-            for _ in 0..len {
-                syms.push(sym.sym(r)?);
-            }
+            let syms = r.list(|r| sym.sym(r))?;
             let id = r.u32()?;
             if epoch_lens.insert(id, syms.len() as u32).is_some() {
                 return Err(corrupt(format!("duplicate sources epoch {id}")));
@@ -874,18 +841,16 @@ impl DagCache {
             return Err(corrupt("sources epoch beyond next_epoch"));
         }
         let n = r.count()?;
-        let mut ctx = ExtractCtx::new();
         for _ in 0..n {
             let epoch = r.u32()?;
             let value = sym.sym(r)?;
-            let id = DagId(r.u32()?);
             let Some(&num_nodes) = epoch_lens.get(&epoch) else {
                 return Err(corrupt(format!(
                     "dag memo references unknown epoch {epoch}"
                 )));
             };
-            arena.validate_dag_nodes(id, num_nodes)?;
-            let dag = Arc::new(arena.extract_dag(id));
+            let (dag, needs) = tree.dag(r, sym)?;
+            within(needs, num_nodes)?;
             if state.dags.insert((epoch, value), dag).is_some() {
                 return Err(corrupt("duplicate dag-memo key"));
             }
@@ -894,11 +859,7 @@ impl DagCache {
         let n = r.count()?;
         let mut example_ids: IntMap<u32, ()> = IntMap::default();
         for _ in 0..n {
-            let len = r.count()?;
-            let mut inputs = Vec::with_capacity(len);
-            for _ in 0..len {
-                inputs.push(sym.sym(r)?);
-            }
+            let inputs = r.list(|r| sym.sym(r))?;
             let output = sym.sym(r)?;
             let id = r.u32()?;
             if id >= state.next_example {
@@ -908,29 +869,17 @@ impl DagCache {
                 return Err(corrupt(format!("duplicate example id {id}")));
             }
             let stale = r.bool()?;
-            let sid = StructId(r.u32()?);
-            arena.validate_struct(sid)?;
             let deps = if r.bool()? {
-                let n_tables = r.count()?;
-                let mut tables = Vec::with_capacity(n_tables);
-                for _ in 0..n_tables {
-                    tables.push(r.u32()? as TableId);
-                }
-                let n_vals = r.count()?;
-                let mut vals = Vec::with_capacity(n_vals);
-                for _ in 0..n_vals {
-                    vals.push(sym.sym(r)?);
-                }
                 Some(ExampleDeps {
-                    tables: tables.into(),
-                    vals: vals.into(),
+                    tables: r.list(Reader::u32)?.into(),
+                    vals: r.list(|r| sym.sym(r))?.into(),
                 })
             } else {
                 None
             };
             let entry = ExampleEntry {
                 id,
-                d: extract_struct(&arena, sid, &mut ctx),
+                d: tree.structure(r, sym)?,
                 deps,
                 stale,
             };
@@ -944,32 +893,32 @@ impl DagCache {
         }
         let n = r.count()?;
         for _ in 0..n {
-            let len = r.count()?;
-            if len < 2 {
-                return Err(corrupt(format!("intersection chain of length {len}")));
+            let chain = r.list(|r| match r.u32()? {
+                id if example_ids.contains_key(&id) => Ok(id),
+                id => Err(corrupt(format!(
+                    "intersection chain names unknown example id {id}"
+                ))),
+            })?;
+            if chain.len() < 2 {
+                return Err(corrupt(format!(
+                    "intersection chain of length {}",
+                    chain.len()
+                )));
             }
-            let mut chain = Vec::with_capacity(len);
-            for _ in 0..len {
-                let id = r.u32()?;
-                if !example_ids.contains_key(&id) {
-                    return Err(corrupt(format!(
-                        "intersection chain names unknown example id {id}"
-                    )));
-                }
-                chain.push(id);
-            }
-            let sid = StructId(r.u32()?);
-            arena.validate_struct(sid)?;
-            let d = extract_struct(&arena, sid, &mut ctx);
+            let d = tree.structure(r, sym)?;
             if state.intersections.insert(chain.into(), d).is_some() {
                 return Err(corrupt("duplicate intersection-memo key"));
             }
         }
-        Ok(DagCache {
+        let cache = DagCache {
             state: RwLock::new(state),
-            stats: AtomicStats::default(),
-            arena_stats: Mutex::new(arena.stats()),
-        })
+            ..DagCache::default()
+        };
+        cache.set_arena_stats(ArenaStats {
+            resident_bytes: (start - r.remaining()) as u64,
+            ..tree.stats
+        });
+        Ok(cache)
     }
 }
 
@@ -1307,17 +1256,17 @@ mod tests {
     /// Snapshot payload of `c` (symbol table first, as the service writes
     /// it).
     fn encode(c: &DagCache) -> Vec<u8> {
-        let mut body = sst_arena::Writer::new();
+        let mut body = Writer::new();
         let mut enc = SymEncoder::new();
         c.encode_snapshot(&mut body, &mut enc);
-        let mut w = sst_arena::Writer::new();
+        let mut w = Writer::new();
         enc.write_table(&mut w);
         w.raw(&body.into_bytes());
         w.into_bytes()
     }
 
     fn decode(bytes: &[u8]) -> Result<DagCache, SnapshotError> {
-        let mut r = sst_arena::Reader::new(bytes);
+        let mut r = Reader::new(bytes);
         let dec = SymDecoder::read_table(&mut r)?;
         let c = DagCache::decode_snapshot(&mut r, &dec, 77)?;
         r.expect_end()?;
@@ -1325,23 +1274,27 @@ mod tests {
     }
 
     #[test]
-    fn arena_is_built_only_by_snapshots() {
+    fn sharing_counters_come_only_from_snapshots() {
         let c = DagCache::new();
-        let d = named_struct("dup");
+        let mut d = named_struct("dup");
+        d.top = Some(Arc::new(dag(2)));
         c.store_example(0, &[Symbol::intern("a1")], Symbol::intern("b1"), &d, None);
         c.store_example(0, &[Symbol::intern("a2")], Symbol::intern("b2"), &d, None);
-        assert_eq!(
-            c.arena_stats(),
-            ArenaStats::default(),
-            "learning never interns"
-        );
+        // Learning writes no snapshot.
+        assert_eq!(c.arena_stats(), ArenaStats::default());
         let bytes = encode(&c);
         let stats = c.arena_stats();
-        assert!(stats.hits() > 0, "second intern of the same value hits");
-        assert!(stats.dedup_ratio() > 1.0);
+        // The shared top DAG is written once, then back-referenced.
+        assert_eq!((stats.stored, stats.interned), (1, 2));
         assert!(stats.resident_bytes > 0);
         let restored = decode(&bytes).unwrap();
-        assert_eq!(restored.arena_stats().stored, stats.stored);
+        assert_eq!(restored.arena_stats(), stats, "decode counts the same");
+        let state = restored.read();
+        let mut tops = state.examples.values().filter_map(|e| e.d.top.as_ref());
+        assert!(Arc::ptr_eq(tops.next().unwrap(), tops.next().unwrap()));
+        drop(state);
+        encode(&restored);
+        assert_eq!(restored.arena_stats(), stats, "restore kept the sharing");
     }
 
     #[test]
@@ -1412,42 +1365,56 @@ mod tests {
         );
     }
 
-    /// A hand-written cache payload over a one-structure arena: example
-    /// entries with the given ids, `next_example`, and intersection
-    /// chains — every field the decoder cross-checks, none of the
-    /// encoder's invariants.
-    fn crafted(ids: &[u32], next_example: u32, chains: &[&[u32]]) -> Vec<u8> {
-        let mut arena = Arena::new();
-        let sid = intern_struct(&mut arena, &named_struct("crafted"));
-        let mut body = sst_arena::Writer::new();
-        let mut enc = SymEncoder::new();
-        arena.encode(&mut body, &mut enc);
-        body.u32(0); // sources epochs
-        body.u32(0); // next_epoch
-        body.u32(0); // dag memo
-        body.u32(next_example);
-        body.u32(ids.len() as u32);
-        for (i, &id) in ids.iter().enumerate() {
-            body.u32(1);
-            enc.sym(Symbol::intern(&format!("crafted-in{i}")), &mut body);
-            enc.sym(Symbol::intern("crafted-out"), &mut body);
-            body.u32(id);
-            body.bool(false); // stale
-            body.u32(sid.0);
-            body.bool(false); // deps
-        }
-        body.u32(chains.len() as u32);
-        for chain in chains {
-            body.u32(chain.len() as u32);
-            for &id in chain.iter() {
-                body.u32(id);
+    /// A cache payload written by hand: every field the decoder
+    /// cross-checks, none of the encoder's invariants. Every value is below
+    /// 128, so tag and flag bytes go through the varint `put` too.
+    #[derive(Default)]
+    struct Craft {
+        body: Writer,
+        sym: SymEncoder,
+    }
+
+    impl Craft {
+        fn put(&mut self, vs: &[u32]) -> &mut Self {
+            for &v in vs {
+                self.body.u32(v);
             }
-            body.u32(sid.0);
+            self
         }
-        let mut w = sst_arena::Writer::new();
-        enc.write_table(&mut w);
-        w.raw(&body.into_bytes());
-        w.into_bytes()
+
+        fn sym(&mut self, s: &str) -> &mut Self {
+            self.sym.sym(Symbol::intern(s), &mut self.body);
+            self
+        }
+
+        fn finish(self) -> Vec<u8> {
+            let mut w = Writer::new();
+            self.sym.write_table(&mut w);
+            w.raw(&self.body.into_bytes());
+            w.into_bytes()
+        }
+    }
+
+    /// Example entries with the given ids, `next_example`, and intersection
+    /// chains, every structure a `named_struct`.
+    fn crafted(ids: &[u32], next_example: u32, chains: &[&[u32]]) -> Vec<u8> {
+        let mut c = Craft::default();
+        let mut tree = TreeEncoder::default();
+        let d = named_struct("crafted");
+        // No sources epochs, next_epoch 0, no DAG memo.
+        c.put(&[0, 0, 0, next_example, ids.len() as u32]);
+        for (i, &id) in ids.iter().enumerate() {
+            let input = format!("crafted-in{i}");
+            // Fresh, no deps.
+            c.put(&[1]).sym(&input).sym("crafted-out").put(&[id, 0, 0]);
+            tree.structure(&d, &mut c.body, &mut c.sym);
+        }
+        c.put(&[chains.len() as u32]);
+        for chain in chains {
+            c.put(&[chain.len() as u32]).put(chain);
+            tree.structure(&d, &mut c.body, &mut c.sym);
+        }
+        c.finish()
     }
 
     #[test]
@@ -1460,6 +1427,74 @@ mod tests {
             ("example id beyond next_example", crafted(&[0, 2], 2, &[])),
             ("chain names an unknown id", crafted(&[0, 1], 3, &[&[0, 2]])),
             ("chain shorter than a fold", crafted(&[0, 1], 2, &[&[0]])),
+        ];
+        for (why, bytes) in cases {
+            match decode(&bytes) {
+                Err(SnapshotError::Corrupt(_)) => {}
+                other => panic!("{why}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    /// A full-write marker, then a DAG over two nodes whose one edge
+    /// `(0, 1)` holds one atom (which follows).
+    const FULL_DAG: [u32; 8] = [0, 2, 0, 1, 1, 0, 1, 1];
+    /// A one-node structure (value: symbol 0, program `Var(0)`); its top
+    /// follows.
+    const ONE_NODE: [u32; 6] = [1, 1, 0, 1, 0, 0];
+
+    /// One sources epoch over `epoch_len` symbols, a DAG memo holding one
+    /// `FULL_DAG` whose atom is `Whole(memo_node)`, then one example whose
+    /// structure is the raw `structure` (symbol 0 is the epoch's first
+    /// source).
+    fn crafted_refs(epoch_len: u32, memo_node: u32, structure: &[u32]) -> Vec<u8> {
+        let mut c = Craft::default();
+        c.put(&[1, epoch_len]);
+        for k in 0..epoch_len {
+            c.sym(&format!("crafted-src{k}"));
+        }
+        // Epoch id 0, next_epoch 1, one DAG-memo entry under epoch 0.
+        c.put(&[0, 1, 1, 0]).sym("crafted-value");
+        c.put(&FULL_DAG).put(&[1, memo_node]);
+        // next_example 1, one example: id 0, fresh, no deps.
+        c.put(&[1, 1, 1]).sym("crafted-in").sym("crafted-out");
+        c.put(&[0, 0, 0]).put(structure).put(&[0]);
+        c.finish()
+    }
+
+    #[test]
+    fn decode_checks_every_reference() {
+        let shared_top = [&ONE_NODE[..], &[1, 1]].concat();
+        let ok = decode(&crafted_refs(1, 0, &shared_top)).expect("valid frame");
+        let state = ok.read();
+        let memo = state.dags.values().next().expect("dag memo");
+        let top = state.examples.values().next().unwrap().d.top.clone();
+        assert!(Arc::ptr_eq(memo, &top.unwrap()), "back-reference shares");
+        drop(state);
+
+        let cases: [(&str, Vec<u8>); 5] = [
+            (
+                "dag-memo entry beyond its sources epoch",
+                crafted_refs(1, 1, &[&ONE_NODE[..], &[0]].concat()),
+            ),
+            (
+                "back-referenced dag beyond the structure's nodes",
+                crafted_refs(3, 2, &shared_top),
+            ),
+            (
+                "dag back-reference past the table",
+                crafted_refs(1, 0, &[&ONE_NODE[..], &[1, 2]].concat()),
+            ),
+            (
+                // A `SubStr` atom whose p1 back-references an empty table.
+                "position-list back-reference past the table",
+                crafted_refs(1, 0, &[&ONE_NODE[..], &[1], &FULL_DAG, &[2, 0, 1]].concat()),
+            ),
+            (
+                // One node whose `Select` back-references an empty table.
+                "condition-list back-reference past the table",
+                crafted_refs(1, 0, &[1, 1, 0, 1, 1, 0, 0, 1, 0]),
+            ),
         ];
         for (why, bytes) in cases {
             match decode(&bytes) {

@@ -52,7 +52,6 @@
 //! );
 //! ```
 
-mod arena_plane;
 mod cache;
 mod compiled;
 mod dstruct;
@@ -63,6 +62,7 @@ mod intersect;
 mod language;
 mod paraphrase;
 mod rank;
+mod snapshot;
 mod synthesizer;
 
 pub use cache::{DagCache, DagCacheStats, SourcesEpoch};

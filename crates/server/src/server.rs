@@ -886,8 +886,8 @@ fn metrics_response(state: &State) -> Response {
             );
         }
     }
-    // The arena is rebuilt by every snapshot write or restore, so even
-    // its `_total` series can move down: all four are gauges.
+    // Sharing counters of the last snapshot write or restore, replaced by
+    // each, so even the `_total` series can move down: all four are gauges.
     out.push_str("# TYPE sst_arena_nodes gauge\n");
     out.push_str("# TYPE sst_arena_interned_total gauge\n");
     out.push_str("# TYPE sst_arena_hashcons_hits_total gauge\n");

@@ -123,17 +123,17 @@ impl Engine {
         self.inner.cache.stats()
     }
 
-    /// Hash-cons counters (distinct values, intern traffic,
-    /// resident-bytes estimate) of the arena built by the last
-    /// [`Engine::snapshot_to`] or [`Engine::restore_from`]; zeros before
-    /// either, since learning never interns — the `/metrics` and
-    /// perfbench `arena.*` observable.
+    /// Sharing counters (shared allocations written in full, references
+    /// to them, memo-section bytes) of the last [`Engine::snapshot_to`] or
+    /// [`Engine::restore_from`]; zeros before either, since learning
+    /// writes no snapshot — the `/metrics` and perfbench `arena.*`
+    /// observable.
     pub fn arena_stats(&self) -> ArenaStats {
         self.inner.cache.arena_stats()
     }
 
     /// Persists the engine's warm state — database, interned symbols, and
-    /// the memo plane, hash-consed into an arena on the way out — to
+    /// the memo plane, with every shared allocation written once — to
     /// `path` as one versioned binary snapshot (temp file + rename; a
     /// crash never tears the file). Returns the snapshot size in bytes.
     ///

@@ -3,7 +3,7 @@
 //! A snapshot file is one [`sst_arena::codec`] frame whose payload is:
 //!
 //! ```text
-//! u64 options-fingerprint · symbol table · database · cache (arena + memos)
+//! u64 options-fingerprint · symbol table · database · cache (memos as pointer-shared trees)
 //! ```
 //!
 //! The fingerprint hashes the engine's *generation-relevant* options

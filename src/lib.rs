@@ -22,10 +22,10 @@
 //!   (§6): time, months, ordinals, currencies, phone codes, US states.
 //! * [`benchmarks`] — the reconstructed 50-task evaluation suite (§7) and
 //!   synthetic worst-case workload generators.
-//! * [`arena`] — the hash-consed snapshot form of the memo cache: flat
-//!   typed stores interning DAG nodes, predicate programs and whole
-//!   program-set structures as dense `u32` ids, plus the versioned
-//!   binary snapshot codec.
+//! * [`arena`] — the versioned binary snapshot codec: checksummed
+//!   frame, varint payload writer/reader, symbol table, and the
+//!   position-set and database codecs the memo plane's tree form is
+//!   written with.
 //! * [`counting`] — arbitrary-precision counters for program-set sizes.
 //! * [`par`] — vendored scoped work-stealing pool powering batch serving
 //!   and `run_column` (deterministic-order `par_map_indexed`); learning
@@ -237,7 +237,7 @@
 //! assert_eq!(session.run(&["c1"]).unwrap().as_deref(), Some("Microsoft Corp"));
 //! ```
 //!
-//! # Memo keys, the arena and snapshots
+//! # Memo keys and snapshots
 //!
 //! The memo cache names every cached example structure by a dense
 //! *example id*, minted once and never reused, and keys the intersection
@@ -249,14 +249,14 @@
 //! values. Everything observable stays bit-identical (pinned by the
 //! `dag_memo_equivalence` and `service_equivalence` harnesses).
 //!
-//! The arena ([`sst_arena`], re-exported as [`arena`]) is what makes the
-//! engine *persistable*: at snapshot time every cached structure —
-//! position sets, token sequences, atoms, DAGs, predicate programs, whole
-//! program-set structures — is *hash-consed* into flat typed stores, so
-//! structurally equal subprograms are written once and named by
-//! process-independent `u32` ids. Learning itself never interns.
+//! The snapshot codec ([`sst_arena`], re-exported as [`arena`]) is what
+//! makes the engine *persistable*: every cached structure is written as a
+//! plain tree, and one pointer memo spans the whole write, so each `Arc`
+//! the live memo plane shares (a DAG, a position list, a condition list)
+//! is written once and back-referenced after — a restore rebuilds exactly
+//! that sharing. Learning itself never touches the codec.
 //! [`Engine::snapshot_to`](service::Engine::snapshot_to) writes the
-//! database, interner symbols and the interned memo plane as one
+//! database, interner symbols and the memo plane as one
 //! versioned, checksummed binary file, and
 //! [`Engine::restore_from`](service::Engine::restore_from) rebuilds an
 //! engine in a fresh process that serves replayed requests memo-warm.

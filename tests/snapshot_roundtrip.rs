@@ -188,13 +188,16 @@ fn wrong_version_is_typed() {
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 
-    // Version 1 keyed the memo plane by arena ids; this build refuses it
-    // typed rather than misreading its example and intersection entries.
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    assert_ne!(SNAPSHOT_VERSION, 1);
-    match open_snapshot(&bytes) {
-        Err(SnapshotError::UnsupportedVersion(1)) => {}
-        other => panic!("expected UnsupportedVersion(1), got {other:?}"),
+    // Versions 1 and 2 wrote the memo plane as a hash-consed arena (1
+    // also keyed it by arena ids); this build refuses both typed rather
+    // than misreading them.
+    for old in [1u32, 2] {
+        bytes[8..12].copy_from_slice(&old.to_le_bytes());
+        assert_ne!(SNAPSHOT_VERSION, old);
+        match open_snapshot(&bytes) {
+            Err(SnapshotError::UnsupportedVersion(v)) => assert_eq!(v, old),
+            other => panic!("expected UnsupportedVersion({old}), got {other:?}"),
+        }
     }
 
     // And a wrong magic is BadMagic, not a checksum complaint.
@@ -205,12 +208,26 @@ fn wrong_version_is_typed() {
     ));
 }
 
-/// Work-counter pin: learning never interns — the arena exists only in
-/// a snapshot. Over the first three tasks of each category, a task
-/// converged on a fresh engine reports zero arena traffic; its snapshot
-/// then interns the memo plane with hash-consing payoff (`interned /
-/// stored` at least 2, per task and summed over the subset), and a
-/// restore reports the arena it read.
+/// Snapshot bytes `Engine::snapshot_to` wrote for the subset's tasks at
+/// format version 2 (the hash-consed arena), measured through this test:
+/// the tree codec must never write more for any of them.
+const VERSION_2_BYTES: [(&str, u64); 6] = [
+    ("ex2_customer_price_join", 25_296),
+    ("company_code_to_name", 3_270),
+    ("product_name_to_code", 5_781),
+    ("ex1_selling_price", 55_472),
+    ("ex5_bike_price_concat", 9_426),
+    ("ex6_company_series", 19_742),
+];
+
+/// Work-counter pin: learning never writes a snapshot. Over the first
+/// three tasks of each category, a task converged on a fresh engine
+/// reports zero sharing traffic; its snapshot then writes the memo plane
+/// with pointer-sharing payoff (`interned / stored` at least 2, per task
+/// and summed over the subset) in no more bytes than format version 2
+/// wrote, and a restore reports the allocations it read. Snapshotting the
+/// restored engine again writes the same allocations and references: the
+/// restore kept the live sharing.
 #[test]
 fn only_snapshots_build_the_arena() {
     let (mut lookup, mut semantic) = (0, 0);
@@ -240,7 +257,7 @@ fn only_snapshots_build_the_arena() {
         assert_eq!(learned.stored, 0, "{}", task.name);
 
         let path = case_path("arena-pin", task.id as u64);
-        engine.snapshot_to(&path).expect("snapshot");
+        let bytes = engine.snapshot_to(&path).expect("snapshot");
         let snap = engine.arena_stats();
         assert!(
             snap.stored > 0 && snap.interned > 0 && snap.resident_bytes > 0,
@@ -249,18 +266,37 @@ fn only_snapshots_build_the_arena() {
         );
         assert!(
             snap.dedup_ratio() >= 2.0,
-            "{}: hash-consing payoff {}",
+            "{}: sharing payoff {}",
             task.name,
             snap.dedup_ratio()
         );
+        let (_, limit) = VERSION_2_BYTES
+            .iter()
+            .find(|(name, _)| *name == task.name)
+            .expect("pinned task");
+        assert!(
+            bytes <= *limit,
+            "{}: {bytes} snapshot bytes, version 2 wrote {limit}",
+            task.name
+        );
         let restored = Engine::restore_from(&path, SynthesisOptions::default());
         std::fs::remove_file(&path).ok();
-        assert_eq!(restored.expect("restore").arena_stats().stored, snap.stored);
+        let restored = restored.expect("restore");
+        assert_eq!(restored.arena_stats().stored, snap.stored);
+        restored.snapshot_to(&path).expect("re-snapshot");
+        std::fs::remove_file(&path).ok();
+        let again = restored.arena_stats();
+        assert_eq!(
+            (again.stored, again.interned),
+            (snap.stored, snap.interned),
+            "{}: the restore did not keep the live sharing",
+            task.name
+        );
         stored += snap.stored;
         interned += snap.interned;
     }
     assert!(
         interned as f64 / stored as f64 >= 2.0,
-        "hash-consing payoff: {interned} interned over {stored} stored"
+        "sharing payoff: {interned} interned over {stored} stored"
     );
 }
