@@ -13,8 +13,8 @@
 //!    [`Engine::restore_from`], run the identical protocol, and record
 //!    the same observables plus the restored memo plane's hit counters.
 //!
-//! CI diffs the two JSON documents with wall-clock keys stripped: every
-//! observable must be bit-identical, and the replay must show warm cache
+//! CI diffs the two JSON documents without the mode, snapshot-size and
+//! warm-hit keys: every observable must be bit-identical, and the replay must show warm cache
 //! hits on every task (the restored memo plane really served the work — a
 //! silently cold restore would still match byte-for-byte, just slowly).
 //!
@@ -25,7 +25,6 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
 use sst_bench::MAX_EXAMPLES;
 use sst_benchmarks::Category;
@@ -89,7 +88,6 @@ fn main() {
     for (i, task) in tasks.iter().enumerate() {
         let options = SynthesisOptions::default();
         let snap = dir.join(format!("task_{}.snap", task.id));
-        let started = Instant::now();
         let engine = if mode == "learn" {
             Engine::with_options(Arc::new(task.db.clone()), options)
         } else {
@@ -97,14 +95,11 @@ fn main() {
                 panic!("task {} ({}) failed to restore: {e}", task.id, task.name)
             })
         };
-        let restore_ms = started.elapsed().as_secs_f64() * 1e3;
 
         let mut session = engine.session();
-        let protocol_start = Instant::now();
         let outcome = session
             .converge_with(&task.rows, MAX_EXAMPLES)
             .unwrap_or_else(|e| panic!("task {} ({}) failed to learn: {e}", task.id, task.name));
-        let protocol_ms = protocol_start.elapsed().as_secs_f64() * 1e3;
         let count = session.count().expect("converged session has programs");
         let size = session.size().expect("converged session has programs");
         let outputs: Vec<String> = task
@@ -144,7 +139,6 @@ fn main() {
             "    {{\"id\": {}, \"name\": \"{}\", \"category\": \"{:?}\", \
              \"examples_used\": {}, \"converged\": {}, \"count\": \"{}\", \
              \"size\": {}, \"outputs\": [{}], \"snapshot_bytes\": {}, \
-             \"restore_ms\": {:.3}, \"protocol_ms\": {:.3}, \
              \"warm_hits\": {}}}{comma}",
             task.id,
             json_escape(task.name),
@@ -155,8 +149,6 @@ fn main() {
             size,
             outputs.join(", "),
             snapshot_bytes,
-            restore_ms,
-            protocol_ms,
             warm_hits,
         );
     }

@@ -61,26 +61,35 @@ type LookupMemo = HashMap<(u32, usize), Option<(u64, LookupU)>>;
 impl LuRankWeights {
     /// Extracts the top-ranked program with lookup depth ≤ `depth`.
     pub fn best(&self, d: &SemDStruct, depth: usize) -> Option<RankedSem> {
+        self.best_with(d, depth, &mut HashMap::new())
+    }
+
+    fn best_with(&self, d: &SemDStruct, depth: usize, memo: &mut LookupMemo) -> Option<RankedSem> {
         let top = d.top.as_ref()?;
-        let mut memo: LookupMemo = HashMap::new();
         let (cost, skeleton) = self.syntactic.best_program(top, &mut |n: &NodeId| {
-            best_lookup(self, d, *n, depth, &mut memo).map(|(c, _)| c)
+            best_lookup(self, d, *n, depth, memo).map(|(c, _)| c)
         })?;
-        let expr = self.concretize(d, skeleton, depth, &mut memo)?;
+        let expr = self.concretize(d, skeleton, depth, memo)?;
         Some(RankedSem { cost, expr })
     }
 
     /// Extracts up to `k` *behaviorally diverse* top programs, ascending
-    /// cost. Skeletons are enumerated from the top DAG, concretized with
+    /// cost. The first is always [`LuRankWeights::best`]'s program. The
+    /// rest are skeletons enumerated from the top DAG, concretized with
     /// their best lookup choices, and collapsed by signature (atom kinds +
     /// sources): position-expression variants of the same extraction
     /// almost always behave identically, and the §3.2 interaction model
-    /// wants programs that can actually *disagree* on new inputs.
+    /// wants programs that can actually *disagree* on new inputs. The
+    /// enumeration is bounded, so it alone can miss the DP optimum.
     pub fn top_k(&self, d: &SemDStruct, depth: usize, k: usize) -> Vec<RankedSem> {
         let Some(top) = d.top.as_ref() else {
             return Vec::new();
         };
         let mut memo: LookupMemo = HashMap::new();
+        let Some(best) = self.best_with(d, depth, &mut memo) else {
+            return Vec::new();
+        };
+        let best_sig = signature(&best.expr);
         let mut out: Vec<(Vec<SigAtom>, RankedSem)> = Vec::new();
         for skeleton in top.enumerate_programs(k.saturating_mul(16).max(64)) {
             let mut cost = 0u64;
@@ -116,6 +125,9 @@ impl LuRankWeights {
             }
             if let Some(expr) = self.concretize(d, skeleton, depth, &mut memo) {
                 let sig = signature(&expr);
+                if sig == best_sig {
+                    continue;
+                }
                 match out.iter_mut().find(|(s, _)| *s == sig) {
                     Some((_, existing)) if cost < existing.cost => {
                         *existing = RankedSem { cost, expr };
@@ -125,10 +137,9 @@ impl LuRankWeights {
                 }
             }
         }
-        let mut out: Vec<RankedSem> = out.into_iter().map(|(_, r)| r).collect();
-        out.sort_by_key(|r| r.cost);
-        out.truncate(k);
-        out
+        let mut rest: Vec<RankedSem> = out.into_iter().map(|(_, r)| r).collect();
+        rest.sort_by_key(|r| r.cost);
+        std::iter::once(best).chain(rest).take(k).collect()
     }
 
     /// Replaces node handles in a skeleton with their best lookup programs.

@@ -133,10 +133,10 @@ pub struct SynthesisOptions {
     /// 2 and the machine width by `tests/service_equivalence.rs`). Default:
     /// [`sst_par::default_threads`] (the machine's available parallelism).
     pub threads: usize,
-    /// How many top-ranked programs APIs that don't take an explicit `k`
-    /// consider: [`LearnedPrograms::top_ranked`], and upstream the service
-    /// plane's `Session::top_k` / ambiguity highlighting (§3.2 flags inputs
-    /// where the `top_k` best programs disagree). Default: 10.
+    /// How many top-ranked programs the service plane considers where a
+    /// caller gives no explicit `k`: `Session::top_k`, ambiguity
+    /// highlighting (§3.2 flags inputs where the `top_k` best programs
+    /// disagree) and a learn response's ranked programs. Default: 10.
     pub top_k: usize,
     /// Cooperative cancellation for the synthesis hot loops. The default
     /// is the inert token (zero overhead — a single `None` branch per
@@ -550,15 +550,8 @@ impl LearnedPrograms {
         })
     }
 
-    /// The configured number of top-ranked programs
-    /// ([`SynthesisOptions::top_k`]), ascending cost — the implicit-`k`
-    /// variant of [`LearnedPrograms::top_k`] the §3.2 ambiguity model runs
-    /// on.
-    pub fn top_ranked(&self) -> Vec<Program> {
-        self.top_k(self.options.top_k)
-    }
-
-    /// Up to `k` top-ranked programs, ascending cost.
+    /// Up to `k` top-ranked programs, ascending cost. The first is
+    /// [`LearnedPrograms::top`]'s program (ranked afresh, not memoized).
     pub fn top_k(&self, k: usize) -> Vec<Program> {
         self.options
             .weights

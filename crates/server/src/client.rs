@@ -10,7 +10,8 @@
 //! stringly-typed status code.
 //!
 //! Instances are intentionally single-connection: drive concurrency by
-//! opening more clients (as `traffic_replay` does), not by sharing one.
+//! opening more clients (as the `chaos_replay` test does), not by sharing
+//! one.
 //!
 //! # Timeouts and retries
 //!

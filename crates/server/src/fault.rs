@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the serving stack (the chaos plane).
 //!
-//! Compiled only under the `fault-injection` cargo feature; a production
-//! build carries none of this code. A [`FaultPlan`] is attached to a
+//! Every build compiles it; a server without a plan (the default) pays one
+//! `Option` check per draw site. A [`FaultPlan`] is attached to a
 //! server through `ServerConfig::fault_plan`; the connection loop then
 //! draws from it at three named sites — before reading a request, around
 //! the handler, and before writing the response — and a draw may come
@@ -12,8 +12,8 @@
 //! run with a fixed seed injects the same fault *mix* every time, and
 //! per-action counters let the harness assert exactly how much chaos it
 //! actually exercised. `set_enabled(false)` turns the plan off atomically
-//! mid-run — the `chaos_replay` harness uses that for its final
-//! fault-free wave over the same live server.
+//! mid-run — the `chaos_replay` test (`cargo test --test chaos_replay`)
+//! uses that for its final fault-free wave over the same live server.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 

@@ -25,7 +25,11 @@
 //!   engine cache hit/miss rates, rendered as Prometheus text on
 //!   `/metrics`.
 //! - [`client`] — a blocking keep-alive client speaking the same wire
-//!   types, used by the equivalence tests and `traffic_replay`.
+//!   types, used by the equivalence and chaos tests.
+//! - [`fault`] — the seeded chaos plane: a [`FaultPlan`] set in
+//!   [`ServerConfig::fault_plan`] injects delays, dropped connections,
+//!   truncated responses and handler panics. Every build carries it; the
+//!   default `None` injects nothing.
 //!
 //! ## Quickstart
 //!
@@ -61,7 +65,6 @@
 
 pub mod admission;
 pub mod client;
-#[cfg(feature = "fault-injection")]
 pub mod fault;
 pub mod http;
 pub mod metrics;
@@ -71,7 +74,6 @@ pub mod sessions;
 
 pub use admission::{Admission, AdmitPermit};
 pub use client::{Client, ClientConfig, ClientError};
-#[cfg(feature = "fault-injection")]
 pub use fault::{FaultAction, FaultCounts, FaultPlan, FaultSite};
 pub use http::{ReadError, ReadLimits, MAX_BODY};
 pub use metrics::{Endpoint, LatencyHistogram, Metrics};

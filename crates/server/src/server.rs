@@ -61,7 +61,6 @@
 //! returning.
 
 use std::collections::HashMap;
-#[cfg(feature = "fault-injection")]
 use std::io::Write;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -78,7 +77,6 @@ use sst_service::{
 };
 
 use crate::admission::Admission;
-#[cfg(feature = "fault-injection")]
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::http::{read_request, write_response, ReadError, ReadLimits, Request, Response};
 use crate::metrics::{Endpoint, Metrics};
@@ -136,17 +134,19 @@ pub struct ServerConfig {
     pub warm_start_on_boot: bool,
     /// Test hook: hold each admitted synthesis request this long before
     /// doing the work, so saturation tests can fill the admission queue
-    /// deterministically.
+    /// deterministically. [`ServerConfig::fault_plan`] cannot do this: its
+    /// delays are random draws, not one fixed hold on every request.
     #[doc(hidden)]
     pub debug_handler_delay: Option<Duration>,
     /// Test hook: panic inside the handler boundary when the request path
-    /// contains this substring, so panic isolation is testable without
-    /// the fault-injection feature.
+    /// contains this substring, so a panic isolation test can target one
+    /// path deterministically (a [`ServerConfig::fault_plan`] panic lands
+    /// on whichever request draws it).
     #[doc(hidden)]
     pub debug_panic_on: Option<String>,
-    /// The seeded fault schedule the connection loop draws from; `None`
-    /// injects nothing. Only present under the `fault-injection` feature.
-    #[cfg(feature = "fault-injection")]
+    /// The seeded fault schedule the connection loop draws from (see
+    /// [`crate::fault`]); `None`, the default, injects nothing and costs
+    /// one `Option` check at each of the three draw sites.
     pub fault_plan: Option<Arc<FaultPlan>>,
 }
 
@@ -168,7 +168,6 @@ impl Default for ServerConfig {
             warm_start_on_boot: false,
             debug_handler_delay: None,
             debug_panic_on: None,
-            #[cfg(feature = "fault-injection")]
             fault_plan: None,
         }
     }
@@ -200,7 +199,6 @@ struct State {
     restore_ns: AtomicU64,
     debug_handler_delay: Option<Duration>,
     debug_panic_on: Option<String>,
-    #[cfg(feature = "fault-injection")]
     fault_plan: Option<Arc<FaultPlan>>,
     shutdown: AtomicBool,
     /// Requests currently inside the handler boundary (drained by
@@ -267,7 +265,6 @@ impl Server {
             restore_ns: AtomicU64::new(restore_ns),
             debug_handler_delay: config.debug_handler_delay,
             debug_panic_on: config.debug_panic_on,
-            #[cfg(feature = "fault-injection")]
             fault_plan: config.fault_plan,
             shutdown: AtomicBool::new(false),
             active_requests: AtomicUsize::new(0),
@@ -419,7 +416,6 @@ fn serve_connection(stream: TcpStream, state: &State) -> io::Result<()> {
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     loop {
-        #[cfg(feature = "fault-injection")]
         if let Some(action) = state
             .fault_plan
             .as_deref()
@@ -472,7 +468,6 @@ fn serve_connection(stream: TcpStream, state: &State) -> io::Result<()> {
         // consistent (all shared locks are acquired poison-tolerantly and
         // memo inserts are all-or-nothing), so serving continues.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            #[cfg(feature = "fault-injection")]
             if let Some(action) = state
                 .fault_plan
                 .as_deref()
@@ -505,7 +500,6 @@ fn serve_connection(stream: TcpStream, state: &State) -> io::Result<()> {
         state
             .metrics
             .observe(endpoint, started.elapsed(), response.status < 400);
-        #[cfg(feature = "fault-injection")]
         if let Some(action) = state
             .fault_plan
             .as_deref()

@@ -289,14 +289,11 @@ impl Session {
             .ok_or(ServiceError::Synthesis(SynthesisError::NoConsistentProgram))
     }
 
-    /// The engine-configured number of top-ranked programs, ascending
-    /// cost.
+    /// The engine-configured number of top-ranked programs
+    /// ([`SynthesisOptions::top_k`](sst_core::SynthesisOptions::top_k)),
+    /// ascending cost; the first is [`Session::top`]'s program.
     pub fn top_k(&mut self) -> Result<Vec<Program>, ServiceError> {
-        Ok(self.learned()?.top_ranked())
-    }
-
-    /// Up to `k` top-ranked programs, ascending cost.
-    pub fn top_n(&mut self, k: usize) -> Result<Vec<Program>, ServiceError> {
+        let k = self.engine.options().top_k;
         Ok(self.learned()?.top_k(k))
     }
 

@@ -618,7 +618,8 @@ fn snapshot_restore_round_trips_and_serves_warm_replays() {
     let warm = restored.learn(&examples).unwrap();
     assert_eq!(warm.count(), cold.count());
     assert_eq!(warm.size(), cold.size());
-    for (a, b) in cold.top_ranked().iter().zip(warm.top_ranked().iter()) {
+    let k = restored.options().top_k;
+    for (a, b) in cold.top_k(k).iter().zip(warm.top_k(k).iter()) {
         assert_eq!(a.run(&["c1"]), b.run(&["c1"]));
         assert_eq!(a.run(&["c4"]), b.run(&["c4"]));
     }

@@ -161,9 +161,11 @@
 //! drains in-flight requests before stopping. The
 //! [`Client`](server::Client) retries idempotent requests with capped,
 //! seeded-jitter backoff (see [`ClientConfig`](server::ClientConfig)).
-//! The `fault-injection` feature arms a seeded chaos plane that the
-//! `chaos_replay` harness uses to prove all of it under load — see the
-//! README's *Operations* section.
+//! A seeded [`FaultPlan`](server::FaultPlan) set in
+//! [`ServerConfig::fault_plan`](server::ServerConfig::fault_plan) injects
+//! delays, dropped connections, truncated responses and handler panics;
+//! `tests/chaos_replay.rs` arms one to prove all of it under load — see
+//! the README's *Operations* section.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -189,10 +191,11 @@
 //! The payloads are plain NDJSON, so any HTTP client works — see the
 //! README for a `curl` transcript. `tests/server_equivalence.rs` replays
 //! the 50-task suite over real sockets and asserts the response bodies
-//! are byte-identical to encoding the in-process results;
-//! `crates/bench/src/bin/traffic_replay.rs` drives 1000+ concurrent
-//! sessions against one server and prints latency quantiles and cache
-//! hit rates as a JSON report.
+//! are byte-identical to encoding the in-process results.
+//! `tests/chaos_replay.rs` drives 60 concurrent sessions against one
+//! server under injected faults, then checks a fault-free wave against
+//! the in-process plane; perfbench's `wire_mixed` workload is the load
+//! instrument.
 //!
 //! # Mutating tables at scale
 //!

@@ -1,147 +1,108 @@
+//! Chaos harness for the serving stack.
+//!
 //! Replays the §7 benchmark suite against a live `sst-server` while a
 //! seeded [`FaultPlan`] injects delays, dropped connections, truncated
-//! responses, and handler panics — then proves the stack absorbed all of
+//! responses and handler panics, then proves the stack absorbed all of
 //! it: no hangs, no poisoned locks, every fault surfaced as a *typed*
 //! error, and a final fault-free wave bit-identical to the in-process
-//! plane with the engine caches still warm. Emits a JSON chaos report on
-//! standard output, including the cancellation-latency quantiles for
-//! deadline-aborted learns.
+//! plane with the engine caches still warm.
 //!
 //! Phases:
 //!
-//! 1. **Chaos drive** — N interactive sessions run their §3.2 loop to
-//!    convergence over the wire with injection live. Harness-level
+//! 1. **Chaos drive** — [`SESSIONS`] interactive sessions run their §3.2
+//!    loop to convergence over the wire with injection live. Harness-level
 //!    retries (bounded, reconnect-on-transport-error) classify every
 //!    surfaced failure: transport drops/truncations, typed 408/429/500.
-//!    Anything else — a decode error, an untyped status — fails the run.
+//!    Anything else — a decode error, an untyped status — fails the test.
 //! 2. **Churn** — retry-configured clients (`ClientConfig::retries`)
 //!    hammer `/metrics` until the plan has injected at least
-//!    `--target-faults` faults, exercising the client's capped-backoff
+//!    [`TARGET_FAULTS`] faults, exercising the client's capped-backoff
 //!    retry loop against live drops (the server counts the
 //!    `x-retry-attempt` headers it sees).
-//! 3. **Cancellation** — injection off; every task gets learn requests
-//!    with `deadline-ms: 0`, which must answer typed 408 in bounded
-//!    time. Round-trip latencies land in the report's
-//!    `cancellation.latency` quantiles.
+//! 3. **Cancellation** — injection off; learn requests with
+//!    `deadline-ms: 0` must each answer typed 408 within a second.
 //! 4. **Fault-free wave** — fresh sessions replay every task on the same
-//!    live server; convergence, `run_column` cells and batch-apply
-//!    responses must be bit-identical to an in-process `Engine`/`Session`
-//!    replay, and `/metrics` must show the caches were still warm (chaos
-//!    must not have cost the memo plane anything).
+//!    live server. Every task converges, and convergence, `run_column`
+//!    cells and batch-apply responses are bit-identical to an in-process
+//!    `Engine`/`Session` replay. `/metrics` shows the caches were still
+//!    warm (chaos cost the memo plane nothing) and that a default-config
+//!    server under [`CONNECTIONS`] clients rejected nothing.
 //!
-//! Usage:
-//!   `cargo run --release -p sst-bench --bin chaos_replay > chaos.json`
-//!   `cargo run --release -p sst-bench --bin chaos_replay -- --smoke`
-//!   `... -- --sessions 500 --fault-rate-ppm 120000 --seed 7`
+//! Run it with `cargo test --test chaos_replay`.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use sst_bench::MAX_EXAMPLES;
-use sst_benchmarks::{all_tasks, BenchmarkTask};
-use sst_server::{
-    Client, ClientConfig, ClientError, FaultPlan, LatencyHistogram, Server, ServerConfig,
-    DRAIN_STOPPED,
+use semantic_strings::benchmarks::{all_tasks, BenchmarkTask};
+use semantic_strings::server::{
+    Client, ClientConfig, ClientError, FaultPlan, Server, ServerConfig, DRAIN_STOPPED,
 };
-use sst_service::{ApplyRequest, Engine, LearnRequest, ServiceError};
+use semantic_strings::service::{ApplyRequest, Engine, LearnRequest, ServiceError};
 
-/// Chaos-driven sessions in the default full run.
-const SESSIONS_DEFAULT: usize = 400;
-const SESSIONS_SMOKE: usize = 60;
+/// Chaos-driven sessions; at least one per suite task.
+const SESSIONS: usize = 60;
 
 /// Client connections (= worker threads).
-const CONNECTIONS_DEFAULT: usize = 12;
-const CONNECTIONS_SMOKE: usize = 8;
+const CONNECTIONS: usize = 8;
 
-/// Floor on injected faults before the run may end.
-const TARGET_FAULTS_DEFAULT: usize = 1000;
-const TARGET_FAULTS_SMOKE: usize = 60;
+/// Floor on injected faults before the churn phase may end.
+const TARGET_FAULTS: usize = 60;
 
-/// `deadline-ms: 0` learns in the cancellation-latency phase.
-const CANCEL_REQUESTS_DEFAULT: usize = 200;
-const CANCEL_REQUESTS_SMOKE: usize = 40;
+/// `deadline-ms: 0` learns in the cancellation phase.
+const CANCEL_REQUESTS: usize = 40;
 
 /// Fault probability per site visit, parts per million.
-const RATE_PPM_DEFAULT: usize = 80_000;
+const RATE_PPM: u32 = 80_000;
 
 /// Injected delay length.
-const FAULT_DELAY_MS_DEFAULT: usize = 15;
+const FAULT_DELAY_MS: u64 = 15;
 
-/// Seed for the fault schedule (and report reproducibility).
-const SEED_DEFAULT: usize = 0xC4A0_55ED;
+/// Seed for the fault schedule.
+const SEED: u64 = 0xC4A0_55ED;
+
+/// Bound on one `deadline-ms: 0` learn round trip.
+const CANCEL_BOUND: Duration = Duration::from_secs(1);
 
 /// Consecutive failed attempts before the harness declares a hang/crash.
 const MAX_PERSIST_ATTEMPTS: usize = 50;
 
-fn secs(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64())
-}
-
-fn quantiles(hist: &LatencyHistogram) -> String {
-    format!(
-        "{{\"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}}}",
-        hist.count(),
-        hist.quantile_ns(0.5),
-        hist.quantile_ns(0.99)
-    )
-}
+/// Examples a session may use before it counts as unconverged.
+const MAX_EXAMPLES: usize = 3;
 
 fn inputs_of(task: &BenchmarkTask) -> Vec<Vec<String>> {
     task.rows.iter().map(|r| r.inputs.clone()).collect()
 }
 
-/// Every failure the chaos wave observed, by typed kind. A fault must
-/// surface as a transport error or a typed 408/429/5xx; `decode` and
-/// `other` are the "stack leaked something untyped" buckets and must
-/// stay zero.
+/// The failures that mean the stack leaked something untyped. A fault
+/// must surface as a transport error or a typed 408/429/5xx; an
+/// undecodable response (`decode`) or any other status (`http_other`)
+/// must never happen.
 #[derive(Default)]
 struct ChaosCounts {
-    io: AtomicU64,
-    http_408: AtomicU64,
-    http_429: AtomicU64,
-    http_5xx: AtomicU64,
-    http_other: AtomicU64,
     decode: AtomicU64,
+    http_other: AtomicU64,
 }
 
 impl ChaosCounts {
     fn record(&self, err: &ClientError) {
         let bucket = match err {
-            ClientError::Io(_) => &self.io,
             ClientError::Decode(_) => &self.decode,
-            ClientError::Http { status, .. } => match status {
-                408 => &self.http_408,
-                429 => &self.http_429,
-                s if *s >= 500 => &self.http_5xx,
-                _ => &self.http_other,
-            },
+            ClientError::Http { status, .. } if !matches!(status, 408 | 429 | 500..) => {
+                &self.http_other
+            }
+            _ => return,
         };
         bucket.fetch_add(1, Ordering::Relaxed);
     }
-
-    fn total(&self) -> u64 {
-        [
-            &self.io,
-            &self.http_408,
-            &self.http_429,
-            &self.http_5xx,
-            &self.http_other,
-            &self.decode,
-        ]
-        .iter()
-        .map(|c| c.load(Ordering::Relaxed))
-        .sum()
-    }
 }
 
-/// Runs `jobs.len()` closures over `connections` worker threads, each
+/// Runs `jobs.len()` closures over [`CONNECTIONS`] worker threads, each
 /// worker owning one keep-alive [`Client`] built from `config`.
 fn fan_out<J: Send, R: Send>(
     addr: SocketAddr,
     config: &ClientConfig,
-    connections: usize,
     jobs: Vec<J>,
     work: impl Fn(&mut Client, J) -> R + Sync,
 ) -> Vec<R> {
@@ -149,7 +110,7 @@ fn fan_out<J: Send, R: Send>(
     let cursor = AtomicUsize::new(0);
     let results = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
-        for _ in 0..connections {
+        for _ in 0..CONNECTIONS {
             scope.spawn(|| {
                 let mut client =
                     Client::connect_with(addr, config.clone()).expect("connect worker client");
@@ -180,7 +141,7 @@ fn fan_out<J: Send, R: Send>(
 /// Retries `op` until it succeeds, classifying every surfaced failure
 /// and dialing a fresh connection after transport errors (the old one
 /// may hold half a frame). A bounded attempt budget turns a genuine
-/// hang or crash into a loud harness failure instead of a stall.
+/// hang or crash into a loud test failure instead of a stall.
 fn persist<T>(
     addr: SocketAddr,
     config: &ClientConfig,
@@ -206,18 +167,14 @@ fn persist<T>(
 
 /// One chaos-driven session: the §3.2 convergence loop where every
 /// operation tolerates injected faults.
-#[allow(clippy::too_many_arguments)]
 fn drive_chaos_session(
     addr: SocketAddr,
     config: &ClientConfig,
     client: &mut Client,
-    task_idx: usize,
-    tasks: &[BenchmarkTask],
-    engine_names: &[String],
+    task: &BenchmarkTask,
+    engine: &str,
     counts: &ChaosCounts,
 ) -> bool {
-    let task = &tasks[task_idx];
-    let engine = &engine_names[task_idx];
     let inputs = inputs_of(task);
     let mut examples = vec![task.rows[0].clone()];
     let info = persist(addr, config, client, counts, "create session", |c| {
@@ -277,10 +234,11 @@ fn scrape_counter(metrics: &str, name: &str) -> u64 {
         .sum()
 }
 
-fn main() {
+#[test]
+fn served_stack_absorbs_injected_faults_and_replays_bit_identically() {
     // Injected handler panics unwind through the default hook before the
     // server's `catch_unwind` absorbs them; silence exactly those so the
-    // report stays readable. Everything else still prints.
+    // output stays readable. Everything else still prints.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         let injected = info
@@ -292,44 +250,8 @@ fn main() {
         }
     }));
 
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                v.parse::<usize>()
-                    .unwrap_or_else(|_| panic!("{name} takes a non-negative integer"))
-            })
-    };
     let tasks = all_tasks();
-    let sessions = flag("--sessions")
-        .unwrap_or(if smoke {
-            SESSIONS_SMOKE
-        } else {
-            SESSIONS_DEFAULT
-        })
-        .max(tasks.len());
-    let connections = flag("--connections").unwrap_or(if smoke {
-        CONNECTIONS_SMOKE
-    } else {
-        CONNECTIONS_DEFAULT
-    });
-    let target_faults = flag("--target-faults").unwrap_or(if smoke {
-        TARGET_FAULTS_SMOKE
-    } else {
-        TARGET_FAULTS_DEFAULT
-    });
-    let cancel_requests = flag("--cancel-requests").unwrap_or(if smoke {
-        CANCEL_REQUESTS_SMOKE
-    } else {
-        CANCEL_REQUESTS_DEFAULT
-    });
-    let rate_ppm = flag("--fault-rate-ppm").unwrap_or(RATE_PPM_DEFAULT) as u32;
-    let delay_ms = flag("--fault-delay-ms").unwrap_or(FAULT_DELAY_MS_DEFAULT) as u64;
-    let seed = flag("--seed").unwrap_or(SEED_DEFAULT) as u64;
-
+    assert!(SESSIONS >= tasks.len(), "every task needs a chaos session");
     let engines: Vec<(String, Engine)> = tasks
         .iter()
         .map(|task| {
@@ -341,7 +263,7 @@ fn main() {
         .collect();
     let engine_names: Vec<String> = engines.iter().map(|(n, _)| n.clone()).collect();
 
-    let plan = Arc::new(FaultPlan::new(seed, rate_ppm, delay_ms));
+    let plan = Arc::new(FaultPlan::new(SEED, RATE_PPM, FAULT_DELAY_MS));
     let mut server = Server::bind_named(
         engines,
         ServerConfig {
@@ -368,26 +290,22 @@ fn main() {
     let counts = ChaosCounts::default();
 
     // Phase 1: the full suite driven to convergence with injection live.
-    let chaos_start = Instant::now();
-    let chaos_jobs: Vec<usize> = (0..sessions).map(|k| k % tasks.len()).collect();
-    let chaos_outcomes = fan_out(addr, &drive_config, connections, chaos_jobs, |client, t| {
+    let chaos_jobs: Vec<usize> = (0..SESSIONS).map(|k| k % tasks.len()).collect();
+    let chaos_outcomes = fan_out(addr, &drive_config, chaos_jobs, |client, t| {
         drive_chaos_session(
             addr,
             &drive_config,
             client,
-            t,
-            &tasks,
-            &engine_names,
+            &tasks[t],
+            &engine_names[t],
             &counts,
         )
     });
-    let chaos_wall = chaos_start.elapsed();
     let chaos_converged = chaos_outcomes.iter().filter(|c| **c).count();
 
     // Phase 2: churn until the plan has injected at least the target
     // fault count. The retry-enabled clients absorb drops and 5xx with
     // backoff; the server's sst_retries_total counts what they resent.
-    let churn_start = Instant::now();
     let mut churn_rounds = 0usize;
     let mut churn_client =
         Client::connect_with(addr, drive_config.clone()).expect("connect churn scrape client");
@@ -401,16 +319,16 @@ fn main() {
             |c| c.metrics_text(),
         );
         let retried = scrape_counter(&text, "sst_retries_total");
-        if (plan.injected().total() as usize) >= target_faults && retried > 0 {
+        if (plan.injected().total() as usize) >= TARGET_FAULTS && retried > 0 {
             break;
         }
         churn_rounds += 1;
         assert!(
             churn_rounds <= 400,
-            "churn failed to reach {target_faults} injected faults with client retries"
+            "churn failed to reach {TARGET_FAULTS} injected faults with client retries"
         );
-        let batch: Vec<usize> = (0..connections * 8).collect();
-        fan_out(addr, &churn_config, connections, batch, |client, _| {
+        let batch: Vec<usize> = (0..CONNECTIONS * 8).collect();
+        fan_out(addr, &churn_config, batch, |client, _| {
             if let Err(err) = client.metrics_text() {
                 counts.record(&err);
                 *client = Client::connect_with(addr, churn_config.clone())
@@ -419,53 +337,43 @@ fn main() {
         });
     }
     drop(churn_client);
-    let churn_wall = churn_start.elapsed();
     let injected = plan.injected();
 
     // Phase 3: injection off; deadline-ms: 0 learns must answer typed
-    // 408 in bounded time. Round-trips feed the cancellation histogram.
+    // 408 in bounded time.
     plan.set_enabled(false);
-    let cancel_hist = LatencyHistogram::default();
-    let timed_out = AtomicU64::new(0);
-    let cancel_jobs: Vec<usize> = (0..cancel_requests).map(|k| k % tasks.len()).collect();
-    let cancel_start = Instant::now();
-    fan_out(
-        addr,
-        &drive_config,
-        connections,
-        cancel_jobs,
-        |client, t| {
-            client.set_deadline_ms(Some(0));
-            let task = &tasks[t];
-            let request = LearnRequest::new(vec![task.rows[0].clone(), task.rows[1].clone()]);
-            let start = Instant::now();
-            let result = client.learn(&engine_names[t], std::slice::from_ref(&request));
-            cancel_hist.observe(start.elapsed());
-            match result {
-                Err(ClientError::Http {
-                    status: 408,
-                    error: ServiceError::DeadlineExceeded { .. },
-                }) => {
-                    timed_out.fetch_add(1, Ordering::Relaxed);
-                }
-                other => panic!("deadline-ms 0 learn must answer typed 408, got {other:?}"),
+    let timed_out = AtomicUsize::new(0);
+    let cancel_jobs: Vec<usize> = (0..CANCEL_REQUESTS).map(|k| k % tasks.len()).collect();
+    fan_out(addr, &drive_config, cancel_jobs, |client, t| {
+        client.set_deadline_ms(Some(0));
+        let task = &tasks[t];
+        let request = LearnRequest::new(vec![task.rows[0].clone(), task.rows[1].clone()]);
+        let start = Instant::now();
+        let result = client.learn(&engine_names[t], std::slice::from_ref(&request));
+        let elapsed = start.elapsed();
+        match result {
+            Err(ClientError::Http {
+                status: 408,
+                error: ServiceError::DeadlineExceeded { .. },
+            }) => {
+                timed_out.fetch_add(1, Ordering::Relaxed);
             }
-            client.set_deadline_ms(None);
-        },
-    );
-    let cancel_wall = cancel_start.elapsed();
+            other => panic!("deadline-ms 0 learn must answer typed 408, got {other:?}"),
+        }
+        assert!(
+            elapsed < CANCEL_BOUND,
+            "cancellation must abort in bounded time, took {elapsed:?}"
+        );
+        client.set_deadline_ms(None);
+    });
 
     // Phase 4: fault-free wave on the same live server — every task
     // replayed over the wire and in-process, compared bit for bit, with
     // the memo plane still warm from the chaos traffic.
     let mut scrape_client = Client::connect(addr).expect("connect scrape client");
-    let hits_before = scrape_counter(
-        &scrape_client.metrics_text().expect("metrics"),
-        "sst_cache_hits_total",
-    );
-    let final_start = Instant::now();
+    let before = scrape_client.metrics_text().expect("metrics");
     let final_jobs: Vec<usize> = (0..tasks.len()).collect();
-    let final_outcomes = fan_out(addr, &drive_config, connections, final_jobs, |client, t| {
+    let final_outcomes = fan_out(addr, &drive_config, final_jobs, |client, t| {
         let task = &tasks[t];
         let engine = &engine_names[t];
         let inputs = inputs_of(task);
@@ -507,14 +415,14 @@ fn main() {
             .expect("close final session");
         (t, converged, examples, cells, applies)
     });
-    let final_wall = final_start.elapsed();
-    let hits_after = scrape_counter(
-        &scrape_client.metrics_text().expect("metrics"),
-        "sst_cache_hits_total",
-    );
-    let warm_hits = hits_after - hits_before;
+    let after = scrape_client.metrics_text().expect("metrics");
+    let warm_hits = scrape_counter(&after, "sst_cache_hits_total")
+        - scrape_counter(&before, "sst_cache_hits_total");
+    let wave_rejected = scrape_counter(&after, "sst_rejected_total")
+        - scrape_counter(&before, "sst_rejected_total");
+    let tasks_converged = final_outcomes.iter().filter(|o| o.1).count();
 
-    let mut equivalence_ok = true;
+    let mut mismatches = Vec::new();
     for (t, wire_converged, wire_examples, wire_cells, wire_applies) in &final_outcomes {
         let task = &tasks[*t];
         let engine = Engine::new(Arc::new(task.db.clone()));
@@ -539,104 +447,39 @@ fn main() {
             && session.examples() == &wire_examples[..]
             && apply_equal;
         if !ok {
-            equivalence_ok = false;
-            eprintln!(
-                "equivalence mismatch on task {} ({}): local converged={} examples={} vs wire converged={} examples={}",
+            mismatches.push(format!(
+                "task {} ({}): local converged={} examples={} vs wire converged={} examples={}",
                 task.id,
                 task.name,
                 local.converged,
                 local.examples_used,
                 wire_converged,
                 wire_examples.len()
-            );
+            ));
         }
     }
 
     let metrics_text = scrape_client.metrics_text().expect("metrics");
     let healthz_ok = scrape_client.healthz().expect("healthz");
     let panics_caught = server.caught_panics();
-    let deadline_exceeded = scrape_counter(&metrics_text, "sst_deadline_exceeded_total");
-    let timeouts_seen = scrape_counter(&metrics_text, "sst_timeouts_total");
     let retries_seen = scrape_counter(&metrics_text, "sst_retries_total");
     drop(scrape_client);
     server.shutdown();
     let drained = server.drain_state() == DRAIN_STOPPED && server.active_requests() == 0;
 
-    let observed = |c: &AtomicU64| c.load(Ordering::Relaxed);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"suite\": \"chaos_replay\",\n  \"smoke\": {smoke},\n"
-    ));
-    out.push_str(&format!(
-        "  \"config\": {{\"tasks\": {}, \"sessions\": {}, \"connections\": {}, \"seed\": {}, \"fault_rate_ppm\": {}, \"fault_delay_ms\": {}, \"target_faults\": {}}},\n",
-        tasks.len(),
-        sessions,
-        connections,
-        seed,
-        rate_ppm,
-        delay_ms,
-        target_faults,
-    ));
-    out.push_str(&format!(
-        "  \"chaos\": {{\n    \"sessions\": {}, \"converged\": {}, \"wall_s\": {}, \"churn_rounds\": {}, \"churn_wall_s\": {},\n    \"injected\": {{\"total\": {}, \"delays\": {}, \"drops\": {}, \"truncates\": {}, \"panics\": {}}},\n    \"observed\": {{\"total\": {}, \"io\": {}, \"http_408\": {}, \"http_429\": {}, \"http_5xx\": {}, \"http_other\": {}, \"decode\": {}}}\n  }},\n",
-        sessions,
-        chaos_converged,
-        secs(chaos_wall),
-        churn_rounds,
-        secs(churn_wall),
-        injected.total(),
-        injected.delays,
-        injected.drops,
-        injected.truncates,
-        injected.panics,
-        counts.total(),
-        observed(&counts.io),
-        observed(&counts.http_408),
-        observed(&counts.http_429),
-        observed(&counts.http_5xx),
-        observed(&counts.http_other),
-        observed(&counts.decode),
-    ));
-    out.push_str(&format!(
-        "  \"cancellation\": {{\"requests\": {}, \"timed_out\": {}, \"wall_s\": {}, \"latency\": {}}},\n",
-        cancel_requests,
-        timed_out.load(Ordering::Relaxed),
-        secs(cancel_wall),
-        quantiles(&cancel_hist),
-    ));
-    out.push_str(&format!(
-        "  \"fault_free\": {{\"tasks\": {}, \"wall_s\": {}, \"equivalence_ok\": {}, \"cache_hits\": {}}},\n",
-        final_outcomes.len(),
-        secs(final_wall),
-        equivalence_ok,
-        warm_hits,
-    ));
-    out.push_str(&format!(
-        "  \"server\": {{\"panics_caught\": {}, \"deadline_exceeded\": {}, \"timeouts\": {}, \"retries_seen\": {}, \"healthz_ok\": {}, \"drained\": {}}}\n",
-        panics_caught,
-        deadline_exceeded,
-        timeouts_seen,
-        retries_seen,
-        healthz_ok,
-        drained,
-    ));
-    out.push_str("}\n");
-    print!("{out}");
-
-    // The chaos contract, asserted loudly for CI.
+    // The chaos contract.
     assert!(
-        injected.total() as usize >= target_faults,
-        "injected {} faults, needed {target_faults}",
+        injected.total() as usize >= TARGET_FAULTS,
+        "injected {} faults, needed {TARGET_FAULTS}",
         injected.total()
     );
     assert_eq!(
-        observed(&counts.decode),
+        counts.decode.load(Ordering::Relaxed),
         0,
         "a fault leaked an undecodable response"
     );
     assert_eq!(
-        observed(&counts.http_other),
+        counts.http_other.load(Ordering::Relaxed),
         0,
         "a fault surfaced as an unexpected HTTP status"
     );
@@ -645,20 +488,29 @@ fn main() {
         "every injected panic must be caught by the request boundary, and nothing else may panic"
     );
     assert_eq!(
-        timed_out.load(Ordering::Relaxed) as usize,
-        cancel_requests,
+        timed_out.load(Ordering::Relaxed),
+        CANCEL_REQUESTS,
         "every deadline-ms 0 learn must answer typed 408"
     );
-    assert!(
-        cancel_hist.quantile_ns(0.99) < 1_000_000_000,
-        "cancellation must abort in bounded time"
-    );
     assert_eq!(
-        chaos_converged, sessions,
+        chaos_converged, SESSIONS,
         "chaos sessions failed to converge"
     );
-    assert!(equivalence_ok, "fault-free wave diverged from in-process");
+    assert_eq!(
+        tasks_converged,
+        tasks.len(),
+        "some tasks failed to converge over the wire"
+    );
+    assert!(
+        mismatches.is_empty(),
+        "fault-free wave diverged from in-process:\n{}",
+        mismatches.join("\n")
+    );
     assert!(warm_hits > 0, "chaos cost the engines their warm caches");
+    assert_eq!(
+        wave_rejected, 0,
+        "admission rejected requests under the default config"
+    );
     assert!(
         retries_seen > 0,
         "client retry loop never reached the server"

@@ -1,6 +1,7 @@
 //! Whole-suite regression test: every reconstructed benchmark converges
 //! within the paper's 3-example budget, and the learned program is correct
-//! on every held-out row (that's what `converge` verifies internally).
+//! on every held-out row (that's what `converge` verifies internally). The
+//! first of the ranked paraphrases (`top_k`) is the program `top()` runs.
 //!
 //! This doubles as the §7 "effectiveness of ranking" experiment in test
 //! form; the printable version is `cargo run -p sst-bench --bin
@@ -12,6 +13,7 @@ use semantic_strings::core::{converge, Synthesizer};
 #[test]
 fn every_task_converges_within_three_examples() {
     let mut histogram = [0usize; 4];
+    let mut top_k_disagrees = Vec::new();
     for task in all_tasks() {
         let synthesizer = Synthesizer::new(std::sync::Arc::new(task.db.clone()));
         let report = converge(&synthesizer, &task.rows, 3)
@@ -22,7 +24,27 @@ fn every_task_converges_within_three_examples() {
             task.id, task.name
         );
         histogram[report.examples_used] += 1;
+        let learned = report.learned.expect("a converged task has a learned set");
+        let top = learned.top().expect("a converged task has a top program");
+        for k in [1, 3, 10] {
+            let first = &learned.top_k(k)[0];
+            if first.to_string() != top.to_string() || first.cost() != top.cost() {
+                top_k_disagrees.push(format!(
+                    "task {} ({}): top_k({k})[0] is {first} at cost {}, top() is {top} at cost {}",
+                    task.id,
+                    task.name,
+                    first.cost(),
+                    top.cost()
+                ));
+            }
+        }
     }
+    assert!(
+        top_k_disagrees.is_empty(),
+        "{} (task, k) pairs rank a different first program:\n{}",
+        top_k_disagrees.len(),
+        top_k_disagrees.join("\n")
+    );
     // Paper: 35 / 13 / 2. Exact counts depend on the reconstruction; the
     // shape we hold ourselves to: a large majority from one example, the
     // rest from at most three.
