@@ -77,7 +77,7 @@ pub use language::{
     VarId,
 };
 pub use paraphrase::paraphrase_sem;
-pub use rank::{best_lookup, LuRankWeights, RankedSem};
+pub use rank::{LuRankWeights, RankedSem};
 pub use sst_par::{default_threads, CancelToken, Pool};
 pub use synthesizer::{
     Example, LearnedPrograms, Program, SynthesisError, SynthesisOptions, SynthesisOptionsBuilder,

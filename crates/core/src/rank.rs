@@ -11,13 +11,22 @@
 //!
 //! Extraction is a pair of mutually recursive, depth-bounded DPs:
 //! [`LuRankWeights::best`] runs the syntactic shortest-path DP on the top
-//! DAG with source costs supplied by [`best_lookup`], which in turn prices
-//! nested predicate DAGs the same way one level deeper.
+//! DAG with source costs supplied by the best lookup program of each node,
+//! which in turn prices its `Select`s' predicate DAGs the same way one
+//! level deeper. Both DPs are cost-first: every candidate is priced by
+//! cost alone and only the winner is built — the top DAG's chosen path,
+//! one program per `(node, depth)` and one right-hand side per
+//! `(predicate DAG, depth)`. A predicate DAG shared by every `Select` of a
+//! row, or by equal key values, is therefore ranked once per call. The
+//! memo is sound because every recursion lowers the depth: no result
+//! depends on a pair still being ranked, so each is a pure function of
+//! the structure and the weights.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use sst_lookup::NodeId;
-use sst_syntactic::{AtomicExpr, RankWeights, StringExpr};
+use sst_syntactic::{AtomicExpr, Dag, RankWeights, StringExpr};
+use sst_tables::IntMap;
 
 use crate::dstruct::{GenLookupU, SemDStruct};
 use crate::language::{LookupU, PredRhsU, PredicateU, SemExpr};
@@ -56,18 +65,27 @@ pub struct RankedSem {
     pub expr: SemExpr,
 }
 
-type LookupMemo = HashMap<(u32, usize), Option<(u64, LookupU)>>;
+/// One ranking call's memo (see the module docs). Predicate DAGs are keyed
+/// by `Arc` address, stable while the ranked structure is borrowed.
+#[derive(Default)]
+struct LookupMemo {
+    nodes: IntMap<(u32, usize), Ranked<LookupU>>,
+    preds: IntMap<(*const Dag<NodeId>, usize), Ranked<PredRhsU>>,
+}
+
+/// A winner's cost and program; `None` when nothing is viable.
+type Ranked<T> = Option<(u64, T)>;
 
 impl LuRankWeights {
     /// Extracts the top-ranked program with lookup depth ≤ `depth`.
     pub fn best(&self, d: &SemDStruct, depth: usize) -> Option<RankedSem> {
-        self.best_with(d, depth, &mut HashMap::new())
+        self.best_with(d, depth, &mut LookupMemo::default())
     }
 
     fn best_with(&self, d: &SemDStruct, depth: usize, memo: &mut LookupMemo) -> Option<RankedSem> {
         let top = d.top.as_ref()?;
         let (cost, skeleton) = self.syntactic.best_program(top, &mut |n: &NodeId| {
-            best_lookup(self, d, *n, depth, memo).map(|(c, _)| c)
+            self.best_lookup(d, *n, depth, memo).map(|b| b.0)
         })?;
         let expr = self.concretize(d, skeleton, depth, memo)?;
         Some(RankedSem { cost, expr })
@@ -85,43 +103,21 @@ impl LuRankWeights {
         let Some(top) = d.top.as_ref() else {
             return Vec::new();
         };
-        let mut memo: LookupMemo = HashMap::new();
+        let mut memo = LookupMemo::default();
         let Some(best) = self.best_with(d, depth, &mut memo) else {
             return Vec::new();
         };
         let best_sig = signature(&best.expr);
         let mut out: Vec<(Vec<SigAtom>, RankedSem)> = Vec::new();
-        for skeleton in top.enumerate_programs(k.saturating_mul(16).max(64)) {
+        'skeletons: for skeleton in top.enumerate_programs(k.saturating_mul(16).max(64)) {
             let mut cost = 0u64;
-            let mut priced = true;
             for atom in &skeleton.atoms {
-                let atom_cost = match atom {
-                    AtomicExpr::ConstStr(_) | AtomicExpr::Whole(_) | AtomicExpr::SubStr { .. } => {
-                        // Reuse the syntactic pricing through a singleton set.
-                        let aset = match atom {
-                            AtomicExpr::ConstStr(s) => sst_syntactic::AtomSet::ConstStr(s.clone()),
-                            AtomicExpr::Whole(n) => sst_syntactic::AtomSet::Whole(*n),
-                            AtomicExpr::SubStr { src, p1, p2 } => sst_syntactic::AtomSet::SubStr {
-                                src: *src,
-                                p1: std::sync::Arc::new(vec![pos_to_set(p1)]),
-                                p2: std::sync::Arc::new(vec![pos_to_set(p2)]),
-                            },
-                        };
-                        self.syntactic.best_atom(&aset, &mut |n: &NodeId| {
-                            best_lookup(self, d, *n, depth, &mut memo).map(|(c, _)| c)
-                        })
-                    }
+                let mut src_cost =
+                    |n: &NodeId| self.best_lookup(d, *n, depth, &mut memo).map(|b| b.0);
+                let Some(c) = self.syntactic.atom_expr_cost(atom, &mut src_cost) else {
+                    continue 'skeletons;
                 };
-                match atom_cost {
-                    Some((c, _)) => cost += c + self.syntactic.per_atom,
-                    None => {
-                        priced = false;
-                        break;
-                    }
-                }
-            }
-            if !priced {
-                continue;
+                cost += c + self.syntactic.per_atom;
             }
             if let Some(expr) = self.concretize(d, skeleton, depth, &mut memo) {
                 let sig = signature(&expr);
@@ -152,18 +148,132 @@ impl LuRankWeights {
     ) -> Option<SemExpr> {
         let mut atoms = Vec::with_capacity(skeleton.atoms.len());
         for atom in skeleton.atoms {
-            let converted = match atom {
+            let mut lookup = |n| Some(self.best_lookup(d, n, depth, memo)?.1.clone());
+            atoms.push(match atom {
                 AtomicExpr::ConstStr(s) => AtomicExpr::ConstStr(s),
-                AtomicExpr::Whole(n) => AtomicExpr::Whole(best_lookup(self, d, n, depth, memo)?.1),
+                AtomicExpr::Whole(n) => AtomicExpr::Whole(lookup(n)?),
                 AtomicExpr::SubStr { src, p1, p2 } => AtomicExpr::SubStr {
-                    src: best_lookup(self, d, src, depth, memo)?.1,
+                    src: lookup(src)?,
                     p1,
                     p2,
                 },
-            };
-            atoms.push(converted);
+            });
         }
         Some(StringExpr { atoms })
+    }
+
+    /// Best concrete lookup program at a node with `Select`-depth ≤
+    /// `depth`, ranked on the first request.
+    fn best_lookup<'m>(
+        &self,
+        d: &SemDStruct,
+        node: NodeId,
+        depth: usize,
+        memo: &'m mut LookupMemo,
+    ) -> Option<&'m (u64, LookupU)> {
+        let key = (node.0, depth);
+        if !memo.nodes.contains_key(&key) {
+            let ranked = self.rank_lookup(d, node, depth, memo);
+            memo.nodes.insert(key, ranked);
+        }
+        memo.nodes[&key].as_ref()
+    }
+
+    /// Prices every program of a node by cost alone, then builds the
+    /// winner: the first cheapest program, and for a `Select` its first
+    /// cheapest condition, whose predicates are cloned from the memo.
+    fn rank_lookup(
+        &self,
+        d: &SemDStruct,
+        node: NodeId,
+        depth: usize,
+        memo: &mut LookupMemo,
+    ) -> Ranked<LookupU> {
+        let mut best: Option<(u64, &GenLookupU, usize)> = None;
+        for prog in &d.node(node).progs {
+            let candidate = match prog {
+                GenLookupU::Var(_) => Some((self.var, 0)),
+                GenLookupU::Select { .. } if depth == 0 => None,
+                GenLookupU::Select { conds, .. } => {
+                    let mut best_cond: Option<(u64, usize)> = None;
+                    'conds: for (i, cond) in conds.iter().enumerate() {
+                        if cond.preds.is_empty() {
+                            continue;
+                        }
+                        let mut cost = self.select + self.pred * cond.preds.len() as u64;
+                        for pred in &cond.preds {
+                            let Some(c) = self.pred_cost(d, &pred.dag, depth - 1, memo) else {
+                                continue 'conds;
+                            };
+                            cost += c;
+                        }
+                        if best_cond.is_none_or(|(c, _)| cost < c) {
+                            best_cond = Some((cost, i));
+                        }
+                    }
+                    best_cond
+                }
+            };
+            if let Some((cost, i)) = candidate {
+                if best.is_none_or(|(c, ..)| cost < c) {
+                    best = Some((cost, prog, i));
+                }
+            }
+        }
+        let (cost, prog, i) = best?;
+        let expr = match prog {
+            GenLookupU::Var(v) => LookupU::Var(*v),
+            GenLookupU::Select { col, table, conds } => LookupU::Select {
+                col: *col,
+                table: *table,
+                cond: conds[i]
+                    .preds
+                    .iter()
+                    .map(|pred| {
+                        let key = (Arc::as_ptr(&pred.dag), depth - 1);
+                        let (_, rhs) = memo.preds[&key].as_ref().expect("a priced predicate");
+                        PredicateU {
+                            col: pred.col,
+                            rhs: rhs.clone(),
+                        }
+                    })
+                    .collect(),
+            },
+        };
+        Some((cost, expr))
+    }
+
+    /// Cost of a predicate DAG's best right-hand side at `depth`. The DAG
+    /// is ranked and its winner built once per call, however many
+    /// `Select`s (every column of a row, equal key values) share it.
+    fn pred_cost(
+        &self,
+        d: &SemDStruct,
+        dag: &Arc<Dag<NodeId>>,
+        depth: usize,
+        memo: &mut LookupMemo,
+    ) -> Option<u64> {
+        let key = (Arc::as_ptr(dag), depth);
+        if let Some(hit) = memo.preds.get(&key) {
+            return hit.as_ref().map(|(c, _)| *c);
+        }
+        let ranked = self
+            .syntactic
+            .best_program(dag, &mut |n: &NodeId| {
+                self.best_lookup(d, *n, depth, memo).map(|b| b.0)
+            })
+            .and_then(|(cost, skeleton)| {
+                let expr = self.concretize(d, skeleton, depth, memo)?;
+                // Render pure constants in Lt's `C = s` form.
+                let rhs = match expr.atoms.as_slice() {
+                    [AtomicExpr::ConstStr(s)] => PredRhsU::Const(s.clone()),
+                    _ => PredRhsU::Expr(expr),
+                };
+                Some((cost, rhs))
+            });
+        let cost = ranked.as_ref().map(|(c, _)| *c);
+        memo.preds.insert(key, ranked);
+        cost
     }
 }
 
@@ -185,91 +295,6 @@ fn signature(e: &SemExpr) -> Vec<SigAtom> {
             AtomicExpr::SubStr { src, .. } => SigAtom::SubStr(src.clone()),
         })
         .collect()
-}
-
-fn pos_to_set(p: &sst_syntactic::PosExpr) -> sst_syntactic::PosSet {
-    match p {
-        sst_syntactic::PosExpr::CPos(k) => sst_syntactic::PosSet::CPos(*k),
-        sst_syntactic::PosExpr::Pos { r1, r2, c } => sst_syntactic::PosSet::Pos {
-            r1s: vec![r1.clone()],
-            r2s: vec![r2.clone()],
-            cs: vec![*c],
-        },
-    }
-}
-
-/// Best concrete lookup program at a node with `Select`-depth ≤ `depth`.
-pub fn best_lookup(
-    w: &LuRankWeights,
-    d: &SemDStruct,
-    node: NodeId,
-    depth: usize,
-    memo: &mut LookupMemo,
-) -> Option<(u64, LookupU)> {
-    if let Some(hit) = memo.get(&(node.0, depth)) {
-        return hit.clone();
-    }
-    memo.insert((node.0, depth), None);
-    let mut best: Option<(u64, LookupU)> = None;
-    for prog in &d.node(node).progs {
-        let candidate = match prog {
-            GenLookupU::Var(v) => Some((w.var, LookupU::Var(*v))),
-            GenLookupU::Select { col, table, conds } => {
-                if depth == 0 {
-                    None
-                } else {
-                    let mut best_sel: Option<(u64, LookupU)> = None;
-                    for cond in conds.iter() {
-                        let mut cost = w.select + w.pred * cond.preds.len() as u64;
-                        let mut preds = Vec::with_capacity(cond.preds.len());
-                        let mut viable = true;
-                        for pred in &cond.preds {
-                            let sub = w.syntactic.best_program(&pred.dag, &mut |n: &NodeId| {
-                                best_lookup(w, d, *n, depth - 1, memo).map(|(c, _)| c)
-                            });
-                            let Some((pc, skeleton)) = sub else {
-                                viable = false;
-                                break;
-                            };
-                            let Some(expr) = w.concretize(d, skeleton, depth - 1, memo) else {
-                                viable = false;
-                                break;
-                            };
-                            cost += pc;
-                            // Render pure constants in Lt's `C = s` form.
-                            let rhs = match expr.atoms.as_slice() {
-                                [AtomicExpr::ConstStr(s)] => PredRhsU::Const(s.clone()),
-                                _ => PredRhsU::Expr(expr),
-                            };
-                            preds.push(PredicateU { col: pred.col, rhs });
-                        }
-                        if !viable || preds.is_empty() {
-                            continue;
-                        }
-                        let candidate = (
-                            cost,
-                            LookupU::Select {
-                                col: *col,
-                                table: *table,
-                                cond: preds,
-                            },
-                        );
-                        if best_sel.as_ref().is_none_or(|(c, _)| candidate.0 < *c) {
-                            best_sel = Some(candidate);
-                        }
-                    }
-                    best_sel
-                }
-            }
-        };
-        if let Some(c) = candidate {
-            if best.as_ref().is_none_or(|(bc, _)| c.0 < *bc) {
-                best = Some(c);
-            }
-        }
-    }
-    memo.insert((node.0, depth), best.clone());
-    best
 }
 
 #[cfg(test)]

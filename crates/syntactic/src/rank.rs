@@ -6,6 +6,13 @@
 //! score among its atoms, and atom scores only look at un-shared attributes.
 //! That makes top-1 extraction a shortest-path DP over the DAG.
 //!
+//! The DP is cost-first: [`RankWeights::atom_cost`] and
+//! [`RankWeights::pos_cost`] price an atom set or position set without
+//! building anything, and each node keeps only its cheapest `(next, atom
+//! set)`. Concrete atoms are materialized ([`RankWeights::best_atom`]) for
+//! the winning path alone. Costs compare with a strict `<` in edge order,
+//! so the first cheapest choice wins every tie.
+//!
 //! The concrete weights implement the paper's stated preferences:
 //! * fewer concatenation arguments (a fixed per-atom charge),
 //! * substring/source atoms over constants (generalization),
@@ -67,143 +74,183 @@ impl Default for RankWeights {
 }
 
 impl RankWeights {
-    /// Cost and best concrete expression of a position set.
-    pub fn best_pos(&self, pset: &PosSet) -> (u64, PosExpr) {
-        match pset {
-            PosSet::CPos(k) => {
-                let cost = if *k == 0 || *k == -1 {
-                    self.cpos_edge
-                } else {
-                    self.cpos_interior
-                };
-                (cost, PosExpr::CPos(*k))
-            }
-            PosSet::Pos { r1s, r2s, cs } => {
-                let pick_seq = |seqs: &[RegexSeq]| -> (u64, RegexSeq) {
-                    seqs.iter()
-                        .map(|r| {
-                            let toks = r.0.len() as u64;
-                            // ε is fine but a 1-token context is the most
-                            // readable; extra tokens cost more.
-                            let cost = toks.saturating_sub(1) * self.pos_token;
-                            (cost, r.clone())
-                        })
-                        .min_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
-                        .expect("non-empty seq list")
-                };
-                let (c1, r1) = pick_seq(r1s);
-                let (c2, r2) = pick_seq(r2s);
-                let &c = cs
-                    .iter()
-                    .min_by_key(|c| (c.unsigned_abs(), c.is_negative()))
-                    .expect("non-empty count list");
-                let far = if c.unsigned_abs() > 1 {
-                    self.pos_far_count
-                } else {
-                    0
-                };
-                (self.pos + c1 + c2 + far, PosExpr::Pos { r1, r2, c })
+    fn seq_cost(&self, seq: &RegexSeq) -> u64 {
+        // ε is fine but a 1-token context is the most readable; extra
+        // tokens cost more.
+        (seq.0.len() as u64).saturating_sub(1) * self.pos_token
+    }
+
+    fn count_cost(&self, c: i32) -> u64 {
+        u64::from(c.unsigned_abs() > 1) * self.pos_far_count
+    }
+
+    /// Cost of a concrete position expression.
+    pub fn pos_expr_cost(&self, p: &PosExpr) -> u64 {
+        match p {
+            PosExpr::CPos(0 | -1) => self.cpos_edge,
+            PosExpr::CPos(_) => self.cpos_interior,
+            PosExpr::Pos { r1, r2, c } => {
+                self.pos + self.seq_cost(r1) + self.seq_cost(r2) + self.count_cost(*c)
             }
         }
     }
 
-    /// Cost and best concrete position over a list of alternatives.
-    pub fn best_pos_of(&self, psets: &[PosSet]) -> Option<(u64, PosExpr)> {
-        psets
-            .iter()
-            .map(|p| self.best_pos(p))
-            .min_by_key(|(c, _)| *c)
+    /// Cost of a position set's best expression, without building it:
+    /// always `best_pos(pset).0`.
+    pub fn pos_cost(&self, pset: &PosSet) -> u64 {
+        match pset {
+            PosSet::CPos(k) => self.pos_expr_cost(&PosExpr::CPos(*k)),
+            PosSet::Pos { r1s, r2s, cs } => {
+                let seqs = |rs: &[RegexSeq]| rs.iter().map(|r| self.seq_cost(r)).min();
+                self.pos
+                    + seqs(r1s).expect("non-empty seq list")
+                    + seqs(r2s).expect("non-empty seq list")
+                    + self.count_cost(best_count(cs))
+            }
+        }
     }
 
-    /// Cost and best concrete atom of an atom set. `src_cost` prices a
-    /// source handle (0 for variables; lookup depth for `Lu` nodes) and may
-    /// veto it with `None`.
+    /// Cost and best concrete expression of a position set. Ties between
+    /// equally cheap contexts go to the smaller sequence; only the two
+    /// winning sequences are cloned.
+    pub fn best_pos(&self, pset: &PosSet) -> (u64, PosExpr) {
+        let expr = match pset {
+            PosSet::CPos(k) => PosExpr::CPos(*k),
+            PosSet::Pos { r1s, r2s, cs } => {
+                let pick = |seqs: &[RegexSeq]| {
+                    seqs.iter()
+                        .min_by(|a, b| self.seq_cost(a).cmp(&self.seq_cost(b)).then(a.cmp(b)))
+                        .expect("non-empty seq list")
+                        .clone()
+                };
+                PosExpr::Pos {
+                    r1: pick(r1s),
+                    r2: pick(r2s),
+                    c: best_count(cs),
+                }
+            }
+        };
+        (self.pos_expr_cost(&expr), expr)
+    }
+
+    fn const_cost(&self, s: &str) -> u64 {
+        let alnum = s.chars().filter(char::is_ascii_alphanumeric).count() as u64;
+        let other = s.chars().count() as u64 - alnum;
+        self.const_str + alnum * self.const_char_alnum + other * self.const_char_other
+    }
+
+    /// Cost of a concrete atom. `src_cost` prices a source handle (0 for
+    /// variables; the best lookup's cost for `Lu` nodes) and may veto it
+    /// with `None`.
+    pub fn atom_expr_cost<S>(
+        &self,
+        atom: &AtomicExpr<S>,
+        src_cost: &mut impl FnMut(&S) -> Option<u64>,
+    ) -> Option<u64> {
+        Some(match atom {
+            AtomicExpr::ConstStr(s) => self.const_cost(s),
+            AtomicExpr::Whole(src) => self.whole + src_cost(src)?,
+            AtomicExpr::SubStr { src, p1, p2 } => {
+                self.substr + src_cost(src)? + self.pos_expr_cost(p1) + self.pos_expr_cost(p2)
+            }
+        })
+    }
+
+    /// Cost of an atom set's best atom, without building it: always
+    /// `best_atom(aset, src_cost).map(|b| b.0)`. Calls `src_cost` at most
+    /// once, before pricing any position.
+    pub fn atom_cost<S>(
+        &self,
+        aset: &AtomSet<S>,
+        src_cost: &mut impl FnMut(&S) -> Option<u64>,
+    ) -> Option<u64> {
+        let cheapest = |ps: &[PosSet]| ps.iter().map(|p| self.pos_cost(p)).min();
+        Some(match aset {
+            AtomSet::ConstStr(s) => self.const_cost(s),
+            AtomSet::Whole(src) => self.whole + src_cost(src)?,
+            AtomSet::SubStr { src, p1, p2 } => {
+                let c = src_cost(src)?;
+                self.substr + c + cheapest(p1)? + cheapest(p2)?
+            }
+        })
+    }
+
+    /// Cost and best concrete atom of an atom set (see
+    /// [`RankWeights::atom_cost`]).
     pub fn best_atom<S: Clone>(
         &self,
         aset: &AtomSet<S>,
         src_cost: &mut impl FnMut(&S) -> Option<u64>,
     ) -> Option<(u64, AtomicExpr<S>)> {
-        match aset {
-            AtomSet::ConstStr(s) => {
-                let chars = s
-                    .chars()
-                    .map(|c| {
-                        if c.is_ascii_alphanumeric() {
-                            self.const_char_alnum
-                        } else {
-                            self.const_char_other
-                        }
-                    })
-                    .sum::<u64>();
-                Some((self.const_str + chars, AtomicExpr::ConstStr(s.clone())))
-            }
-            AtomSet::Whole(src) => {
-                let c = src_cost(src)?;
-                Some((self.whole + c, AtomicExpr::Whole(src.clone())))
-            }
-            AtomSet::SubStr { src, p1, p2 } => {
-                let c = src_cost(src)?;
-                let (c1, p1) = self.best_pos_of(p1)?;
-                let (c2, p2) = self.best_pos_of(p2)?;
-                Some((
-                    self.substr + c + c1 + c2,
-                    AtomicExpr::SubStr {
-                        src: src.clone(),
-                        p1,
-                        p2,
-                    },
-                ))
-            }
-        }
+        // The first cheapest alternative, built alone.
+        let pick =
+            |ps: &[PosSet]| Some(self.best_pos(ps.iter().min_by_key(|p| self.pos_cost(p))?).1);
+        let atom = match aset {
+            AtomSet::ConstStr(s) => AtomicExpr::ConstStr(s.clone()),
+            AtomSet::Whole(src) => AtomicExpr::Whole(src.clone()),
+            AtomSet::SubStr { src, p1, p2 } => AtomicExpr::SubStr {
+                src: src.clone(),
+                p1: pick(p1)?,
+                p2: pick(p2)?,
+            },
+        };
+        Some((self.atom_expr_cost(&atom, src_cost)?, atom))
     }
 
     /// Extracts the minimum-cost program from a DAG via a backward DP.
     ///
-    /// Returns the cost and the program, or `None` when the DAG is empty
-    /// (or every atom's source is vetoed by `src_cost`).
+    /// The DP prices atom sets with [`RankWeights::atom_cost`] and keeps
+    /// only the winning `(next, atom set)` per node; atoms are built for
+    /// the chosen path alone. Returns the cost and the program, or `None`
+    /// when the DAG is empty (or every atom's source is vetoed by
+    /// `src_cost`).
     pub fn best_program<S: Clone>(
         &self,
         dag: &Dag<S>,
         src_cost: &mut impl FnMut(&S) -> Option<u64>,
     ) -> Option<(u64, StringExpr<S>)> {
-        let n = dag.num_nodes as usize;
-        // best[v] = min cost from v to target, with chosen (next, atom).
-        type Choice<S> = Option<(u64, Option<(u32, AtomicExpr<S>)>)>;
-        let mut best: Vec<Choice<S>> = vec![None; n];
+        // best[v] = min cost from v to target, with chosen (next, atom set).
+        type Choice<'d, S> = Option<(u64, Option<(u32, &'d AtomSet<S>)>)>;
+        let mut best: Vec<Choice<S>> = vec![None; dag.num_nodes as usize];
         best[dag.target as usize] = Some((0, None));
         for node in (0..dag.num_nodes).rev() {
             if node == dag.target {
                 continue;
             }
-            let mut chosen: Choice<S> = None;
+            let mut chosen = None;
             for (&(_, next), atoms) in dag.outgoing(node) {
-                let Some((next_cost, _)) = &best[next as usize] else {
+                let Some((next_cost, _)) = best[next as usize] else {
                     continue;
                 };
-                let next_cost = *next_cost;
                 for aset in atoms {
-                    if let Some((atom_cost, atom)) = self.best_atom(aset, src_cost) {
+                    if let Some(atom_cost) = self.atom_cost(aset, src_cost) {
                         let total = atom_cost + self.per_atom + next_cost;
-                        if chosen.as_ref().is_none_or(|(c, _)| total < *c) {
-                            chosen = Some((total, Some((next, atom))));
+                        if chosen.is_none_or(|(c, _)| total < c) {
+                            chosen = Some((total, Some((next, aset))));
                         }
                     }
                 }
             }
             best[node as usize] = chosen;
         }
-        let (cost, _) = best[dag.source as usize].clone()?;
-        // Walk the chosen chain.
+        let (cost, _) = best[dag.source as usize]?;
+        // Walk the chosen chain, building only its atoms.
         let mut atoms = Vec::new();
         let mut node = dag.source;
         while node != dag.target {
-            let (_, step) = best[node as usize].clone()?;
-            let (next, atom) = step?;
-            atoms.push(atom);
+            let (next, aset) = best[node as usize]?.1?;
+            atoms.push(self.best_atom(aset, src_cost)?.1);
             node = next;
         }
         Some((cost, StringExpr { atoms }))
     }
+}
+
+/// The preferred occurrence index: smallest magnitude, positive first.
+fn best_count(cs: &[i32]) -> i32 {
+    *cs.iter()
+        .min_by_key(|c| (c.unsigned_abs(), c.is_negative()))
+        .expect("non-empty count list")
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 
 use sst_counting::BigUint;
 use sst_syntactic::{
-    eval_expr, eval_pos_with_runs, generate_dag, intersect_dags, GenOptions, PositionLearner,
-    StringRuns, SyntacticLearner, TokenSet, Var,
+    eval_expr, eval_pos_with_runs, generate_dag, intersect_dags, AtomSet, GenOptions,
+    PositionLearner, RankWeights, StringRuns, SyntacticLearner, TokenSet, Var,
 };
 
 fn ascii() -> impl Strategy<Value = String> {
@@ -125,6 +125,46 @@ proptest! {
             .expect("const program always exists");
         let top = learned.top().expect("top program");
         prop_assert_eq!(learned.run(&top, &[input.as_str()]), Some(output));
+    }
+
+    /// Cost-first ranking prices exactly what it would build: every atom
+    /// set's and position set's allocation-free cost equals its best
+    /// concrete atom's or position's, and the top program's cost is the
+    /// sum of its atoms' costs. One source is vetoed at random.
+    #[test]
+    fn cost_first_pricing_matches_built_programs(
+        in0 in "[A-Za-z0-9 ,.-]{1,8}",
+        in1 in "[a-z0-9 ]{1,6}",
+        output in "[A-Za-z0-9 ,.-]{1,8}",
+        veto in 0u32..3,
+    ) {
+        let w = RankWeights::default();
+        let sources = [(Var(0), in0.as_str()), (Var(1), in1.as_str())];
+        let dag = generate_dag(&sources, &output, &GenOptions::default());
+        let mut src_cost = |v: &Var| (v.0 != veto).then_some(u64::from(v.0) * 3);
+        for node in 0..dag.num_nodes {
+            for (_, atoms) in dag.outgoing(node) {
+                for aset in atoms {
+                    let built = w.best_atom(aset, &mut src_cost);
+                    prop_assert_eq!(w.atom_cost(aset, &mut src_cost), built.as_ref().map(|b| b.0));
+                    if let Some((cost, atom)) = &built {
+                        prop_assert_eq!(w.atom_expr_cost(atom, &mut src_cost), Some(*cost));
+                    }
+                    if let AtomSet::SubStr { p1, p2, .. } = aset {
+                        for pset in p1.iter().chain(p2.iter()) {
+                            prop_assert_eq!(w.pos_cost(pset), w.best_pos(pset).0);
+                        }
+                    }
+                }
+            }
+        }
+        let (cost, prog) = w.best_program(&dag, &mut src_cost).expect("constants survive a veto");
+        let summed = prog
+            .atoms
+            .iter()
+            .map(|a| w.atom_expr_cost(a, &mut src_cost).map(|c| c + w.per_atom))
+            .sum::<Option<u64>>();
+        prop_assert_eq!(summed, Some(cost), "program {}", prog);
     }
 
     /// Self-intersection preserves the program count (idempotence up to
