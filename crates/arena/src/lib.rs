@@ -11,6 +11,8 @@
 //! the file keeps exactly the sharing the live engine holds and a restore
 //! rebuilds it. Learning never touches this crate.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 
 pub use codec::{

@@ -12,6 +12,8 @@
 //! benchmark is `perfbench/` (declared by `BENCHMARK.json`), and the
 //! drift checks CI runs live in the workspace's differential tests.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

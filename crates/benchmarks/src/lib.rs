@@ -8,6 +8,8 @@
 //! data-structure size (Fig. 11b), examples-to-convergence (§7 ranking),
 //! learning time (Fig. 12a) and intersection growth (Fig. 12b).
 
+#![forbid(unsafe_code)]
+
 mod generators;
 mod suite;
 mod task;

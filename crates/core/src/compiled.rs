@@ -45,11 +45,11 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::mem;
 use std::sync::Arc;
 
-use sst_par::Pool;
 use sst_syntactic::{eval_compiled_pos, AtomicExpr, CompiledPos, RunsBuf, TokenPlan, TokenSet};
 use sst_tables::{ColId, Database, Symbol, TableId};
 
 use crate::language::{LookupU, PredRhsU, SemAtom, SemExpr};
+use crate::Pool;
 
 /// Rows per parallel chunk floor: below this, fan-out overhead dominates.
 const PAR_CHUNK_MIN: usize = 1024;

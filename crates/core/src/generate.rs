@@ -31,12 +31,12 @@ use std::sync::Arc;
 
 use sst_lookup::reach::{reach, Activation, ReachPolicy, ReachState};
 use sst_lookup::NodeId;
-use sst_par::CancelToken;
 use sst_syntactic::{generate_dag_prepared, Dag, GenOptions, PreparedSources};
 use sst_tables::{ColId, Database, IntMap, RowId, Symbol, TableId};
 
 use crate::cache::{DagCache, ExampleDeps, SourcesEpoch};
 use crate::dstruct::{GenCondU, GenLookupU, GenPredU, SemDStruct, SemNode};
+use crate::CancelToken;
 
 /// Options for `Lu` generation.
 #[derive(Debug, Clone)]

@@ -18,11 +18,11 @@
 use std::sync::Arc;
 
 use sst_lookup::NodeId;
-use sst_par::CancelToken;
 use sst_syntactic::{intersect_dags_memo, intersect_dags_memo_unpruned, Dag, PosMemo};
 use sst_tables::IntMap;
 
 use crate::dstruct::{GenCondU, GenLookupU, GenPredU, SemDStruct, SemNode};
+use crate::CancelToken;
 
 /// Intersects two `Du` structures. The result's `top` is `None` when no
 /// common program survives.

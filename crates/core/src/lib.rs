@@ -52,6 +52,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cache;
 mod compiled;
 mod dstruct;
@@ -60,6 +62,7 @@ mod generate;
 mod interaction;
 mod intersect;
 mod language;
+mod par;
 mod paraphrase;
 mod rank;
 mod snapshot;
@@ -76,9 +79,9 @@ pub use language::{
     display_sem, sem_depth, sem_select_count, LookupU, PredRhsU, PredicateU, SemAtom, SemExpr,
     VarId,
 };
+pub use par::{default_threads, CancelToken, Pool};
 pub use paraphrase::paraphrase_sem;
 pub use rank::{LuRankWeights, RankedSem};
-pub use sst_par::{default_threads, CancelToken, Pool};
 pub use synthesizer::{
     Example, LearnedPrograms, Program, SynthesisError, SynthesisOptions, SynthesisOptionsBuilder,
     Synthesizer,

@@ -8,7 +8,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use sst_counting::BigUint;
-use sst_par::CancelToken;
 use sst_syntactic::TokenSet;
 use sst_tables::{Database, DbDelta, Symbol, Table, TableError, TableId};
 
@@ -20,6 +19,7 @@ use crate::intersect::intersect_du_budgeted;
 use crate::language::{display_sem, SemExpr};
 use crate::paraphrase::paraphrase_sem;
 use crate::rank::LuRankWeights;
+use crate::CancelToken;
 
 /// One input-output example: an input row and its desired output.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,7 +131,7 @@ pub struct SynthesisOptions {
     /// it, and so do `run_column`'s row ranges. Learning itself is serial,
     /// so the width never changes a learned observable (pinned at widths 1,
     /// 2 and the machine width by `tests/service_equivalence.rs`). Default:
-    /// [`sst_par::default_threads`] (the machine's available parallelism).
+    /// [`crate::default_threads`] (the machine's available parallelism).
     pub threads: usize,
     /// How many top-ranked programs the service plane considers where a
     /// caller gives no explicit `k`: `Session::top_k`, ambiguity
@@ -156,7 +156,7 @@ impl Default for SynthesisOptions {
             lu: LuOptions::default(),
             weights: LuRankWeights::default(),
             dag_cache: true,
-            threads: sst_par::default_threads(),
+            threads: crate::default_threads(),
             top_k: 10,
             cancel: CancelToken::default(),
         }
@@ -222,7 +222,7 @@ impl SynthesisOptionsBuilder {
     /// means the machine's available parallelism.
     pub fn threads(mut self, threads: usize) -> Self {
         self.options.threads = if threads == 0 {
-            sst_par::default_threads()
+            crate::default_threads()
         } else {
             threads
         };

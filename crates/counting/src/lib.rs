@@ -9,6 +9,8 @@
 //! construction, addition, multiplication, comparison, decimal/scientific
 //! formatting and a lossy `f64` view for plotting.
 
+#![forbid(unsafe_code)]
+
 mod biguint;
 
 pub use biguint::BigUint;

@@ -7,6 +7,8 @@
 //! is that table library. Each builder returns an [`sst_tables::Table`]
 //! with the candidate keys the paper's examples rely on.
 
+#![forbid(unsafe_code)]
+
 mod currency;
 mod date;
 mod geo;

@@ -34,6 +34,8 @@
 //! assert_eq!(learned.run(&top, &["c2"]).as_deref(), Some("Google"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod dstruct;
 mod eval;
 mod generate;

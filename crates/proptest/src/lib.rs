@@ -15,6 +15,8 @@
 //! is not implemented — failing inputs are printed instead. Swap for the
 //! real crate when a registry is available; test sources need no changes.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeFrom};
 
 /// Deterministic splitmix64 generator.

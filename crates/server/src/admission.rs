@@ -1,7 +1,7 @@
 //! Admission control: a bounded-queue semaphore over the engine pool.
 //!
 //! The synthesis work behind `/learn`, `/apply`, `/status` and
-//! `/run_column` fans out across one shared `sst-par` pool; connection
+//! `/run_column` fans out across the engine's one shared `Pool`; connection
 //! threads are cheap but that pool is not, so the server bounds how much
 //! work may execute ([`max_in_flight`](Admission)) and how much may wait
 //! ([`max_queue`](Admission)). A request arriving past both bounds is

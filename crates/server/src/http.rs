@@ -1,12 +1,11 @@
 //! Minimal HTTP/1.1 framing over [`std::net::TcpStream`].
 //!
-//! Hand-rolled because the container has no registry access (vendored in
-//! the style of `sst-par`): exactly the subset the serving stack needs —
-//! request-line + headers + `Content-Length` bodies in, status + headers +
-//! body out, persistent connections by default (`Connection: close`
-//! honored both ways). No chunked encoding, no TLS, no HTTP/2; the wire
-//! payloads themselves are newline-delimited JSON from
-//! [`sst_service::wire`].
+//! Hand-rolled because the build environment has no registry access:
+//! exactly the subset the serving stack needs — request-line + headers +
+//! `Content-Length` bodies in, status + headers + body out, persistent
+//! connections by default (`Connection: close` honored both ways). No
+//! chunked encoding, no TLS, no HTTP/2; the wire payloads themselves are
+//! newline-delimited JSON from [`sst_service::wire`].
 //!
 //! The read path is hardened against hostile peers: every failure mode is
 //! a typed [`ReadError`] (so the server can answer 400/408/413 precisely

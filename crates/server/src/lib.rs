@@ -5,10 +5,9 @@
 //! [`Session`](sst_service::Session) is a value you hold. This crate puts
 //! a network front door on that plane, hand-rolled over
 //! [`std::net::TcpListener`] because the build environment has no
-//! registry access (the same discipline as `sst-par` and the vendored
-//! test shims): no hyper, no tokio, no serde — HTTP/1.1 keep-alive
-//! framing in [`http`], the newline-delimited JSON payloads from
-//! [`sst_service::wire`].
+//! registry access (the same discipline as the vendored test shims): no
+//! hyper, no tokio, no serde — HTTP/1.1 keep-alive framing in [`http`],
+//! the newline-delimited JSON payloads from [`sst_service::wire`].
 //!
 //! The pieces, each its own module:
 //!
@@ -62,6 +61,8 @@
 //!     .unwrap();
 //! assert_eq!(cells, vec![Some("Apple".to_string())]);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod client;

@@ -6,10 +6,9 @@ use std::time::Duration;
 
 use sst_arena::ArenaStats;
 use sst_core::{
-    CancelToken, DagCache, DagCacheStats, Example, LearnedPrograms, SynthesisError,
+    CancelToken, DagCache, DagCacheStats, Example, LearnedPrograms, Pool, SynthesisError,
     SynthesisOptions, Synthesizer,
 };
-use sst_par::Pool;
 use sst_tables::{ColId, Database, RowId, Symbol, Table, TableId};
 
 use crate::session::Session;
@@ -55,7 +54,7 @@ pub(crate) fn with_deadline_error<T>(
 }
 
 /// The serving front-end: owns one `Arc<Database>` of background
-/// knowledge, one warm [`DagCache`] plane and one global `sst-par` pool,
+/// knowledge, one warm [`DagCache`] plane and one global [`Pool`],
 /// and hands out cheap handles — [`Session`]s for the §3.2 interactive
 /// protocol, [`Engine::learn_batch`] for independent bulk requests.
 ///
@@ -66,7 +65,7 @@ pub(crate) fn with_deadline_error<T>(
 /// # Determinism
 ///
 /// Batch responses are in request order by construction
-/// (`par_map_indexed` writes each result into its pre-assigned slot), and
+/// (`par_map_indexed` returns results in input order), and
 /// every learned observable — counts, sizes, ranking, evaluation — is
 /// bit-identical to a sequential [`Synthesizer::learn`] per request, at
 /// every pool width (pinned by `tests/service_equivalence.rs`).

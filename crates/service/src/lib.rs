@@ -13,7 +13,7 @@
 //! the lower layers already provide (an `Arc`-shared [`Database`], an
 //! interior-mutable [`DagCache`](sst_core::DagCache) whose clones share
 //! one warm plane, a sharded lock-free interner, and the deterministic
-//! `sst-par` pool).
+//! [`Pool`](sst_core::Pool)).
 //!
 //! Two layers:
 //!
@@ -73,6 +73,8 @@
 //! }
 //! assert_eq!(session.run(&["c1"]).unwrap().as_deref(), Some("Microsoft"));
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod engine;
 mod session;

@@ -152,8 +152,8 @@ impl LearnRequest {
 }
 
 /// The answer to one [`LearnRequest`]. Responses come back in request
-/// order regardless of how the batch was scheduled (the pool writes each
-/// result into its pre-assigned slot); `request` names the slot explicitly
+/// order regardless of how the batch was scheduled (the pool puts each
+/// result back at its request's index); `request` names the slot explicitly
 /// so a wire boundary can stream responses out of order later.
 #[derive(Debug, Clone)]
 pub struct LearnResponse {

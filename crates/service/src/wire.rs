@@ -2,10 +2,9 @@
 //!
 //! The build container has no registry access, so this module hand-rolls
 //! the small JSON subset the serving stack needs instead of pulling in
-//! `serde` — in the same vendored spirit as `sst-par` and the offline
-//! `proptest` shim. One encoded value is always **one line**
-//! (JSON escapes every control character, so a newline can never appear
-//! inside an encoded value), which gives the server its framing for free:
+//! `serde` — in the same vendored spirit as the offline `proptest` shim.
+//! One encoded value is always **one line** (JSON escapes every control
+//! character, so a newline can never appear inside an encoded value), which gives the server its framing for free:
 //! request and response bodies are newline-delimited streams of values,
 //! and a reader can split on `\n` before parsing.
 //!

@@ -17,7 +17,9 @@
 //! * [`lookup`] — the lookup transformation language `Lt` (`Select`
 //!   expressions over candidate keys) and its synthesis algorithm.
 //! * [`core`] — the combined semantic language `Lu`, the low-level
-//!   `Synthesizer`, ranking, and the §3.2 interaction primitives.
+//!   `Synthesizer`, ranking, the §3.2 interaction primitives, and the
+//!   worker `Pool` behind batch serving and `run_column`
+//!   (deterministic-order `par_map_indexed`); learning itself is serial.
 //! * [`datatypes`] — background-knowledge tables for standard data types
 //!   (§6): time, months, ordinals, currencies, phone codes, US states.
 //! * [`benchmarks`] — the reconstructed 50-task evaluation suite (§7) and
@@ -27,9 +29,6 @@
 //!   position-set and database codecs the memo plane's tree form is
 //!   written with.
 //! * [`counting`] — arbitrary-precision counters for program-set sizes.
-//! * [`par`] — vendored scoped work-stealing pool powering batch serving
-//!   and `run_column` (deterministic-order `par_map_indexed`); learning
-//!   itself is serial.
 //!
 //! # Quickstart: an interactive session
 //!
@@ -292,12 +291,13 @@
 //! assert_eq!(learned.top().unwrap().run(&["c3"]).unwrap(), "Apple");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use sst_arena as arena;
 pub use sst_core as core;
 pub use sst_counting as counting;
 pub use sst_datatypes as datatypes;
 pub use sst_lookup as lookup;
-pub use sst_par as par;
 pub use sst_server as server;
 pub use sst_service as service;
 pub use sst_syntactic as syntactic;
