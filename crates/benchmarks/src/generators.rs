@@ -208,21 +208,44 @@ mod tests {
 
     #[test]
     fn chain_count_grows_superlinearly_size_linearly() {
-        let count = |m: usize| {
-            let (db, example) = chain_database(m);
-            let refs: Vec<&str> = example.inputs.iter().map(String::as_str).collect();
-            let d = generate_str_t(&db, &refs, &example.output, &LtOptions::default());
-            (d.count(db.len()), d.size())
-        };
-        let (c6, s6) = count(6);
-        let (c12, s12) = count(12);
-        assert!(c12 > &c6 * &BigUint::from(8u64), "c6={c6}, c12={c12}");
-        assert!(s12 < s6 * 4, "size must stay roughly linear: {s6} -> {s12}");
+        // Theorem 1 on Fig. 4's chain: the program count grows
+        // exponentially (at least 64x per two links) while the structure
+        // grows by the same number of terminals per two links.
+        let measured: Vec<(usize, BigUint, usize)> = (4..=18)
+            .step_by(2)
+            .map(|m| {
+                let (db, example) = chain_database(m);
+                let refs: Vec<&str> = example.inputs.iter().map(String::as_str).collect();
+                let d = generate_str_t(&db, &refs, &example.output, &LtOptions::default());
+                (m, d.count(db.len()), d.size())
+            })
+            .collect();
+        let step = measured[1].2 - measured[0].2;
+        for pair in measured.windows(2) {
+            let ((m0, c0, s0), (m1, c1, s1)) = (&pair[0], &pair[1]);
+            assert_eq!(
+                s1 - s0,
+                step,
+                "Theorem 1: chain size must grow linearly, m={m0}: {s0} -> m={m1}: {s1}"
+            );
+            assert!(
+                *c1 >= c0 * &BigUint::from(64u64),
+                "Theorem 1: chain count must grow at least 64x, m={m0}: {c0} -> m={m1}: {c1}"
+            );
+        }
     }
 
     #[test]
     fn wide_key_count_is_m_plus_1_to_the_n() {
-        for (n, m) in [(1usize, 1usize), (2, 3), (3, 2), (4, 4)] {
+        for (n, m) in [
+            (1usize, 1usize),
+            (2, 3),
+            (3, 2),
+            (4, 4),
+            (6, 5),
+            (8, 8),
+            (10, 10),
+        ] {
             let (db, example) = wide_key_database(n, m);
             let refs: Vec<&str> = example.inputs.iter().map(String::as_str).collect();
             let d = generate_str_t(&db, &refs, &example.output, &LtOptions::default());
@@ -230,7 +253,7 @@ mod tests {
             assert_eq!(
                 d.count(db.len()),
                 expected,
-                "wide-key count for n={n}, m={m}"
+                "Theorem 1: wide-key count for n={n}, m={m} is (m+1)^n"
             );
         }
     }

@@ -3,7 +3,7 @@
 //! synthetic worst-case workload generators behind Theorem 1.
 //!
 //! Each [`BenchmarkTask`] bundles a helper-table database with a full
-//! ground-truth spreadsheet, so the evaluation harness (`sst-bench`) can
+//! ground-truth spreadsheet, so the workspace's `paper_claims` test can
 //! replay the paper's measurements: program-set cardinality (Fig. 11a),
 //! data-structure size (Fig. 11b), examples-to-convergence (§7 ranking),
 //! learning time (Fig. 12a) and intersection growth (Fig. 12b).

@@ -292,7 +292,7 @@ fn memo_moves(before: DagCacheStats, after: DagCacheStats) -> (u64, u64, u64, u6
 fn rank_and_compile_memo_match_uncached_ranking_on_every_task() {
     let pool = Pool::new(2);
     let default = LuRankWeights::default();
-    // `ablation_ranking`'s cheap-deep-selects variant.
+    // The ranking ablation's cheap-deep-selects variant (`paper_claims`).
     let cheap = LuRankWeights {
         select: 0,
         pred: 0,
