@@ -102,21 +102,10 @@
 //! just a refill cost on workloads large enough to hit it. The ranked memo
 //! has no threshold of its own: it is keyed by the same chains, flushed
 //! with them and pruned with them when an example id is re-minted.
-//!
-//! # Snapshots
-//!
-//! [`DagCache::encode_snapshot`] writes the live DAG, example and chain
-//! entries as a plain tree walk. One pointer memo spans the whole encode,
-//! so each distinct `Arc` allocation (a DAG, a position list, a condition
-//! list) is written once and every later reference is a back-reference;
-//! [`DagCache::decode_snapshot`] rebuilds exactly that sharing. Learning
-//! never writes a snapshot. The ranked memo is not written: a restored
-//! cache re-ranks each structure once, on its first `top()`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 
-use sst_arena::{ArenaStats, Reader, SnapshotError, SymDecoder, SymEncoder, Writer};
 use sst_lookup::NodeId;
 use sst_syntactic::Dag;
 use sst_tables::{Database, IntMap, Symbol, TableId};
@@ -124,7 +113,6 @@ use sst_tables::{Database, IntMap, Symbol, TableId};
 use crate::compiled::{Code, CompiledProgram};
 use crate::dstruct::SemDStruct;
 use crate::rank::{LuRankWeights, RankedSem};
-use crate::snapshot::{corrupt, within, TreeDecoder, TreeEncoder};
 
 /// Identity of one σ ∪ η̃ snapshot: equal epochs ⇔ equal ordered source
 /// symbol lists (within one database state). Allocated densely by
@@ -135,9 +123,9 @@ pub struct SourcesEpoch(u32);
 /// Key of one memoized `GenerateStr_u` call: the example's interned
 /// inputs and output.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ExampleKey {
-    inputs: Box<[Symbol]>,
-    output: Symbol,
+pub(crate) struct ExampleKey {
+    pub(crate) inputs: Box<[Symbol]>,
+    pub(crate) output: Symbol,
 }
 
 /// What one cached example structure *read* from the database, recorded at
@@ -159,18 +147,18 @@ pub(crate) struct ExampleDeps {
 /// generation ran with the substring gate on) the reads that make it
 /// revalidatable across non-structural mutations.
 #[derive(Debug, Clone)]
-struct ExampleEntry {
+pub(crate) struct ExampleEntry {
     /// Names `d` in intersection chains. Minted from
     /// `CacheState::next_example`; never reused or rebound.
-    id: u32,
-    d: SemDStruct,
+    pub(crate) id: u32,
+    pub(crate) d: SemDStruct,
     /// `None` = not revalidatable (gate-off generation): marked stale on
     /// any epoch move.
-    deps: Option<ExampleDeps>,
+    pub(crate) deps: Option<ExampleDeps>,
     /// A mutation may have changed this example's generation: the entry
     /// probes as a miss, and `d` is kept only to compare the regenerated
     /// structure against (see the module docs).
-    stale: bool,
+    pub(crate) stale: bool,
 }
 
 /// Cache hit/miss counters, exposed for benches and tests.
@@ -216,31 +204,32 @@ const MAX_EXAMPLE_ENTRIES: usize = 1 << 12;
 /// example memo (its entries are the same shape).
 const MAX_INTERSECTION_ENTRIES: usize = 1 << 12;
 
-/// The lock-guarded cache state (see [`DagCache`]).
+/// The lock-guarded cache state (see [`DagCache`]); `crate::snapshot`
+/// writes and rebuilds it.
 #[derive(Debug, Default)]
-struct CacheState {
+pub(crate) struct CacheState {
     /// The [`Database::epoch`] the entries were computed under.
-    db_epoch: u64,
+    pub(crate) db_epoch: u64,
     /// Source-list interning: ordered symbol list → epoch id.
-    epochs: IntMap<Box<[Symbol]>, u32>,
+    pub(crate) epochs: IntMap<Box<[Symbol]>, u32>,
     /// Next epoch id. Monotone for the cache's lifetime — never reset by
     /// flushes or validation — so an id held across a flush (a generation
     /// session keeps its `SourcesEpoch` for the step) can never collide
     /// with a later snapshot's id and serve a stale DAG.
-    next_epoch: u32,
+    pub(crate) next_epoch: u32,
     /// `(sources epoch, value) → DAG of all expressions producing the
     /// value over that snapshot`; hits share the `Arc`.
-    dags: IntMap<(u32, Symbol), Arc<Dag<NodeId>>>,
+    pub(crate) dags: IntMap<(u32, Symbol), Arc<Dag<NodeId>>>,
     /// Whole-example generation memo.
-    examples: IntMap<ExampleKey, ExampleEntry>,
+    pub(crate) examples: IntMap<ExampleKey, ExampleEntry>,
     /// Next example id. Monotone for the cache's lifetime — never reset
     /// by flushes — so an id names one value forever.
-    next_example: u32,
+    pub(crate) next_example: u32,
     /// Intersection memo: example-id chain → the folded intersection.
-    intersections: IntMap<Box<[u32]>, SemDStruct>,
+    pub(crate) intersections: IntMap<Box<[u32]>, SemDStruct>,
     /// Ranked memo: example-id chain → one entry per weight set (each
     /// records the depth it ranks at).
-    ranked: IntMap<Box<[u32]>, Vec<Arc<TopEntry>>>,
+    pub(crate) ranked: IntMap<Box<[u32]>, Vec<Arc<TopEntry>>>,
 }
 
 impl CacheState {
@@ -386,14 +375,12 @@ fn count(hit: bool, hits: &AtomicU64, misses: &AtomicU64) {
 /// [`crate::LuOptions`].
 ///
 /// Memory is bounded: each memo flushes wholesale when it outgrows its
-/// threshold ([`MAX_DAG_ENTRIES`], [`MAX_EXAMPLE_ENTRIES`],
-/// [`MAX_INTERSECTION_ENTRIES`]).
+/// threshold (`MAX_DAG_ENTRIES`, `MAX_EXAMPLE_ENTRIES`,
+/// `MAX_INTERSECTION_ENTRIES`).
 #[derive(Debug, Default)]
 pub struct DagCache {
     state: RwLock<CacheState>,
     stats: AtomicStats,
-    /// Sharing counters of the last snapshot encode or decode.
-    arena_stats: Mutex<ArenaStats>,
 }
 
 impl DagCache {
@@ -403,16 +390,24 @@ impl DagCache {
         DagCache::default()
     }
 
+    /// A cache holding `state`, with zeroed counters (a snapshot restore).
+    pub(crate) fn from_state(state: CacheState) -> Self {
+        DagCache {
+            state: RwLock::new(state),
+            ..DagCache::default()
+        }
+    }
+
     /// Recovers the state lock if a holder panicked: every entry is a
     /// completed value (writes happen-before unlock), so a poisoned lock
     /// only means some fill was abandoned — at worst it is recomputed.
-    fn read(&self) -> RwLockReadGuard<'_, CacheState> {
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, CacheState> {
         self.state
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, CacheState> {
+    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, CacheState> {
         self.state
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -729,205 +724,14 @@ impl DagCache {
     pub fn ranked_entries(&self) -> usize {
         self.read().ranked.values().map(Vec::len).sum()
     }
-
-    /// Sharing counters (allocations written in full, references
-    /// written, memo-section bytes) of the last
-    /// [`DagCache::encode_snapshot`] or [`DagCache::decode_snapshot`];
-    /// zeros before either. Learning never writes a snapshot.
-    pub fn arena_stats(&self) -> ArenaStats {
-        *self
-            .arena_stats
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn set_arena_stats(&self, stats: ArenaStats) {
-        *self
-            .arena_stats
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = stats;
-    }
-
-    /// Writes the cache's learned state into a snapshot payload: the
-    /// sources epochs, then the DAG, example and chain memos, each
-    /// structure written inline through one [`TreeEncoder`] — so every
-    /// `Arc` the memos share is written once and back-referenced after.
-    /// Example ids, stale flags and `next_example` are written as-is, so a
-    /// restored cache keeps every chain key meaningful. Hit/miss counters
-    /// and the database-epoch binding are deliberately not serialized:
-    /// both are process-local (the restoring side binds to its own
-    /// restored database's epoch).
-    pub fn encode_snapshot(&self, w: &mut Writer, sym: &mut SymEncoder) {
-        let start = w.len();
-        let state = self.read();
-        let mut tree = TreeEncoder::default();
-        w.list(&state.epochs, |w, (syms, &id)| {
-            w.list(syms.iter(), |w, &s| sym.sym(s, w));
-            w.u32(id);
-        });
-        w.u32(state.next_epoch);
-        w.list(&state.dags, |w, (&(epoch, value), dag)| {
-            w.u32(epoch);
-            sym.sym(value, w);
-            tree.dag(dag, w, sym);
-        });
-        w.u32(state.next_example);
-        w.list(&state.examples, |w, (key, entry)| {
-            w.list(key.inputs.iter(), |w, &s| sym.sym(s, w));
-            sym.sym(key.output, w);
-            w.u32(entry.id);
-            w.bool(entry.stale);
-            w.bool(entry.deps.is_some());
-            if let Some(deps) = &entry.deps {
-                w.list(deps.tables.iter(), |w, &t| w.u32(t));
-                w.list(deps.vals.iter(), |w, &v| sym.sym(v, w));
-            }
-            tree.structure(&entry.d, w, sym);
-        });
-        // A learn racing a re-mint can store a chain naming an id no
-        // entry carries any more; it can never be served, so it is not
-        // written (the decoder refuses such chains).
-        let live: IntMap<u32, ()> = state.examples.values().map(|e| (e.id, ())).collect();
-        let intersections: Vec<_> = state
-            .intersections
-            .iter()
-            .filter(|(chain, _)| chain.iter().all(|id| live.contains_key(id)))
-            .collect();
-        w.list(intersections, |w, (chain, d)| {
-            w.list(chain.iter(), |w, &id| w.u32(id));
-            tree.structure(d, w, sym);
-        });
-        drop(state);
-        self.set_arena_stats(ArenaStats {
-            resident_bytes: (w.len() - start) as u64,
-            ..tree.stats
-        });
-    }
-
-    /// Reads a cache written by [`DagCache::encode_snapshot`] through one
-    /// [`TreeDecoder`], so restored entries re-share `Arc` allocations
-    /// exactly as the encoded ones did. Every back-reference is
-    /// bounds-checked, every node reference is checked against the
-    /// structure (or sources epoch) referencing it, example ids are checked
-    /// unique and below `next_example`, and every chain must name restored
-    /// examples only — a crafted payload fails typed, never panics. The
-    /// cache binds to `db_epoch`, the restoring process's epoch for the
-    /// restored database; counters start at zero.
-    pub fn decode_snapshot(
-        r: &mut Reader<'_>,
-        sym: &SymDecoder,
-        db_epoch: u64,
-    ) -> Result<DagCache, SnapshotError> {
-        let start = r.remaining();
-        let mut tree = TreeDecoder::default();
-        let mut state = CacheState {
-            db_epoch,
-            ..CacheState::default()
-        };
-        let n = r.count()?;
-        let mut epoch_lens: IntMap<u32, u32> = IntMap::default();
-        for _ in 0..n {
-            let syms = r.list(|r| sym.sym(r))?;
-            let id = r.u32()?;
-            if epoch_lens.insert(id, syms.len() as u32).is_some() {
-                return Err(corrupt(format!("duplicate sources epoch {id}")));
-            }
-            if state.epochs.insert(syms.into(), id).is_some() {
-                return Err(corrupt("duplicate sources-epoch symbol list"));
-            }
-        }
-        state.next_epoch = r.u32()?;
-        if state.epochs.values().any(|&id| id >= state.next_epoch) {
-            return Err(corrupt("sources epoch beyond next_epoch"));
-        }
-        let n = r.count()?;
-        for _ in 0..n {
-            let epoch = r.u32()?;
-            let value = sym.sym(r)?;
-            let Some(&num_nodes) = epoch_lens.get(&epoch) else {
-                return Err(corrupt(format!(
-                    "dag memo references unknown epoch {epoch}"
-                )));
-            };
-            let (dag, needs) = tree.dag(r, sym)?;
-            within(needs, num_nodes)?;
-            if state.dags.insert((epoch, value), dag).is_some() {
-                return Err(corrupt("duplicate dag-memo key"));
-            }
-        }
-        state.next_example = r.u32()?;
-        let n = r.count()?;
-        let mut example_ids: IntMap<u32, ()> = IntMap::default();
-        for _ in 0..n {
-            let inputs = r.list(|r| sym.sym(r))?;
-            let output = sym.sym(r)?;
-            let id = r.u32()?;
-            if id >= state.next_example {
-                return Err(corrupt(format!("example id {id} beyond next_example")));
-            }
-            if example_ids.insert(id, ()).is_some() {
-                return Err(corrupt(format!("duplicate example id {id}")));
-            }
-            let stale = r.bool()?;
-            let deps = if r.bool()? {
-                Some(ExampleDeps {
-                    tables: r.list(Reader::u32)?.into(),
-                    vals: r.list(|r| sym.sym(r))?.into(),
-                })
-            } else {
-                None
-            };
-            let entry = ExampleEntry {
-                id,
-                d: tree.structure(r, sym)?,
-                deps,
-                stale,
-            };
-            let key = ExampleKey {
-                inputs: inputs.into(),
-                output,
-            };
-            if state.examples.insert(key, entry).is_some() {
-                return Err(corrupt("duplicate example-memo key"));
-            }
-        }
-        let n = r.count()?;
-        for _ in 0..n {
-            let chain = r.list(|r| match r.u32()? {
-                id if example_ids.contains_key(&id) => Ok(id),
-                id => Err(corrupt(format!(
-                    "intersection chain names unknown example id {id}"
-                ))),
-            })?;
-            if chain.len() < 2 {
-                return Err(corrupt(format!(
-                    "intersection chain of length {}",
-                    chain.len()
-                )));
-            }
-            let d = tree.structure(r, sym)?;
-            if state.intersections.insert(chain.into(), d).is_some() {
-                return Err(corrupt("duplicate intersection-memo key"));
-            }
-        }
-        let cache = DagCache {
-            state: RwLock::new(state),
-            ..DagCache::default()
-        };
-        cache.set_arena_stats(ArenaStats {
-            resident_bytes: (start - r.remaining()) as u64,
-            ..tree.stats
-        });
-        Ok(cache)
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
-    fn dag(n: u32) -> Dag<NodeId> {
+    pub(crate) fn dag(n: u32) -> Dag<NodeId> {
         Dag {
             num_nodes: n.max(1),
             source: 0,
@@ -1088,7 +892,7 @@ mod tests {
     }
 
     /// A tiny structure distinguishable by its node value.
-    fn named_struct(tag: &str) -> SemDStruct {
+    pub(crate) fn named_struct(tag: &str) -> SemDStruct {
         SemDStruct {
             nodes: vec![crate::dstruct::SemNode {
                 vals: vec![Symbol::intern(tag)],
@@ -1251,270 +1055,6 @@ mod tests {
         c.validate(1);
         c.store_example(1, &ka, out, &named_struct("rk-2"), None);
         assert_eq!(c.ranked_entries(), 3, "the re-minted id's chain is pruned");
-    }
-
-    /// Snapshot payload of `c` (symbol table first, as the service writes
-    /// it).
-    fn encode(c: &DagCache) -> Vec<u8> {
-        let mut body = Writer::new();
-        let mut enc = SymEncoder::new();
-        c.encode_snapshot(&mut body, &mut enc);
-        let mut w = Writer::new();
-        enc.write_table(&mut w);
-        w.raw(&body.into_bytes());
-        w.into_bytes()
-    }
-
-    fn decode(bytes: &[u8]) -> Result<DagCache, SnapshotError> {
-        let mut r = Reader::new(bytes);
-        let dec = SymDecoder::read_table(&mut r)?;
-        let c = DagCache::decode_snapshot(&mut r, &dec, 77)?;
-        r.expect_end()?;
-        Ok(c)
-    }
-
-    #[test]
-    fn sharing_counters_come_only_from_snapshots() {
-        let c = DagCache::new();
-        let mut d = named_struct("dup");
-        d.top = Some(Arc::new(dag(2)));
-        c.store_example(0, &[Symbol::intern("a1")], Symbol::intern("b1"), &d, None);
-        c.store_example(0, &[Symbol::intern("a2")], Symbol::intern("b2"), &d, None);
-        // Learning writes no snapshot.
-        assert_eq!(c.arena_stats(), ArenaStats::default());
-        let bytes = encode(&c);
-        let stats = c.arena_stats();
-        // The shared top DAG is written once, then back-referenced.
-        assert_eq!((stats.stored, stats.interned), (1, 2));
-        assert!(stats.resident_bytes > 0);
-        let restored = decode(&bytes).unwrap();
-        assert_eq!(restored.arena_stats(), stats, "decode counts the same");
-        let state = restored.read();
-        let mut tops = state.examples.values().filter_map(|e| e.d.top.as_ref());
-        assert!(Arc::ptr_eq(tops.next().unwrap(), tops.next().unwrap()));
-        drop(state);
-        encode(&restored);
-        assert_eq!(restored.arena_stats(), stats, "restore kept the sharing");
-    }
-
-    #[test]
-    fn snapshot_round_trips_cache_state() {
-        let c = DagCache::new();
-        c.validate(5);
-        let e = c.epoch_of(&[Symbol::intern("snap-src")]);
-        let dag_val = Symbol::intern("snap-val");
-        c.dag_for(e, dag_val, || dag(3));
-        let da = named_struct("snap-a");
-        let db = named_struct("snap-b");
-        let ins = [Symbol::intern("snap-in")];
-        let out = Symbol::intern("snap-out");
-        let deps = ExampleDeps {
-            tables: Box::new([0]),
-            vals: Box::new([Symbol::intern("snap-in")]),
-        };
-        let ua = c.store_example(5, &ins, out, &da, Some(deps)).unwrap();
-        let ub = c
-            .store_example(5, &[Symbol::intern("snap-in2")], out, &db, None)
-            .unwrap();
-        let stale_key = [Symbol::intern("snap-stale")];
-        c.store_example(5, &stale_key, out, &db, None);
-        c.store_intersection(5, &[ua, ub], &da);
-        // Stale entries travel with their flag.
-        let key = ExampleKey {
-            inputs: stale_key.into(),
-            output: out,
-        };
-        c.write().examples.get_mut(&key).expect("stored").stale = true;
-
-        let restored = decode(&encode(&c)).unwrap();
-        assert_eq!(restored.db_epoch(), 77, "binds to the caller's epoch");
-        assert_eq!(restored.example_entries(), 2, "stale entry not counted");
-        assert_eq!(restored.intersection_entries(), 1);
-        assert_eq!(restored.dag_entries(), 1);
-        assert!(restored.example(77, &stale_key, out).is_none());
-        // Warm probes hit and return the same ids.
-        let (id, d) = restored.example(77, &ins, out).expect("warm example");
-        assert_eq!(id, ua);
-        assert_eq!(d.nodes[0].vals, da.nodes[0].vals);
-        assert!(restored.intersection(77, &[ua, ub]).is_some());
-        let hit = restored.dag_for(
-            restored.epoch_of(&[Symbol::intern("snap-src")]),
-            dag_val,
-            || unreachable!("must be warm"),
-        );
-        assert_eq!(hit.num_nodes, 3);
-        assert!(restored.stats().example_hits > 0);
-        // The id counter travels too: the next example never reuses one.
-        let next = restored
-            .store_example(77, &[Symbol::intern("snap-in3")], out, &da, None)
-            .unwrap();
-        assert_eq!(next, c.read().next_example);
-    }
-
-    #[test]
-    fn decode_rejects_out_of_range_ids() {
-        let c = DagCache::new();
-        let d = named_struct("oob");
-        c.store_example(0, &[Symbol::intern("oi")], Symbol::intern("oo"), &d, None);
-        let bytes = encode(&c);
-        // Rather than byte-surgery, decode a truncated payload.
-        let err = decode(&bytes[..bytes.len() - 4]).unwrap_err();
-        assert!(
-            matches!(err, SnapshotError::Truncated | SnapshotError::Corrupt(_)),
-            "typed error, no panic: {err}"
-        );
-    }
-
-    /// A cache payload written by hand: every field the decoder
-    /// cross-checks, none of the encoder's invariants. Every value is below
-    /// 128, so tag and flag bytes go through the varint `put` too.
-    #[derive(Default)]
-    struct Craft {
-        body: Writer,
-        sym: SymEncoder,
-    }
-
-    impl Craft {
-        fn put(&mut self, vs: &[u32]) -> &mut Self {
-            for &v in vs {
-                self.body.u32(v);
-            }
-            self
-        }
-
-        fn sym(&mut self, s: &str) -> &mut Self {
-            self.sym.sym(Symbol::intern(s), &mut self.body);
-            self
-        }
-
-        fn finish(self) -> Vec<u8> {
-            let mut w = Writer::new();
-            self.sym.write_table(&mut w);
-            w.raw(&self.body.into_bytes());
-            w.into_bytes()
-        }
-    }
-
-    /// Example entries with the given ids, `next_example`, and intersection
-    /// chains, every structure a `named_struct`.
-    fn crafted(ids: &[u32], next_example: u32, chains: &[&[u32]]) -> Vec<u8> {
-        let mut c = Craft::default();
-        let mut tree = TreeEncoder::default();
-        let d = named_struct("crafted");
-        // No sources epochs, next_epoch 0, no DAG memo.
-        c.put(&[0, 0, 0, next_example, ids.len() as u32]);
-        for (i, &id) in ids.iter().enumerate() {
-            let input = format!("crafted-in{i}");
-            // Fresh, no deps.
-            c.put(&[1]).sym(&input).sym("crafted-out").put(&[id, 0, 0]);
-            tree.structure(&d, &mut c.body, &mut c.sym);
-        }
-        c.put(&[chains.len() as u32]);
-        for chain in chains {
-            c.put(&[chain.len() as u32]).put(chain);
-            tree.structure(&d, &mut c.body, &mut c.sym);
-        }
-        c.finish()
-    }
-
-    #[test]
-    fn decode_rejects_inconsistent_example_ids() {
-        let ok = decode(&crafted(&[0, 1], 2, &[&[0, 1], &[1, 0, 1]])).expect("valid frame");
-        assert_eq!(ok.example_entries(), 2);
-        assert_eq!(ok.intersection_entries(), 2);
-        let cases: [(&str, Vec<u8>); 4] = [
-            ("duplicate example id", crafted(&[0, 0], 2, &[])),
-            ("example id beyond next_example", crafted(&[0, 2], 2, &[])),
-            ("chain names an unknown id", crafted(&[0, 1], 3, &[&[0, 2]])),
-            ("chain shorter than a fold", crafted(&[0, 1], 2, &[&[0]])),
-        ];
-        for (why, bytes) in cases {
-            match decode(&bytes) {
-                Err(SnapshotError::Corrupt(_)) => {}
-                other => panic!("{why}: expected Corrupt, got {other:?}"),
-            }
-        }
-    }
-
-    /// A full-write marker, then a DAG over two nodes whose one edge
-    /// `(0, 1)` holds one atom (which follows).
-    const FULL_DAG: [u32; 8] = [0, 2, 0, 1, 1, 0, 1, 1];
-    /// A one-node structure (value: symbol 0, program `Var(0)`); its top
-    /// follows.
-    const ONE_NODE: [u32; 6] = [1, 1, 0, 1, 0, 0];
-
-    /// One sources epoch over `epoch_len` symbols, a DAG memo holding one
-    /// `FULL_DAG` whose atom is `Whole(memo_node)`, then one example whose
-    /// structure is the raw `structure` (symbol 0 is the epoch's first
-    /// source).
-    fn crafted_refs(epoch_len: u32, memo_node: u32, structure: &[u32]) -> Vec<u8> {
-        let mut c = Craft::default();
-        c.put(&[1, epoch_len]);
-        for k in 0..epoch_len {
-            c.sym(&format!("crafted-src{k}"));
-        }
-        // Epoch id 0, next_epoch 1, one DAG-memo entry under epoch 0.
-        c.put(&[0, 1, 1, 0]).sym("crafted-value");
-        c.put(&FULL_DAG).put(&[1, memo_node]);
-        // next_example 1, one example: id 0, fresh, no deps.
-        c.put(&[1, 1, 1]).sym("crafted-in").sym("crafted-out");
-        c.put(&[0, 0, 0]).put(structure).put(&[0]);
-        c.finish()
-    }
-
-    #[test]
-    fn decode_checks_every_reference() {
-        let shared_top = [&ONE_NODE[..], &[1, 1]].concat();
-        let ok = decode(&crafted_refs(1, 0, &shared_top)).expect("valid frame");
-        let state = ok.read();
-        let memo = state.dags.values().next().expect("dag memo");
-        let top = state.examples.values().next().unwrap().d.top.clone();
-        assert!(Arc::ptr_eq(memo, &top.unwrap()), "back-reference shares");
-        drop(state);
-
-        let cases: [(&str, Vec<u8>); 5] = [
-            (
-                "dag-memo entry beyond its sources epoch",
-                crafted_refs(1, 1, &[&ONE_NODE[..], &[0]].concat()),
-            ),
-            (
-                "back-referenced dag beyond the structure's nodes",
-                crafted_refs(3, 2, &shared_top),
-            ),
-            (
-                "dag back-reference past the table",
-                crafted_refs(1, 0, &[&ONE_NODE[..], &[1, 2]].concat()),
-            ),
-            (
-                // A `SubStr` atom whose p1 back-references an empty table.
-                "position-list back-reference past the table",
-                crafted_refs(1, 0, &[&ONE_NODE[..], &[1], &FULL_DAG, &[2, 0, 1]].concat()),
-            ),
-            (
-                // One node whose `Select` back-references an empty table.
-                "condition-list back-reference past the table",
-                crafted_refs(1, 0, &[1, 1, 0, 1, 1, 0, 0, 1, 0]),
-            ),
-        ];
-        for (why, bytes) in cases {
-            match decode(&bytes) {
-                Err(SnapshotError::Corrupt(_)) => {}
-                other => panic!("{why}: expected Corrupt, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn encode_skips_chains_naming_dropped_ids() {
-        let c = DagCache::new();
-        let d = named_struct("orphan");
-        let e = c.store_example(0, &[Symbol::intern("or")], Symbol::intern("oo"), &d, None);
-        let e = e.unwrap();
-        c.store_intersection(0, &[e, e], &d);
-        // A chain a racing learn stored after its id was re-minted.
-        c.store_intersection(0, &[e, e + 100], &d);
-        let restored = decode(&encode(&c)).expect("live state always decodes");
-        assert_eq!(restored.intersection_entries(), 1);
     }
 
     #[test]

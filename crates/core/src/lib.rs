@@ -65,7 +65,7 @@ mod language;
 mod par;
 mod paraphrase;
 mod rank;
-mod snapshot;
+pub mod snapshot;
 mod synthesizer;
 
 pub use cache::{DagCache, DagCacheStats, SourcesEpoch};

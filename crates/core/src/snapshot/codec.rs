@@ -1,25 +1,7 @@
-//! The versioned binary snapshot codec.
-//!
-//! Hand-rolled in the same vendored spirit as `sst-service::wire` (the
-//! build container has no registry access, so there is no `serde` here) —
-//! but binary rather than NDJSON: a snapshot holds a database plus the
-//! whole memo plane, and a compact byte stream is both smaller and
-//! mechanically checkable. Layout:
-//!
-//! ```text
-//! magic "SSTSNAP\0" · u32 version · u64 payload_len · payload · u64 fnv1a(payload)
-//! ```
-//!
-//! The frame fields are fixed-width little-endian; inside the payload
-//! every `u32` (counts, lengths, indices) is an LEB128 varint and every
-//! `i32` a zigzag varint, so the small numbers that dominate a memo plane
-//! take one byte. [`Reader`] refuses overlong and overflowing varints.
-//!
-//! Every decode path is bounds-checked and returns a typed
-//! [`SnapshotError`]; no input — truncated, bit-flipped, wrong-version or
-//! adversarial — panics. The payload-wide FNV-1a checksum catches random
-//! corruption; the structural checks of each decoder (here and in
-//! `sst-core`'s memo-plane decoder) catch the rest.
+//! The payload codec under the snapshot frame: the varint [`Writer`] and
+//! bounds-checked [`Reader`], the process-independent symbol table
+//! ([`SymEncoder`]/[`SymDecoder`]), and the token, position-set and
+//! database codecs.
 //!
 //! Interned [`Symbol`]s are process-local (shard-packed ids), so a
 //! snapshot never stores raw symbol ids: [`SymEncoder`] assigns dense
@@ -27,123 +9,10 @@
 //! table once; [`SymDecoder`] re-interns the strings on restore and maps
 //! indices to the new process's symbols.
 
-use std::fmt;
-
 use sst_syntactic::{PosSet, RegexSeq, Token};
 use sst_tables::{ColId, Database, Symbol, SymbolMap, Table};
 
-/// Magic prefix of every snapshot file.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SSTSNAP\0";
-
-/// Current snapshot format version. Bump on any layout change; old
-/// readers answer [`SnapshotError::UnsupportedVersion`] instead of
-/// misparsing. Version 3 writes the memo plane as a pointer-shared tree
-/// with varint integers (version 2 wrote a hash-consed arena of
-/// fixed-width tables; version 1 also keyed the memos by arena ids).
-pub const SNAPSHOT_VERSION: u32 = 3;
-
-/// Why a snapshot could not be decoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// The file does not start with [`SNAPSHOT_MAGIC`].
-    BadMagic,
-    /// The file's format version is not one this build reads.
-    UnsupportedVersion(u32),
-    /// The file ends before its declared content does.
-    Truncated,
-    /// The content is structurally invalid (failed checksum, id out of
-    /// bounds, malformed value).
-    Corrupt(String),
-    /// The underlying file could not be read or written.
-    Io(String),
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported snapshot version {v} (this build reads {SNAPSHOT_VERSION})"
-                )
-            }
-            SnapshotError::Truncated => write!(f, "snapshot truncated"),
-            SnapshotError::Corrupt(why) => write!(f, "snapshot corrupt: {why}"),
-            SnapshotError::Io(why) => write!(f, "snapshot io error: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-impl From<std::io::Error> for SnapshotError {
-    fn from(e: std::io::Error) -> Self {
-        SnapshotError::Io(e.to_string())
-    }
-}
-
-fn corrupt(why: impl Into<String>) -> SnapshotError {
-    SnapshotError::Corrupt(why.into())
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Frames `payload` into a complete snapshot file image.
-pub fn seal_snapshot(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 28);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    out
-}
-
-/// Verifies the frame (magic, version, length, checksum) and returns the
-/// payload.
-pub fn open_snapshot(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
-    if bytes.len() < 12 {
-        return if bytes.len() >= 8 && bytes[..8] != SNAPSHOT_MAGIC {
-            Err(SnapshotError::BadMagic)
-        } else {
-            Err(SnapshotError::Truncated)
-        };
-    }
-    if bytes[..8] != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != SNAPSHOT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    if bytes.len() < 20 {
-        return Err(SnapshotError::Truncated);
-    }
-    let len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-    let Some(total) = len.checked_add(28) else {
-        return Err(corrupt("payload length overflows"));
-    };
-    if bytes.len() < total {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes.len() > total {
-        return Err(corrupt("trailing bytes after checksum"));
-    }
-    let payload = &bytes[20..20 + len];
-    let declared = u64::from_le_bytes(bytes[20 + len..].try_into().unwrap());
-    if fnv1a(payload) != declared {
-        return Err(corrupt("checksum mismatch"));
-    }
-    Ok(payload)
-}
+use super::{corrupt, SnapshotError};
 
 /// Payload writer: varint `u32`/`i32`, little-endian `u64`.
 #[derive(Debug, Default)]
@@ -165,11 +34,6 @@ impl Writer {
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
-    }
-
-    /// True iff nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Appends one byte.
@@ -529,50 +393,6 @@ pub fn decode_database(r: &mut Reader<'_>, sym: &SymDecoder) -> Result<Database,
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frame_round_trips() {
-        let sealed = seal_snapshot(b"hello payload");
-        assert_eq!(open_snapshot(&sealed).unwrap(), b"hello payload");
-    }
-
-    #[test]
-    fn frame_rejects_tampering_typed() {
-        let sealed = seal_snapshot(b"hello payload");
-        // Truncations at every boundary.
-        for cut in [0, 4, 11, 19, sealed.len() - 1] {
-            let err = open_snapshot(&sealed[..cut]).unwrap_err();
-            assert!(
-                matches!(err, SnapshotError::Truncated | SnapshotError::BadMagic),
-                "cut at {cut}: {err}"
-            );
-        }
-        // Bad magic.
-        let mut bad = sealed.clone();
-        bad[0] ^= 0xff;
-        assert_eq!(open_snapshot(&bad).unwrap_err(), SnapshotError::BadMagic);
-        // Future version.
-        let mut future = sealed.clone();
-        future[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(
-            open_snapshot(&future).unwrap_err(),
-            SnapshotError::UnsupportedVersion(99)
-        );
-        // Payload bit flip fails the checksum.
-        let mut flipped = sealed.clone();
-        flipped[22] ^= 0x01;
-        assert!(matches!(
-            open_snapshot(&flipped).unwrap_err(),
-            SnapshotError::Corrupt(_)
-        ));
-        // Trailing garbage.
-        let mut long = sealed.clone();
-        long.push(0);
-        assert!(matches!(
-            open_snapshot(&long).unwrap_err(),
-            SnapshotError::Corrupt(_)
-        ));
-    }
 
     #[test]
     fn varints_round_trip_at_the_edges() {

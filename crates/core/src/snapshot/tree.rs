@@ -1,6 +1,5 @@
 //! The memo plane's snapshot form: a plain tree walk over the `Du`
-//! structures (`DagCache::encode_snapshot` / `DagCache::decode_snapshot`
-//! drive it). Learning never touches this module.
+//! structures.
 //!
 //! The live structures share subterms through `Arc`s: one per-value DAG is
 //! referenced from every predicate and memo entry that reached it, one
@@ -20,18 +19,13 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sst_arena::{
-    decode_pos, encode_pos, ArenaStats, Reader, SnapshotError, SymDecoder, SymEncoder, Writer,
-};
 use sst_lookup::NodeId;
 use sst_syntactic::{AtomSet, Dag, PosSet};
 use sst_tables::{IntMap, Symbol};
 
+use super::codec::{decode_pos, encode_pos, Reader, SymDecoder, SymEncoder, Writer};
+use super::{corrupt, ArenaStats, SnapshotError};
 use crate::dstruct::{GenCondU, GenLookupU, GenPredU, SemDStruct, SemNode};
-
-pub(crate) fn corrupt(why: impl Into<String>) -> SnapshotError {
-    SnapshotError::Corrupt(why.into())
-}
 
 /// Fails unless an allocation whose atoms need `needs` nodes fits a
 /// structure (or sources epoch) of `nodes` nodes.

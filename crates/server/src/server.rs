@@ -881,29 +881,21 @@ fn metrics_response(state: &State) -> Response {
         }
     }
     // Sharing counters of the last snapshot write or restore, replaced by
-    // each, so even the `_total` series can move down: all four are gauges.
-    out.push_str("# TYPE sst_arena_nodes gauge\n");
-    out.push_str("# TYPE sst_arena_interned_total gauge\n");
-    out.push_str("# TYPE sst_arena_hashcons_hits_total gauge\n");
-    out.push_str("# TYPE sst_arena_resident_bytes gauge\n");
+    // each, so all four are gauges.
+    out.push_str("# TYPE sst_snapshot_allocations gauge\n");
+    out.push_str("# TYPE sst_snapshot_references gauge\n");
+    out.push_str("# TYPE sst_snapshot_back_references gauge\n");
+    out.push_str("# TYPE sst_snapshot_memo_bytes gauge\n");
     for name in &state.engine_names {
-        let arena = state.engines[name].arena_stats();
-        let _ = writeln!(out, "sst_arena_nodes{{engine=\"{name}\"}} {}", arena.stored);
-        let _ = writeln!(
-            out,
-            "sst_arena_interned_total{{engine=\"{name}\"}} {}",
-            arena.interned
-        );
-        let _ = writeln!(
-            out,
-            "sst_arena_hashcons_hits_total{{engine=\"{name}\"}} {}",
-            arena.hits()
-        );
-        let _ = writeln!(
-            out,
-            "sst_arena_resident_bytes{{engine=\"{name}\"}} {}",
-            arena.resident_bytes
-        );
+        let stats = state.engines[name].arena_stats();
+        for (metric, value) in [
+            ("sst_snapshot_allocations", stats.stored),
+            ("sst_snapshot_references", stats.interned),
+            ("sst_snapshot_back_references", stats.hits()),
+            ("sst_snapshot_memo_bytes", stats.resident_bytes),
+        ] {
+            let _ = writeln!(out, "{metric}{{engine=\"{name}\"}} {value}");
+        }
     }
     // Snapshot gauges read the file at render time: the numbers describe
     // the durable artifact itself, not a counter the server could drift

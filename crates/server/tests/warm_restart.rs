@@ -112,7 +112,7 @@ fn shutdown_snapshot_warm_starts_the_next_server() {
         metrics.contains("sst_snapshot_restore_seconds"),
         "restore duration gauge missing:\n{metrics}"
     );
-    assert!(metric(&metrics, "sst_arena_nodes{engine=\"default\"}") > 0);
+    assert!(metric(&metrics, "sst_snapshot_allocations{engine=\"default\"}") > 0);
 
     server.shutdown();
     std::fs::remove_file(&path).ok();

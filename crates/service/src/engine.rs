@@ -1,10 +1,10 @@
 //! The [`Engine`]: shared warm state plus batch serving.
 
 use std::path::Path;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Duration;
 
-use sst_arena::ArenaStats;
+use sst_core::snapshot::{self, ArenaStats};
 use sst_core::{
     CancelToken, DagCache, DagCacheStats, Example, LearnedPrograms, Pool, SynthesisError,
     SynthesisOptions, Synthesizer,
@@ -34,6 +34,8 @@ pub(crate) struct EngineInner {
     /// The global worker pool: batch requests and `run_column` row ranges
     /// fan out across it; learning itself is serial.
     pool: Pool,
+    /// Sharing counters of the last snapshot written or read.
+    snapshot_stats: Mutex<ArenaStats>,
 }
 
 /// Retypes a cooperative-cancellation abort as the service-level deadline
@@ -83,13 +85,23 @@ impl Engine {
     /// An engine with explicit options (build them with
     /// [`SynthesisOptions::builder`]).
     pub fn with_options(db: Arc<Database>, options: SynthesisOptions) -> Self {
+        Engine::from_parts(db, DagCache::new(), options, ArenaStats::default())
+    }
+
+    fn from_parts(
+        db: Arc<Database>,
+        cache: DagCache,
+        options: SynthesisOptions,
+        snapshot_stats: ArenaStats,
+    ) -> Self {
         let pool = Pool::new(options.threads);
         Engine {
             inner: Arc::new(EngineInner {
                 db: RwLock::new(db),
-                cache: Arc::new(DagCache::new()),
+                cache: Arc::new(cache),
                 options,
                 pool,
+                snapshot_stats: Mutex::new(snapshot_stats),
             }),
         }
     }
@@ -128,7 +140,12 @@ impl Engine {
     /// writes no snapshot — the `/metrics` and perfbench `arena.*`
     /// observable.
     pub fn arena_stats(&self) -> ArenaStats {
-        self.inner.cache.arena_stats()
+        *self.snapshot_stats()
+    }
+
+    fn snapshot_stats(&self) -> MutexGuard<'_, ArenaStats> {
+        let stats = &self.inner.snapshot_stats;
+        stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Persists the engine's warm state — database, interned symbols, and
@@ -143,7 +160,9 @@ impl Engine {
     pub fn snapshot_to(&self, path: &Path) -> Result<u64, ServiceError> {
         self.validate_cache();
         let db = self.db();
-        crate::snapshot::write_snapshot(path, &db, &self.inner.cache, &self.inner.options)
+        let (bytes, stats) = snapshot::write(path, &db, &self.inner.cache, &self.inner.options)?;
+        *self.snapshot_stats() = stats;
+        Ok(bytes)
     }
 
     /// Restores an engine from a snapshot written by
@@ -155,16 +174,8 @@ impl Engine {
     /// restart must boot with the same configuration it snapshotted
     /// under.
     pub fn restore_from(path: &Path, options: SynthesisOptions) -> Result<Engine, ServiceError> {
-        let (db, cache) = crate::snapshot::read_snapshot(path, &options)?;
-        let pool = Pool::new(options.threads);
-        Ok(Engine {
-            inner: Arc::new(EngineInner {
-                db: RwLock::new(db),
-                cache: Arc::new(cache),
-                options,
-                pool,
-            }),
-        })
+        let (db, cache, stats) = snapshot::read(path, &options)?;
+        Ok(Engine::from_parts(Arc::new(db), cache, options, stats))
     }
 
     /// Opens a new interactive learning session. Sessions are cheap (an

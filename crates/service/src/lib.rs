@@ -32,7 +32,7 @@
 //!   [`Session::run`], [`Session::run_column`]. Learning is implicit and
 //!   lazy; repeated learns on a grown example prefix are served from the
 //!   engine's shared memo plane, and applies run through the compiled top
-//!   program, cached per `(db_epoch, examples_hash)`.
+//!   program, cached until the examples or the database move.
 //!
 //! The typed boundary ([`LearnRequest`], [`LearnResponse`],
 //! [`ServiceError`]) is deliberately plain data, ready to be lifted onto a
@@ -78,13 +78,12 @@
 
 mod engine;
 mod session;
-mod snapshot;
 mod types;
 pub mod wire;
 
 pub use engine::Engine;
 pub use session::{Session, SessionConvergence};
-pub use sst_arena::ArenaStats;
+pub use sst_core::snapshot::ArenaStats;
 pub use types::{
     ApplyRequest, ApplyResponse, LearnRequest, LearnResponse, ServiceError, SessionStatus,
 };

@@ -13,45 +13,15 @@ use sst_tables::{Table, TableId};
 use crate::engine::{with_deadline_error, Engine};
 use crate::types::{ServiceError, SessionStatus};
 
-/// The cached result of the session's last learn, tagged with the state
-/// it was computed under so staleness is a cheap comparison.
+/// The cached result of the session's last learn. Every change to the
+/// example list drops it, so it always covers the current examples; the
+/// database epoch it was computed under makes staleness a cheap
+/// comparison.
 #[derive(Debug)]
 struct CachedLearn {
     /// Database epoch at learn time.
     db_epoch: u64,
-    /// Content hash of the example sequence the learn saw (not its
-    /// length: [`Session::remove_example`] followed by a different
-    /// [`Session::add_example`] leaves the count unchanged but must
-    /// invalidate the cached learn — pinned by a regression test in
-    /// `tests/service.rs`).
-    examples_hash: u64,
     learned: LearnedPrograms,
-}
-
-/// Order-sensitive FNV-1a content hash of an example sequence, with every
-/// string length-prefixed so concatenation boundaries cannot collide
-/// (`["ab"] + "c"` vs `["a"] + "bc"`).
-fn examples_hash(examples: &[Example]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |bytes: &[u8]| {
-        h ^= bytes.len() as u64;
-        h = h.wrapping_mul(PRIME);
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    for example in examples {
-        mix(&[0xFF]);
-        for input in &example.inputs {
-            mix(input.as_bytes());
-        }
-        mix(&[0xFE]);
-        mix(example.output.as_bytes());
-    }
-    h
 }
 
 /// One interactive learning conversation (the §3.2 protocol), backed by a
@@ -136,19 +106,25 @@ impl Session {
     /// from memory.
     pub fn add_example(&mut self, example: Example) {
         self.examples.push(example);
+        self.learned = None;
     }
 
     /// Supplies several examples at once.
     pub fn add_examples(&mut self, examples: impl IntoIterator<Item = Example>) {
+        let before = self.examples.len();
         self.examples.extend(examples);
+        if self.examples.len() != before {
+            self.learned = None;
+        }
     }
 
     /// Retracts the example at `index` (a §3.2 user un-fix: the user
     /// realizes a supplied output was wrong). The next query re-learns
-    /// over the remaining sequence — the cached learn is keyed on example
-    /// *content*, so removing one example and adding a different one
-    /// never serves the stale set even though the count is unchanged.
+    /// over the remaining sequence: every change to the examples drops
+    /// the cached learn, so removing one example and adding a different
+    /// one never serves the stale set even though the count is unchanged.
     pub fn remove_example(&mut self, index: usize) -> Example {
+        self.learned = None;
         self.examples.remove(index)
     }
 
@@ -156,6 +132,7 @@ impl Session {
     /// kept).
     pub fn clear_examples(&mut self) {
         self.examples.clear();
+        self.learned = None;
     }
 
     /// Declares the spreadsheet's input rows — what [`Session::status`]
@@ -241,22 +218,19 @@ impl Session {
         let synthesizer = self.engine.budgeted_synthesizer(self.budget);
         let db = synthesizer.db_arc();
         let db_epoch = db.epoch();
-        let hash = examples_hash(&self.examples);
         if let Some(cached) = &mut self.learned {
-            if cached.examples_hash == hash {
-                if cached.db_epoch == db_epoch {
-                    return Ok(());
-                }
-                let survives = db
-                    .delta_since(cached.db_epoch)
-                    .is_some_and(|delta| cached.learned.survives(&delta));
-                if survives {
-                    // Re-bind to the new epoch: the programs' own database
-                    // snapshot only probes unmutated tables, so every
-                    // observable stays bit-identical.
-                    cached.db_epoch = db_epoch;
-                    return Ok(());
-                }
+            if cached.db_epoch == db_epoch {
+                return Ok(());
+            }
+            let survives = db
+                .delta_since(cached.db_epoch)
+                .is_some_and(|delta| cached.learned.survives(&delta));
+            if survives {
+                // Re-bind to the new epoch: the programs' own database
+                // snapshot only probes unmutated tables, so every
+                // observable stays bit-identical.
+                cached.db_epoch = db_epoch;
+                return Ok(());
             }
         }
         let mut result = synthesizer
@@ -266,11 +240,7 @@ impl Session {
             result = with_deadline_error(result, budget);
         }
         let learned = result?;
-        self.learned = Some(CachedLearn {
-            db_epoch,
-            examples_hash: hash,
-            learned,
-        });
+        self.learned = Some(CachedLearn { db_epoch, learned });
         Ok(())
     }
 

@@ -113,8 +113,8 @@ impl From<TableError> for ServiceError {
     }
 }
 
-impl From<sst_arena::SnapshotError> for ServiceError {
-    fn from(e: sst_arena::SnapshotError) -> Self {
+impl From<sst_core::snapshot::SnapshotError> for ServiceError {
+    fn from(e: sst_core::snapshot::SnapshotError) -> Self {
         ServiceError::Snapshot(e.to_string())
     }
 }

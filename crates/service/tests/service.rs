@@ -551,8 +551,8 @@ fn engine_options_flow_into_sessions() {
 fn replacing_an_example_at_the_same_count_invalidates_the_learn_cache() {
     // Regression: the session learn-cache was keyed by (db_epoch,
     // examples.len()), so removing an example and adding a different one
-    // at the same count served the stale learned set. The key is now a
-    // content hash of the example sequence.
+    // at the same count served the stale learned set. Every change to the
+    // examples now drops the cached learn.
     let engine = Engine::from_tables(vec![Table::new(
         "Prod",
         vec!["Id", "Name", "Price"],
@@ -581,9 +581,9 @@ fn replacing_an_example_at_the_same_count_invalidates_the_learn_cache() {
     session.add_example(Example::new(vec!["p2"], "Phone"));
     assert_eq!(session.run(&["p3"]).unwrap().as_deref(), Some("Tablet"));
 
-    // Reordering two examples also changes the hash (the sequence is
-    // order-sensitive), which must not poison correctness: the learned
-    // set is semantically identical, just re-derived.
+    // Reordering two examples re-learns too, which must not poison
+    // correctness: the learned set is semantically identical, just
+    // re-derived.
     session.clear_examples();
     session.add_example(Example::new(vec!["p1"], "Laptop"));
     session.add_example(Example::new(vec!["p2"], "Phone"));

@@ -4,8 +4,9 @@
 //! The paper's deployment shape is a long-lived service: users teach
 //! transformations interactively and the engine accumulates a warm memo
 //! plane (per-value DAGs, whole-example generations, example-pair
-//! intersections — all arena-interned). `Engine::snapshot_to` persists
-//! that plane plus the database to one versioned binary file;
+//! intersections, sharing subterms through `Arc`s). `Engine::snapshot_to`
+//! persists that plane plus the database to one versioned binary file,
+//! writing each shared allocation once;
 //! `Engine::restore_from` rebuilds an equivalent engine from it — in this
 //! process or, identically, after a restart (the server does exactly
 //! this under `warm_start_on_boot`). The restored engine answers the
@@ -45,7 +46,7 @@ fn main() {
     );
 
     // Persist everything the engine knows: database, interned symbols,
-    // and the arena-resident memo plane.
+    // and the memo plane.
     let path = std::env::temp_dir().join("warm_start_demo.snap");
     let bytes = engine.snapshot_to(&path).expect("snapshot");
     println!("Snapshot written: {} ({bytes} bytes)", path.display());

@@ -17,17 +17,15 @@
 //! * [`lookup`] — the lookup transformation language `Lt` (`Select`
 //!   expressions over candidate keys) and its synthesis algorithm.
 //! * [`core`] — the combined semantic language `Lu`, the low-level
-//!   `Synthesizer`, ranking, the §3.2 interaction primitives, and the
+//!   `Synthesizer`, ranking, the §3.2 interaction primitives, the
 //!   worker `Pool` behind batch serving and `run_column`
-//!   (deterministic-order `par_map_indexed`); learning itself is serial.
+//!   (deterministic-order `par_map_indexed`; learning itself is serial),
+//!   and the versioned snapshot file format
+//!   ([`core::snapshot`]).
 //! * [`datatypes`] — background-knowledge tables for standard data types
 //!   (§6): time, months, ordinals, currencies, phone codes, US states.
 //! * [`benchmarks`] — the reconstructed 50-task evaluation suite (§7) and
 //!   synthetic worst-case workload generators.
-//! * [`arena`] — the versioned binary snapshot codec: checksummed
-//!   frame, varint payload writer/reader, symbol table, and the
-//!   position-set and database codecs the memo plane's tree form is
-//!   written with.
 //! * [`counting`] — arbitrary-precision counters for program-set sizes.
 //!
 //! # Quickstart: an interactive session
@@ -251,8 +249,8 @@
 //! values. Everything observable stays bit-identical (pinned by the
 //! `dag_memo_equivalence` and `service_equivalence` harnesses).
 //!
-//! The snapshot codec ([`sst_arena`], re-exported as [`arena`]) is what
-//! makes the engine *persistable*: every cached structure is written as a
+//! The snapshot module ([`core::snapshot`]) is what makes the engine
+//! *persistable*: every cached structure is written as a
 //! plain tree, and one pointer memo spans the whole write, so each `Arc`
 //! the live memo plane shares (a DAG, a position list, a condition list)
 //! is written once and back-referenced after — a restore rebuilds exactly
@@ -293,8 +291,8 @@
 
 #![forbid(unsafe_code)]
 
-pub use sst_arena as arena;
 pub use sst_core as core;
+pub use sst_core::snapshot as arena; // Former crate name; perfbench imports `arena::ArenaStats`.
 pub use sst_counting as counting;
 pub use sst_datatypes as datatypes;
 pub use sst_lookup as lookup;

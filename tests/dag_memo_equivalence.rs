@@ -10,8 +10,8 @@
 //! the memo), so any stale or mis-keyed hit fails loudly on the exact
 //! task that exposed it. A second replay runs every task that has a table
 //! on a database that took a benign insert-then-delete round trip: the
-//! incremental index paths must leave every observable, and the snapshot
-//! arena's counters, as an unmutated database gives them. A third replay
+//! incremental index paths must leave every observable, and a snapshot's
+//! sharing counters, as an unmutated database gives them. A third replay
 //! pins the ranked memo: the memoized `top()` and its compiled form must
 //! match an uncached ranking on a warm hit, after a snapshot restore,
 //! after a mutation round trip, after an added table moves the lookup
@@ -166,7 +166,7 @@ fn intersection_memo_serves_replays() {
 
 /// Everything the suite protocol observes on one engine: convergence,
 /// first-example size, the converged set's `observe`, the `(stored,
-/// interned)` counters of the arena a snapshot builds, and the count and
+/// interned)` sharing counters of a snapshot, and the count and
 /// size learned from `probe` last.
 #[allow(clippy::type_complexity)]
 fn observe_engine(

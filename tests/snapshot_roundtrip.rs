@@ -3,15 +3,16 @@
 //! `Engine::snapshot_to` / `Engine::restore_from` with byte-identical
 //! observables and a memo-served replay, and *every* corruption of the
 //! file (bit flips, truncations, version patches) must answer a typed
-//! error, never a panic and never a silently different engine.
+//! error, never a panic and never a silently different engine. Files an
+//! earlier build wrote (`tests/fixtures/`) must keep restoring warm.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use semantic_strings::arena::{open_snapshot, SnapshotError, SNAPSHOT_VERSION};
-use semantic_strings::benchmarks::{all_tasks, Category};
+use semantic_strings::benchmarks::{all_tasks, BenchmarkTask, Category};
+use semantic_strings::core::snapshot::{open_snapshot, SnapshotError, SNAPSHOT_VERSION};
 use semantic_strings::prelude::*;
 
 /// A fresh per-case snapshot path (proptest cases run in one process).
@@ -299,4 +300,61 @@ fn only_snapshots_build_the_arena() {
         interned as f64 / stored as f64 >= 2.0,
         "sharing payoff: {interned} interned over {stored} stored"
     );
+}
+
+/// What one §3.2 conversation over `task` shows: examples used, program
+/// count, size, and the top program's output on every row.
+fn replay(engine: &Engine, task: &BenchmarkTask) -> (usize, String, usize, Vec<Option<String>>) {
+    let mut session = engine.session();
+    let outcome = session.converge_with(&task.rows, 3).expect("suite task");
+    let outputs = task
+        .rows
+        .iter()
+        .map(|row| {
+            let inputs: Vec<&str> = row.inputs.iter().map(String::as_str).collect();
+            session.run(&inputs).expect("a learned session")
+        })
+        .collect();
+    (
+        outcome.examples_used,
+        session.count().unwrap().to_decimal(),
+        session.size().unwrap(),
+        outputs,
+    )
+}
+
+/// Read compatibility: format-version-3 snapshots written by an earlier
+/// build (a cold engine converged on the task, then `snapshot_to`)
+/// restore under the default options and replay the conversation exactly
+/// as a cold engine does, with every example and intersection served from
+/// the file. Task 19's file holds two examples and one intersection chain.
+#[test]
+fn version_3_fixtures_restore_and_replay_warm() {
+    let tasks = all_tasks();
+    let fixtures = [
+        (2, "task_2_company_code_to_name.v3.snap", (1, 0)),
+        (19, "task_19_month_name_to_number.v3.snap", (2, 1)),
+    ];
+    for (id, file, (examples, chains)) in fixtures {
+        let task = tasks.iter().find(|t| t.id == id).expect("suite task");
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(file);
+        let restored = Engine::restore_from(&path, SynthesisOptions::default())
+            .unwrap_or_else(|e| panic!("{file}: {e}"));
+        let (_, restored_examples, restored_chains) = restored.cache_entries();
+        assert_eq!(
+            (restored_examples, restored_chains),
+            (examples, chains),
+            "{file}"
+        );
+        let cold = Engine::new(Arc::new(task.db.clone()));
+        assert_eq!(replay(&restored, task), replay(&cold, task), "{file}");
+        let stats = restored.cache_stats();
+        assert_eq!(
+            (stats.example_misses, stats.intersect_misses),
+            (0, 0),
+            "{file}: the replay missed the restored memo plane"
+        );
+    }
 }

@@ -5,11 +5,14 @@
 //! convergence, program count, size and the top program's output on every
 //! row) and snapshots the engine. It then re-runs this test binary as a
 //! child that restores each engine, replays the same conversation and
-//! reports the same observables plus its memo hits. The parent asserts
-//! that every observable is bit-identical across the boundary; that every
-//! replayed task was served with warm cache hits (a silently cold restore
-//! would match byte for byte, just slowly) and the total is positive; and
-//! that the 50 snapshots together stay at or below [`SUITE_SNAPSHOT_BYTES`].
+//! reports the same observables plus its memo hits and misses. The parent
+//! asserts that every observable is bit-identical across the boundary;
+//! that every replayed task was served with warm cache hits and without a
+//! single example or intersection miss (a silently cold restore would
+//! match byte for byte, just slowly; and a cold engine already hits its
+//! own memos on multi-example tasks, so hits alone do not show warmth);
+//! and that the 50 snapshots together stay at or below
+//! [`SUITE_SNAPSHOT_BYTES`].
 //!
 //! Run it with `cargo test --test warm_restart_replay`.
 
@@ -67,14 +70,19 @@ fn observe(engine: &Engine, task: &BenchmarkTask) -> String {
     )
 }
 
-/// Memo-plane hits an engine has served so far.
-fn warm_hits(engine: &Engine) -> u64 {
+/// Memo-plane traffic an engine has served so far: `<hits>\t<example
+/// misses>\t<intersection misses>`.
+fn memo_traffic(engine: &Engine) -> String {
     let stats = engine.cache_stats();
-    stats.dag_hits + stats.example_hits + stats.intersect_hits
+    let hits = stats.dag_hits + stats.example_hits + stats.intersect_hits;
+    format!(
+        "{hits}\t{}\t{}",
+        stats.example_misses, stats.intersect_misses
+    )
 }
 
 /// The child half: restores every engine from `$SST_WARM_RESTART_SNAPSHOT_DIR`
-/// and writes one `<warm hits>\t<observables>` line per task.
+/// and writes one `<memo traffic>\t<observables>` line per task.
 #[test]
 #[ignore = "run by restored_engines_replay_bit_identical_and_warm as a child process"]
 fn replay_child() {
@@ -87,7 +95,7 @@ fn replay_child() {
         let engine = Engine::restore_from(&snapshot_path(&dir, &task), SynthesisOptions::default())
             .unwrap_or_else(|e| panic!("task {} ({}) failed to restore: {e}", task.id, task.name));
         let observed = observe(&engine, &task);
-        report.push_str(&format!("{}\t{observed}\n", warm_hits(&engine)));
+        report.push_str(&format!("{}\t{observed}\n", memo_traffic(&engine)));
     }
     std::fs::write(dir.join(REPORT), report).expect("writing the replay report");
 }
@@ -126,19 +134,33 @@ fn restored_engines_replay_bit_identical_and_warm() {
 
     let mut replayed = Vec::new();
     let mut cold = Vec::new();
+    let mut missed = Vec::new();
     let mut total_warm_hits = 0u64;
     for (task, line) in tasks.iter().zip(report.lines()) {
-        let (hits, observed) = line.split_once('\t').expect("a `<hits>\\t<observed>` line");
-        let hits: u64 = hits.parse().expect("a hit count");
+        let fields: Vec<&str> = line.splitn(4, '\t').collect();
+        let [hits, example_misses, intersect_misses] =
+            [0, 1, 2].map(|i| fields[i].parse::<u64>().expect("a memo counter"));
+        let tag = format!("task {} ({})", task.id, task.name);
         if hits == 0 {
-            cold.push(format!("task {} ({})", task.id, task.name));
+            cold.push(tag.clone());
+        }
+        if example_misses + intersect_misses > 0 {
+            missed.push(format!(
+                "{tag}: {example_misses} example, {intersect_misses} intersection"
+            ));
         }
         total_warm_hits += hits;
-        replayed.push(observed.to_string());
+        replayed.push(fields[3].to_string());
     }
     assert_eq!(
         replayed, learned,
         "kill-restore-replay observables drifted across the process boundary"
+    );
+    assert!(
+        missed.is_empty(),
+        "restored engines missed their memo plane on {} tasks: {}",
+        missed.len(),
+        missed.join("; ")
     );
     assert!(
         cold.is_empty(),
