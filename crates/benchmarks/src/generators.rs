@@ -64,54 +64,6 @@ pub fn wide_key_database(n: usize, m: usize) -> (Database, Example) {
     (db, example)
 }
 
-/// Key cell of scaled-lookup row `i`: a Fibonacci-hash permutation of the
-/// row number, hex-formatted. The multiplier is odd, so the map is a
-/// bijection on `u32` — every key is distinct — and because every cell is
-/// exactly nine characters with a distinguishing prefix letter, no cell is
-/// a substring of another (relaxed reachability stays exact-match).
-fn scaled_key(i: usize) -> String {
-    format!("K{:08x}", (i as u32).wrapping_mul(0x9E37_79B1))
-}
-
-/// Value cell of scaled-lookup row `i` (a second odd multiplier, so the
-/// value permutation is independent of the key's).
-fn scaled_val(i: usize) -> String {
-    format!("V{:08x}", (i as u32).wrapping_mul(0x85EB_CA6B))
-}
-
-/// One `(K, V)` row of the scaled lookup table — public so mutation
-/// benchmarks can synthesize fresh rows (`i >= rows`) whose keys are
-/// guaranteed distinct from every row already in the table.
-pub fn scaled_lookup_row(i: usize) -> Vec<String> {
-    vec![scaled_key(i), scaled_val(i)]
-}
-
-/// Builds the scaled lookup table `Big(K, V)` with `rows` rows and `K`
-/// declared as the candidate key — the 10⁵–10⁶-row memory-bandwidth
-/// workload for index-build and row-mutation probes. Deterministic and
-/// unordered-looking (hash-permuted), so index builds see no accidental
-/// sortedness.
-pub fn scaled_lookup_table(rows: usize) -> Table {
-    assert!(
-        (2..=u32::MAX as usize / 2).contains(&rows),
-        "rows must leave headroom for synthesized mutation rows"
-    );
-    let table_rows: Vec<Vec<String>> = (0..rows).map(scaled_lookup_row).collect();
-    Table::with_keys("Big", vec!["K", "V"], table_rows, vec![vec!["K"]]).expect("scaled table")
-}
-
-/// [`scaled_lookup_table`] wrapped in a database, plus two training
-/// examples mapping a key to its value (the learned program is the
-/// depth-1 `Select(V, Big, K = v₁)`).
-pub fn scaled_lookup_database(rows: usize) -> (Database, Vec<Example>) {
-    let db = Database::from_tables(vec![scaled_lookup_table(rows)]).expect("scaled database");
-    let examples = vec![
-        Example::new(vec![scaled_key(0)], scaled_val(0)),
-        Example::new(vec![scaled_key(1)], scaled_val(1)),
-    ];
-    (db, examples)
-}
-
 /// A deterministic xorshift64* stream — no RNG dependency, same column on
 /// every run and platform for a given seed.
 struct XorShift(u64);
@@ -311,34 +263,6 @@ mod tests {
         let s4 = size(4, 3);
         let s8 = size(8, 3);
         assert!(s8 <= s4 * 3, "s4={s4}, s8={s8}");
-    }
-
-    #[test]
-    fn scaled_lookup_keys_are_unique_and_learnable() {
-        use sst_core::Synthesizer;
-        use std::sync::Arc;
-        for rows in [500, 20_000] {
-            let (db, examples) = scaled_lookup_database(rows);
-            let big = db.table_id("Big").expect("Big exists");
-            let t = db.table(big);
-            assert_eq!(t.len(), rows);
-            // Bijective permutation: every key distinct (with_keys
-            // validated it), and rows synthesized past the end stay
-            // distinct too.
-            let fresh = scaled_lookup_row(rows + 7);
-            assert!(
-                t.row_ids().all(|r| t.cell(0, r) != fresh[0]),
-                "synthesized key collides with the table"
-            );
-            // The depth-1 lookup is learnable and generalizes to held-out
-            // rows.
-            let synthesizer = Synthesizer::new(Arc::new(db));
-            let learned = synthesizer.learn(&examples).expect("scaled learn");
-            let top = learned.top().expect("top program");
-            for probe in [scaled_lookup_row(17), scaled_lookup_row(rows / 2)] {
-                assert_eq!(top.run(&[&probe[0]]).as_deref(), Some(probe[1].as_str()));
-            }
-        }
     }
 
     #[test]

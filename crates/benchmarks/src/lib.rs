@@ -14,9 +14,6 @@ mod generators;
 mod suite;
 mod task;
 
-pub use generators::{
-    apply_column, chain_database, scaled_lookup_database, scaled_lookup_row, scaled_lookup_table,
-    wide_key_database,
-};
+pub use generators::{apply_column, chain_database, wide_key_database};
 pub use suite::all_tasks;
 pub use task::{ex, BenchmarkTask, Category};

@@ -20,10 +20,10 @@
 //!   resolves to its cell **entirely at compile time**, and the common
 //!   single-condition probe lowers to a direct `value → cell` hash map
 //!   built from the table once (unique matches only — absence covers both
-//!   the interpreter's postings miss and its ambiguity `None`, which are
+//!   the interpreter's index miss and its ambiguity `None`, which are
 //!   indistinguishable at the string level: both yield `""`). Remaining
-//!   multi-condition probes stay `(col, Symbol) → rows` posting-map hits
-//!   plus integer compares;
+//!   multi-condition probes stay value-index hits filtered by column plus
+//!   integer compares;
 //! - concatenation and extraction write into reusable buffers owned by an
 //!   [`ApplyScratch`], so a warmed-up row apply performs no allocation;
 //! - repeated subexpressions are hash-consed at compile time (the
@@ -134,7 +134,7 @@ enum Op {
     Cell { dst: u32, cell: &'static str },
     /// `slots[dst] = map[slots[slot]]` — a single-condition probe as a
     /// direct hash hit on the compile-time `value → cell` map (`""` on
-    /// any absent key: never-interned values, postings misses and
+    /// any absent key: never-interned values, value-index misses and
     /// ambiguous values alike). `Arc` keeps program clones cheap.
     Probe1 {
         dst: u32,
@@ -641,7 +641,7 @@ impl<'a> Lowerer<'a> {
                     // One runtime condition: pre-resolve the whole table
                     // into a `value → cell` map. A value matching exactly
                     // one row maps to that row's output cell; everything
-                    // else (never-interned values, postings misses,
+                    // else (never-interned values, value-index misses,
                     // ambiguous values) is absent and yields `""` — the
                     // same partition `Symbol::get` + `find_unique_row_sym`
                     // computes per row.

@@ -364,8 +364,8 @@ pub fn encode_database(db: &Database, w: &mut Writer, sym: &mut SymEncoder) {
     }
 }
 
-/// Reads a database written by [`encode_database`]. Indexes are rebuilt
-/// from the rows (they are derived state), candidate keys are restored
+/// Reads a database written by [`encode_database`]. Each table rebuilds its
+/// indexes from the rows (they are derived state), candidate keys are restored
 /// exactly as declared, and the database draws a **fresh** mutation
 /// epoch — snapshot epochs are process-local and never serialized.
 pub fn decode_database(r: &mut Reader<'_>, sym: &SymDecoder) -> Result<Database, SnapshotError> {

@@ -98,7 +98,7 @@ impl<P: Hash + Eq> ReachState<P> {
     /// The node values in node-id order — the content identity of the
     /// σ ∪ η̃ snapshot. Because nodes are append-only and never re-valued,
     /// this list is a *prefix-stable epoch key*: gates that extend a
-    /// [`sst_syntactic::PreparedSources`] snapshot incrementally
+    /// `sst_syntactic::PreparedSources` snapshot incrementally
     /// (`PreparedSources::extend`) can intern it (e.g. into a `DagCache`
     /// sources epoch upstream) and equal keys guarantee byte-identical
     /// prepared sources.

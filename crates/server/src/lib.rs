@@ -12,7 +12,7 @@
 //! The pieces, each its own module:
 //!
 //! - [`server`] — the accept loop, routing table, and error→status
-//!   mapping; one [`Server`](server::Server) hosts many *named* engines.
+//!   mapping; one [`Server`] hosts many *named* engines.
 //! - [`sessions`] — server-side session registry; idle conversations
 //!   are evicted by a hashed deadline wheel, and a dead id answers the
 //!   typed `SessionNotFound` (HTTP 404) forever after.

@@ -10,17 +10,18 @@
 //! this crate the public API was a single stateless
 //! [`Synthesizer::learn`](sst_core::Synthesizer::learn) call: every caller
 //! hand-rolled the re-learn loop, and nothing owned the shared warm state
-//! the lower layers already provide (an `Arc`-shared [`Database`], an
-//! interior-mutable [`DagCache`](sst_core::DagCache) whose clones share
-//! one warm plane, a sharded lock-free interner, and the deterministic
+//! the lower layers already provide (an `Arc`-shared
+//! [`Database`](sst_tables::Database), an interior-mutable
+//! [`DagCache`](sst_core::DagCache) whose clones share one warm plane, a
+//! sharded lock-free interner, and the deterministic
 //! [`Pool`](sst_core::Pool)).
 //!
 //! Two layers:
 //!
 //! * [`Engine`] — owns one `Arc<Database>`, one warm
-//!   [`DagCache`](sst_core::DagCache) plane and one global [`Pool`];
-//!   hands out cheap [`Session`] handles, serves one-shot
-//!   [`Engine::learn`] calls, fans [`Engine::learn_batch`] /
+//!   [`DagCache`](sst_core::DagCache) plane and one global
+//!   [`Pool`](sst_core::Pool); hands out cheap [`Session`] handles,
+//!   serves one-shot [`Engine::learn`] calls, fans [`Engine::learn_batch`] /
 //!   [`Engine::apply_batch`] requests across the pool (deterministic
 //!   output order), applies learned programs to whole columns through
 //!   the compiled bytecode plane ([`Engine::apply`]), and owns the

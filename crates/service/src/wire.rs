@@ -23,7 +23,7 @@
 //!   `tests/wire_roundtrip.rs` over randomized values — unicode, empty
 //!   strings, miss cells, every error variant.
 //!
-//! [`LearnResponse`](crate::LearnResponse) itself holds the in-memory
+//! [`LearnResponse`] itself holds the in-memory
 //! [`LearnedPrograms`](sst_core::LearnedPrograms) set (counts like
 //! 1.5·10³⁵³ of `Arc`-shared program trees); what crosses the wire is
 //! [`WireLearnResponse`] — the response's *observables*: exact program

@@ -87,7 +87,7 @@ where
 /// predicate DAGs all draw from one per-step cache).
 ///
 /// Edge pairs are pruned by product reachability before any atom product is
-/// expanded (see [`product_path_masks`]); the result is provably identical
+/// expanded (see `product_path_masks`); the result is provably identical
 /// to the unpruned construction ([`intersect_dags_memo_unpruned`], the
 /// differential oracle) because the final productivity prune removes
 /// everything the mask rejects.

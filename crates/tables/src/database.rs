@@ -1,4 +1,5 @@
-//! A named collection of tables with per-table value indexes.
+//! A named collection of tables with per-table epochs and a mutation
+//! journal.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -6,9 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::TableError;
 use crate::intern::Symbol;
-use crate::substring_index::SubstringIndex;
 use crate::table::{CellRef, ColId, RowId, Table};
-use crate::value_index::ValueIndex;
 
 /// Index of a table within a [`Database`].
 pub type TableId = u32;
@@ -98,12 +97,12 @@ impl DbDelta {
 ///
 /// Beyond [`Database::add_table`], rows can be changed in place:
 /// [`Database::insert_rows`], [`Database::update_cell`] and
-/// [`Database::delete_rows`] route through the owning table and maintain
-/// its [`ValueIndex`], [`SubstringIndex`] and per-column postings
-/// *incrementally* — no rebuild, so a single-row write into a million-row
-/// table is microseconds, not the milliseconds a rebuild costs. Deletes
-/// tombstone; once tombstones dominate ([`Table::should_compact`]) the
-/// table is compacted and its two derived indexes rebuilt.
+/// [`Database::delete_rows`] check the table id and delegate to the owning
+/// table, which splices its own value and substring indexes *incrementally*
+/// — no rebuild, so a single-row write into a million-row table is
+/// microseconds, not the milliseconds a rebuild costs. Deletes tombstone;
+/// once tombstones dominate ([`Table::should_compact`]) the table is
+/// compacted, which rebuilds its indexes.
 ///
 /// Every mutation draws a globally fresh epoch, records it in the
 /// journal, and stamps the mutated table's entry in
@@ -112,8 +111,6 @@ impl DbDelta {
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: Vec<Table>,
-    indexes: Vec<ValueIndex>,
-    sub_indexes: Vec<SubstringIndex>,
     by_name: HashMap<String, TableId>,
     /// Mutation epoch: bumped to a globally fresh value by every mutation
     /// (add_table, insert_rows, update_cell, delete_rows). Caches keyed on
@@ -168,27 +165,23 @@ impl Database {
         }
     }
 
-    /// Adds a table and builds its value and substring indexes; returns its
-    /// id. This is the one *structural* mutation: the table count feeds
-    /// the synthesizer's depth bound, so caches treat it as
-    /// invalidate-everything.
+    /// Adds a table; returns its id. This is the one *structural* mutation:
+    /// the table count feeds the synthesizer's depth bound, so caches treat
+    /// it as invalidate-everything.
     pub fn add_table(&mut self, table: Table) -> Result<TableId, TableError> {
         if self.by_name.contains_key(table.name()) {
             return Err(TableError::DuplicateTable(table.name().to_string()));
         }
         let id = self.tables.len() as TableId;
         self.by_name.insert(table.name().to_string(), id);
-        self.indexes.push(ValueIndex::build(&table));
-        self.sub_indexes.push(SubstringIndex::build(&table));
         self.tables.push(table);
         self.table_epochs.push(0);
         self.bump(id, Vec::new(), true);
         Ok(id)
     }
 
-    /// Appends rows to a table, incrementally maintaining its value index,
-    /// substring index and column postings; returns the new (stable) row
-    /// ids. A ragged batch mutates nothing.
+    /// Appends rows to a table; returns the new (stable) row ids. A ragged
+    /// batch mutates nothing.
     pub fn insert_rows<R: Into<String>>(
         &mut self,
         table: TableId,
@@ -197,26 +190,15 @@ impl Database {
         self.check_table(table)?;
         let t = &mut self.tables[table as usize];
         let ids = t.insert_rows(rows)?;
-        let vidx = &mut self.indexes[table as usize];
-        let sub = &mut self.sub_indexes[table as usize];
-        let mut touched = Vec::with_capacity(ids.len() * t.width());
-        for &r in &ids {
-            for c in 0..t.width() as ColId {
-                let v = t.cell_sym(c, r);
-                vidx.insert_cell(v, CellRef { col: c, row: r });
-                sub.insert_value(v);
-                touched.push(v);
-            }
-        }
+        let mut touched: Vec<Symbol> = ids.iter().flat_map(|&r| t.row(r)).collect();
         touched.sort_unstable();
         touched.dedup();
         self.bump(table, touched, false);
         Ok(ids)
     }
 
-    /// Overwrites one cell, incrementally maintaining the table's indexes;
-    /// returns the previous value. Writing the value already present is a
-    /// true no-op: no index work, no epoch bump.
+    /// Overwrites one cell; returns the previous value. Writing the value
+    /// already present is a true no-op: no index work, no epoch bump.
     pub fn update_cell(
         &mut self,
         table: TableId,
@@ -229,13 +211,6 @@ impl Database {
         let old = t.update_cell(col, row, value)?;
         let new = t.cell_sym(col, row);
         if new != old {
-            let cell = CellRef { col, row };
-            let vidx = &mut self.indexes[table as usize];
-            vidx.remove_cell(old, cell);
-            vidx.insert_cell(new, cell);
-            let sub = &mut self.sub_indexes[table as usize];
-            sub.remove_value(old);
-            sub.insert_value(new);
             let mut touched = vec![old, new];
             touched.sort_unstable();
             self.bump(table, touched, false);
@@ -243,36 +218,19 @@ impl Database {
         Ok(old)
     }
 
-    /// Tombstones rows, incrementally maintaining the table's indexes;
-    /// returns how many rows were removed. An invalid batch (out-of-range,
-    /// dead, or duplicated row id) mutates nothing. When tombstones come
-    /// to dominate the table it is compacted — row ids renumber and the
-    /// two derived indexes are rebuilt (the correctness fallback the
-    /// incremental plane always keeps).
+    /// Tombstones rows; returns how many rows were removed. An invalid
+    /// batch (out-of-range, dead, or duplicated row id) mutates nothing.
+    /// When tombstones come to dominate the table it is compacted — row ids
+    /// renumber and the table rebuilds its indexes (the correctness
+    /// fallback the incremental plane always keeps).
     pub fn delete_rows(&mut self, table: TableId, rows: &[RowId]) -> Result<usize, TableError> {
         self.check_table(table)?;
-        let removed = self.tables[table as usize].delete_rows(rows)?;
-        let vidx = &mut self.indexes[table as usize];
-        let sub = &mut self.sub_indexes[table as usize];
-        let mut touched = Vec::with_capacity(removed.len());
-        for (r, vals) in &removed {
-            for (c, &v) in vals.iter().enumerate() {
-                vidx.remove_cell(
-                    v,
-                    CellRef {
-                        col: c as ColId,
-                        row: *r,
-                    },
-                );
-                sub.remove_value(v);
-                touched.push(v);
-            }
+        let t = &mut self.tables[table as usize];
+        let removed = t.delete_rows(rows)?;
+        if t.should_compact() {
+            t.compact();
         }
-        if self.tables[table as usize].should_compact() {
-            self.tables[table as usize].compact();
-            self.indexes[table as usize] = ValueIndex::build(&self.tables[table as usize]);
-            self.sub_indexes[table as usize] = SubstringIndex::build(&self.tables[table as usize]);
-        }
+        let mut touched: Vec<Symbol> = removed.iter().flat_map(|(_, vals)| vals).copied().collect();
         touched.sort_unstable();
         touched.dedup();
         self.bump(table, touched, false);
@@ -346,16 +304,6 @@ impl Database {
         &self.tables[id as usize]
     }
 
-    /// Value index of a table.
-    pub fn value_index(&self, id: TableId) -> &ValueIndex {
-        &self.indexes[id as usize]
-    }
-
-    /// Substring index of a table.
-    pub fn substring_index(&self, id: TableId) -> &SubstringIndex {
-        &self.sub_indexes[id as usize]
-    }
-
     /// Table id by name.
     pub fn table_id(&self, name: &str) -> Option<TableId> {
         self.by_name.get(name).copied()
@@ -379,33 +327,35 @@ impl Database {
     /// All cells across all tables equal to the interned `value`. One hash
     /// of a `u32` per table — the `GenerateStr_t` frontier probe.
     pub fn cells_equal(&self, value: Symbol) -> impl Iterator<Item = (TableId, CellRef)> + '_ {
-        self.indexes.iter().enumerate().flat_map(move |(tid, idx)| {
-            idx.cells_equal(value)
+        self.iter().flat_map(move |(tid, t)| {
+            t.value_index()
+                .cells_equal(value)
                 .iter()
-                .map(move |&cell| (tid as TableId, cell))
+                .map(move |&cell| (tid, cell))
         })
     }
 
     /// All cells across all tables in a substring relation with `s` (cell
     /// content ⊑ `s` or `s` ⊑ cell content) — the §5.3 relaxed-reachability
-    /// frontier probe, answered by the per-table [`SubstringIndex`]es
-    /// instead of a full cell scan. Empty probes and empty cells never
-    /// relate. Order is unspecified; callers canonicalize.
+    /// frontier probe, answered by each table's
+    /// [`SubstringIndex`](crate::SubstringIndex) instead of a full cell
+    /// scan. Empty probes and empty cells never relate. Order is
+    /// unspecified; callers canonicalize.
     pub fn cells_related_to<'a>(
         &'a self,
         s: &'a str,
     ) -> impl Iterator<Item = (TableId, CellRef)> + 'a {
-        self.sub_indexes
-            .iter()
-            .zip(self.indexes.iter())
-            .enumerate()
-            .flat_map(move |(tid, (sub, vidx))| {
-                sub.related_values(s).into_iter().flat_map(move |val| {
-                    vidx.cells_equal(val)
+        self.iter().flat_map(move |(tid, t)| {
+            t.substring_index()
+                .related_values(s)
+                .into_iter()
+                .flat_map(move |val| {
+                    t.value_index()
+                        .cells_equal(val)
                         .iter()
-                        .map(move |&cell| (tid as TableId, cell))
+                        .map(move |&cell| (tid, cell))
                 })
-            })
+        })
     }
 
     /// Total number of live cells, used to bound the reachability
@@ -532,21 +482,14 @@ mod tests {
     }
 
     #[test]
-    fn mutations_maintain_indexes_incrementally() {
+    fn mutations_reach_cross_table_queries() {
         let mut d = db();
         d.insert_rows(1, vec![vec!["5", "6"]]).unwrap();
         d.update_cell(1, 0, 0, "8").unwrap();
         d.delete_rows(0, &[0]).unwrap();
-        // Every index answers like a from-scratch rebuild.
-        let fresh_v = ValueIndex::build(d.table(1));
-        assert_eq!(d.value_index(1), &fresh_v);
-        for probe in ["1", "2", "5", "8", "3 5 8", "zz"] {
-            let mut a: Vec<Symbol> = d.substring_index(1).related_values(probe);
-            let mut b: Vec<Symbol> = SubstringIndex::build(d.table(1)).related_values(probe);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "probe {probe:?}");
-        }
+        let hits: Vec<(TableId, CellRef)> = d.cells_equal(Symbol::intern("8")).collect();
+        assert_eq!(hits, vec![(1, CellRef { col: 0, row: 0 })]);
+        assert_eq!(d.cells_related_to("5 6").count(), 2);
         // The deleted cell no longer answers cross-table queries.
         let hits: Vec<(TableId, CellRef)> = db().cells_equal(Symbol::intern("1")).collect();
         assert_eq!(hits.len(), 1);

@@ -6,13 +6,18 @@
 //! row uniquely), and the synthesizer repeatedly asks two queries:
 //!
 //! 1. *exact reachability* — "which cells equal this string?" (drives
-//!    `GenerateStr_t`, Fig. 5a of the paper), answered by an inverted
-//!    [`ValueIndex`], and
+//!    `GenerateStr_t`, Fig. 5a of the paper), answered by each table's
+//!    inverted [`ValueIndex`] via [`Database::cells_equal`], and
 //! 2. *relaxed reachability* — "which cells are in a substring relation with
 //!    this string?" (drives `GenerateStr'_t`, §5.3), answered by the q-gram
-//!    postings of [`SubstringIndex`] via [`Database::cells_related_to`]
-//!    (the [`Table::cells_related_to`] full scan remains as the index's
-//!    correctness oracle).
+//!    postings of each table's [`SubstringIndex`] via
+//!    [`Database::cells_related_to`] (the [`Table::cells_related_to`] full
+//!    scan remains as the index's correctness oracle).
+//!
+//! A [`Table`] owns both indexes: it builds them with its rows, splices
+//! them on every mutation and rebuilds them when it compacts. `Select`
+//! evaluation ([`Table::find_unique_row`]) draws its candidate rows from
+//! the same [`ValueIndex`].
 //!
 //! The paper assumes Excel provides this substrate; here it is built from
 //! scratch, including minimal-candidate-key inference and a small CSV reader
@@ -22,10 +27,10 @@
 //!
 //! Tables are stored **columnar** (one contiguous `Vec<Symbol>` per
 //! column) and are mutable in place: [`Database::insert_rows`],
-//! [`Database::update_cell`] and [`Database::delete_rows`] maintain the
-//! [`ValueIndex`], the [`SubstringIndex`] postings and the per-column
-//! probe maps *incrementally*, so a single-row write into a 10⁵–10⁶-row
-//! background table costs microseconds instead of an index rebuild.
+//! [`Database::update_cell`] and [`Database::delete_rows`] delegate to the
+//! owning table, which splices its indexes *incrementally*, so a single-row
+//! write into a 10⁵–10⁶-row background table costs microseconds instead of
+//! an index rebuild.
 //! Deletes tombstone rows (ids stay stable) until garbage dominates, then
 //! compact. Every mutation draws a globally fresh [`Database::epoch`] and
 //! stamps the per-table [`Database::table_epochs`] entry;

@@ -5,8 +5,8 @@
 //! `s ⊑ v`). The seed answered it by scanning every cell of every table and
 //! running two `contains` checks per cell — the dominant remaining cost of
 //! `GenerateStr_u` after the interned value plane landed. This index
-//! precomputes postings over each table's distinct values once, at
-//! [`crate::Database`] construction (alongside [`crate::ValueIndex`]), so a
+//! precomputes postings over each table's distinct values once, when the
+//! [`crate::Table`] is built (alongside its [`crate::ValueIndex`]), so a
 //! probe touches work proportional to `|s|` and the candidate set instead of
 //! the table size — the same move BlinkFill's `InputDataGraph` makes for its
 //! substring queries.

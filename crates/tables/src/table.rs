@@ -4,8 +4,10 @@ use std::collections::HashSet;
 use std::fmt;
 
 use crate::error::TableError;
-use crate::intern::{IntMap, Symbol};
+use crate::intern::Symbol;
 use crate::keys;
+use crate::substring_index::SubstringIndex;
+use crate::value_index::ValueIndex;
 
 /// Column index within a table.
 pub type ColId = u32;
@@ -53,6 +55,15 @@ pub struct CellRef {
 /// re-checked on mutation: a mutated table may transiently violate a key,
 /// and [`Table::find_unique_row`] already scans defensively, answering
 /// `None` on ambiguity.
+///
+/// # Derived indexes
+///
+/// The table owns every index over its cells: a [`ValueIndex`] (value →
+/// cells, the `GenerateStr_t` probe and the `Select` evaluator's candidate
+/// rows) and a [`SubstringIndex`] (the §5.3 relaxed-reachability probe).
+/// Both are built with the table, spliced by each mutation and rebuilt by
+/// [`Table::compact`], so they always answer like a fresh build over the
+/// live rows.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
@@ -64,11 +75,10 @@ pub struct Table {
     /// Number of live slots (`live.iter().filter(|l| **l).count()`).
     live_rows: usize,
     candidate_keys: Vec<Vec<ColId>>,
-    /// `(column, value)` → live rows holding it, ascending — the `Select`
-    /// evaluator's probe ([`Table::find_unique_row_sym`]). Maintained
-    /// incrementally by every mutation; entries whose last row disappears
-    /// are removed, so the map always equals a fresh build's.
-    col_postings: IntMap<(ColId, Symbol), Vec<RowId>>,
+    /// Value → live cells holding it, each list in `(row, col)` order.
+    value_index: ValueIndex,
+    /// Substring-relation postings over the live cell values.
+    substring_index: SubstringIndex,
 }
 
 impl Table {
@@ -172,8 +182,8 @@ impl Table {
     /// Key columns are bounds-checked but **not** re-verified for
     /// uniqueness: a snapshotted table may have been mutated past a
     /// declared key (in-place mutation never re-checks keys either), and
-    /// [`Table::find_unique_row`] already scans defensively. All derived
-    /// state (postings, value/substring indexes) is rebuilt from the rows.
+    /// [`Table::find_unique_row`] already scans defensively. The value and
+    /// substring indexes are rebuilt from the rows.
     pub fn from_parts(
         name: String,
         columns: Vec<String>,
@@ -239,43 +249,16 @@ impl Table {
             live: vec![true; n_rows],
             live_rows: n_rows,
             candidate_keys: Vec::new(),
-            col_postings: IntMap::default(),
+            value_index: ValueIndex::default(),
+            substring_index: SubstringIndex::default(),
         };
-        table.rebuild_postings();
+        table.rebuild_indexes();
         Ok(table)
     }
 
-    fn rebuild_postings(&mut self) {
-        self.col_postings.clear();
-        for r in 0..self.live.len() {
-            if !self.live[r] {
-                continue;
-            }
-            for (c, col) in self.cols.iter().enumerate() {
-                self.col_postings
-                    .entry((c as ColId, col[r]))
-                    .or_default()
-                    .push(r as RowId);
-            }
-        }
-    }
-
-    fn posting_insert(&mut self, col: ColId, value: Symbol, row: RowId) {
-        let list = self.col_postings.entry((col, value)).or_default();
-        if let Err(pos) = list.binary_search(&row) {
-            list.insert(pos, row);
-        }
-    }
-
-    fn posting_remove(&mut self, col: ColId, value: Symbol, row: RowId) {
-        if let Some(list) = self.col_postings.get_mut(&(col, value)) {
-            if let Ok(pos) = list.binary_search(&row) {
-                list.remove(pos);
-            }
-            if list.is_empty() {
-                self.col_postings.remove(&(col, value));
-            }
-        }
+    fn rebuild_indexes(&mut self) {
+        self.value_index = ValueIndex::build(self);
+        self.substring_index = SubstringIndex::build(self);
     }
 
     fn check_live(&self, row: RowId) -> Result<(), TableError> {
@@ -291,8 +274,9 @@ impl Table {
         Ok(())
     }
 
-    /// Appends rows, returning their (stable) row ids. Validates the whole
-    /// batch first, so a ragged batch mutates nothing.
+    /// Appends rows, splicing their cells into both indexes; returns their
+    /// (stable) row ids. Validates the whole batch first, so a ragged batch
+    /// mutates nothing.
     pub fn insert_rows<R: Into<String>>(
         &mut self,
         rows: Vec<Vec<R>>,
@@ -319,20 +303,23 @@ impl Table {
             self.live_rows += 1;
             for (c, &v) in row.iter().enumerate() {
                 self.cols[c].push(v);
-                // A fresh slot id exceeds every existing id, so a plain
-                // push keeps the posting list ascending.
-                self.col_postings
-                    .entry((c as ColId, v))
-                    .or_default()
-                    .push(r);
+                self.value_index.insert_cell(
+                    v,
+                    CellRef {
+                        col: c as ColId,
+                        row: r,
+                    },
+                );
+                self.substring_index.insert_value(v);
             }
             ids.push(r);
         }
         Ok(ids)
     }
 
-    /// Overwrites one live cell, returning the previous value. Writing the
-    /// value already present is a no-op (the old value is still returned).
+    /// Overwrites one live cell, moving it between index entries; returns
+    /// the previous value. Writing the value already present is a no-op
+    /// (the old value is still returned).
     pub fn update_cell(
         &mut self,
         col: ColId,
@@ -352,16 +339,19 @@ impl Table {
             return Ok(old);
         }
         self.cols[col as usize][row as usize] = new;
-        self.posting_remove(col, old, row);
-        self.posting_insert(col, new, row);
+        let cell = CellRef { col, row };
+        self.value_index.remove_cell(old, cell);
+        self.value_index.insert_cell(new, cell);
+        self.substring_index.remove_value(old);
+        self.substring_index.insert_value(new);
         Ok(old)
     }
 
-    /// Tombstones rows, returning each removed row's cells (callers
-    /// maintaining derived indexes need the pre-removal values). Validates
-    /// the whole batch — including in-batch duplicates — before touching
-    /// anything, so an invalid batch mutates nothing. Slots stay allocated
-    /// until [`Table::compact`].
+    /// Tombstones rows and splices their cells out of both indexes,
+    /// returning each removed row's cells (the database journals them as
+    /// touched values). Validates the whole batch — including in-batch
+    /// duplicates — before touching anything, so an invalid batch mutates
+    /// nothing. Slots stay allocated until [`Table::compact`].
     pub fn delete_rows(&mut self, rows: &[RowId]) -> Result<Vec<(RowId, Vec<Symbol>)>, TableError> {
         let mut seen = HashSet::with_capacity(rows.len());
         for &r in rows {
@@ -374,7 +364,14 @@ impl Table {
         for &r in rows {
             let vals: Vec<Symbol> = self.cols.iter().map(|col| col[r as usize]).collect();
             for (c, &v) in vals.iter().enumerate() {
-                self.posting_remove(c as ColId, v, r);
+                self.value_index.remove_cell(
+                    v,
+                    CellRef {
+                        col: c as ColId,
+                        row: r,
+                    },
+                );
+                self.substring_index.remove_value(v);
             }
             self.live[r as usize] = false;
             self.live_rows -= 1;
@@ -392,10 +389,8 @@ impl Table {
     }
 
     /// Rewrites the columns densely, dropping tombstoned slots. Live rows
-    /// keep their relative order but are **renumbered**; per-column
-    /// postings are rebuilt. Callers holding derived per-row state (the
-    /// database's value/substring indexes) must rebuild it. Returns whether
-    /// anything moved.
+    /// keep their relative order but are **renumbered**, and both indexes
+    /// are rebuilt. Returns whether anything moved.
     pub fn compact(&mut self) -> bool {
         if self.live_rows == self.live.len() {
             return false;
@@ -412,7 +407,7 @@ impl Table {
             col.shrink_to_fit();
         }
         self.live = vec![true; self.live_rows];
-        self.rebuild_postings();
+        self.rebuild_indexes();
         true
     }
 
@@ -487,15 +482,14 @@ impl Table {
         self.cols.iter().map(|col| col[row as usize]).collect()
     }
 
-    /// Live rows holding `value` in `col`, ascending — the raw posting
-    /// list behind [`Table::find_unique_row_sym`], exposed so differential
-    /// tests can compare incrementally-maintained postings against a fresh
-    /// build's.
-    pub fn rows_with(&self, col: ColId, value: Symbol) -> &[RowId] {
-        self.col_postings
-            .get(&(col, value))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// The value index over the live cells.
+    pub fn value_index(&self) -> &ValueIndex {
+        &self.value_index
+    }
+
+    /// The substring index over the live cell values.
+    pub fn substring_index(&self) -> &SubstringIndex {
+        &self.substring_index
     }
 
     /// Iterates every live cell as `(CellRef, &str)`, row-major.
@@ -527,9 +521,8 @@ impl Table {
     ///
     /// This scan is the correctness *oracle* for the production query: the
     /// `GenerateStr_u` hot path asks [`crate::Database::cells_related_to`]
-    /// instead, which answers from the precomputed
-    /// [`crate::SubstringIndex`] postings. The property tests pin the two
-    /// to identical answer sets.
+    /// instead, which answers from the table's [`SubstringIndex`]. The
+    /// property tests pin the two to identical answer sets.
     #[inline]
     pub fn cells_related_to<'a>(
         &'a self,
@@ -572,12 +565,12 @@ impl Table {
 
     /// [`Table::find_unique_row`] over interned probe values.
     ///
-    /// Probes the per-column posting map: candidate rows come from the
-    /// first condition's postings (O(matches) instead of O(rows), and only
-    /// live rows — tombstoned rows leave the postings on delete), the
-    /// remaining conditions are integer compares per candidate, and the
-    /// defensive ambiguity check is preserved — two matching rows still
-    /// return `None`.
+    /// Probes the value index: candidate rows are the first condition's
+    /// value's cells in that condition's column (O(matches) instead of
+    /// O(rows), and only live rows — tombstoned cells leave the index on
+    /// delete), the remaining conditions are integer compares per
+    /// candidate, and the defensive ambiguity check is preserved — two
+    /// matching rows still return `None`.
     pub fn find_unique_row_sym(&self, conds: &[(ColId, Symbol)]) -> Option<RowId> {
         let Some((first, rest)) = conds.split_first() else {
             // No conditions: every row matches vacuously; unique iff the
@@ -588,17 +581,18 @@ impl Table {
                 None
             };
         };
-        let candidates = self.col_postings.get(first)?;
+        let (col, value) = *first;
         let mut found: Option<RowId> = None;
-        for &r in candidates {
-            if rest
-                .iter()
-                .all(|(c, v)| self.cols[*c as usize][r as usize] == *v)
+        for cell in self.value_index.cells_equal(value) {
+            if cell.col == col
+                && rest
+                    .iter()
+                    .all(|(c, v)| self.cols[*c as usize][cell.row as usize] == *v)
             {
                 if found.is_some() {
                     return None;
                 }
-                found = Some(r);
+                found = Some(cell.row);
             }
         }
         found
@@ -751,7 +745,9 @@ mod tests {
     fn find_unique_row_rejects_ambiguity() {
         let t = Table::new("T", vec!["A", "B"], vec![vec!["x", "1"], vec!["y", "1"]]).unwrap();
         assert_eq!(t.find_unique_row(&[(1, "1")]), None);
-        // Ambiguity on the posting-probed first condition, disambiguated by
+        // A value held only in another column matches nothing.
+        assert_eq!(t.find_unique_row(&[(1, "x")]), None);
+        // Ambiguity on the index-probed first condition, disambiguated by
         // a later condition.
         assert_eq!(
             t.find_unique_row_sym(&[(1, Symbol::intern("1")), (0, Symbol::intern("y"))]),
@@ -829,7 +825,10 @@ mod tests {
         assert_eq!(t.len(), 5);
         assert_eq!(t.cell(1, 4), "Meta");
         assert_eq!(t.find_unique_row(&[(0, "c4")]), Some(3));
-        assert_eq!(t.rows_with(1, Symbol::intern("Amazon")), &[3]);
+        assert_eq!(
+            t.value_index().cells_equal(Symbol::intern("Amazon")),
+            &[CellRef { col: 1, row: 3 }]
+        );
         // A ragged batch mutates nothing.
         let before = t.clone();
         assert!(t.insert_rows(vec![vec!["c6", "X"], vec!["short"]]).is_err());
@@ -837,14 +836,17 @@ mod tests {
     }
 
     #[test]
-    fn update_cell_moves_postings() {
+    fn update_cell_moves_index_entries() {
         let mut t = comp_table();
         let old = t.update_cell(1, 1, "Alphabet").unwrap();
         assert_eq!(old.as_str(), "Google");
         assert_eq!(t.cell(1, 1), "Alphabet");
         assert_eq!(t.find_unique_row(&[(1, "Alphabet")]), Some(1));
         assert_eq!(t.find_unique_row(&[(1, "Google")]), None);
-        assert!(t.rows_with(1, Symbol::intern("Google")).is_empty());
+        assert!(t
+            .value_index()
+            .cells_equal(Symbol::intern("Google"))
+            .is_empty());
         // No-op update returns the (unchanged) old value.
         assert_eq!(
             t.update_cell(1, 1, "Alphabet").unwrap().as_str(),
@@ -923,17 +925,43 @@ mod tests {
         assert_eq!(t.find_unique_row(&[(0, "r99")]), Some(44));
     }
 
+    /// Asserts a table's own indexes answer like fresh builds over its live
+    /// rows: the value index structurally, the substring index per probe.
+    fn assert_indexes_match_rebuild(t: &Table, probes: &[&str]) {
+        assert_eq!(t.value_index(), &ValueIndex::build(t));
+        let fresh = SubstringIndex::build(t);
+        for p in probes {
+            let mut got = t.substring_index().related_values(p);
+            let mut want = fresh.related_values(p);
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "probe {p:?}");
+        }
+    }
+
     #[test]
-    fn mutated_postings_match_fresh_build() {
+    fn standalone_table_indexes_match_rebuild_after_every_mutation() {
+        let probes = ["c1", "c4 c2", "Goo", "o", "Apple", "Microsoft", "Alpha", ""];
         let mut t = comp_table();
+        assert_indexes_match_rebuild(&t, &probes);
         t.insert_rows(vec![vec!["c4", "Google"]]).unwrap();
+        assert_indexes_match_rebuild(&t, &probes);
         t.update_cell(1, 0, "Google").unwrap();
+        assert_indexes_match_rebuild(&t, &probes);
+        t.update_cell(1, 2, "Alphabet").unwrap();
+        assert_indexes_match_rebuild(&t, &probes);
         t.delete_rows(&[2]).unwrap();
-        // Live rows: (c1,Google), (c2,Google), (c4,Google) — Apple gone.
-        assert_eq!(t.rows_with(1, Symbol::intern("Google")), &[0, 1, 3]);
-        assert!(t.rows_with(1, Symbol::intern("Microsoft")).is_empty());
-        assert!(t.rows_with(1, Symbol::intern("Apple")).is_empty());
-        t.compact();
+        assert_indexes_match_rebuild(&t, &probes);
+        // Live rows: (c1,Google), (c2,Google), (c4,Google); vacated values
+        // left both indexes.
+        for gone in ["Microsoft", "Apple", "Alphabet"] {
+            assert!(t.value_index().cells_equal(Symbol::intern(gone)).is_empty());
+            assert!(t.substring_index().related_values(gone).is_empty());
+        }
+        assert!(t.compact());
+        assert_indexes_match_rebuild(&t, &probes);
+        assert_eq!(t.find_unique_row(&[(0, "c4")]), Some(2));
+        assert_eq!(t.find_unique_row(&[(1, "Google")]), None);
         let fresh = Table::with_keys(
             "Comp",
             vec!["Id", "Name"],
@@ -945,12 +973,9 @@ mod tests {
             vec![vec!["Id"]],
         )
         .unwrap();
-        // Candidate keys were frozen at construction, so compare the
-        // contents and the posting answers, not whole-table equality.
+        // Candidate keys were frozen at construction, so compare contents
+        // and indexes, not whole-table equality.
         assert_eq!(t.to_csv(), fresh.to_csv());
-        assert_eq!(
-            t.rows_with(1, Symbol::intern("Google")),
-            fresh.rows_with(1, Symbol::intern("Google"))
-        );
+        assert_eq!(t.value_index(), fresh.value_index());
     }
 }

@@ -1,16 +1,18 @@
 //! Differential harness for the incremental index plane.
 //!
 //! Every row-level mutation path — insert, update, delete, and the
-//! tombstone-compaction fallback — must leave the three incrementally
-//! maintained structures answering **identically** to structures rebuilt
-//! from scratch over the same mutated table:
+//! tombstone-compaction fallback — must leave each table's two
+//! incrementally maintained indexes answering **identically** to indexes
+//! rebuilt from scratch over the same mutated table, and the `Select`
+//! evaluator built on them answering like a scan:
 //!
 //! * the [`ValueIndex`] (compared structurally — rebuild from the same
 //!   table yields the same row ids, so `PartialEq` is exact);
 //! * the [`SubstringIndex`] (compared at the *answer* level — sorted
 //!   `related_values` over a probe set — because dense internal ids
 //!   legitimately diverge after delete/reinsert churn);
-//! * the per-column postings (compared against a live-row scan oracle).
+//! * [`Table::find_unique_row_sym`] (compared against a live-row scan
+//!   oracle: `Some(r)` iff exactly one live row holds the value).
 //!
 //! A scripted walk pins each mutation path deterministically (this is the
 //! harness CI names), and a property test replays random
@@ -18,7 +20,7 @@
 //! reusing the oracle pattern from the substring-index tests.
 
 use proptest::prelude::*;
-use sst_tables::{ColId, Database, SubstringIndex, Table, ValueIndex};
+use sst_tables::{ColId, Database, SubstringIndex, Symbol, Table, ValueIndex};
 
 /// Grams and degenerate probes every answer-level comparison includes on
 /// top of the values currently (or ever) in the table.
@@ -31,11 +33,11 @@ fn check_matches_rebuild(db: &Database, extra_probes: &[String]) -> Result<(), S
     for (id, t) in db.iter() {
         // Value index: exact structural equality with a fresh build.
         let fresh_vidx = ValueIndex::build(t);
-        if *db.value_index(id) != fresh_vidx {
+        if *t.value_index() != fresh_vidx {
             return Err(format!(
                 "table {id} ({}): incremental ValueIndex != rebuilt\n incremental: {:?}\n rebuilt: {:?}",
                 t.name(),
-                db.value_index(id),
+                t.value_index(),
                 fresh_vidx
             ));
         }
@@ -45,11 +47,11 @@ fn check_matches_rebuild(db: &Database, extra_probes: &[String]) -> Result<(), S
         let fresh_sub = SubstringIndex::build(t);
         let mut probes: Vec<String> = extra_probes.to_vec();
         probes.extend(FIXED_PROBES.iter().map(|s| s.to_string()));
-        probes.extend(db.value_index(id).distinct_values().map(str::to_string));
+        probes.extend(t.value_index().distinct_values().map(str::to_string));
         probes.sort_unstable();
         probes.dedup();
         for p in &probes {
-            let mut got = db.substring_index(id).related_values(p);
+            let mut got = t.substring_index().related_values(p);
             let mut want = fresh_sub.related_values(p);
             got.sort_unstable();
             want.sort_unstable();
@@ -61,20 +63,25 @@ fn check_matches_rebuild(db: &Database, extra_probes: &[String]) -> Result<(), S
             }
         }
 
-        // Column postings: live-row scan oracle, over every value present
-        // in each column.
+        // Select evaluation: live-row scan oracle, over every value present
+        // in each column plus every value the history ever touched.
         for c in 0..t.width() as ColId {
-            let mut vals: Vec<_> = t.row_ids().map(|r| t.cell_sym(c, r)).collect();
+            let mut vals: Vec<Symbol> = t.row_ids().map(|r| t.cell_sym(c, r)).collect();
+            vals.extend(extra_probes.iter().filter_map(|p| Symbol::get(p)));
             vals.sort_unstable();
             vals.dedup();
             for v in vals {
-                let want: Vec<_> = t.row_ids().filter(|&r| t.cell_sym(c, r) == v).collect();
-                if t.rows_with(c, v) != want.as_slice() {
+                let matches: Vec<_> = t.row_ids().filter(|&r| t.cell_sym(c, r) == v).collect();
+                let want = match matches[..] {
+                    [r] => Some(r),
+                    _ => None,
+                };
+                let got = t.find_unique_row_sym(&[(c, v)]);
+                if got != want {
                     return Err(format!(
-                        "table {id} ({}): rows_with({c}, {:?}) = {:?}, scan says {want:?}",
+                        "table {id} ({}): find_unique_row_sym([({c}, {:?})]) = {got:?}, scan found rows {matches:?}",
                         t.name(),
-                        v.as_str(),
-                        t.rows_with(c, v)
+                        v.as_str()
                     ));
                 }
             }
@@ -179,8 +186,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random insert/update/delete sequences (unicode + short-gram cells)
-    /// leave all three index structures equivalent to a from-scratch
-    /// rebuild after **every** op.
+    /// leave both indexes equivalent to a from-scratch rebuild, and `Select`
+    /// evaluation equal to a scan, after **every** op.
     #[test]
     fn random_mutation_sequences_match_rebuild(
         kinds in prop::collection::vec(0u8..3, 24..25),

@@ -11,7 +11,7 @@
 //!   worker pool, handing out [`Session`](service::Session) handles for
 //!   the §3.2 interactive protocol and `learn_batch` for bulk requests.
 //! * [`tables`] — the relational table substrate (schemas, candidate keys,
-//!   value indexes, CSV ingest).
+//!   the value and substring indexes each table owns, CSV ingest).
 //! * [`syntactic`] — the syntactic transformation language `Ls`
 //!   (FlashFill-style substrings/concatenation) and its synthesis algorithm.
 //! * [`lookup`] — the lookup transformation language `Lt` (`Select`
@@ -200,8 +200,8 @@
 //! [`Engine::insert_rows`](service::Engine::insert_rows),
 //! [`Engine::update_cell`](service::Engine::update_cell) and
 //! [`Engine::delete_rows`](service::Engine::delete_rows) apply row-level
-//! mutations whose index maintenance is *incremental* — the value index,
-//! q-gram substring index and column postings are spliced in place
+//! mutations whose index maintenance is *incremental* — each table's value
+//! index and q-gram substring index are spliced in place
 //! (microseconds per row on 10⁵–10⁶-row tables) instead of rebuilt.
 //! Every table carries its own epoch and each mutation records a
 //! row-level delta, so invalidation is surgical: memo entries and
