@@ -1,7 +1,8 @@
-//! Synthetic workload generators: the Theorem 1 worst cases plus large
-//! apply columns for the compiled bytecode plane.
+//! Synthetic workload generators: the Theorem 1 worst cases, a long-output
+//! family, and large apply columns for the compiled bytecode plane.
 //!
-//! Two families from §4.2:
+//! Two families from §4.2, learned in the `Lt` fragment
+//! (`sst_core::generate_str_t`, the exact reachability gate):
 //!
 //! * [`chain_database`] — Example 3's table chain (Fig. 4): reaching the
 //!   output walks `m` tables, and the number of consistent lookup programs
@@ -12,6 +13,12 @@
 //!   equal to the key value `s`; there are `(m+1)^n` consistent programs
 //!   (each key column independently matched by the constant or any
 //!   variable) represented in `O(n + m)` space.
+//!
+//! One syntactic family: [`long_output_pair`] — `n` words reversed and
+//! joined by `-`, with no tables. The output DAG has one edge per
+//! substring of the output, so `Intersect_u`'s edge product grows like
+//! the fourth power of the output length; the pair exercises deadlines
+//! inside that product.
 //!
 //! And one serving-side family: [`apply_column`] synthesizes a large input
 //! column (10⁵–10⁶ rows) from a suite task's own input distribution, for
@@ -62,6 +69,28 @@ pub fn wide_key_database(n: usize, m: usize) -> (Database, Example) {
     let db = Database::from_tables(vec![table]).expect("wide database");
     let example = Example::new(vec!["s"; m], "t");
     (db, example)
+}
+
+/// Two examples of the long-output family: each input is `n`
+/// deterministic lowercase words joined by spaces (lengths alternate 4
+/// and 5, letters drawn per example), and its output is the same words in
+/// reverse order joined by `-`. The database is empty. An even `n` gives
+/// outputs of `5.5·n − 1` characters: 43, 87, 186 and 373 for `n` = 8,
+/// 16, 34 and 68.
+pub fn long_output_pair(n: usize) -> (Database, [Example; 2]) {
+    let example = |seed: u64| {
+        let mut rng = XorShift::new(seed);
+        let words: Vec<String> = (0..n)
+            .map(|i| {
+                (0..4 + i % 2)
+                    .map(|_| (b'a' + rng.below(26) as u8) as char)
+                    .collect()
+            })
+            .collect();
+        let output: Vec<&str> = words.iter().rev().map(String::as_str).collect();
+        Example::new(vec![words.join(" ")], output.join("-"))
+    };
+    (Database::new(), [example(1), example(2)])
 }
 
 /// A deterministic xorshift64* stream — no RNG dependency, same column on
@@ -123,8 +152,8 @@ pub fn apply_column(task: &BenchmarkTask, rows: usize) -> Vec<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sst_core::generate_str_t;
     use sst_counting::BigUint;
-    use sst_lookup::{generate_str_t, LtOptions};
 
     #[test]
     fn chain_reachability_depth_matches_fig4() {
@@ -134,26 +163,12 @@ mod tests {
             let (db, example) = chain_database(m);
             assert_eq!(db.len(), m - 1);
             let refs: Vec<&str> = example.inputs.iter().map(String::as_str).collect();
-            let d = generate_str_t(&db, &refs, &example.output, &LtOptions::default());
+            let d = generate_str_t(&db, &refs, &example.output, db.len());
             assert!(d.has_programs(), "chain m={m} must reach its output");
             let min_steps = (m - 1).div_ceil(2);
-            let short = generate_str_t(
-                &db,
-                &refs,
-                &example.output,
-                &LtOptions {
-                    max_depth: Some(min_steps - 1),
-                },
-            );
+            let short = generate_str_t(&db, &refs, &example.output, min_steps - 1);
             assert!(!short.has_programs(), "chain m={m} reachable too early");
-            let exact = generate_str_t(
-                &db,
-                &refs,
-                &example.output,
-                &LtOptions {
-                    max_depth: Some(min_steps),
-                },
-            );
+            let exact = generate_str_t(&db, &refs, &example.output, min_steps);
             assert!(exact.has_programs(), "chain m={m} at minimal depth");
         }
     }
@@ -168,7 +183,7 @@ mod tests {
             .map(|m| {
                 let (db, example) = chain_database(m);
                 let refs: Vec<&str> = example.inputs.iter().map(String::as_str).collect();
-                let d = generate_str_t(&db, &refs, &example.output, &LtOptions::default());
+                let d = generate_str_t(&db, &refs, &example.output, db.len());
                 (m, d.count(db.len()), d.size())
             })
             .collect();
@@ -200,7 +215,7 @@ mod tests {
         ] {
             let (db, example) = wide_key_database(n, m);
             let refs: Vec<&str> = example.inputs.iter().map(String::as_str).collect();
-            let d = generate_str_t(&db, &refs, &example.output, &LtOptions::default());
+            let d = generate_str_t(&db, &refs, &example.output, db.len());
             let expected = BigUint::from((m as u64) + 1).pow(n as u32);
             assert_eq!(
                 d.count(db.len()),
@@ -219,7 +234,7 @@ mod tests {
         for m in [3usize, 6] {
             let (db, example) = chain_database(m);
             let refs: Vec<&str> = example.inputs.iter().map(String::as_str).collect();
-            let lt = generate_str_t(&db, &refs, &example.output, &LtOptions::default());
+            let lt = generate_str_t(&db, &refs, &example.output, db.len());
             let lu = generate_str_u(&db, &refs, &example.output, &LuOptions::default());
             assert!(lu.has_programs(), "Lu must reach chain m={m}");
             // Same set of reachable strings (node values).
@@ -257,12 +272,29 @@ mod tests {
         let size = |n: usize, m: usize| {
             let (db, example) = wide_key_database(n, m);
             let refs: Vec<&str> = example.inputs.iter().map(String::as_str).collect();
-            generate_str_t(&db, &refs, &example.output, &LtOptions::default()).size()
+            generate_str_t(&db, &refs, &example.output, db.len()).size()
         };
         // Doubling n roughly doubles the size; it must not square it.
         let s4 = size(4, 3);
         let s8 = size(8, 3);
         assert!(s8 <= s4 * 3, "s4={s4}, s8={s8}");
+    }
+
+    #[test]
+    fn long_output_pair_is_deterministic_and_reversed() {
+        for (n, chars) in [(8usize, 43usize), (16, 87), (34, 186), (68, 373)] {
+            let (db, examples) = long_output_pair(n);
+            assert!(db.is_empty());
+            assert_eq!(examples, long_output_pair(n).1, "n={n}");
+            assert_ne!(examples[0], examples[1], "n={n}");
+            for e in &examples {
+                assert_eq!(e.output.chars().count(), chars, "n={n}");
+                let mut words: Vec<&str> = e.inputs[0].split(' ').collect();
+                assert_eq!(words.len(), n);
+                words.reverse();
+                assert_eq!(e.output, words.join("-"));
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The reconstructed evaluation corpus of Singh & Gulwani VLDB 2012 (§7):
 //! 50 end-to-end benchmark tasks (12 pure-lookup, 38 semantic) plus the
-//! synthetic worst-case workload generators behind Theorem 1.
+//! synthetic workload generators: the worst cases behind Theorem 1 and a
+//! long-output family.
 //!
 //! Each [`BenchmarkTask`] bundles a helper-table database with a full
 //! ground-truth spreadsheet, so the workspace's `paper_claims` test can
@@ -14,6 +15,6 @@ mod generators;
 mod suite;
 mod task;
 
-pub use generators::{apply_column, chain_database, wide_key_database};
+pub use generators::{apply_column, chain_database, long_output_pair, wide_key_database};
 pub use suite::all_tasks;
 pub use task::{ex, BenchmarkTask, Category};

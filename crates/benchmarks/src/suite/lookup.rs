@@ -2,7 +2,10 @@
 //!
 //! These are the paper's "12 problems [that] can be modeled in the lookup
 //! language Lt": single lookups, joins across tables, chains, and
-//! composite-key selections — no syntactic manipulation anywhere.
+//! composite-key selections — no syntactic manipulation anywhere. `Lt` is
+//! `Lu`'s exact-gate fragment (`sst_core::generate_str_t` folded with
+//! `sst_core::intersect_du`); `tests/paper_claims.rs` asserts it solves
+//! exactly these 12 tasks.
 
 use crate::task::{ex, BenchmarkTask, Category};
 

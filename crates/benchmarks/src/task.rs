@@ -12,7 +12,8 @@ use sst_tables::Database;
 /// Which language fragment the task needs (the paper's 12/38 split).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Category {
-    /// Expressible in the pure lookup language `Lt` (§4).
+    /// Expressible in the pure lookup language `Lt` (§4), the fragment
+    /// `sst_core::generate_str_t` learns.
     Lookup,
     /// Requires the full semantic language `Lu` (§5) — syntactic
     /// manipulation before/after lookups, or concatenation.

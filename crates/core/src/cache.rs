@@ -106,12 +106,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 
-use sst_lookup::NodeId;
 use sst_syntactic::Dag;
 use sst_tables::{Database, IntMap, Symbol, TableId};
 
 use crate::compiled::{Code, CompiledProgram};
-use crate::dstruct::SemDStruct;
+use crate::dstruct::{NodeId, SemDStruct};
 use crate::rank::{LuRankWeights, RankedSem};
 
 /// Identity of one σ ∪ η̃ snapshot: equal epochs ⇔ equal ordered source

@@ -20,11 +20,14 @@
 use std::sync::Arc;
 
 use sst_counting::BigUint;
-use sst_lookup::NodeId;
 use sst_syntactic::{AtomSet, Dag};
 use sst_tables::{ColId, IntMap, Symbol, TableId};
 
 use crate::language::VarId;
+
+/// Handle of a lookup node (`η`) in a [`SemDStruct`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct NodeId(pub u32);
 
 /// Generalized predicate: the key column plus the DAG of all syntactic
 /// expressions (over known strings) producing the key value.
@@ -460,6 +463,91 @@ fn collect_atom_nodes(atom: &AtomSet<NodeId>, visit: &mut impl FnMut(NodeId)) {
     }
 }
 
+/// Exhaustive enumeration, a testing aid (exponential in general).
+#[cfg(test)]
+impl SemDStruct {
+    /// Up to `limit` concrete programs of lookup depth ≤ `depth`, each
+    /// once (so on a small structure the length equals [`Self::count`]).
+    pub(crate) fn enumerate(&self, depth: usize, limit: usize) -> Vec<crate::SemExpr> {
+        self.top
+            .as_ref()
+            .map_or_else(Vec::new, |top| self.enumerate_dag(top, depth, limit))
+    }
+
+    fn enumerate_dag(&self, dag: &Dag<NodeId>, depth: usize, limit: usize) -> Vec<crate::SemExpr> {
+        use sst_syntactic::{AtomicExpr, StringExpr};
+        let mut out = Vec::new();
+        for skeleton in dag.enumerate_programs(limit) {
+            let mut partial: Vec<Vec<crate::SemAtom>> = vec![Vec::new()];
+            for atom in skeleton.atoms {
+                let options: Vec<crate::SemAtom> = match &atom {
+                    AtomicExpr::ConstStr(s) => vec![AtomicExpr::ConstStr(s.clone())],
+                    AtomicExpr::Whole(n) | AtomicExpr::SubStr { src: n, .. } => self
+                        .enumerate_node(*n, depth, limit)
+                        .into_iter()
+                        .map(|l| atom.clone().map_src(&mut |_| l.clone()))
+                        .collect(),
+                };
+                partial = cross(&partial, &options, limit);
+            }
+            out.extend(partial.into_iter().map(|atoms| StringExpr { atoms }));
+        }
+        out.truncate(limit);
+        out
+    }
+
+    fn enumerate_node(&self, node: NodeId, depth: usize, limit: usize) -> Vec<crate::LookupU> {
+        use crate::{LookupU, PredRhsU, PredicateU};
+        let mut out = Vec::new();
+        for prog in &self.node(node).progs {
+            match prog {
+                GenLookupU::Var(v) => out.push(LookupU::Var(*v)),
+                GenLookupU::Select { .. } if depth == 0 => {}
+                GenLookupU::Select { col, table, conds } => {
+                    for cond in conds.iter() {
+                        let mut partial: Vec<Vec<PredicateU>> = vec![Vec::new()];
+                        for pred in &cond.preds {
+                            let options: Vec<PredicateU> = self
+                                .enumerate_dag(&pred.dag, depth - 1, limit)
+                                .into_iter()
+                                .map(|e| PredicateU {
+                                    col: pred.col,
+                                    rhs: PredRhsU::Expr(e),
+                                })
+                                .collect();
+                            partial = cross(&partial, &options, limit);
+                        }
+                        out.extend(partial.into_iter().map(|cond| LookupU::Select {
+                            col: *col,
+                            table: *table,
+                            cond,
+                        }));
+                    }
+                }
+            }
+        }
+        out.truncate(limit);
+        out
+    }
+}
+
+/// Every prefix extended by every option, at most `limit` results.
+#[cfg(test)]
+fn cross<T: Clone>(prefixes: &[Vec<T>], options: &[T], limit: usize) -> Vec<Vec<T>> {
+    let mut out = Vec::new();
+    for prefix in prefixes {
+        for option in options {
+            if out.len() >= limit {
+                return out;
+            }
+            let mut next = prefix.clone();
+            next.push(option.clone());
+            out.push(next);
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,10 +575,24 @@ mod tests {
         }
     }
 
+    /// The `Lt` predicate `C = {s, η}` as a one-edge DAG.
+    fn lt_key(s: &str, node: u32) -> Dag<NodeId> {
+        let mut dag = const_dag(s);
+        dag.edges
+            .get_mut(&(0, 1))
+            .unwrap()
+            .push(AtomSet::Whole(NodeId(node)));
+        dag
+    }
+
     fn select(conds_dags: Vec<Dag<NodeId>>) -> GenLookupU {
+        select_in(1, 0, conds_dags)
+    }
+
+    fn select_in(col: ColId, table: TableId, conds_dags: Vec<Dag<NodeId>>) -> GenLookupU {
         GenLookupU::Select {
-            col: 1,
-            table: 0,
+            col,
+            table,
             conds: Arc::new(vec![GenCondU {
                 key: 0,
                 preds: conds_dags
@@ -512,15 +614,9 @@ mod tests {
             vals: vec!["c2".into()],
             progs: vec![GenLookupU::Var(0)],
         });
-        let mut key_dag = const_dag("c2");
-        key_dag
-            .edges
-            .get_mut(&(0, 1))
-            .unwrap()
-            .push(AtomSet::Whole(NodeId(0)));
         d.nodes.push(SemNode {
             vals: vec!["Google".into()],
-            progs: vec![select(vec![key_dag])],
+            progs: vec![select(vec![lt_key("c2", 0)])],
         });
         d.top = Some(Arc::new(node_dag(1)));
         d
@@ -534,6 +630,8 @@ mod tests {
         // depth 1: Select with key = const "c2" or var node: 2 programs.
         assert_eq!(d.count(1).to_u64(), Some(2));
         assert_eq!(d.count(3).to_u64(), Some(2));
+        // No top DAG, no programs.
+        assert!(SemDStruct::default().count(5).is_zero());
     }
 
     #[test]
@@ -587,7 +685,9 @@ mod tests {
         });
         d.top = Some(Arc::new(node_dag(0)));
         assert!(d.prune());
-        assert!(d.count(2).to_u64().unwrap() >= 1);
+        // Depth 2: Select(... "k"); the cycle unrolls further at depth 3+.
+        assert_eq!(d.count(2).to_u64(), Some(1));
+        assert!(d.count(6) > d.count(2));
     }
 
     #[test]
@@ -621,5 +721,107 @@ mod tests {
         };
         assert!(d.prune());
         assert_eq!(d.count(0).to_u64(), Some(1));
+    }
+
+    /// The paper's Example 3 chain written as `Lt` predicates `C = {s, η}`
+    /// (one-edge DAGs `{ConstStr(s), Whole(η)}`): `Progs[η_1] = {v1}`,
+    /// `Progs[η_2] = {Select(C2,T1,{C1={s1,η1}})}`, and
+    /// `Progs[η_i] = {Select(C2,T_{i-1},{C1={s_{i-1},η_{i-1}}}),
+    ///                Select(C3,T_{i-2},{C1={s_{i-2},η_{i-2}}})}`.
+    fn chain(m: usize) -> SemDStruct {
+        let mut d = SemDStruct::default();
+        for i in 0..m {
+            d.nodes.push(SemNode {
+                vals: vec![Symbol::intern(&format!("s{}", i + 1))],
+                progs: Vec::new(),
+            });
+        }
+        d.nodes[0].progs.push(GenLookupU::Var(0));
+        let sel = |col: ColId, table: usize, from: usize| {
+            let key = lt_key(&format!("s{}", from + 1), from as u32);
+            select_in(col, table as TableId, vec![key])
+        };
+        if m > 1 {
+            d.nodes[1].progs.push(sel(1, 0, 0));
+        }
+        for i in 2..m {
+            d.nodes[i].progs.push(sel(1, i - 1, i - 1));
+            d.nodes[i].progs.push(sel(2, i - 2, i - 2));
+        }
+        d.top = Some(Arc::new(node_dag(m as u32 - 1)));
+        d
+    }
+
+    #[test]
+    fn chain_counts_follow_paper_recurrence() {
+        // N(1)=1; N(2)=1+N(1) (η₂ has a single Select whose predicate has a
+        // const and a node option); N(i)=2+N(i-1)+N(i-2) for the two-Select
+        // nodes, matching §4.2.
+        let expect = |m: usize| -> u64 {
+            let mut n = vec![0u64; m + 1];
+            n[1] = 1;
+            if m >= 2 {
+                n[2] = 1 + n[1];
+            }
+            for i in 3..=m {
+                n[i] = 2 + n[i - 1] + n[i - 2];
+            }
+            n[m]
+        };
+        for m in 1..=12 {
+            assert_eq!(chain(m).count(m).to_u64(), Some(expect(m)), "chain {m}");
+        }
+        // The depth bound cuts counts; the target is not a variable.
+        let d = chain(5);
+        assert_eq!(d.count(0).to_u64(), Some(0));
+        assert!(d.count(2) < d.count(5));
+    }
+
+    #[test]
+    fn chain_count_grows_exponentially_size_linearly() {
+        // Theorem 1: the chain of Example 3 represents Θ(φ^m) expressions
+        // (Fibonacci-like recurrence) in O(m) space.
+        let c9 = chain(9).count(9).to_u64().unwrap();
+        let c18 = chain(18).count(18).to_u64().unwrap();
+        assert!(c18 as f64 > 50.0 * c9 as f64, "c9={c9}, c18={c18}");
+        // Size is exactly linear: Var(1) + first Select(5) + 10 per link,
+        // plus the top DAG's Whole(1).
+        for m in [4, 9, 18] {
+            assert_eq!(chain(m).size(), 10 * m - 13, "size at m={m}");
+        }
+        // Var(1) + Select(col+table=2, pred col=1, const=1, node=1) + top(1).
+        assert_eq!(chain(2).size(), 1 + 5 + 1);
+    }
+
+    #[test]
+    fn enumerate_matches_count_small() {
+        let d = chain(4);
+        let total = d.count(4).to_u64().unwrap() as usize;
+        let exprs = d.enumerate(4, 1000);
+        assert_eq!(exprs.len(), total);
+        let distinct: std::collections::HashSet<_> = exprs.iter().collect();
+        assert_eq!(distinct.len(), total);
+    }
+
+    #[test]
+    fn prune_drops_dead_node_refs_keeps_const() {
+        // Node 0 has no programs; node 1's key offers the constant "k" or
+        // node 0. Pruning keeps the constant and drops the dead reference.
+        let mut d = SemDStruct::default();
+        d.nodes.push(SemNode {
+            vals: vec!["dead".into()],
+            progs: Vec::new(),
+        });
+        d.nodes.push(SemNode {
+            vals: vec!["out".into()],
+            progs: vec![select(vec![lt_key("k", 0)])],
+        });
+        d.top = Some(Arc::new(node_dag(1)));
+        assert!(d.prune());
+        assert_eq!(d.len(), 1);
+        let GenLookupU::Select { conds, .. } = &d.nodes[0].progs[0] else {
+            panic!("the Select survives");
+        };
+        assert_eq!(*conds[0].preds[0].dag, const_dag("k"));
     }
 }

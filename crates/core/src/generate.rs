@@ -1,7 +1,7 @@
-//! `GenerateStr_u`: synthesis of all `Lu` programs consistent with one
-//! example (§5.3).
+//! `GenerateStr_u` (§5.3) and its exact fragment `GenerateStr_t` (§4.3):
+//! synthesis of all programs consistent with one example.
 //!
-//! The procedure is `GenerateStr'_t` followed by a final `GenerateStr_s`:
+//! `GenerateStr_u` is `GenerateStr'_t` followed by a final `GenerateStr_s`:
 //!
 //! 1. **Relaxed reachability.** Like `GenerateStr_t`, but a cell `T[C, r]`
 //!    is reachable from the frontier when it can be *syntactically
@@ -16,26 +16,35 @@
 //! 3. **Top-level DAG.** `GenerateStr_s(σ ∪ η̃, s)` over all reachable
 //!    strings builds the output DAG whose atoms reference lookup nodes.
 //!
-//! The iteration bound `k` defaults to the number of tables (§4.3).
+//! `Lu` extends `Lt` (§5), so [`generate_str_t`] writes its result as the
+//! same [`SemDStruct`]: a key predicate `C = {s, η}` (§4.2) is a one-edge
+//! DAG carrying `{ConstStr(s), Whole(η)}`, and the top DAG is one edge
+//! `{Whole(η_t)}`. Intersection, counting, ranking and evaluation are
+//! `Lu`'s own.
 //!
-//! The iteration itself lives in `sst-lookup`'s shared reachability engine
-//! ([`sst_lookup::reach`]); this module contributes only the *relaxed* gate
-//! ([`RelaxedGate`]): a cell activates when it is substring-related to a
-//! frontier string (answered by the `SubstringIndex` postings behind
-//! [`Database::cells_related_to`] — no cell scan) and assemblable from the
-//! known strings with at least one non-constant atom, and conditions carry
-//! nested-DAG predicates over the step's σ ∪ η̃ snapshot.
+//! The iteration bound `k` defaults to the number of tables (§4.3). The
+//! iteration itself is the shared engine in `crate::reach`; this module
+//! contributes its two gates:
+//!
+//! * [`ExactGate`] (`GenerateStr_t`): a row activates when a frontier value
+//!   equals one of its cells ([`Database::cells_equal`], one `u32` hash
+//!   per frontier symbol);
+//! * [`RelaxedGate`] (`GenerateStr_u`): a cell activates when it is
+//!   substring-related to a frontier string (answered by the
+//!   `SubstringIndex` postings behind [`Database::cells_related_to`] — no
+//!   cell scan) and assemblable from the known strings with at least one
+//!   non-constant atom, and conditions carry nested-DAG predicates over
+//!   the step's σ ∪ η̃ snapshot.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use sst_lookup::reach::{reach, Activation, ReachPolicy, ReachState};
-use sst_lookup::NodeId;
-use sst_syntactic::{generate_dag_prepared, Dag, GenOptions, PreparedSources};
+use sst_syntactic::{generate_dag_prepared, AtomSet, Dag, GenOptions, PreparedSources};
 use sst_tables::{ColId, Database, IntMap, RowId, Symbol, TableId};
 
 use crate::cache::{DagCache, ExampleDeps, SourcesEpoch};
-use crate::dstruct::{GenCondU, GenLookupU, GenPredU, SemDStruct, SemNode};
+use crate::dstruct::{NodeId, SemDStruct};
+use crate::reach::{reach, Activation, ReachPolicy, ReachState};
 use crate::CancelToken;
 
 /// Options for `Lu` generation.
@@ -66,6 +75,68 @@ impl LuOptions {
     /// Effective depth bound for a database.
     pub fn depth_for(&self, db: &Database) -> usize {
         self.max_depth.unwrap_or_else(|| db.len().max(1))
+    }
+}
+
+/// The exact-equality gate of `GenerateStr_t` (Fig. 5a): a row activates
+/// when a frontier value equals one of its cells, and each key column `C'`
+/// of the row gets the paper's `C' = {s, η}` as a one-edge DAG carrying
+/// `ConstStr(s)` and, when `s` is a node's value, `Whole(η)`.
+struct ExactGate;
+
+impl ReachPolicy for ExactGate {
+    // Empty inputs still seed nodes (the frontier probe skips them:
+    // empty strings match empty cells only vacuously).
+    const SEED_EMPTY_INPUTS: bool = true;
+    // Matched cells are reachable strings themselves.
+    const MATERIALIZE_HITS: bool = true;
+
+    fn activations(
+        &mut self,
+        db: &Database,
+        state: &ReachState,
+        frontier: &[NodeId],
+        out: &mut Vec<Activation>,
+    ) {
+        // Rows matched by the frontier values, with their matched columns.
+        let mut matched: IntMap<(TableId, RowId), Vec<ColId>> = IntMap::default();
+        for &node in frontier {
+            let val = state.val(node);
+            if val.is_empty() {
+                continue;
+            }
+            for (tid, cell) in db.cells_equal(val) {
+                matched.entry((tid, cell.row)).or_default().push(cell.col);
+            }
+        }
+        let mut keys: Vec<(TableId, RowId)> = matched.keys().copied().collect();
+        keys.sort_unstable();
+        for key @ (table, row) in keys {
+            out.push(Activation {
+                table,
+                row,
+                hit_cols: matched.remove(&key).expect("key came from the map"),
+            });
+        }
+    }
+
+    fn key_dag(&mut self, state: &ReachState, value: Symbol) -> Option<Arc<Dag<NodeId>>> {
+        if value.is_empty() {
+            return Some(Arc::new(Dag::empty_output()));
+        }
+        let mut atoms = vec![AtomSet::ConstStr(value.as_str().to_string())];
+        atoms.extend(state.node_of(value).map(AtomSet::Whole));
+        Some(Arc::new(one_edge(atoms)))
+    }
+}
+
+/// A two-node DAG whose single edge carries `atoms`.
+fn one_edge(atoms: Vec<AtomSet<NodeId>>) -> Dag<NodeId> {
+    Dag {
+        num_nodes: 2,
+        source: 0,
+        target: 1,
+        edges: BTreeMap::from([((0, 1), atoms)]),
     }
 }
 
@@ -100,11 +171,6 @@ struct RelaxedGate<'a> {
     /// [`DagCache`] interns into a sources epoch. Extended in lockstep
     /// with `prepared`.
     source_syms: Vec<Symbol>,
-    /// Per-step memo: condition handle per activated row. Rows activated
-    /// through several cells in one step share one `Arc` instead of
-    /// re-deriving the identical predicate DAGs (insert-time dedup made
-    /// the duplicates no-ops anyway; the memo skips building them).
-    row_conds: IntMap<(TableId, RowId), Arc<Vec<GenCondU>>>,
     /// The memoized DAG plane, when the caller runs with one. Shared (the
     /// cache is interior-mutable): concurrent generations over synthesizer
     /// clones read-probe the same plane without serializing.
@@ -113,17 +179,18 @@ struct RelaxedGate<'a> {
     /// attached (or before the first sync).
     epoch: Option<SourcesEpoch>,
     /// Cooperative cancellation, checked once per reachability step and
-    /// once per activated row (coarse granularity — never inside the
-    /// per-cell loops). A fired token dries the frontier up: no further
-    /// activations or conditions are produced, so `reach` terminates with
-    /// whatever partial state it had, and the caller discards it.
+    /// once per key cell of an activated row (coarse granularity — never
+    /// inside the per-character loops). A fired token dries the frontier
+    /// up: no further activations or conditions are produced, so `reach`
+    /// terminates with whatever partial state it had, and the caller
+    /// discards it.
     cancel: &'a CancelToken,
 }
 
 impl RelaxedGate<'_> {
     /// Brings `prepared` (and the snapshot epoch) up to date with every
     /// node the engine holds.
-    fn sync_sources(&mut self, state: &ReachState<GenLookupU>) {
+    fn sync_sources(&mut self, state: &ReachState) {
         let prepared = self.prepared.get_or_insert_with(|| {
             PreparedSources::new(&[] as &[(NodeId, &str)], &self.opts.syntactic)
         });
@@ -133,8 +200,12 @@ impl RelaxedGate<'_> {
                 .skip(prepared.len())
                 .map(|(id, val)| (id, val.as_str()))
                 .collect();
-            self.source_syms
-                .extend(state.symbols().skip(self.source_syms.len()));
+            self.source_syms.extend(
+                state
+                    .iter()
+                    .skip(self.source_syms.len())
+                    .map(|(_, val)| val),
+            );
             prepared.extend(&fresh);
         }
         if let Some(cache) = self.cache {
@@ -158,9 +229,6 @@ impl RelaxedGate<'_> {
 }
 
 impl ReachPolicy for RelaxedGate<'_> {
-    type Prog = GenLookupU;
-    type Conds = Arc<Vec<GenCondU>>;
-
     // Empty inputs are dropped up front: they can neither relate to a cell
     // nor contribute atoms.
     const SEED_EMPTY_INPUTS: bool = false;
@@ -168,14 +236,10 @@ impl ReachPolicy for RelaxedGate<'_> {
     // — so it only becomes a node if some other activation reaches it.
     const MATERIALIZE_HITS: bool = false;
 
-    fn var_prog(&self, var: u32) -> GenLookupU {
-        GenLookupU::Var(var)
-    }
-
     fn activations(
         &mut self,
         db: &Database,
-        state: &ReachState<GenLookupU>,
+        state: &ReachState,
         frontier: &[NodeId],
         out: &mut Vec<Activation>,
     ) {
@@ -212,11 +276,9 @@ impl ReachPolicy for RelaxedGate<'_> {
         let mut ordered: Vec<(TableId, RowId, ColId)> = candidates.into_iter().collect();
         ordered.sort_unstable();
 
-        // Snapshot σ ∪ η̃ (this step's new nodes) and reset the per-step
-        // condition memo. (Symbols resolve to `&'static str`, so the
-        // snapshot borrows nothing from `state`.)
+        // Snapshot σ ∪ η̃ (this step's new nodes). (Symbols resolve to
+        // `&'static str`, so the snapshot borrows nothing from `state`.)
         self.sync_sources(state);
-        self.row_conds.clear();
 
         // Gate: the matched cell must be assemblable with ≥1 non-constant
         // atom from the *current* sources. Substring-related candidates
@@ -248,48 +310,10 @@ impl ReachPolicy for RelaxedGate<'_> {
         }
     }
 
-    fn conds(
-        &mut self,
-        db: &Database,
-        _state: &ReachState<GenLookupU>,
-        act: &Activation,
-    ) -> Option<Arc<Vec<GenCondU>>> {
-        // Cancellation checkpoint (once per activated row): skipping the
-        // condition skips the row's predicate-DAG builds entirely.
-        if self.cancel.is_cancelled() {
-            return None;
-        }
-        if let Some(conds) = self.row_conds.get(&(act.table, act.row)) {
-            return Some(Arc::clone(conds));
-        }
-        let table = db.table(act.table);
-        let conds: Vec<GenCondU> = table
-            .candidate_keys()
-            .iter()
-            .enumerate()
-            .map(|(key_idx, key)| GenCondU {
-                key: key_idx,
-                preds: key
-                    .iter()
-                    .map(|&kc| GenPredU {
-                        col: kc,
-                        dag: self.dag_for_value(table.cell_sym(kc, act.row)),
-                    })
-                    .collect(),
-            })
-            .collect();
-        let conds = (!conds.is_empty()).then(|| Arc::new(conds))?;
-        self.row_conds
-            .insert((act.table, act.row), Arc::clone(&conds));
-        Some(conds)
-    }
-
-    fn select_prog(&self, act: &Activation, col: ColId, conds: &Arc<Vec<GenCondU>>) -> GenLookupU {
-        GenLookupU::Select {
-            col,
-            table: act.table,
-            conds: Arc::clone(conds),
-        }
+    fn key_dag(&mut self, _state: &ReachState, value: Symbol) -> Option<Arc<Dag<NodeId>>> {
+        // Cancellation checkpoint (once per key cell): abandoning the row
+        // skips its remaining predicate-DAG builds.
+        (!self.cancel.is_cancelled()).then(|| self.dag_for_value(value))
     }
 }
 
@@ -303,20 +327,6 @@ pub fn generate_str_u(
     opts: &LuOptions,
 ) -> SemDStruct {
     generate_str_u_impl(db, inputs, output, opts, None, &CancelToken::default())
-}
-
-/// [`generate_str_u`] under a cooperative [`CancelToken`]: a fired token
-/// makes the reachability frontier dry up at the next coarse checkpoint
-/// and the (partial, to-be-discarded) structure return early. The caller
-/// is responsible for checking the token and discarding the result.
-pub(crate) fn generate_str_u_budgeted(
-    db: &Database,
-    inputs: &[&str],
-    output: &str,
-    opts: &LuOptions,
-    cancel: &CancelToken,
-) -> SemDStruct {
-    generate_str_u_impl(db, inputs, output, opts, None, cancel)
 }
 
 /// [`generate_str_u`] backed by a [`DagCache`]: per-value DAGs are served
@@ -381,7 +391,11 @@ pub(crate) fn generate_str_u_keyed(
     (d, id)
 }
 
-fn generate_str_u_impl(
+/// The one `GenerateStr_u` worker, with an optional [`DagCache`] and a
+/// cooperative [`CancelToken`]: a fired token makes the reachability
+/// frontier dry up at the next coarse checkpoint and the (partial) result
+/// return early; the caller checks the token and discards it.
+pub(crate) fn generate_str_u_impl(
     db: &Database,
     inputs: &[&str],
     output: &str,
@@ -393,7 +407,6 @@ fn generate_str_u_impl(
         opts,
         prepared: None,
         source_syms: Vec::new(),
-        row_conds: IntMap::default(),
         cache,
         epoch: None,
         cancel,
@@ -408,26 +421,34 @@ fn generate_str_u_impl(
     let top: Arc<Dag<NodeId>> = gate.dag_for_value(Symbol::intern(output));
 
     SemDStruct {
-        nodes: state
-            .into_nodes()
-            .into_iter()
-            .map(|(val, progs)| SemNode {
-                vals: vec![val],
-                progs: progs.into_iter().collect(),
-            })
-            .collect(),
+        nodes: state.into_nodes(),
         top: Some(top),
     }
 }
 
+/// `GenerateStr_t` (Fig. 5a): the `Du` structure of all `Lt` programs of
+/// lookup depth ≤ `depth` consistent with one example. The top DAG is the
+/// single edge `{Whole(η_t)}` when the output is a reachable value and
+/// `None` otherwise. Unpruned, like [`generate_str_u`]; fold examples with
+/// [`crate::intersect_du`].
+pub fn generate_str_t(db: &Database, inputs: &[&str], output: &str, depth: usize) -> SemDStruct {
+    let state = reach(db, inputs, depth, &mut ExactGate);
+    let target = Symbol::get(output).and_then(|s| state.node_of(s));
+    SemDStruct {
+        nodes: state.into_nodes(),
+        top: target.map(|t| Arc::new(one_edge(vec![AtomSet::Whole(t)]))),
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::dstruct::GenLookupU;
     use crate::eval::eval_sem;
     use crate::rank::LuRankWeights;
     use sst_tables::Table;
 
-    fn comp_db() -> Database {
+    pub(crate) fn comp_db() -> Database {
         Database::from_tables(vec![Table::new(
             "Comp",
             vec!["Id", "Name"],
@@ -492,6 +513,10 @@ mod tests {
             &LuOptions::default().syntactic.token_set,
         );
         assert_eq!(got.as_deref(), Some("Google IBM Xerox"));
+        // The input contains key cells but equals none: `Lt`'s exact gate
+        // activates nothing.
+        let lt = gen_t(&db, &["c4 c3 c1"], "Facebook Apple Microsoft");
+        assert_eq!((lt.len(), lt.has_programs()), (1, false));
     }
 
     #[test]
@@ -587,5 +612,275 @@ mod tests {
         let vals: Vec<&str> = d.nodes.iter().map(|n| n.vals[0].as_str()).collect();
         assert!(vals.contains(&"Google"));
         assert!(!vals.contains(&"Facebook"));
+    }
+
+    /// Example 2's database (join through CustData to Sale).
+    pub(crate) fn join_db() -> Database {
+        Database::from_tables(vec![
+            Table::new(
+                "CustData",
+                vec!["Name", "Addr", "St"],
+                vec![
+                    vec!["Sean Riley", "432", "15th"],
+                    vec!["Peter Shaw", "24", "18th"],
+                    vec!["Mike Henry", "432", "18th"],
+                    vec!["Gary Lamb", "104", "12th"],
+                ],
+            )
+            .unwrap(),
+            Table::new(
+                "Sale",
+                vec!["Addr", "St", "Date", "Price"],
+                vec![
+                    vec!["24", "18th", "5/21", "110"],
+                    vec!["104", "12th", "5/23", "225"],
+                    vec!["432", "18th", "5/20", "2015"],
+                    vec!["432", "15th", "5/24", "495"],
+                ],
+            )
+            .unwrap(),
+        ])
+        .unwrap()
+    }
+
+    /// `GenerateStr_t` at the default depth bound (the number of tables).
+    pub(crate) fn gen_t(db: &Database, inputs: &[&str], output: &str) -> SemDStruct {
+        generate_str_t(db, inputs, output, db.len().max(1))
+    }
+
+    /// Asserts every enumerated program (up to `limit`) maps `inputs` to
+    /// `output`, and returns their renderings.
+    fn assert_sound(d: &SemDStruct, db: &Database, inputs: &[&str], output: &str) -> Vec<String> {
+        let tokens = LuOptions::default().syntactic.token_set;
+        let exprs = d.enumerate(db.len().max(1), 500);
+        assert!(!exprs.is_empty());
+        exprs
+            .iter()
+            .map(|e| {
+                let shown = crate::display_sem(e, db);
+                assert_eq!(
+                    eval_sem(e, db, inputs, &tokens).as_deref(),
+                    Some(output),
+                    "unsound: {shown}"
+                );
+                shown
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lt_generated_programs_are_sound() {
+        let db = comp_db();
+        let d = gen_t(&db, &["c2"], "Google");
+        let shown = assert_sound(&d, &db, &["c2"], "Google");
+        assert_eq!(d.count(db.len()).to_u64(), Some(shown.len() as u64));
+    }
+
+    #[test]
+    fn lt_join_example2_reaches_price() {
+        let db = join_db();
+        let d = gen_t(&db, &["Peter Shaw"], "110");
+        let shown = assert_sound(&d, &db, &["Peter Shaw"], "110");
+        // The intended join (via Addr ∧ St node predicates) is represented.
+        assert!(
+            shown.iter().any(|s| s.starts_with("Select(Price, Sale")
+                && s.contains("Addr = Select(Addr, CustData, Name = v1)")
+                && s.contains("St = Select(St, CustData, Name = v1)")),
+            "intended join expression missing"
+        );
+    }
+
+    #[test]
+    fn lt_unreachable_output_has_no_top() {
+        let d = gen_t(&comp_db(), &["c2"], "Amazon");
+        assert!(d.top.is_none());
+        assert!(!d.has_programs());
+        assert!(d.count(3).is_zero());
+    }
+
+    #[test]
+    fn lt_depth_zero_only_variables() {
+        let db = comp_db();
+        let d = generate_str_t(&db, &["c2"], "Google", 0);
+        assert!(!d.has_programs(), "no Select should be reachable at k=0");
+        // The identity is the one depth-0 program.
+        let d = generate_str_t(&db, &["c2"], "c2", 0);
+        assert_eq!(assert_sound(&d, &db, &["c2"], "c2"), ["v1"]);
+    }
+
+    #[test]
+    fn lt_duplicate_input_values_share_node() {
+        let db = comp_db();
+        let d = gen_t(&db, &["c2", "c2"], "Google");
+        // Both v1 and v2 live on the same node.
+        assert_eq!(d.node(NodeId(0)).progs.len(), 2);
+        let shown = assert_sound(&d, &db, &["c2", "c2"], "Google");
+        assert!(shown.iter().any(|s| s.contains("Id = v1")));
+        assert!(shown.iter().any(|s| s.contains("Id = v2")));
+    }
+
+    #[test]
+    fn lt_empty_cells_do_not_create_nodes() {
+        let db = Database::from_tables(vec![Table::new(
+            "T",
+            vec!["A", "B"],
+            vec![vec!["x", ""], vec!["y", "z"]],
+        )
+        .unwrap()])
+        .unwrap();
+        let d = gen_t(&db, &["x"], "z");
+        // "" never becomes a node; "z" is unreachable from "x"'s row.
+        assert!(!d.has_programs());
+        assert!(d.nodes.iter().all(|n| !n.vals[0].is_empty()));
+    }
+
+    #[test]
+    fn lt_empty_key_cell_is_the_empty_program() {
+        // Key column B is empty in the matched row: its predicate is the
+        // single empty program, not a constant or node alternative.
+        let db = Database::from_tables(vec![Table::with_keys(
+            "T",
+            vec!["A", "B", "C"],
+            vec![vec!["x", "", "out"]],
+            vec![vec!["A", "B"]],
+        )
+        .unwrap()])
+        .unwrap();
+        let d = gen_t(&db, &["x"], "out");
+        assert_sound(&d, &db, &["x"], "out");
+        // A = {"x", v1} times B = {""}.
+        assert_eq!(d.count(1).to_u64(), Some(2));
+    }
+
+    #[test]
+    fn lt_same_row_keys_are_node_referenced() {
+        // Both columns are candidate keys; reaching the row through A must
+        // produce a Select over key B with a *node* reference (the pass-1 /
+        // pass-2 split), enabling chains like Ex. 3.
+        let db = Database::from_tables(vec![Table::new(
+            "T",
+            vec!["A", "B"],
+            vec![vec!["in", "out"]],
+        )
+        .unwrap()])
+        .unwrap();
+        let d = gen_t(&db, &["in"], "out");
+        let target = d.node(NodeId(1));
+        assert_eq!(target.vals[0].as_str(), "out");
+        let has_node_pred = target.progs.iter().any(|p| match p {
+            GenLookupU::Select { conds, .. } => conds
+                .iter()
+                .flat_map(|c| c.preds.iter())
+                .flat_map(|pred| pred.dag.edges.values().flatten())
+                .any(|atom| matches!(atom, AtomSet::Whole(_))),
+            _ => false,
+        });
+        assert!(has_node_pred);
+    }
+
+    #[test]
+    fn lt_fixpoint_terminates_before_depth_bound() {
+        // A self-contained row: reachability saturates in one step even
+        // though k allows more.
+        let d = generate_str_t(&comp_db(), &["c2"], "Google", 50);
+        assert_eq!(d.len(), 2); // only "c2" and "Google" are reachable
+    }
+
+    /// Property tests for the `Lt` fragment on random single-table
+    /// databases: soundness of generation and intersection, depth
+    /// monotonicity of counts, and generalization of the learned program.
+    mod lt_properties {
+        use proptest::prelude::*;
+
+        use super::*;
+        use crate::intersect::intersect_du;
+
+        /// A random 3-column table `R`: row i is (`id{seed}x{i}`,
+        /// `Name{seed}x{i}`, `cat{i % 2}`); ids and names are unique,
+        /// categories repeat.
+        fn fixture(n: usize, seed: u8) -> Database {
+            let rows: Vec<Vec<String>> = (0..n)
+                .map(|i| {
+                    vec![
+                        format!("id{seed}x{i}"),
+                        format!("Name{seed}x{i}"),
+                        format!("cat{}", i % 2),
+                    ]
+                })
+                .collect();
+            let table = Table::new("R", vec!["Id", "Name", "Cat"], rows).expect("valid table");
+            Database::from_tables(vec![table]).unwrap()
+        }
+
+        fn eval(e: &crate::SemExpr, db: &Database, input: &str) -> Option<String> {
+            eval_sem(e, db, &[input], &LuOptions::default().syntactic.token_set)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Definition 1 soundness: every enumerated program maps the
+            /// example input to the example output.
+            #[test]
+            fn generate_sound_on_random_rows(n in 2usize..7, seed in 0u8..9, pick in 0usize..8) {
+                let db = fixture(n, seed);
+                let (input, output) = (db.table(0).cell(0, (pick % n) as u32), db.table(0).cell(1, (pick % n) as u32));
+                let d = gen_t(&db, &[input], output);
+                prop_assert!(d.has_programs());
+                for e in d.enumerate(db.len(), 200) {
+                    prop_assert_eq!(eval(&e, &db, input), Some(output.to_string()));
+                }
+            }
+
+            /// Counts are monotone in the depth bound.
+            #[test]
+            fn count_monotone_in_depth(n in 2usize..6, seed in 0u8..9) {
+                let db = fixture(n, seed);
+                let d = generate_str_t(&db, &[db.table(0).cell(0, 0)], db.table(0).cell(1, 0), 3);
+                for depth in 0..3 {
+                    prop_assert!(d.count(depth) <= d.count(depth + 1), "count must grow with depth");
+                }
+            }
+
+            /// Intersection soundness: surviving programs satisfy both
+            /// examples.
+            #[test]
+            fn intersect_sound_on_random_pairs(n in 3usize..7, seed in 0u8..9, p1 in 0usize..8, p2 in 0usize..8) {
+                let db = fixture(n, seed);
+                let (p1, p2) = ((p1 % n) as u32, (p2 % n) as u32);
+                prop_assume!(p1 != p2);
+                let t = db.table(0);
+                let inter = intersect_du(&gen_t(&db, &[t.cell(0, p1)], t.cell(1, p1)), &gen_t(&db, &[t.cell(0, p2)], t.cell(1, p2)));
+                prop_assert!(inter.has_programs(), "the Id->Name lookup must survive");
+                for e in inter.enumerate(db.len(), 200) {
+                    for row in [p1, p2] {
+                        prop_assert_eq!(eval(&e, &db, t.cell(0, row)), Some(t.cell(1, row).to_string()), "e={:?}", e);
+                    }
+                }
+            }
+
+            /// The top-ranked program learned from two random examples
+            /// generalizes to the whole table.
+            #[test]
+            fn learned_program_generalizes_from_two_examples(n in 3usize..7, seed in 0u8..9) {
+                let db = fixture(n, seed);
+                let t = db.table(0);
+                let d = intersect_du(&gen_t(&db, &[t.cell(0, 0)], t.cell(1, 0)), &gen_t(&db, &[t.cell(0, 1)], t.cell(1, 1)));
+                let top = LuRankWeights::default().best(&d, db.len()).expect("ranked");
+                for r in 0..n as u32 {
+                    prop_assert_eq!(eval(&top.expr, &db, t.cell(0, r)), Some(t.cell(1, r).to_string()));
+                }
+            }
+
+            /// Repeating (non-key) values never pin rows: learning
+            /// `cat -> name` from two rows sharing `cat0` must fail.
+            #[test]
+            fn non_key_inputs_cannot_pin_rows(n in 4usize..7, seed in 0u8..9) {
+                let db = fixture(n, seed);
+                let t = db.table(0);
+                let d = intersect_du(&gen_t(&db, &["cat0"], t.cell(1, 0)), &gen_t(&db, &["cat0"], t.cell(1, 2)));
+                prop_assert!(!d.has_programs());
+            }
+        }
     }
 }

@@ -17,11 +17,10 @@
 
 use std::sync::Arc;
 
-use sst_lookup::NodeId;
 use sst_syntactic::{intersect_dags_memo, intersect_dags_memo_unpruned, Dag, PosMemo};
 use sst_tables::IntMap;
 
-use crate::dstruct::{GenCondU, GenLookupU, GenPredU, SemDStruct, SemNode};
+use crate::dstruct::{GenCondU, GenLookupU, GenPredU, NodeId, SemDStruct, SemNode};
 use crate::CancelToken;
 
 /// Intersects two `Du` structures. The result's `top` is `None` when no
@@ -41,7 +40,7 @@ use crate::CancelToken;
 ///   key value — one row pair's predicate work serves every row pair
 ///   carrying the same values.
 pub fn intersect_du(a: &SemDStruct, b: &SemDStruct) -> SemDStruct {
-    intersect_du_impl(a, b, Tuning::OPTIMIZED, &CancelToken::default())
+    intersect_du_impl(a, b, Product::Pruned, &CancelToken::default())
 }
 
 /// The unpruned, unmemoized `Intersect_u`: every edge pair expands its
@@ -50,47 +49,27 @@ pub fn intersect_du(a: &SemDStruct, b: &SemDStruct) -> SemDStruct {
 /// the differential property tests; counts, sizes and ranking must match
 /// [`intersect_du`] bit for bit.
 pub fn intersect_du_unpruned(a: &SemDStruct, b: &SemDStruct) -> SemDStruct {
-    intersect_du_impl(a, b, Tuning::ORACLE, &CancelToken::default())
+    intersect_du_impl(a, b, Product::Oracle, &CancelToken::default())
 }
 
-/// [`intersect_du`] under a cooperative [`CancelToken`], checked once per
-/// node pair. When the token fires mid-intersection the return value is an
-/// *empty* structure that the caller must discard after checking the token
-/// — cancellation is a control signal, not a result. An un-fired token
-/// changes nothing: results stay bit-identical to [`intersect_du`].
-pub(crate) fn intersect_du_budgeted(
+/// Which product runs: [`intersect_du`]'s three optimizations together,
+/// or none of them ([`intersect_du_unpruned`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Product {
+    Pruned,
+    Oracle,
+}
+
+/// The one `Intersect_u` worker, under a cooperative [`CancelToken`]
+/// checked once per node pair and once per edge of the left operand in
+/// every DAG product. When the token fires mid-intersection the return
+/// value is an *empty* structure that the caller must discard after
+/// checking the token — cancellation is a control signal, not a result.
+/// An un-fired token changes nothing.
+pub(crate) fn intersect_du_impl(
     a: &SemDStruct,
     b: &SemDStruct,
-    cancel: &CancelToken,
-) -> SemDStruct {
-    intersect_du_impl(a, b, Tuning::OPTIMIZED, cancel)
-}
-
-/// Which product-pruning optimizations run (see [`intersect_du`]).
-#[derive(Clone, Copy)]
-struct Tuning {
-    prune_product: bool,
-    skip_empty_pairs: bool,
-    memo_nested: bool,
-}
-
-impl Tuning {
-    const OPTIMIZED: Tuning = Tuning {
-        prune_product: true,
-        skip_empty_pairs: true,
-        memo_nested: true,
-    };
-    const ORACLE: Tuning = Tuning {
-        prune_product: false,
-        skip_empty_pairs: false,
-        memo_nested: false,
-    };
-}
-
-fn intersect_du_impl(
-    a: &SemDStruct,
-    b: &SemDStruct,
-    tuning: Tuning,
+    product: Product,
     cancel: &CancelToken,
 ) -> SemDStruct {
     let (Some(ta), Some(tb)) = (&a.top, &b.top) else {
@@ -106,7 +85,7 @@ fn intersect_du_impl(
     let mut ctx = Ctx {
         a,
         b,
-        tuning,
+        pruned: product == Product::Pruned,
         out_nodes: Vec::new(),
         memo,
         dag_memo: IntMap::default(),
@@ -137,15 +116,18 @@ type NestedDagEntry = (Arc<Dag<NodeId>>, Arc<Dag<NodeId>>, Option<Arc<Dag<NodeId
 struct Ctx<'a> {
     a: &'a SemDStruct,
     b: &'a SemDStruct,
-    tuning: Tuning,
+    /// Whether [`intersect_du`]'s optimizations run.
+    pruned: bool,
     out_nodes: Vec<SemNode>,
     memo: IntMap<(NodeId, NodeId), NodeId>,
     dag_memo: IntMap<(usize, usize), NestedDagEntry>,
     pos_memo: &'a PosMemo,
     /// Cooperative cancellation, checked once per source pair (the
-    /// per-node-pair granularity of the §5.3 recursion). A fired token
-    /// makes every remaining pairing refuse, so products die quickly; the
-    /// (invalid) partial result is discarded by the impl's final check.
+    /// per-node-pair granularity of the §5.3 recursion) and once per edge
+    /// of the left operand in every DAG product, so products over
+    /// constant-only edges stop too. A fired token makes every remaining
+    /// pairing and product refuse; the (invalid) partial result is
+    /// discarded by the impl's final check.
     cancel: &'a CancelToken,
 }
 
@@ -158,9 +140,7 @@ impl Ctx<'_> {
         if self.cancel.is_cancelled() {
             return None;
         }
-        if self.tuning.skip_empty_pairs
-            && (self.a.node(na).progs.is_empty() || self.b.node(nb).progs.is_empty())
-        {
+        if self.pruned && (self.a.node(na).progs.is_empty() || self.b.node(nb).progs.is_empty()) {
             return None;
         }
         Some(self.pair(na, nb))
@@ -185,20 +165,22 @@ impl Ctx<'_> {
         db: &Arc<Dag<NodeId>>,
         memoize: bool,
     ) -> Option<Arc<Dag<NodeId>>> {
-        let memoize = memoize && self.tuning.memo_nested;
+        let memoize = memoize && self.pruned;
         let key = (Arc::as_ptr(da) as usize, Arc::as_ptr(db) as usize);
         if memoize {
             if let Some((_, _, hit)) = self.dag_memo.get(&key) {
                 return hit.clone();
             }
         }
-        let pos_memo = self.pos_memo;
-        let out = if self.tuning.prune_product {
+        let (pos_memo, cancel) = (self.pos_memo, self.cancel);
+        let cancelled = || cancel.is_cancelled();
+        let out = if self.pruned {
             intersect_dags_memo(
                 &**da,
                 &**db,
                 &mut |x: &NodeId, y: &NodeId| self.pair_src(*x, *y),
                 pos_memo,
+                &cancelled,
             )
         } else {
             intersect_dags_memo_unpruned(
@@ -206,6 +188,7 @@ impl Ctx<'_> {
                 &**db,
                 &mut |x: &NodeId, y: &NodeId| self.pair_src(*x, *y),
                 pos_memo,
+                &cancelled,
             )
         }
         .map(Arc::new);
@@ -301,28 +284,16 @@ impl Ctx<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::eval::eval_sem;
+    use crate::generate::tests::{comp_db, gen_t, join_db};
     use crate::generate::{generate_str_u, LuOptions};
+    use crate::language::{LookupU, SemExpr};
     use crate::rank::LuRankWeights;
-    use sst_tables::{Database, Table};
-
-    fn comp_db() -> Database {
-        Database::from_tables(vec![Table::new(
-            "Comp",
-            vec!["Id", "Name"],
-            vec![
-                vec!["c1", "Microsoft"],
-                vec!["c2", "Google"],
-                vec!["c3", "Apple"],
-                vec!["c4", "Facebook"],
-                vec!["c5", "IBM"],
-                vec!["c6", "Xerox"],
-            ],
-        )
-        .unwrap()])
-        .unwrap()
-    }
+    use sst_syntactic::{AtomSet, AtomicExpr};
+    use sst_tables::Database;
 
     fn gen(db: &Database, inputs: &[&str], output: &str) -> SemDStruct {
         generate_str_u(db, inputs, output, &LuOptions::default())
@@ -350,11 +321,13 @@ mod tests {
     #[test]
     fn intersection_of_incompatible_examples_dies() {
         let db = comp_db();
-        // No program can map c2 -> Google and c2 -> Apple.
-        let d1 = gen(&db, &["c2"], "Google");
-        let d2 = gen(&db, &["c2"], "Apple");
-        let inter = intersect_du(&d1, &d2);
-        assert!(!inter.has_programs());
+        // No program can map c2 -> Google and c2 -> Apple, in `Lu` or in
+        // its `Lt` fragment.
+        for gen in [gen, gen_t] {
+            let d1 = gen(&db, &["c2"], "Google");
+            let d2 = gen(&db, &["c2"], "Apple");
+            assert!(!intersect_du(&d1, &d2).has_programs());
+        }
     }
 
     #[test]
@@ -395,6 +368,10 @@ mod tests {
         let empty = SemDStruct::default();
         assert!(!intersect_du(&d1, &empty).has_programs());
         assert!(!intersect_du(&empty, &d1).has_programs());
+        // `Lt`: an unreachable output has no top DAG.
+        let (lt, unreachable) = (gen_t(&db, &["c2"], "Google"), gen_t(&db, &["c2"], "Amazon"));
+        assert!(!intersect_du(&lt, &unreachable).has_programs());
+        assert!(!intersect_du(&unreachable, &lt).has_programs());
     }
 
     #[test]
@@ -411,5 +388,107 @@ mod tests {
             eval_sem(&prog.expr, &db, &["c1"], &tokens).as_deref(),
             Some("Microsoft")
         );
+    }
+
+    fn programs(d: &SemDStruct, depth: usize) -> HashSet<SemExpr> {
+        d.enumerate(depth, 100_000).into_iter().collect()
+    }
+
+    /// Definition 2 (soundness + completeness of `Intersect_t`), checked
+    /// extensionally on a bounded depth: the set of expressions in the
+    /// intersection equals the set-intersection of the inputs' expressions.
+    /// Each survivor maps both inputs right, and no predicate keeps the
+    /// two examples' differing `Id` constants.
+    #[test]
+    fn lt_intersection_equals_set_intersection() {
+        let db = comp_db();
+        let d1 = gen_t(&db, &["c2"], "Google");
+        let d2 = gen_t(&db, &["c1"], "Microsoft");
+        let inter = intersect_du(&d1, &d2);
+        let both: HashSet<SemExpr> = programs(&d1, 2)
+            .intersection(&programs(&d2, 2))
+            .cloned()
+            .collect();
+        assert!(!both.is_empty());
+        assert_eq!(programs(&inter, 2), both);
+        let tokens = LuOptions::default().syntactic.token_set;
+        for e in &both {
+            assert_eq!(
+                eval_sem(e, &db, &["c2"], &tokens).as_deref(),
+                Some("Google")
+            );
+            assert_eq!(
+                eval_sem(e, &db, &["c1"], &tokens).as_deref(),
+                Some("Microsoft")
+            );
+        }
+        let pred_atoms = inter
+            .nodes
+            .iter()
+            .flat_map(|n| &n.progs)
+            .filter_map(|p| match p {
+                GenLookupU::Select { conds, .. } => Some(conds),
+                GenLookupU::Var(_) => None,
+            })
+            .flat_map(|conds| conds.iter().flat_map(|c| &c.preds))
+            .flat_map(|pred| pred.dag.edges.values().flatten());
+        for atom in pred_atoms {
+            assert!(!matches!(atom, AtomSet::ConstStr(_)), "{atom:?} survived");
+        }
+    }
+
+    #[test]
+    fn lt_join_intersection_converges_to_join_program() {
+        // Example 2: every program left by two examples generalizes to a
+        // third customer, and the ranked one to all of them.
+        let db = join_db();
+        let d1 = gen_t(&db, &["Peter Shaw"], "110");
+        let d2 = gen_t(&db, &["Gary Lamb"], "225");
+        let inter = intersect_du(&d1, &d2);
+        let exprs = inter.enumerate(2, 500);
+        assert!(!exprs.is_empty());
+        let tokens = LuOptions::default().syntactic.token_set;
+        for e in &exprs {
+            assert_eq!(
+                eval_sem(e, &db, &["Mike Henry"], &tokens).as_deref(),
+                Some("2015"),
+                "non-generalizing program survived: {}",
+                crate::display_sem(e, &db)
+            );
+        }
+        let top = LuRankWeights::default().best(&inter, db.len()).unwrap();
+        assert_eq!(
+            eval_sem(&top.expr, &db, &["Sean Riley"], &tokens).as_deref(),
+            Some("495")
+        );
+    }
+
+    #[test]
+    fn lt_disjoint_examples_empty_intersection() {
+        let db = comp_db();
+        let d1 = gen_t(&db, &["c2"], "Google");
+        // Identity on an unrelated string: only program is Var, which does
+        // not intersect with the Select-only structure.
+        let d2 = gen_t(&db, &["zz"], "zz");
+        assert!(!intersect_du(&d1, &d2).has_programs());
+    }
+
+    #[test]
+    fn lt_var_programs_intersect_by_index() {
+        let db = comp_db();
+        let d1 = gen_t(&db, &["q", "c2"], "q");
+        let d2 = gen_t(&db, &["r", "c9"], "r");
+        let inter = intersect_du(&d1, &d2);
+        assert_eq!(
+            inter.enumerate(1, 10),
+            vec![SemExpr::atom(AtomicExpr::Whole(LookupU::Var(0)))]
+        );
+    }
+
+    #[test]
+    fn lt_self_intersection_preserves_program_set() {
+        let db = comp_db();
+        let d = gen_t(&db, &["c2"], "Google");
+        assert_eq!(programs(&intersect_du(&d, &d), 2), programs(&d, 2));
     }
 }

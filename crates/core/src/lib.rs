@@ -2,15 +2,20 @@
 //! synthesis algorithm — the core contribution of Singh & Gulwani,
 //! *Learning Semantic String Transformations from Examples*, VLDB 2012.
 //!
-//! `Lu` unifies table lookups (`Lt`, crate `sst-lookup`) with syntactic
-//! string manipulation (`Ls`, crate `sst-syntactic`): programs concatenate
+//! `Lu` unifies table lookups (`Lt`, §4) with syntactic string
+//! manipulation (`Ls`, crate `sst-syntactic`): programs concatenate
 //! constants, lookup results and substrings of lookup results, and lookup
 //! predicates may themselves be syntactic expressions over known strings
 //! (§5.1). The synthesis algorithm learns *all* consistent programs from
 //! input-output examples:
 //!
-//! * [`generate_str_u`] — `GenerateStr_u` (§5.3): relaxed forward
-//!   reachability over table cells + a top-level substring DAG;
+//! * [`generate_str_u`] — `GenerateStr_u` (§5.3): forward reachability
+//!   over table cells behind the *relaxed* gate (substring-related and
+//!   assemblable cells activate) + a top-level substring DAG;
+//! * [`generate_str_t`] — `GenerateStr_t` (§4.3), the `Lt` fragment: the
+//!   same reachability engine behind the *exact* gate (only cells equal to
+//!   a known string activate), written as a [`SemDStruct`] so everything
+//!   below serves it unchanged;
 //! * [`intersect_du`] — `Intersect_u` (§5.3): automata-style product of
 //!   DAGs with recursive lookup-node pairing;
 //! * [`LuRankWeights`] — ranking (§5.4) and top-program extraction;
@@ -65,14 +70,15 @@ mod language;
 mod par;
 mod paraphrase;
 mod rank;
+mod reach;
 pub mod snapshot;
 mod synthesizer;
 
 pub use cache::{DagCache, DagCacheStats, SourcesEpoch};
 pub use compiled::{ApplyScratch, CompiledProgram};
-pub use dstruct::{GenCondU, GenLookupU, GenPredU, SemDStruct, SemNode};
+pub use dstruct::{GenCondU, GenLookupU, GenPredU, NodeId, SemDStruct, SemNode};
 pub use eval::{eval_lookup_u, eval_sem};
-pub use generate::{generate_str_u, generate_str_u_cached, LuOptions};
+pub use generate::{generate_str_t, generate_str_u, generate_str_u_cached, LuOptions};
 pub use interaction::{converge, distinguishing_input, highlight_ambiguous, ConvergenceReport};
 pub use intersect::{intersect_du, intersect_du_unpruned};
 pub use language::{

@@ -173,7 +173,8 @@ impl CancelToken {
 
     /// True iff the token was cancelled or its deadline has passed.
     /// Cooperative checkpoints call this at coarse granularity (per
-    /// node-pair, per job) — one relaxed load on the warm path.
+    /// node-pair, per DAG-product edge, per job) — one relaxed load on
+    /// the warm path.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
         let Some(inner) = &self.inner else {

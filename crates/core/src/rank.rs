@@ -24,11 +24,10 @@
 
 use std::sync::Arc;
 
-use sst_lookup::NodeId;
 use sst_syntactic::{AtomicExpr, Dag, RankWeights, StringExpr};
 use sst_tables::IntMap;
 
-use crate::dstruct::{GenLookupU, SemDStruct};
+use crate::dstruct::{GenLookupU, NodeId, SemDStruct};
 use crate::language::{LookupU, PredRhsU, PredicateU, SemExpr};
 
 /// Weights for the lookup layer of `Lu` ranking (the syntactic layer uses

@@ -19,13 +19,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sst_lookup::NodeId;
 use sst_syntactic::{AtomSet, Dag, PosSet};
 use sst_tables::{IntMap, Symbol};
 
 use super::codec::{decode_pos, encode_pos, Reader, SymDecoder, SymEncoder, Writer};
 use super::{corrupt, ArenaStats, SnapshotError};
-use crate::dstruct::{GenCondU, GenLookupU, GenPredU, SemDStruct, SemNode};
+use crate::dstruct::{GenCondU, GenLookupU, GenPredU, NodeId, SemDStruct, SemNode};
 
 /// Fails unless an allocation whose atoms need `needs` nodes fits a
 /// structure (or sources epoch) of `nodes` nodes.

@@ -14,8 +14,8 @@ use sst_tables::{Database, DbDelta, Symbol, Table, TableError, TableId};
 use crate::cache::{DagCache, TopEntry, TopMemo};
 use crate::dstruct::SemDStruct;
 use crate::eval::eval_sem;
-use crate::generate::{generate_str_u_budgeted, generate_str_u_keyed, LuOptions};
-use crate::intersect::intersect_du_budgeted;
+use crate::generate::{generate_str_u_impl, generate_str_u_keyed, LuOptions};
+use crate::intersect::{intersect_du_impl, Product};
 use crate::language::{display_sem, SemExpr};
 use crate::paraphrase::paraphrase_sem;
 use crate::rank::LuRankWeights;
@@ -143,8 +143,9 @@ pub struct SynthesisOptions {
     /// checkpoint); a live token (deadline- or caller-triggered, see
     /// [`CancelToken`]) makes `learn` abort with
     /// [`SynthesisError::Cancelled`] at the next coarse checkpoint
-    /// (per generated example, per node-pair inside `Intersect_u`, per
-    /// reachability frontier step inside `GenerateStr_u`). A cancelled
+    /// (per generated example; per node-pair and per left-operand edge of
+    /// every DAG product inside `Intersect_u`; per reachability frontier
+    /// step and activated row inside `GenerateStr_u`). A cancelled
     /// learn never stores partial structures into the [`DagCache`], so
     /// retrying without a budget is bit-identical to a cold learn.
     pub cancel: CancelToken,
@@ -379,11 +380,12 @@ impl Synthesizer {
                     cancel,
                 ),
                 None => (
-                    generate_str_u_budgeted(
+                    generate_str_u_impl(
                         &self.db,
                         &e.input_refs(),
                         &e.output,
                         &self.options.lu,
+                        None,
                         cancel,
                     ),
                     None,
@@ -469,14 +471,14 @@ fn intersect_step(
             if let Some(hit) = c.intersection(db_epoch, &chain) {
                 return (hit, Some(chain));
             }
-            let r = intersect_du_budgeted(&a, b, cancel);
+            let r = intersect_du_impl(&a, b, Product::Pruned, cancel);
             if cancel.is_cancelled() {
                 return (r, None);
             }
             c.store_intersection(db_epoch, &chain, &r);
             (r, Some(chain))
         }
-        _ => (intersect_du_budgeted(&a, b, cancel), None),
+        _ => (intersect_du_impl(&a, b, Product::Pruned, cancel), None),
     }
 }
 

@@ -79,7 +79,7 @@ pub fn intersect_dags<S1, S2, S3>(
 where
     S3: Eq + Hash,
 {
-    intersect_dags_memo(a, b, src_intersect, &PosMemo::new())
+    intersect_dags_memo(a, b, src_intersect, &PosMemo::new(), &|| false)
 }
 
 /// [`intersect_dags`] with a caller-supplied [`PosMemo`], for sessions that
@@ -91,33 +91,42 @@ where
 /// to the unpruned construction ([`intersect_dags_memo_unpruned`], the
 /// differential oracle) because the final productivity prune removes
 /// everything the mask rejects.
+///
+/// `cancelled` is a cooperative cancellation predicate, checked once per
+/// edge of `a` in both mask sweeps and in the product loop. When it fires
+/// the intersection returns `None`, which the caller must treat as
+/// abandoned rather than empty. A predicate that never fires changes
+/// nothing.
 pub fn intersect_dags_memo<S1, S2, S3>(
     a: &Dag<S1>,
     b: &Dag<S2>,
     src_intersect: &mut impl FnMut(&S1, &S2) -> Option<S3>,
     pos_memo: &PosMemo,
+    cancelled: &impl Fn() -> bool,
 ) -> Option<Dag<S3>>
 where
     S3: Eq + Hash,
 {
-    let masks = product_path_masks(a, b);
-    intersect_dags_impl(a, b, src_intersect, pos_memo, Some(&masks))
+    let masks = product_path_masks(a, b, cancelled)?;
+    intersect_dags_impl(a, b, src_intersect, pos_memo, Some(&masks), cancelled)
 }
 
 /// The unpruned product construction: every edge pair expands its atom
 /// products, exactly as the pre-mask implementation did. Kept as the
 /// correctness oracle for the differential property tests — pruning must
-/// never drop a program this construction keeps.
+/// never drop a program this construction keeps. `cancelled` is checked
+/// as in [`intersect_dags_memo`].
 pub fn intersect_dags_memo_unpruned<S1, S2, S3>(
     a: &Dag<S1>,
     b: &Dag<S2>,
     src_intersect: &mut impl FnMut(&S1, &S2) -> Option<S3>,
     pos_memo: &PosMemo,
+    cancelled: &impl Fn() -> bool,
 ) -> Option<Dag<S3>>
 where
     S3: Eq + Hash,
 {
-    intersect_dags_impl(a, b, src_intersect, pos_memo, None)
+    intersect_dags_impl(a, b, src_intersect, pos_memo, None, cancelled)
 }
 
 /// Reachability bitmaps over a structural product graph (see
@@ -151,7 +160,13 @@ impl ProductMasks {
 /// is what makes skipping its atom product a pure optimization: the §5.3
 /// `Intersect_u` edge product is O(edges² · atoms²), and the mask removes
 /// the atoms² factor for every edge pair off all source→target paths.
-fn product_path_masks<S1, S2>(a: &Dag<S1>, b: &Dag<S2>) -> ProductMasks {
+///
+/// `None` when `cancelled` fires (checked once per edge of `a` per sweep).
+fn product_path_masks<S1, S2>(
+    a: &Dag<S1>,
+    b: &Dag<S2>,
+    cancelled: &impl Fn() -> bool,
+) -> Option<ProductMasks> {
     let n2 = b.num_nodes as usize;
     let idx = |x1: u32, x2: u32| x1 as usize * n2 + x2 as usize;
     let total = a.num_nodes as usize * n2;
@@ -161,6 +176,9 @@ fn product_path_masks<S1, S2>(a: &Dag<S1>, b: &Dag<S2>) -> ProductMasks {
     let mut fwd = vec![false; total];
     fwd[idx(a.source, b.source)] = true;
     for &(a1, y1) in a.edges.keys() {
+        if cancelled() {
+            return None;
+        }
         for x2 in 0..b.num_nodes {
             if fwd[idx(a1, x2)] {
                 for (&(_, y2), _) in b.outgoing(x2) {
@@ -175,6 +193,9 @@ fn product_path_masks<S1, S2>(a: &Dag<S1>, b: &Dag<S2>) -> ProductMasks {
     let mut bwd = vec![false; total];
     bwd[idx(a.target, b.target)] = true;
     for &(a1, y1) in a.edges.keys().rev() {
+        if cancelled() {
+            return None;
+        }
         for x2 in 0..b.num_nodes {
             if !bwd[idx(a1, x2)] {
                 let reaches = b.outgoing(x2).any(|(&(_, y2), _)| bwd[idx(y1, y2)]);
@@ -184,7 +205,7 @@ fn product_path_masks<S1, S2>(a: &Dag<S1>, b: &Dag<S2>) -> ProductMasks {
             }
         }
     }
-    ProductMasks { fwd, bwd }
+    Some(ProductMasks { fwd, bwd })
 }
 
 fn intersect_dags_impl<S1, S2, S3>(
@@ -193,6 +214,7 @@ fn intersect_dags_impl<S1, S2, S3>(
     src_intersect: &mut impl FnMut(&S1, &S2) -> Option<S3>,
     pos_memo: &PosMemo,
     masks: Option<&ProductMasks>,
+    cancelled: &impl Fn() -> bool,
 ) -> Option<Dag<S3>>
 where
     S3: Eq + Hash,
@@ -218,6 +240,9 @@ where
     };
 
     for (&(a1, b1), atoms1) in &a.edges {
+        if cancelled() {
+            return None;
+        }
         for (&(a2, b2), atoms2) in &b.edges {
             if !on_path(a1, a2, b1, b2) {
                 continue;
@@ -513,7 +538,8 @@ mod tests {
             let d1 = gen(&in1, out1);
             let d2 = gen(&in2, out2);
             let pruned = intersect_dags(&d1, &d2, &mut var_eq);
-            let oracle = intersect_dags_memo_unpruned(&d1, &d2, &mut var_eq, &PosMemo::new());
+            let oracle =
+                intersect_dags_memo_unpruned(&d1, &d2, &mut var_eq, &PosMemo::new(), &|| false);
             match (&pruned, &oracle) {
                 (Some(p), Some(o)) => {
                     assert_eq!(
@@ -531,6 +557,37 @@ mod tests {
                     oracle.is_some()
                 ),
             }
+        }
+    }
+
+    #[test]
+    fn cancellation_is_checked_once_per_a_edge_in_each_phase() {
+        use std::cell::Cell;
+        let d1 = gen(&["ab 12 cd"], "12");
+        let d2 = gen(&["x 345 yz"], "345");
+        let edges = d1.edges.len();
+        // Never firing: the forward sweep, the backward sweep and the
+        // product loop each ask once per edge of `a`; the oracle only
+        // runs the product loop.
+        let calls = Cell::new(0usize);
+        let never = || {
+            calls.set(calls.get() + 1);
+            false
+        };
+        assert!(intersect_dags_memo(&d1, &d2, &mut var_eq, &PosMemo::new(), &never).is_some());
+        assert_eq!(calls.replace(0), 3 * edges);
+        let oracle = intersect_dags_memo_unpruned(&d1, &d2, &mut var_eq, &PosMemo::new(), &never);
+        assert!(oracle.is_some());
+        assert_eq!(calls.replace(0), edges);
+        // Firing inside any of the three phases abandons the product.
+        for fire_at in [0, edges, 2 * edges, 3 * edges - 1] {
+            let fires = || {
+                calls.set(calls.get() + 1);
+                calls.get() > fire_at
+            };
+            let product = intersect_dags_memo(&d1, &d2, &mut var_eq, &PosMemo::new(), &fires);
+            assert!(product.is_none(), "fired after {fire_at} checks");
+            calls.set(0);
         }
     }
 

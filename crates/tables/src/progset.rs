@@ -1,13 +1,15 @@
 //! Insertion-ordered hashed set for generalized program lists.
 //!
-//! `Progs[η]` needs two things at once: stable enumeration order (counting,
-//! ranking and display all iterate it) and duplicate-free insertion (the
+//! `Progs[η]` needs two things at once: stable enumeration order (the
+//! learned node lists it drains into are counted, ranked and displayed in
+//! that order) and duplicate-free insertion (the
 //! reachability loop re-derives the same generalized `Select` whenever a row
 //! is re-matched in a later step). The seed used `Vec::contains` — a linear
 //! deep-compare per insert that dominated `GenerateStr_t` on wide
 //! structures. A `ProgSet` keeps the stable `Vec` and adds a hash index
 //! (hash → indices into the vec), so an insert is one hash of the new item
-//! plus equality checks only against hash-colliding entries.
+//! plus equality checks only against hash-colliding entries. The set is
+//! write-then-drain: callers insert, then consume it in insertion order.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash};
@@ -49,47 +51,9 @@ impl<T: Hash + Eq> ProgSet<T> {
         true
     }
 
-    /// Membership test without inserting.
-    pub fn contains(&self, item: &T) -> bool {
-        let h = self.index.hasher().hash_one(item);
-        self.index
-            .get(&h)
-            .is_some_and(|b| b.iter().any(|&i| &self.items[i as usize] == item))
-    }
-
-    /// The items in insertion order.
-    pub fn as_slice(&self) -> &[T] {
-        &self.items
-    }
-
-    /// Iterates in insertion order.
-    pub fn iter(&self) -> std::slice::Iter<'_, T> {
-        self.items.iter()
-    }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
     /// True iff no items are present.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
-    }
-}
-
-impl<T> std::ops::Index<usize> for ProgSet<T> {
-    type Output = T;
-    fn index(&self, i: usize) -> &T {
-        &self.items[i]
-    }
-}
-
-impl<'a, T> IntoIterator for &'a ProgSet<T> {
-    type Item = &'a T;
-    type IntoIter = std::slice::Iter<'a, T>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.iter()
     }
 }
 
@@ -101,16 +65,6 @@ impl<T> IntoIterator for ProgSet<T> {
     }
 }
 
-impl<T: Hash + Eq> FromIterator<T> for ProgSet<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut set = ProgSet::new();
-        for item in iter {
-            set.insert(item);
-        }
-        set
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,29 +72,12 @@ mod tests {
     #[test]
     fn insert_dedupes_and_keeps_order() {
         let mut s: ProgSet<String> = ProgSet::new();
+        assert!(s.is_empty());
         assert!(s.insert("b".into()));
         assert!(s.insert("a".into()));
         assert!(!s.insert("b".into()));
         assert!(s.insert("c".into()));
-        assert_eq!(s.as_slice(), &["b", "a", "c"]);
-        assert_eq!(s.len(), 3);
-        assert!(s.contains(&"a".to_string()));
-        assert!(!s.contains(&"z".to_string()));
-    }
-
-    #[test]
-    fn from_iter_round_trips() {
-        let s: ProgSet<u32> = [3, 1, 3, 2, 1].into_iter().collect();
-        assert_eq!(s.as_slice(), &[3, 1, 2]);
-        let back: Vec<u32> = s.into_iter().collect();
-        assert_eq!(back, vec![3, 1, 2]);
-    }
-
-    #[test]
-    fn index_and_iter_agree() {
-        let s: ProgSet<u32> = [9, 7].into_iter().collect();
-        assert_eq!(s[0], 9);
-        assert_eq!(s.iter().copied().collect::<Vec<_>>(), vec![9, 7]);
         assert!(!s.is_empty());
+        assert_eq!(s.into_iter().collect::<Vec<_>>(), ["b", "a", "c"]);
     }
 }

@@ -14,10 +14,9 @@
 //!   the value and substring indexes each table owns, CSV ingest).
 //! * [`syntactic`] — the syntactic transformation language `Ls`
 //!   (FlashFill-style substrings/concatenation) and its synthesis algorithm.
-//! * [`lookup`] — the lookup transformation language `Lt` (`Select`
-//!   expressions over candidate keys) and its synthesis algorithm.
 //! * [`core`] — the combined semantic language `Lu`, the low-level
-//!   `Synthesizer`, ranking, the §3.2 interaction primitives, the
+//!   `Synthesizer`, ranking, the lookup language `Lt` as `Lu`'s
+//!   exact-gate fragment ([`core::generate_str_t`]), the §3.2 interaction primitives, the
 //!   worker `Pool` behind batch serving and `run_column`
 //!   (deterministic-order `par_map_indexed`; learning itself is serial),
 //!   and the versioned snapshot file format
@@ -295,7 +294,6 @@ pub use sst_core as core;
 pub use sst_core::snapshot as arena; // Former crate name; perfbench imports `arena::ArenaStats`.
 pub use sst_counting as counting;
 pub use sst_datatypes as datatypes;
-pub use sst_lookup as lookup;
 pub use sst_server as server;
 pub use sst_service as service;
 pub use sst_syntactic as syntactic;

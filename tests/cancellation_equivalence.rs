@@ -3,12 +3,14 @@
 //! typed error in *bounded* time, the abort leaves every cache and memo
 //! untouched (partial results are never stored), and the identical
 //! request re-run without a budget answers **bit-identical** to a cold
-//! engine that never saw the aborted attempt.
+//! engine that never saw the aborted attempt. A budget that expires
+//! mid-flight, inside `Intersect_u`'s edge product, aborts in bounded
+//! time too.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use semantic_strings::benchmarks::all_tasks;
+use semantic_strings::benchmarks::{all_tasks, long_output_pair};
 use semantic_strings::prelude::*;
 use semantic_strings::server::ClientConfig;
 use semantic_strings::service::{encode_lines, WireLearnResponse};
@@ -87,6 +89,42 @@ fn expired_budget_aborts_in_bounded_time_and_leaves_caches_clean() {
             );
         }
     }
+}
+
+/// A budget that expires inside `Intersect_u`'s edge product aborts in
+/// bounded time. The long-output pair (two 186-char outputs, no tables)
+/// has about 17 000 top-DAG edges per example, and its edge product takes
+/// seconds. Each example is learned alone first, so the batched learn's
+/// generations are memo hits and the 50 ms budget runs out inside the
+/// product, whose constant-only edge pairs never pair a lookup node.
+#[test]
+fn budget_expiring_inside_the_edge_product_aborts_in_bounded_time() {
+    let (db, examples) = long_output_pair(34);
+    assert_eq!(examples[0].output.chars().count(), 186);
+    let engine = Engine::new(Arc::new(db));
+    for example in &examples {
+        engine
+            .learn(std::slice::from_ref(example))
+            .expect("one example always learns");
+    }
+
+    let started = Instant::now();
+    let err = engine
+        .learn_batch(
+            &[LearnRequest::new(examples.to_vec())],
+            Some(Duration::from_millis(50)),
+        )
+        .remove(0)
+        .result
+        .expect_err("the pair cannot intersect within 50 ms");
+    let elapsed = started.elapsed();
+    assert!(
+        matches!(err, ServiceError::DeadlineExceeded { budget_ms: 50 }),
+        "expected DeadlineExceeded, got {err:?}"
+    );
+    assert!(elapsed < ABORT_BOUND, "mid-product abort took {elapsed:?}");
+    // Nothing partial entered the intersection memo.
+    assert_eq!(engine.cache_entries().2, 0);
 }
 
 /// A batched apply's budget covers every request's learn phase: an

@@ -2,8 +2,7 @@
 //! for Figs. 11b and 12b) over the 50-task suite.
 
 use semantic_strings::benchmarks::{all_tasks, Category};
-use semantic_strings::core::{converge, Synthesizer};
-use semantic_strings::lookup::{generate_str_t, LtOptions};
+use semantic_strings::core::{converge, generate_str_t, Synthesizer};
 
 /// A small representative slice (keeps debug-mode runtime reasonable).
 fn sample_ids() -> Vec<usize> {
@@ -39,7 +38,7 @@ fn lt_tasks_count_at_least_one_program_in_lt_alone() {
     for task in tasks.iter().filter(|t| t.category == Category::Lookup) {
         let e = &task.rows[0];
         let refs: Vec<&str> = e.inputs.iter().map(String::as_str).collect();
-        let d = generate_str_t(&task.db, &refs, &e.output, &LtOptions::default());
+        let d = generate_str_t(&task.db, &refs, &e.output, task.db.len().max(1));
         assert!(
             d.has_programs(),
             "Lt task {} ({}) has no Lt program for its first example",

@@ -15,9 +15,11 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use semantic_strings::benchmarks::{all_tasks, BenchmarkTask, Category};
-use semantic_strings::core::{converge, LuRankWeights, SynthesisOptions, Synthesizer};
+use semantic_strings::core::{
+    converge, eval_sem, generate_str_t, intersect_du, LuOptions, LuRankWeights, SynthesisOptions,
+    Synthesizer,
+};
 use semantic_strings::counting::BigUint;
-use semantic_strings::lookup::LookupLearner;
 
 /// The paper's example budget: all its tasks converge within 3.
 const MAX_EXAMPLES: usize = 3;
@@ -144,22 +146,23 @@ fn every_task_converges_within_three_examples() {
     );
 }
 
-/// Whether the pure-`Lt` learner, given up to 3 examples like the full
-/// system, learns a top program correct on every row.
-fn lt_solves(task: &BenchmarkTask) -> bool {
-    let learner = LookupLearner::new(task.db.clone());
-    (1..=MAX_EXAMPLES).any(|n| {
-        let examples: Vec<(Vec<String>, String)> = task
+/// The fewest examples (up to 3, like the full system) from which the
+/// `Lt` fragment — `GenerateStr_t` per example folded with `Intersect_u`,
+/// ranked like `Lu` — learns a top program correct on every row.
+fn lt_examples_to_solve(task: &BenchmarkTask) -> Option<usize> {
+    let depth = task.db.len().max(1);
+    let tokens = LuOptions::default().syntactic.token_set;
+    (1..=MAX_EXAMPLES).find(|&n| {
+        let mut learned = task
             .examples(n)
             .iter()
-            .map(|e| (e.inputs.clone(), e.output.clone()))
-            .collect();
-        learner.learn(&examples).is_some_and(|learned| {
-            learned.top().is_some_and(|top| {
-                task.rows.iter().all(|r| {
-                    let refs: Vec<&str> = r.inputs.iter().map(String::as_str).collect();
-                    learned.run(&top, &refs).as_deref() == Some(r.output.as_str())
-                })
+            .map(|e| generate_str_t(&task.db, &e.input_refs(), &e.output, depth));
+        let first = learned.next().expect("every task has a row");
+        let d = learned.fold(first, |d, next| intersect_du(&d, &next));
+        LuRankWeights::default().best(&d, depth).is_some_and(|top| {
+            task.rows.iter().all(|r| {
+                eval_sem(&top.expr, &task.db, &r.input_refs(), &tokens).as_deref()
+                    == Some(r.output.as_str())
             })
         })
     })
@@ -175,8 +178,11 @@ fn lt_lu_split_is_12_38() {
         .collect();
     let solved: Vec<usize> = tasks
         .iter()
-        .filter(|t| lt_solves(t))
-        .map(|t| t.id)
+        .filter_map(|t| {
+            let examples = lt_examples_to_solve(t)?;
+            println!("Lt solves task {} ({}) from {examples}", t.id, t.name);
+            Some(t.id)
+        })
         .collect();
     assert_eq!(
         solved, lookup,
