@@ -30,9 +30,9 @@ use crate::CancelToken;
 /// the final productivity prune (pinned against
 /// [`intersect_du_unpruned`], the naive oracle, by the property tests):
 ///
-/// * edge pairs off all source→target paths of the product skip their
-///   O(atoms²) expansion (structural reachability masks in the syntactic
-///   layer);
+/// * the DAG product walks forward from the source pair: an edge pair
+///   whose source pair no nonempty atom product has reached skips its
+///   O(atoms²) expansion, and never pairs a lookup node;
 /// * node pairs where either side's program set is empty are never
 ///   created — they can only ever be unproductive;
 /// * nested predicate-DAG intersections are memoized on the `Arc`

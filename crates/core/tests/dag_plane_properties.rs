@@ -9,8 +9,8 @@
 //!   behavioral soundness suite in `tests/soundness_properties.rs` checks
 //!   pointwise).
 //! * **Edge-pair pruning vs the oracle** — the optimized `Intersect_u`
-//!   (structural edge-pair masks, empty-progset short-circuit, nested-DAG
-//!   memo) must never drop (or invent) a program the naive
+//!   (forward-reached edge pairs only, empty-progset short-circuit,
+//!   nested-DAG memo) must never drop (or invent) a program the naive
 //!   `intersect_du_unpruned` oracle keeps: counts, sizes, emptiness and
 //!   ranked outputs all agree.
 //! * **Cache equivalence under randomized multi-step sessions** — a

@@ -7,9 +7,11 @@
 //! recursively intersect lookup nodes (`Intersect_u`'s fourth rule); plain
 //! `Ls` passes variable equality.
 //!
-//! The product keeps only node pairs reachable from the source pair and
-//! co-reachable from the target pair, then renumbers them in lexicographic
-//! order, which preserves the forward-edge invariant of [`Dag`].
+//! The product loop expands only edge pairs leaving a node pair already
+//! reached from the source pair, the usual forward walk of an automaton
+//! product. [`Dag::prune`] then drops pairs that cannot reach the target
+//! pair, and the survivors are renumbered in lexicographic order, which
+//! preserves the forward-edge invariant of [`Dag`].
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -86,17 +88,16 @@ where
 /// intersect many DAGs sharing position vectors (`Intersect_u`'s nested
 /// predicate DAGs all draw from one per-step cache).
 ///
-/// Edge pairs are pruned by product reachability before any atom product is
-/// expanded (see `product_path_masks`); the result is provably identical
+/// Only edge pairs whose source pair is reachable from the source pair
+/// through nonempty atom products are expanded; the result is identical
 /// to the unpruned construction ([`intersect_dags_memo_unpruned`], the
 /// differential oracle) because the final productivity prune removes
-/// everything the mask rejects.
+/// every unreachable pair anyway.
 ///
 /// `cancelled` is a cooperative cancellation predicate, checked once per
-/// edge of `a` in both mask sweeps and in the product loop. When it fires
-/// the intersection returns `None`, which the caller must treat as
-/// abandoned rather than empty. A predicate that never fires changes
-/// nothing.
+/// edge of `a`. When it fires the intersection returns `None`, which the
+/// caller must treat as abandoned rather than empty. A predicate that
+/// never fires changes nothing.
 pub fn intersect_dags_memo<S1, S2, S3>(
     a: &Dag<S1>,
     b: &Dag<S2>,
@@ -107,15 +108,14 @@ pub fn intersect_dags_memo<S1, S2, S3>(
 where
     S3: Eq + Hash,
 {
-    let masks = product_path_masks(a, b, cancelled)?;
-    intersect_dags_impl(a, b, src_intersect, pos_memo, Some(&masks), cancelled)
+    intersect_dags_impl(a, b, src_intersect, pos_memo, true, cancelled)
 }
 
 /// The unpruned product construction: every edge pair expands its atom
-/// products, exactly as the pre-mask implementation did. Kept as the
-/// correctness oracle for the differential property tests — pruning must
-/// never drop a program this construction keeps. `cancelled` is checked
-/// as in [`intersect_dags_memo`].
+/// products, reachable or not. Kept as the correctness oracle for the
+/// differential property tests — the forward walk must never drop a
+/// program this construction keeps. `cancelled` is checked as in
+/// [`intersect_dags_memo`].
 pub fn intersect_dags_memo_unpruned<S1, S2, S3>(
     a: &Dag<S1>,
     b: &Dag<S2>,
@@ -126,94 +126,18 @@ pub fn intersect_dags_memo_unpruned<S1, S2, S3>(
 where
     S3: Eq + Hash,
 {
-    intersect_dags_impl(a, b, src_intersect, pos_memo, None, cancelled)
+    intersect_dags_impl(a, b, src_intersect, pos_memo, false, cancelled)
 }
 
-/// Reachability bitmaps over a structural product graph (see
-/// [`product_path_masks`]), indexed `x1 * b.num_nodes + x2`.
-#[derive(Debug, Clone)]
-struct ProductMasks {
-    /// Reachable from the source pair.
-    fwd: Vec<bool>,
-    /// Co-reachable to the target pair.
-    bwd: Vec<bool>,
-}
-
-impl ProductMasks {
-    /// True iff the source pair can structurally reach the target pair —
-    /// a necessary condition for the intersection to be nonempty (except
-    /// the trivially handled both-empty-outputs case).
-    fn source_on_path<S1, S2>(&self, a: &Dag<S1>, b: &Dag<S2>) -> bool {
-        self.bwd[(a.source as usize) * b.num_nodes as usize + b.source as usize]
-    }
-}
-
-/// Forward/backward reachability over the *structural* product graph: pair
-/// `(x1, x2)` has an edge to `(y1, y2)` iff `a` has edge `x1→y1` and `b`
-/// has edge `x2→y2` (atom contents ignored). Returns bitmaps indexed
-/// `x1 * b.num_nodes + x2`: reachable from the source pair / co-reachable
-/// to the target pair.
-///
-/// Structural reachability over-approximates post-intersection reachability
-/// (atom products only remove edges), so any edge pair outside
-/// `fwd[start] ∧ bwd[end]` is guaranteed dead after [`Dag::prune`] — which
-/// is what makes skipping its atom product a pure optimization: the §5.3
-/// `Intersect_u` edge product is O(edges² · atoms²), and the mask removes
-/// the atoms² factor for every edge pair off all source→target paths.
-///
-/// `None` when `cancelled` fires (checked once per edge of `a` per sweep).
-fn product_path_masks<S1, S2>(
-    a: &Dag<S1>,
-    b: &Dag<S2>,
-    cancelled: &impl Fn() -> bool,
-) -> Option<ProductMasks> {
-    let n2 = b.num_nodes as usize;
-    let idx = |x1: u32, x2: u32| x1 as usize * n2 + x2 as usize;
-    let total = a.num_nodes as usize * n2;
-
-    // Forward: a.edges iterates ascending in the first component, so every
-    // pair in row `a1` is final before `a1`'s outgoing edges propagate.
-    let mut fwd = vec![false; total];
-    fwd[idx(a.source, b.source)] = true;
-    for &(a1, y1) in a.edges.keys() {
-        if cancelled() {
-            return None;
-        }
-        for x2 in 0..b.num_nodes {
-            if fwd[idx(a1, x2)] {
-                for (&(_, y2), _) in b.outgoing(x2) {
-                    fwd[idx(y1, y2)] = true;
-                }
-            }
-        }
-    }
-
-    // Backward: descending in the first component, so rows above `a1` are
-    // final before they are read.
-    let mut bwd = vec![false; total];
-    bwd[idx(a.target, b.target)] = true;
-    for &(a1, y1) in a.edges.keys().rev() {
-        if cancelled() {
-            return None;
-        }
-        for x2 in 0..b.num_nodes {
-            if !bwd[idx(a1, x2)] {
-                let reaches = b.outgoing(x2).any(|(&(_, y2), _)| bwd[idx(y1, y2)]);
-                if reaches {
-                    bwd[idx(a1, x2)] = true;
-                }
-            }
-        }
-    }
-    Some(ProductMasks { fwd, bwd })
-}
-
+/// The §5.3 product loop. With `forward_only`, an edge pair is expanded
+/// only when its source pair has been reached from `(a.source, b.source)`
+/// by a nonempty atom product; without it every pair counts as reached.
 fn intersect_dags_impl<S1, S2, S3>(
     a: &Dag<S1>,
     b: &Dag<S2>,
     src_intersect: &mut impl FnMut(&S1, &S2) -> Option<S3>,
     pos_memo: &PosMemo,
-    masks: Option<&ProductMasks>,
+    forward_only: bool,
     cancelled: &impl Fn() -> bool,
 ) -> Option<Dag<S3>>
 where
@@ -223,32 +147,24 @@ where
     // components, so this is a topological order of the product.
     let pair_id = |n1: u32, n2: u32| (n1 as u64) * b.num_nodes as u64 + n2 as u64;
     let mut edges: BTreeMap<(u64, u64), Vec<AtomSet<S3>>> = BTreeMap::new();
-
-    if let Some(m) = masks {
-        // The source pair cannot reach the target pair even structurally:
-        // the intersection is empty unless both sides are the single empty
-        // program (source == target on both, handled below — the pair is
-        // then trivially co-reachable, so this branch is not taken).
-        if !m.source_on_path(a, b) {
-            return None;
-        }
-    }
-    let n2 = b.num_nodes as usize;
-    let on_path = |x1: u32, x2: u32, y1: u32, y2: u32| match masks {
-        Some(m) => m.fwd[x1 as usize * n2 + x2 as usize] && m.bwd[y1 as usize * n2 + y2 as usize],
-        None => true,
-    };
+    // `a.edges` ascends by source and every edge goes forward, so a pair's
+    // bit is final before its outgoing edge pairs are visited.
+    let mut reached = vec![!forward_only; a.num_nodes as usize * b.num_nodes as usize];
+    reached[pair_id(a.source, b.source) as usize] = true;
 
     for (&(a1, b1), atoms1) in &a.edges {
         if cancelled() {
             return None;
         }
-        for (&(a2, b2), atoms2) in &b.edges {
-            if !on_path(a1, a2, b1, b2) {
+        for x2 in 0..b.num_nodes {
+            if !reached[pair_id(a1, x2) as usize] {
                 continue;
             }
-            if let Some(atoms) = product_edge_atoms(atoms1, atoms2, src_intersect, pos_memo) {
-                edges.insert((pair_id(a1, a2), pair_id(b1, b2)), atoms);
+            for (&(_, b2), atoms2) in b.outgoing(x2) {
+                if let Some(atoms) = product_edge_atoms(atoms1, atoms2, src_intersect, pos_memo) {
+                    reached[pair_id(b1, b2) as usize] = true;
+                    edges.insert((pair_id(a1, x2), pair_id(b1, b2)), atoms);
+                }
             }
         }
     }
@@ -519,9 +435,9 @@ mod tests {
 
     #[test]
     fn pruned_product_matches_unpruned_oracle() {
-        // The structural edge-pair mask must not change what is
-        // represented: counts and sizes agree with the unpruned product on
-        // overlapping, disjoint and self intersections.
+        // Expanding only forward-reached edge pairs must not change what
+        // is represented: counts and sizes agree with the unpruned product
+        // on overlapping, disjoint and self intersections.
         let cases = [
             (vec!["ab 12 cd"], "12", vec!["x 345 yz"], "345"),
             (vec!["A"], "A", vec!["B"], "B"),
@@ -561,32 +477,35 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_is_checked_once_per_a_edge_in_each_phase() {
+    fn cancellation_is_checked_once_per_a_edge() {
         use std::cell::Cell;
         let d1 = gen(&["ab 12 cd"], "12");
         let d2 = gen(&["x 345 yz"], "345");
         let edges = d1.edges.len();
-        // Never firing: the forward sweep, the backward sweep and the
-        // product loop each ask once per edge of `a`; the oracle only
-        // runs the product loop.
+        // Never firing: the product loop asks once per edge of `a`, pruned
+        // or not.
         let calls = Cell::new(0usize);
         let never = || {
             calls.set(calls.get() + 1);
             false
         };
         assert!(intersect_dags_memo(&d1, &d2, &mut var_eq, &PosMemo::new(), &never).is_some());
-        assert_eq!(calls.replace(0), 3 * edges);
+        assert_eq!(calls.replace(0), edges);
         let oracle = intersect_dags_memo_unpruned(&d1, &d2, &mut var_eq, &PosMemo::new(), &never);
         assert!(oracle.is_some());
         assert_eq!(calls.replace(0), edges);
-        // Firing inside any of the three phases abandons the product.
-        for fire_at in [0, edges, 2 * edges, 3 * edges - 1] {
+        // Firing at any check abandons either product.
+        for fire_at in 0..edges {
             let fires = || {
                 calls.set(calls.get() + 1);
                 calls.get() > fire_at
             };
-            let product = intersect_dags_memo(&d1, &d2, &mut var_eq, &PosMemo::new(), &fires);
-            assert!(product.is_none(), "fired after {fire_at} checks");
+            let pruned = intersect_dags_memo(&d1, &d2, &mut var_eq, &PosMemo::new(), &fires);
+            assert!(pruned.is_none(), "fired after {fire_at} checks");
+            calls.set(0);
+            let oracle =
+                intersect_dags_memo_unpruned(&d1, &d2, &mut var_eq, &PosMemo::new(), &fires);
+            assert!(oracle.is_none(), "oracle fired after {fire_at} checks");
             calls.set(0);
         }
     }
