@@ -65,28 +65,21 @@
 //!
 //! # Validation: stale entries, compare on regenerate
 //!
-//! Only the example memo (and each compiled program, see above) is scoped
-//! to one database state. Per-value DAGs are pure functions of the
-//! ordered source-symbol list behind their `SourcesEpoch` key, and
-//! intersection and ranked entries are pure functions of the id-named
-//! *values* — none reads the database, so all three survive every
-//! mutation. The cache records the
-//! [`Database::epoch`] it was filled under; [`DagCache::validate`] marks
-//! every example entry *stale* when the epoch moved, and the delta-aware
-//! [`DagCache::validate_db`] does better: it asks the database for the
-//! [`DbDelta`](sst_tables::DbDelta) spanning the move and keeps every
-//! example entry whose recorded reads (the tables its `Select`s touch, the
-//! node values that drove its reachability) provably don't intersect the
-//! delta fresh — so a row-level write into one background table leaves
-//! entries keyed to other tables warm. Structural mutations (a table added
-//! changes the default depth bound) and entries generated without the
-//! substring gate (whose activations aren't summarized by node values)
-//! fall back to marking everything stale.
+//! One rule: **a moved [`Database::epoch`] marks every example entry
+//! stale, and nothing else is invalidated.** Only the example memo (and
+//! each compiled program, see above) is scoped to one database state.
+//! Per-value DAGs are pure functions of the ordered source-symbol list
+//! behind their `SourcesEpoch` key, and intersection and ranked entries are
+//! pure functions of the id-named *values* — none reads the database, so
+//! all three survive every mutation. The cache records the epoch it was
+//! filled under, and [`DagCache::validate`] applies the rule when the
+//! epoch moved.
 //!
 //! A stale entry probes as a miss, so the example is regenerated; the
 //! regenerated structure is then *compared* with the stale value. Equal
-//! (the common case: an insert-then-delete, or a write that happened not
-//! to change this example's programs) keeps the old id, so every chain
+//! (the common case: a write into a table the example never reads, an
+//! insert-then-delete, or a write that happened not to change this
+//! example's programs) keeps the old id, so every chain and ranked entry
 //! keyed on it stays warm — and the comparison is cheap, since
 //! `Arc<T: Eq>` equality checks pointers first and the per-value DAGs the
 //! structure references survive mutations. Different mints a fresh id and
@@ -107,7 +100,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 
 use sst_syntactic::Dag;
-use sst_tables::{Database, IntMap, Symbol, TableId};
+use sst_tables::{Database, IntMap, Symbol};
 
 use crate::compiled::{Code, CompiledProgram};
 use crate::dstruct::{NodeId, SemDStruct};
@@ -127,33 +120,14 @@ pub(crate) struct ExampleKey {
     pub(crate) output: Symbol,
 }
 
-/// What one cached example structure *read* from the database, recorded at
-/// store time so [`DagCache::validate_db`] can prove a mutation span left
-/// the entry intact: the tables its `Select` programs touch, and every
-/// node value — the frontier strings whose substring relations drove
-/// reachability. A mutation that neither writes a read table nor touches a
-/// value substring-related to a node value cannot change the generation
-/// result (see `DbDelta::affects`).
-#[derive(Debug, Clone)]
-pub(crate) struct ExampleDeps {
-    /// Tables read by `Select` programs, sorted and deduplicated.
-    pub(crate) tables: Box<[TableId]>,
-    /// All node values (σ ∪ η̃), sorted and deduplicated.
-    pub(crate) vals: Box<[Symbol]>,
-}
-
-/// One example-memo entry: the structure, its example id, and (when the
-/// generation ran with the substring gate on) the reads that make it
-/// revalidatable across non-structural mutations.
+/// One example-memo entry: the structure, its example id, and whether a
+/// mutation has staled it.
 #[derive(Debug, Clone)]
 pub(crate) struct ExampleEntry {
     /// Names `d` in intersection chains. Minted from
     /// `CacheState::next_example`; never reused or rebound.
     pub(crate) id: u32,
     pub(crate) d: SemDStruct,
-    /// `None` = not revalidatable (gate-off generation): marked stale on
-    /// any epoch move.
-    pub(crate) deps: Option<ExampleDeps>,
     /// A mutation may have changed this example's generation: the entry
     /// probes as a miss, and `d` is kept only to compare the regenerated
     /// structure against (see the module docs).
@@ -418,9 +392,7 @@ impl DagCache {
     /// their keys (source-symbol snapshots and example-id chains) and
     /// never read the database. The common case — the epoch did not move
     /// — is a read-lock check, so concurrent learns validating the same
-    /// state never contend. Prefer [`DagCache::validate_db`], which keeps
-    /// fresh the example entries a known mutation span provably left
-    /// intact.
+    /// state never contend.
     pub fn validate(&self, db_epoch: u64) {
         if self.read().db_epoch == db_epoch {
             return;
@@ -432,35 +404,6 @@ impl DagCache {
             }
             state.db_epoch = db_epoch;
         }
-    }
-
-    /// Delta-aware [`DagCache::validate`]: when the epoch moved, asks the
-    /// database for the [`DbDelta`](sst_tables::DbDelta) spanning the move
-    /// and marks stale only the example entries the delta may have
-    /// affected (a read table mutated, or a touched value
-    /// substring-related to a node value). Marks every entry stale when
-    /// the span is structural, has left the journal, or belongs to a
-    /// diverged database lineage.
-    pub fn validate_db(&self, db: &Database) {
-        let db_epoch = db.epoch();
-        if self.read().db_epoch == db_epoch {
-            return;
-        }
-        let mut state = self.write();
-        if state.db_epoch == db_epoch {
-            return;
-        }
-        let delta = db
-            .delta_since(state.db_epoch)
-            .filter(|delta| !delta.structural);
-        for e in state.examples.values_mut() {
-            let intact = match (&delta, &e.deps) {
-                (Some(delta), Some(deps)) => !delta.affects(&deps.tables, &deps.vals),
-                _ => false,
-            };
-            e.stale |= !intact;
-        }
-        state.db_epoch = db_epoch;
     }
 
     /// The database epoch the entries are valid for.
@@ -580,9 +523,7 @@ impl DagCache {
     }
 
     /// Stores a freshly generated per-example structure, returning the
-    /// example id that names it. `deps` records what the generation read
-    /// (for selective retention by [`DagCache::validate_db`]); `None` marks
-    /// the entry non-revalidatable.
+    /// example id that names it.
     ///
     /// A fresh entry under the same key wins a race (generation is
     /// deterministic, so both values are equal). A stale entry is compared
@@ -598,7 +539,6 @@ impl DagCache {
         inputs: &[Symbol],
         output: Symbol,
         d: &SemDStruct,
-        deps: Option<ExampleDeps>,
     ) -> Option<u32> {
         let key = ExampleKey {
             inputs: inputs.into(),
@@ -614,7 +554,6 @@ impl DagCache {
                 return Some(e.id);
             }
             e.stale = false;
-            e.deps = deps;
             if e.d != *d {
                 let old = e.id;
                 e.id = state.next_example;
@@ -637,7 +576,6 @@ impl DagCache {
             ExampleEntry {
                 id,
                 d: d.clone(),
-                deps,
                 stale: false,
             },
         );
@@ -778,7 +716,7 @@ pub(crate) mod tests {
         let e = c.epoch_of(&[Symbol::intern("s")]);
         c.dag_for(e, Symbol::intern("v"), || dag(2));
         let (ins, out) = ([Symbol::intern("vi")], Symbol::intern("vo"));
-        c.store_example(7, &ins, out, &SemDStruct::default(), None);
+        c.store_example(7, &ins, out, &SemDStruct::default());
         c.validate(7);
         assert_eq!(c.dag_entries(), 1, "same epoch keeps entries");
         assert_eq!(c.example_entries(), 1);
@@ -797,99 +735,6 @@ pub(crate) mod tests {
         assert_eq!(c.db_epoch(), 8);
     }
 
-    #[test]
-    fn validate_db_retains_unaffected_examples() {
-        use sst_tables::{Database, Table};
-        let mut db = Database::from_tables(vec![
-            Table::new(
-                "Comp",
-                vec!["Id", "Name"],
-                vec![vec!["vc1", "VMicrosoft"], vec!["vc2", "VGoogle"]],
-            )
-            .unwrap(),
-            Table::new(
-                "Month",
-                vec!["MN", "MW"],
-                vec![vec!["vm1", "VJanuary"], vec!["vm2", "VFebruary"]],
-            )
-            .unwrap(),
-        ])
-        .unwrap();
-        let c = DagCache::new();
-        c.validate_db(&db);
-        let d = SemDStruct::default();
-        // An entry reading only Comp (table 0), one reading only Month
-        // (table 1), and a non-revalidatable one.
-        let deps0 = ExampleDeps {
-            tables: Box::new([0]),
-            vals: Box::new([Symbol::intern("vc2"), Symbol::intern("VGoogle")]),
-        };
-        let deps1 = ExampleDeps {
-            tables: Box::new([1]),
-            vals: Box::new([Symbol::intern("vm1"), Symbol::intern("VJanuary")]),
-        };
-        let epoch = db.epoch();
-        c.store_example(
-            epoch,
-            &[Symbol::intern("vc2")],
-            Symbol::intern("VGoogle"),
-            &d,
-            Some(deps0),
-        );
-        c.store_example(
-            epoch,
-            &[Symbol::intern("vm1")],
-            Symbol::intern("VJanuary"),
-            &d,
-            Some(deps1),
-        );
-        c.store_example(
-            epoch,
-            &[Symbol::intern("vx")],
-            Symbol::intern("vy"),
-            &d,
-            None,
-        );
-        assert_eq!(c.example_entries(), 3);
-
-        // A row insert into Month: the Comp entry survives, the Month
-        // entry and the non-revalidatable entry go stale.
-        db.insert_rows(1, vec![vec!["vm3", "VMarch"]]).unwrap();
-        c.validate_db(&db);
-        assert_eq!(c.db_epoch(), db.epoch());
-        assert_eq!(c.example_entries(), 1, "only the Comp-only entry survives");
-        assert!(c
-            .example(
-                db.epoch(),
-                &[Symbol::intern("vc2")],
-                Symbol::intern("VGoogle")
-            )
-            .is_some());
-
-        // A mutation touching a value substring-related to the surviving
-        // entry's node values stales it even though the table differs.
-        db.insert_rows(1, vec![vec!["vm4", "VGoogleplex"]]).unwrap();
-        c.validate_db(&db);
-        assert_eq!(c.example_entries(), 0, "substring-related delta stales");
-
-        // A structural mutation stales wholesale.
-        let deps = ExampleDeps {
-            tables: Box::new([0]),
-            vals: Box::new([Symbol::intern("vc1")]),
-        };
-        c.store_example(
-            db.epoch(),
-            &[Symbol::intern("vc1")],
-            Symbol::intern("VMicrosoft"),
-            &d,
-            Some(deps),
-        );
-        db.add_table(Table::new("P", vec!["K"], vec![vec!["vk1"]]).unwrap())
-            .unwrap();
-        c.validate_db(&db);
-        assert_eq!(c.example_entries(), 0, "structural delta stales examples");
-    }
-
     /// A tiny structure distinguishable by its node value.
     pub(crate) fn named_struct(tag: &str) -> SemDStruct {
         SemDStruct {
@@ -906,13 +751,13 @@ pub(crate) mod tests {
         let c = DagCache::new();
         let da = named_struct("sid-a");
         let db = named_struct("sid-b");
-        let ea = c.store_example(0, &[Symbol::intern("ia")], Symbol::intern("oa"), &da, None);
-        let eb = c.store_example(0, &[Symbol::intern("ib")], Symbol::intern("ob"), &db, None);
+        let ea = c.store_example(0, &[Symbol::intern("ia")], Symbol::intern("oa"), &da);
+        let eb = c.store_example(0, &[Symbol::intern("ib")], Symbol::intern("ob"), &db);
         let (ea, eb) = (ea.unwrap(), eb.unwrap());
         assert_ne!(ea, eb, "distinct examples, distinct ids");
         // Ids name example entries, not contents: the same value under a
         // different example key is a different id.
-        let ec = c.store_example(0, &[Symbol::intern("ic")], Symbol::intern("oc"), &da, None);
+        let ec = c.store_example(0, &[Symbol::intern("ic")], Symbol::intern("oc"), &da);
         assert_ne!(ec, Some(ea), "each example entry mints its own id");
         assert!(c.intersection(0, &[ea, eb]).is_none());
         c.store_intersection(0, &[ea, eb], &da);
@@ -943,7 +788,7 @@ pub(crate) mod tests {
         c.store_intersection(0, &[eb, ea], &db);
         assert_eq!(c.intersection_entries(), 1, "stale-epoch store dropped");
         assert_eq!(
-            c.store_example(0, &[Symbol::intern("id")], Symbol::intern("od"), &db, None),
+            c.store_example(0, &[Symbol::intern("id")], Symbol::intern("od"), &db),
             None,
             "stale-epoch example store names no id"
         );
@@ -961,8 +806,8 @@ pub(crate) mod tests {
         let d = named_struct("fiw");
         let ins = [Symbol::intern("fi")];
         let out = Symbol::intern("fo");
-        let u1 = c.store_example(0, &ins, out, &d, None);
-        let u2 = c.store_example(0, &ins, out, &named_struct("fiw-2"), None);
+        let u1 = c.store_example(0, &ins, out, &d);
+        let u2 = c.store_example(0, &ins, out, &named_struct("fiw-2"));
         assert_eq!(u1, u2, "re-store returns the canonical id");
         let (hit, hd) = c.example(0, &ins, out).expect("stored");
         assert_eq!(Some(hit), u1);
@@ -979,15 +824,15 @@ pub(crate) mod tests {
         let (da, db) = (named_struct("keep-a"), named_struct("keep-b"));
         let (ka, kb) = ([Symbol::intern("ka")], [Symbol::intern("kb")]);
         let out = Symbol::intern("ko");
-        let ea = c.store_example(0, &ka, out, &da, None).unwrap();
-        let eb = c.store_example(0, &kb, out, &db, None).unwrap();
+        let ea = c.store_example(0, &ka, out, &da).unwrap();
+        let eb = c.store_example(0, &kb, out, &db).unwrap();
         c.store_intersection(0, &[ea, eb], &da);
         c.validate(1);
         assert!(c.example(1, &ka, out).is_none(), "stale probes miss");
         assert_eq!(c.example_entries(), 0);
         // Regenerated to an equal value (a fresh allocation): same id.
-        assert_eq!(c.store_example(1, &ka, out, &da.clone(), None), Some(ea));
-        assert_eq!(c.store_example(1, &kb, out, &db, None), Some(eb));
+        assert_eq!(c.store_example(1, &ka, out, &da.clone()), Some(ea));
+        assert_eq!(c.store_example(1, &kb, out, &db), Some(eb));
         assert_eq!(c.example_entries(), 2);
         assert_eq!(c.example(1, &ka, out).map(|(id, _)| id), Some(ea));
         assert!(c.intersection(1, &[ea, eb]).is_some(), "chain stays warm");
@@ -999,13 +844,13 @@ pub(crate) mod tests {
         let (da, db) = (named_struct("chg-a"), named_struct("chg-b"));
         let (ka, kb) = ([Symbol::intern("ca")], [Symbol::intern("cb")]);
         let out = Symbol::intern("co");
-        let ea = c.store_example(0, &ka, out, &da, None).unwrap();
-        let eb = c.store_example(0, &kb, out, &db, None).unwrap();
+        let ea = c.store_example(0, &ka, out, &da).unwrap();
+        let eb = c.store_example(0, &kb, out, &db).unwrap();
         c.store_intersection(0, &[ea, eb], &da);
         c.store_intersection(0, &[eb, eb], &db);
         c.validate(1);
         let changed = named_struct("chg-a2");
-        let ea2 = c.store_example(1, &ka, out, &changed, None).unwrap();
+        let ea2 = c.store_example(1, &ka, out, &changed).unwrap();
         assert_ne!(ea2, ea, "a changed value never keeps the old id");
         assert!(ea2 > eb, "ids are minted monotonically, never reused");
         let (id, d) = c.example(1, &ka, out).expect("fresh entry");
@@ -1046,13 +891,11 @@ pub(crate) mod tests {
         // Re-minting an example id prunes the chains naming it; a flush of
         // the example memo takes every chain with it.
         let (ka, out) = ([Symbol::intern("rk-a")], Symbol::intern("rk-o"));
-        let id = c
-            .store_example(0, &ka, out, &named_struct("rk-1"), None)
-            .unwrap();
+        let id = c.store_example(0, &ka, out, &named_struct("rk-1")).unwrap();
         c.top_entry(0, &[id], 1, &w).unwrap();
         assert_eq!(c.ranked_entries(), 4);
         c.validate(1);
-        c.store_example(1, &ka, out, &named_struct("rk-2"), None);
+        c.store_example(1, &ka, out, &named_struct("rk-2"));
         assert_eq!(c.ranked_entries(), 3, "the re-minted id's chain is pruned");
     }
 

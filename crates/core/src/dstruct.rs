@@ -116,31 +116,6 @@ impl SemDStruct {
         self.top.as_ref().is_some_and(|top| top.is_nonempty())
     }
 
-    /// What this structure read from the database: the tables its
-    /// `Select` programs touch and every node value (the σ ∪ η̃ strings
-    /// whose substring relations drove reachability), both sorted and
-    /// deduplicated. A mutation that writes none of the tables and touches
-    /// no value substring-related to any of the strings provably leaves a
-    /// regeneration bit-identical — the revalidation criterion behind
-    /// `DagCache::validate_db` and `LearnedPrograms::survives`.
-    pub fn reads(&self) -> (Vec<TableId>, Vec<Symbol>) {
-        let mut tables: Vec<TableId> = Vec::new();
-        let mut vals: Vec<Symbol> = Vec::new();
-        for node in &self.nodes {
-            vals.extend(node.vals.iter().copied());
-            for prog in &node.progs {
-                if let GenLookupU::Select { table, .. } = prog {
-                    tables.push(*table);
-                }
-            }
-        }
-        tables.sort_unstable();
-        tables.dedup();
-        vals.sort_unstable();
-        vals.dedup();
-        (tables, vals)
-    }
-
     /// Exact number of programs with lookup depth ≤ `depth` (Figure 11(a)).
     pub fn count(&self, depth: usize) -> BigUint {
         let Some(top) = &self.top else {

@@ -42,7 +42,7 @@ use std::sync::Arc;
 use sst_syntactic::{generate_dag_prepared, AtomSet, Dag, GenOptions, PreparedSources};
 use sst_tables::{ColId, Database, IntMap, RowId, Symbol, TableId};
 
-use crate::cache::{DagCache, ExampleDeps, SourcesEpoch};
+use crate::cache::{DagCache, SourcesEpoch};
 use crate::dstruct::{NodeId, SemDStruct};
 use crate::reach::{reach, Activation, ReachPolicy, ReachState};
 use crate::CancelToken;
@@ -363,7 +363,7 @@ pub(crate) fn generate_str_u_keyed(
     // is deterministic in (db, inputs, output, opts), so an unmutated
     // database can serve the previous structure outright.
     let db_epoch = db.epoch();
-    cache.validate_db(db);
+    cache.validate(db_epoch);
     let ins: Vec<Symbol> = inputs.iter().map(|s| Symbol::intern(s)).collect();
     let out = Symbol::intern(output);
     if let Some((id, hit)) = cache.example(db_epoch, &ins, out) {
@@ -374,20 +374,7 @@ pub(crate) fn generate_str_u_keyed(
         // Partial structure: never enters the whole-example memo.
         return (d, None);
     }
-    // With the substring gate on, the structure's node values summarize
-    // exactly the strings that could activate cells, so recording the
-    // reads makes the entry revalidatable across unrelated row-level
-    // mutations; gate-off activations also depend on shared characters,
-    // which the summary cannot prove unaffected — those entries go stale
-    // on any epoch move.
-    let deps = opts.substring_gate.then(|| {
-        let (tables, vals) = d.reads();
-        ExampleDeps {
-            tables: tables.into(),
-            vals: vals.into(),
-        }
-    });
-    let id = cache.store_example(db_epoch, &ins, out, &d, deps);
+    let id = cache.store_example(db_epoch, &ins, out, &d);
     (d, id)
 }
 

@@ -40,7 +40,7 @@ use std::path::Path;
 
 use sst_tables::{Database, IntMap};
 
-use crate::cache::{CacheState, DagCache, ExampleDeps, ExampleEntry, ExampleKey};
+use crate::cache::{CacheState, DagCache, ExampleEntry, ExampleKey};
 use crate::SynthesisOptions;
 use codec::{decode_database, encode_database, Reader, SymDecoder, SymEncoder, Writer};
 use tree::{within, TreeDecoder, TreeEncoder};
@@ -262,42 +262,51 @@ pub fn read(
 /// not written: the first two are process-local (the restoring side binds
 /// to its own restored database's epoch), and a restored cache re-ranks
 /// each structure once, on its first `top()`.
+///
+/// Each memo is walked in an order the engine alone decides — sources
+/// epochs by id, DAGs by `(epoch id, value string)`, examples by example
+/// id, chains by key — never in hash order over process-global symbol
+/// ids, so the bytes do not depend on what the process interned before.
 fn encode_cache(cache: &DagCache, w: &mut Writer, sym: &mut SymEncoder) -> ArenaStats {
     let start = w.len();
     let state = cache.read();
     let mut tree = TreeEncoder::default();
-    w.list(&state.epochs, |w, (syms, &id)| {
+    let mut epochs: Vec<_> = state.epochs.iter().collect();
+    epochs.sort_unstable_by_key(|&(_, &id)| id);
+    w.list(epochs, |w, (syms, &id)| {
         w.list(syms.iter(), |w, &s| sym.sym(s, w));
         w.u32(id);
     });
     w.u32(state.next_epoch);
-    w.list(&state.dags, |w, (&(epoch, value), dag)| {
+    let mut dags: Vec<_> = state.dags.iter().collect();
+    dags.sort_unstable_by_key(|&(&(epoch, value), _)| (epoch, value.as_str()));
+    w.list(dags, |w, (&(epoch, value), dag)| {
         w.u32(epoch);
         sym.sym(value, w);
         tree.dag(dag, w, sym);
     });
     w.u32(state.next_example);
-    w.list(&state.examples, |w, (key, entry)| {
+    let mut examples: Vec<_> = state.examples.iter().collect();
+    examples.sort_unstable_by_key(|&(_, entry)| entry.id);
+    w.list(examples, |w, (key, entry)| {
         w.list(key.inputs.iter(), |w, &s| sym.sym(s, w));
         sym.sym(key.output, w);
         w.u32(entry.id);
         w.bool(entry.stale);
-        w.bool(entry.deps.is_some());
-        if let Some(deps) = &entry.deps {
-            w.list(deps.tables.iter(), |w, &t| w.u32(t));
-            w.list(deps.vals.iter(), |w, &v| sym.sym(v, w));
-        }
+        // The optional read set of earlier writers: always absent.
+        w.bool(false);
         tree.structure(&entry.d, w, sym);
     });
     // A learn racing a re-mint can store a chain naming an id no entry
     // carries any more; it can never be served, so it is not written (the
     // decoder refuses such chains).
     let live: IntMap<u32, ()> = state.examples.values().map(|e| (e.id, ())).collect();
-    let intersections: Vec<_> = state
+    let mut intersections: Vec<_> = state
         .intersections
         .iter()
         .filter(|(chain, _)| chain.iter().all(|id| live.contains_key(id)))
         .collect();
+    intersections.sort_unstable_by_key(|&(chain, _)| chain);
     w.list(intersections, |w, (chain, d)| {
         w.list(chain.iter(), |w, &id| w.u32(id));
         tree.structure(d, w, sym);
@@ -372,18 +381,15 @@ fn decode_cache(
             return Err(corrupt(format!("duplicate example id {id}")));
         }
         let stale = r.bool()?;
-        let deps = if r.bool()? {
-            Some(ExampleDeps {
-                tables: r.list(Reader::u32)?.into(),
-                vals: r.list(|r| sym.sym(r))?.into(),
-            })
-        } else {
-            None
-        };
+        // A read set (tables, node values), written by earlier versions of
+        // the format's writer: parsed and dropped.
+        if r.bool()? {
+            r.list(Reader::u32)?;
+            r.list(|r| sym.sym(r))?;
+        }
         let entry = ExampleEntry {
             id,
             d: tree.structure(r, sym)?,
-            deps,
             stale,
         };
         let key = ExampleKey {
@@ -506,8 +512,8 @@ mod tests {
         let c = DagCache::new();
         let mut d = named_struct("dup");
         d.top = Some(Arc::new(dag(2)));
-        c.store_example(0, &[Symbol::intern("a1")], Symbol::intern("b1"), &d, None);
-        c.store_example(0, &[Symbol::intern("a2")], Symbol::intern("b2"), &d, None);
+        c.store_example(0, &[Symbol::intern("a1")], Symbol::intern("b1"), &d);
+        c.store_example(0, &[Symbol::intern("a2")], Symbol::intern("b2"), &d);
         let (bytes, stats) = encode_stats(&c);
         // The shared top DAG is written once, then back-referenced.
         assert_eq!((stats.stored, stats.interned), (1, 2));
@@ -532,16 +538,12 @@ mod tests {
         let db = named_struct("snap-b");
         let ins = [Symbol::intern("snap-in")];
         let out = Symbol::intern("snap-out");
-        let deps = ExampleDeps {
-            tables: Box::new([0]),
-            vals: Box::new([Symbol::intern("snap-in")]),
-        };
-        let ua = c.store_example(5, &ins, out, &da, Some(deps)).unwrap();
+        let ua = c.store_example(5, &ins, out, &da).unwrap();
         let ub = c
-            .store_example(5, &[Symbol::intern("snap-in2")], out, &db, None)
+            .store_example(5, &[Symbol::intern("snap-in2")], out, &db)
             .unwrap();
         let stale_key = [Symbol::intern("snap-stale")];
-        c.store_example(5, &stale_key, out, &db, None);
+        c.store_example(5, &stale_key, out, &db);
         c.store_intersection(5, &[ua, ub], &da);
         // Stale entries travel with their flag.
         let key = ExampleKey {
@@ -570,7 +572,7 @@ mod tests {
         assert!(restored.stats().example_hits > 0);
         // The id counter travels too: the next example never reuses one.
         let next = restored
-            .store_example(77, &[Symbol::intern("snap-in3")], out, &da, None)
+            .store_example(77, &[Symbol::intern("snap-in3")], out, &da)
             .unwrap();
         assert_eq!(next, c.read().next_example);
     }
@@ -579,7 +581,7 @@ mod tests {
     fn decode_rejects_out_of_range_ids() {
         let c = DagCache::new();
         let d = named_struct("oob");
-        c.store_example(0, &[Symbol::intern("oi")], Symbol::intern("oo"), &d, None);
+        c.store_example(0, &[Symbol::intern("oi")], Symbol::intern("oo"), &d);
         let bytes = encode(&c);
         // Rather than byte-surgery, decode a truncated payload.
         let err = decode(&bytes[..bytes.len() - 4]).unwrap_err();
@@ -629,7 +631,7 @@ mod tests {
         c.put(&[0, 0, 0, next_example, ids.len() as u32]);
         for (i, &id) in ids.iter().enumerate() {
             let input = format!("crafted-in{i}");
-            // Fresh, no deps.
+            // Fresh, no read set.
             c.put(&[1]).sym(&input).sym("crafted-out").put(&[id, 0, 0]);
             tree.structure(&d, &mut c.body, &mut c.sym);
         }
@@ -680,7 +682,7 @@ mod tests {
         // Epoch id 0, next_epoch 1, one DAG-memo entry under epoch 0.
         c.put(&[0, 1, 1, 0]).sym("crafted-value");
         c.put(&FULL_DAG).put(&[1, memo_node]);
-        // next_example 1, one example: id 0, fresh, no deps.
+        // next_example 1, one example: id 0, fresh, no read set.
         c.put(&[1, 1, 1]).sym("crafted-in").sym("crafted-out");
         c.put(&[0, 0, 0]).put(structure).put(&[0]);
         c.finish()
@@ -732,7 +734,7 @@ mod tests {
     fn encode_skips_chains_naming_dropped_ids() {
         let c = DagCache::new();
         let d = named_struct("orphan");
-        let e = c.store_example(0, &[Symbol::intern("or")], Symbol::intern("oo"), &d, None);
+        let e = c.store_example(0, &[Symbol::intern("or")], Symbol::intern("oo"), &d);
         let e = e.unwrap();
         c.store_intersection(0, &[e, e], &d);
         // A chain a racing learn stored after its id was re-minted.

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use sst_counting::BigUint;
 use sst_syntactic::TokenSet;
-use sst_tables::{Database, DbDelta, Symbol, Table, TableError, TableId};
+use sst_tables::{Database, Table, TableError, TableId};
 
 use crate::cache::{DagCache, TopEntry, TopMemo};
 use crate::dstruct::SemDStruct;
@@ -397,26 +397,10 @@ impl Synthesizer {
         if cancel.is_cancelled() {
             return Err(SynthesisError::Cancelled);
         }
-        // Union of every per-example generation's reads (NOT the final
-        // intersected structure's: a mutation can change one example's
-        // generation through a node the intersection later dropped). Only
-        // collected under the substring gate, where node values summarize
-        // the activation-relevant strings — see `SemDStruct::reads`.
-        let mut reads: Option<(Vec<TableId>, Vec<Symbol>)> =
-            self.options.lu.substring_gate.then(|| d.reads());
         for e in &examples[1..] {
             let (next, next_id) = generate(e);
             if cancel.is_cancelled() {
                 return Err(SynthesisError::Cancelled);
-            }
-            if let Some((tables, vals)) = &mut reads {
-                let (t2, v2) = next.reads();
-                tables.extend(t2);
-                tables.sort_unstable();
-                tables.dedup();
-                vals.extend(v2);
-                vals.sort_unstable();
-                vals.dedup();
             }
             (d, chain) = intersect_step(cache, db_epoch, d, chain, &next, next_id, cancel);
             if cancel.is_cancelled() {
@@ -443,7 +427,6 @@ impl Synthesizer {
             dstruct: d,
             db: Arc::clone(&self.db),
             options: self.options.clone(),
-            reads,
             memo,
         })
     }
@@ -490,10 +473,6 @@ pub struct LearnedPrograms {
     db: Arc<Database>,
     options: SynthesisOptions,
     depth: usize,
-    /// Union of every per-example generation's database reads (tables,
-    /// node values), for [`LearnedPrograms::survives`]. `None` when the
-    /// learn ran without the substring gate (not revalidatable).
-    reads: Option<(Vec<TableId>, Vec<Symbol>)>,
     /// The ranked memo entry behind [`LearnedPrograms::top`]: shared
     /// through the [`DagCache`] when an example-id chain names the
     /// structure, private to this learned set (and its clones) otherwise.
@@ -504,24 +483,6 @@ impl LearnedPrograms {
     /// The underlying `Du` data structure.
     pub fn dstruct(&self) -> &SemDStruct {
         &self.dstruct
-    }
-
-    /// True iff the mutation span `delta` provably leaves this learn
-    /// result intact: re-learning the same examples against the mutated
-    /// database would produce a bit-identical structure, and the bundled
-    /// programs evaluate identically (they only probe tables the learn
-    /// read, none of which mutated). Upstream session caches use this to
-    /// keep learned results — and their compiled forms — warm across
-    /// unrelated row-level mutations. Structural deltas and gate-off
-    /// learns never survive.
-    pub fn survives(&self, delta: &DbDelta) -> bool {
-        if delta.is_empty() {
-            return true;
-        }
-        match &self.reads {
-            Some((tables, vals)) => !delta.affects(tables, vals),
-            None => false,
-        }
     }
 
     /// Exact number of consistent programs with lookup depth ≤ k

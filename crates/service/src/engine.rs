@@ -25,8 +25,8 @@ pub(crate) struct EngineInner {
     db: RwLock<Arc<Database>>,
     /// The one warm memoized DAG plane. Interior-mutable with a read-lock
     /// warm path, so concurrent sessions share it without serializing; it
-    /// self-validates against the database epoch, so a table added through
-    /// [`Engine::add_table`] invalidates it for *every* session at once.
+    /// self-validates against the database epoch, so any mutation through
+    /// the engine stales its example entries for *every* session at once.
     cache: Arc<DagCache>,
     /// Engine-wide synthesis options (a session cannot diverge from them:
     /// the shared cache is only sound across equal generation options).
@@ -155,7 +155,7 @@ impl Engine {
     ///
     /// The cache is revalidated against the current database state first,
     /// so the snapshot never carries a servable entry from a database the
-    /// file doesn't contain (entries a mutation may have changed travel
+    /// file doesn't contain (after a mutation the example entries travel
     /// marked stale, kept only to compare a regeneration against).
     pub fn snapshot_to(&self, path: &Path) -> Result<u64, ServiceError> {
         self.validate_cache();
@@ -210,12 +210,11 @@ impl Engine {
     }
 
     /// Appends rows to a background table for **all** sessions, returning
-    /// the new row ids. A row-level mutation, unlike [`Engine::add_table`],
-    /// is *non-structural*: the table's indexes are maintained
-    /// incrementally (microseconds per row, not a rebuild), and on the
-    /// next learn the shared DAG plane and each session's cached learn
-    /// revalidate against the mutation delta — entries that provably read
-    /// only other tables stay warm instead of cold-starting.
+    /// the new row ids. The table's indexes are maintained incrementally
+    /// (microseconds per row, not a rebuild). Like every mutation it moves
+    /// the database epoch: on the next learn the shared plane marks its
+    /// example entries stale, and each session re-learns through it
+    /// (see [`Engine::validate_cache`]).
     pub fn insert_rows<R: Into<String>>(
         &self,
         table: TableId,
@@ -230,8 +229,8 @@ impl Engine {
     }
 
     /// Overwrites one cell for **all** sessions, returning the old value.
-    /// Same delta-aware invalidation as [`Engine::insert_rows`]; a
-    /// no-op write (the value did not change) moves no epoch at all.
+    /// Same invalidation as [`Engine::insert_rows`]; a no-op write (the
+    /// value did not change) moves no epoch at all.
     pub fn update_cell(
         &self,
         table: TableId,
@@ -250,7 +249,7 @@ impl Engine {
     /// Deletes rows from a background table for **all** sessions,
     /// returning how many live rows were removed. Deletes tombstone in
     /// place (row ids stay stable) until garbage dominates the table, then
-    /// compact. Same delta-aware invalidation as [`Engine::insert_rows`].
+    /// compact. Same invalidation as [`Engine::insert_rows`].
     pub fn delete_rows(&self, table: TableId, rows: &[RowId]) -> Result<usize, ServiceError> {
         let mut guard = self
             .inner
@@ -261,17 +260,21 @@ impl Engine {
     }
 
     /// Revalidates the shared DAG plane against the current database
-    /// state *now* (it otherwise happens lazily on the next learn):
-    /// retained-entry counts become observable immediately, which the
-    /// mutation benchmarks use to measure warm-entry survival.
+    /// epoch *now* (it otherwise happens lazily on the next learn): when
+    /// the epoch moved, every example entry is marked stale and nothing
+    /// else is invalidated. A stale example regenerates on its next learn
+    /// and keeps its id (and every chain over it) when the regenerated
+    /// structure is equal.
     pub fn validate_cache(&self) {
-        self.inner.cache.validate_db(&self.read_db());
+        self.inner.cache.validate(self.read_db().epoch());
     }
 
     /// Entry counts of the shared memo plane `(per-value DAGs, servable
     /// (non-stale) examples, intersection chains)` — alongside
-    /// [`Engine::cache_stats`], the observable the warm-across-mutation
-    /// tests and benchmarks assert on.
+    /// [`Engine::cache_stats`], the observable the mutation tests and
+    /// benchmarks assert on. After [`Engine::validate_cache`] on a moved
+    /// epoch the example count is zero until learns regenerate them; the
+    /// DAG and chain counts are untouched.
     pub fn cache_entries(&self) -> (usize, usize, usize) {
         let c = &self.inner.cache;
         (

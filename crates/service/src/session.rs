@@ -34,9 +34,10 @@ struct CachedLearn {
 /// caches the result, so callers never hand-roll the re-learn loop. The
 /// learn itself runs through the engine's shared memo plane: re-learning
 /// on a grown example prefix replays earlier generations and intersections
-/// as memo hits, and a table added through [`Engine::add_table`] (or
-/// [`Session::add_table`]) invalidates every session's cached learn at
-/// once via the database epoch.
+/// as memo hits, and any mutation through the engine (a table added
+/// through [`Engine::add_table`] or [`Session::add_table`], a row
+/// inserted, updated or deleted) invalidates every session's cached learn
+/// at once via the database epoch.
 ///
 /// Sessions are independent: two sessions on one engine hold separate
 /// conversations over the same background knowledge.
@@ -205,33 +206,20 @@ impl Session {
     /// before touching them — and so an `Err` never disturbs session
     /// state.
     ///
-    /// When the database epoch moved under an unchanged example set, the
-    /// cached learn (and its compiled form) is kept — not re-learned, not
-    /// re-compiled — if the mutation span provably didn't affect it
-    /// ([`LearnedPrograms::survives`]): the span is row-level, and no
-    /// mutated table or touched value intersects what the learn read. A
-    /// row inserted into one background table therefore leaves every
-    /// session whose programs read other tables fully warm; a table
-    /// *added* (structural — it changes the default lookup depth) still
-    /// invalidates everyone.
+    /// The cached learn is kept only while the examples and the database
+    /// epoch are unchanged. After any mutation the session re-learns
+    /// through the engine's memo plane: each example regenerates, and an
+    /// example whose structure came out equal keeps its id, so its
+    /// intersection chains and ranked entry are served warm.
     fn ensure_learned(&mut self) -> Result<(), ServiceError> {
         let synthesizer = self.engine.budgeted_synthesizer(self.budget);
-        let db = synthesizer.db_arc();
-        let db_epoch = db.epoch();
-        if let Some(cached) = &mut self.learned {
-            if cached.db_epoch == db_epoch {
-                return Ok(());
-            }
-            let survives = db
-                .delta_since(cached.db_epoch)
-                .is_some_and(|delta| cached.learned.survives(&delta));
-            if survives {
-                // Re-bind to the new epoch: the programs' own database
-                // snapshot only probes unmutated tables, so every
-                // observable stays bit-identical.
-                cached.db_epoch = db_epoch;
-                return Ok(());
-            }
+        let db_epoch = synthesizer.db_arc().epoch();
+        if self
+            .learned
+            .as_ref()
+            .is_some_and(|cached| cached.db_epoch == db_epoch)
+        {
+            return Ok(());
         }
         let mut result = synthesizer
             .learn(&self.examples)

@@ -286,12 +286,13 @@ fn warm_apply_leaves_the_database_unpinned() {
     );
 }
 
-/// The mutation satellite: a row-level write to a table no learned program
-/// reads must keep other sessions warm — no re-learn, no re-compile, warm
-/// shared-plane entries preserved — while a write to a table the program
-/// *does* read still invalidates.
+/// A row-level write to a table no learned program reads moves the epoch,
+/// so the session re-learns — but warm, through the plane: each example
+/// regenerates to an equal structure and keeps its id, so the chain and
+/// the ranking are served and only the top program is lowered again for
+/// the new epoch. A write to the table the program *does* read is seen.
 #[test]
-fn unrelated_mutation_keeps_sessions_and_plane_warm() {
+fn unrelated_mutation_relearns_warm_through_the_plane() {
     let engine = Engine::from_tables(vec![
         comp_table(),
         Table::new(
@@ -302,19 +303,23 @@ fn unrelated_mutation_keeps_sessions_and_plane_warm() {
         .unwrap(),
     ])
     .unwrap();
+    let examples = [
+        Example::new(vec!["c2"], "Google"),
+        Example::new(vec!["c3"], "Apple"),
+    ];
     let mut session = engine.session();
-    session.add_example(Example::new(vec!["c2"], "Google"));
-    let col: Vec<Vec<String>> = vec![vec!["c1".into()], vec!["c3".into()]];
+    session.add_examples(examples.clone());
+    let col: Vec<Vec<String>> = vec![vec!["c1".into()], vec!["c4".into()]];
     let warm = session.run_column(&col).unwrap();
     assert_eq!(
         warm,
-        vec![Some("Microsoft".to_string()), Some("Apple".to_string())]
+        vec![Some("Microsoft".to_string()), Some("Facebook".to_string())]
     );
-    let compiled_before = session.compiled_top().unwrap();
     let observed_before = (session.count().unwrap(), session.size().unwrap());
     let stats_before = engine.cache_stats();
     let entries_before = engine.cache_entries();
-    assert!(entries_before.1 > 0, "the learn warmed the example memo");
+    assert_eq!(entries_before.1, 2, "the learn warmed the example memo");
+    assert_eq!(entries_before.2, 1, "the learn warmed the chain");
     let epoch_before = engine.db_epoch();
 
     // Insert, update and delete rows of the table the program never
@@ -324,33 +329,51 @@ fn unrelated_mutation_keeps_sessions_and_plane_warm() {
     engine.delete_rows(1, &[1]).unwrap();
     assert_ne!(engine.db_epoch(), epoch_before, "mutations move the epoch");
 
-    // The session's compiled run_column path stays warm: identical
-    // outputs, the same compiled allocation, and no fresh generation
-    // through the shared plane.
-    assert_eq!(session.run_column(&col).unwrap(), warm);
-    let compiled_after = session.compiled_top().unwrap();
-    assert!(
-        Arc::ptr_eq(&compiled_before, &compiled_after),
-        "unrelated mutation must not recompile the top program"
-    );
-    let stats_after = engine.cache_stats();
+    // The epoch move stales every example entry and nothing else.
+    engine.validate_cache();
+    let stale = engine.cache_entries();
+    assert_eq!(stale.1, 0, "an epoch move stales the example memo");
     assert_eq!(
-        stats_after.example_misses, stats_before.example_misses,
-        "unrelated mutation must not force a regeneration"
+        (stale.0, stale.2),
+        (entries_before.0, entries_before.2),
+        "the DAG and chain memos survive"
     );
 
+    // Same outputs, count and size, served warm through the plane.
+    assert_eq!(session.run_column(&col).unwrap(), warm);
     assert_eq!(
         (session.count().unwrap(), session.size().unwrap()),
         observed_before,
         "unrelated mutation must not change the program count or size"
     );
-
-    // The shared plane revalidates without losing a single entry.
-    engine.validate_cache();
+    let stats_after = engine.cache_stats();
+    assert_eq!(
+        stats_after.example_misses - stats_before.example_misses,
+        2,
+        "one regeneration per example"
+    );
+    assert_eq!(
+        stats_after.intersect_misses, stats_before.intersect_misses,
+        "equal regenerations keep their ids: the chain is served"
+    );
+    assert_eq!(
+        stats_after.rank_misses, stats_before.rank_misses,
+        "the ranking is served"
+    );
+    assert_eq!(
+        stats_after.compile_misses - stats_before.compile_misses,
+        1,
+        "code is scoped to its epoch: lowered once more"
+    );
     assert_eq!(engine.cache_entries(), entries_before);
 
-    // A write to the table the program READS invalidates: the session
-    // re-learns against the new state and sees the new cell.
+    // The warm re-learn answers like a cold engine on the mutated
+    // database.
+    let cold = Engine::new(engine.db());
+    assert_eq!(cold.apply(&examples, &col).unwrap(), warm);
+
+    // A write to the table the program READS is seen: the session
+    // re-learns against the new state and regenerates.
     engine.update_cell(0, 1, 0, "Microsofty").unwrap();
     assert_eq!(
         session.run(&["c1"]).unwrap().as_deref(),

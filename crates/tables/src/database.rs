@@ -1,7 +1,6 @@
-//! A named collection of tables with per-table epochs and a mutation
-//! journal.
+//! A named collection of tables with a mutation epoch.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -19,77 +18,6 @@ pub type TableId = u32;
 /// results across them is sound.
 static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
 
-/// Mutation-journal depth: how far back [`Database::delta_since`] can
-/// describe history. A cache whose epoch fell off the window simply gets
-/// `None` (= invalidate fully), so the bound trades a little warm-cache
-/// retention for a hard memory cap.
-const JOURNAL_CAP: usize = 128;
-
-/// One mutation event: which table moved, which cell values were involved,
-/// and the epoch edge it created.
-#[derive(Debug, Clone)]
-struct JournalEntry {
-    /// Epoch before this mutation (chains entries into a lineage).
-    prev_epoch: u64,
-    /// Epoch this mutation produced.
-    epoch: u64,
-    /// The mutated table.
-    table: TableId,
-    /// Cell values the mutation added or removed (old + new for updates).
-    touched: Vec<Symbol>,
-    /// Whether the mutation changed the database's *shape* (table count),
-    /// which shifts depth bounds and invalidates everything.
-    structural: bool,
-}
-
-/// What changed between two epochs of one database lineage — the answer
-/// [`Database::delta_since`] assembles from the journal so caches can
-/// invalidate *selectively* instead of wholesale.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DbDelta {
-    /// Whether any covered mutation was structural (`add_table`): depth
-    /// bounds moved, nothing survives.
-    pub structural: bool,
-    /// Tables mutated over the span, ascending, deduplicated.
-    pub tables: Vec<TableId>,
-    /// Cell values added or removed over the span (old and new values of
-    /// updates), deduplicated.
-    pub touched: Vec<Symbol>,
-}
-
-impl DbDelta {
-    /// True iff nothing changed (the two epochs are the same state).
-    pub fn is_empty(&self) -> bool {
-        !self.structural && self.tables.is_empty() && self.touched.is_empty()
-    }
-
-    /// Whether a cached result that read `tables_read` and whose reachable
-    /// string set is `strings` could be changed by this delta.
-    ///
-    /// Conservative in exactly the right direction: `true` may be a false
-    /// alarm (cache entry dropped needlessly), `false` is a guarantee —
-    /// none of the entry's tables were written, and no added/removed cell
-    /// value is in a substring relation with any string the entry's
-    /// generation ever compared against cells, so replaying the
-    /// computation against the mutated database reaches the same state.
-    pub fn affects(&self, tables_read: &[TableId], strings: &[Symbol]) -> bool {
-        if self.structural {
-            return true;
-        }
-        if self.tables.iter().any(|t| tables_read.contains(t)) {
-            return true;
-        }
-        self.touched.iter().any(|d| {
-            let ds = d.as_str();
-            !ds.is_empty()
-                && strings.iter().any(|s| {
-                    let ss = s.as_str();
-                    !ss.is_empty() && (ss.contains(ds) || ds.contains(ss))
-                })
-        })
-    }
-}
-
 /// The relational database the synthesizer runs against: the user's helper
 /// tables plus any background-knowledge tables (§6).
 ///
@@ -104,10 +32,8 @@ impl DbDelta {
 /// once tombstones dominate ([`Table::should_compact`]) the table is
 /// compacted, which rebuilds its indexes.
 ///
-/// Every mutation draws a globally fresh epoch, records it in the
-/// journal, and stamps the mutated table's entry in
-/// [`Database::table_epochs`]; [`Database::delta_since`] replays the
-/// journal so caches can keep entries that provably didn't change.
+/// Every mutation draws a globally fresh [`Database::epoch`]; a cache
+/// scoped to one database state re-derives what it served once it moves.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: Vec<Table>,
@@ -118,11 +44,6 @@ pub struct Database {
     /// detect background-table mutation between learning steps. `0` = the
     /// empty database.
     epoch: u64,
-    /// Per-table epochs: `table_epochs[t]` is the database epoch of the
-    /// last mutation that touched table `t` (its creation, at minimum).
-    table_epochs: Vec<u64>,
-    /// Recent mutation events, oldest first, chained by `prev_epoch`.
-    journal: VecDeque<JournalEntry>,
 }
 
 impl Database {
@@ -140,21 +61,9 @@ impl Database {
         Ok(db)
     }
 
-    /// Draws a fresh epoch and journals one mutation event against `table`.
-    fn bump(&mut self, table: TableId, touched: Vec<Symbol>, structural: bool) {
-        let prev_epoch = self.epoch;
+    /// Draws a fresh epoch: one mutation event.
+    fn bump(&mut self) {
         self.epoch = NEXT_EPOCH.fetch_add(1, Ordering::Relaxed);
-        self.table_epochs[table as usize] = self.epoch;
-        self.journal.push_back(JournalEntry {
-            prev_epoch,
-            epoch: self.epoch,
-            table,
-            touched,
-            structural,
-        });
-        if self.journal.len() > JOURNAL_CAP {
-            self.journal.pop_front();
-        }
     }
 
     fn check_table(&self, id: TableId) -> Result<(), TableError> {
@@ -165,9 +74,8 @@ impl Database {
         }
     }
 
-    /// Adds a table; returns its id. This is the one *structural* mutation:
-    /// the table count feeds the synthesizer's depth bound, so caches treat
-    /// it as invalidate-everything.
+    /// Adds a table; returns its id. Like every mutation it moves the
+    /// epoch.
     pub fn add_table(&mut self, table: Table) -> Result<TableId, TableError> {
         if self.by_name.contains_key(table.name()) {
             return Err(TableError::DuplicateTable(table.name().to_string()));
@@ -175,8 +83,7 @@ impl Database {
         let id = self.tables.len() as TableId;
         self.by_name.insert(table.name().to_string(), id);
         self.tables.push(table);
-        self.table_epochs.push(0);
-        self.bump(id, Vec::new(), true);
+        self.bump();
         Ok(id)
     }
 
@@ -188,12 +95,8 @@ impl Database {
         rows: Vec<Vec<R>>,
     ) -> Result<Vec<RowId>, TableError> {
         self.check_table(table)?;
-        let t = &mut self.tables[table as usize];
-        let ids = t.insert_rows(rows)?;
-        let mut touched: Vec<Symbol> = ids.iter().flat_map(|&r| t.row(r)).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        self.bump(table, touched, false);
+        let ids = self.tables[table as usize].insert_rows(rows)?;
+        self.bump();
         Ok(ids)
     }
 
@@ -209,11 +112,8 @@ impl Database {
         self.check_table(table)?;
         let t = &mut self.tables[table as usize];
         let old = t.update_cell(col, row, value)?;
-        let new = t.cell_sym(col, row);
-        if new != old {
-            let mut touched = vec![old, new];
-            touched.sort_unstable();
-            self.bump(table, touched, false);
+        if t.cell_sym(col, row) != old {
+            self.bump();
         }
         Ok(old)
     }
@@ -230,11 +130,8 @@ impl Database {
         if t.should_compact() {
             t.compact();
         }
-        let mut touched: Vec<Symbol> = removed.iter().flat_map(|(_, vals)| vals).copied().collect();
-        touched.sort_unstable();
-        touched.dedup();
-        self.bump(table, touched, false);
-        Ok(removed.len())
+        self.bump();
+        Ok(removed)
     }
 
     /// The database's mutation epoch: changes (to a process-globally fresh
@@ -242,51 +139,6 @@ impl Database {
     /// equal contents, which is the invariant result caches rely on.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Per-table epochs, indexed by [`TableId`]: the database epoch of the
-    /// last mutation touching each table. A cache entry that recorded
-    /// which tables it read stays provably fresh while those tables'
-    /// epochs haven't moved.
-    pub fn table_epochs(&self) -> &[u64] {
-        &self.table_epochs
-    }
-
-    /// The epoch of the last mutation touching one table.
-    pub fn table_epoch(&self, id: TableId) -> u64 {
-        self.table_epochs[id as usize]
-    }
-
-    /// Describes everything that changed since `epoch`, if the journal
-    /// still covers the span: `Some(delta)` walks the mutation chain back
-    /// to `epoch` (empty delta when `epoch` is current); `None` means the
-    /// span is unknowable — `epoch` fell off the journal window or belongs
-    /// to a diverged clone lineage (epochs are globally unique, so a
-    /// foreign epoch never chains) — and callers must fall back to full
-    /// invalidation.
-    pub fn delta_since(&self, epoch: u64) -> Option<DbDelta> {
-        if epoch == self.epoch {
-            return Some(DbDelta::default());
-        }
-        let mut delta = DbDelta::default();
-        let mut expect = self.epoch;
-        for entry in self.journal.iter().rev() {
-            if entry.epoch != expect {
-                return None; // defensive: the chain must be gapless
-            }
-            expect = entry.prev_epoch;
-            delta.structural |= entry.structural;
-            delta.tables.push(entry.table);
-            delta.touched.extend_from_slice(&entry.touched);
-            if entry.prev_epoch == epoch {
-                delta.tables.sort_unstable();
-                delta.tables.dedup();
-                delta.touched.sort_unstable();
-                delta.touched.dedup();
-                return Some(delta);
-            }
-        }
-        None
     }
 
     /// Number of tables.
@@ -461,24 +313,20 @@ mod tests {
     }
 
     #[test]
-    fn mutations_bump_only_their_table_epoch() {
+    fn every_mutation_moves_the_epoch() {
         let mut d = db();
-        let (ea, eb) = (d.table_epoch(0), d.table_epoch(1));
+        let e = d.epoch();
         d.insert_rows(0, vec![vec!["7"]]).unwrap();
-        assert_ne!(d.table_epoch(0), ea, "mutated table's epoch moves");
-        assert_eq!(d.table_epoch(1), eb, "other table's epoch is untouched");
-        assert_eq!(
-            d.epoch(),
-            d.table_epoch(0),
-            "generation tracks the last write"
-        );
+        assert_ne!(d.epoch(), e, "an insert moves the epoch");
         let e = d.epoch();
         // A no-op update bumps nothing.
         d.update_cell(1, 0, 0, "2").unwrap();
         assert_eq!(d.epoch(), e);
         d.update_cell(1, 0, 0, "9").unwrap();
-        assert_ne!(d.epoch(), e);
-        assert_eq!(d.table_epochs().len(), 2);
+        assert_ne!(d.epoch(), e, "a real update moves the epoch");
+        let e = d.epoch();
+        d.delete_rows(0, &[0]).unwrap();
+        assert_ne!(d.epoch(), e, "a delete moves the epoch");
     }
 
     #[test]
@@ -495,52 +343,6 @@ mod tests {
         assert_eq!(hits.len(), 1);
         assert_eq!(d.cells_equal(Symbol::intern("1")).count(), 0);
         assert_eq!(d.total_cells(), 1 + 4);
-    }
-
-    #[test]
-    fn delta_since_describes_the_span() {
-        let mut d = db();
-        let e0 = d.epoch();
-        assert_eq!(d.delta_since(e0), Some(DbDelta::default()));
-        d.insert_rows(0, vec![vec!["7"]]).unwrap();
-        let e1 = d.epoch();
-        d.update_cell(1, 1, 0, "9").unwrap();
-        let delta = d.delta_since(e0).unwrap();
-        assert!(!delta.structural);
-        assert_eq!(delta.tables, vec![0, 1]);
-        let mut touched: Vec<&str> = delta.touched.iter().map(|s| s.as_str()).collect();
-        touched.sort_unstable();
-        assert_eq!(touched, vec!["3", "7", "9"]);
-        // Mid-span queries see only the tail.
-        let tail = d.delta_since(e1).unwrap();
-        assert_eq!(tail.tables, vec![1]);
-        // Structural mutations poison the whole span.
-        d.add_table(Table::new("C", vec!["W"], vec![vec!["w"]]).unwrap())
-            .unwrap();
-        assert!(d.delta_since(e0).unwrap().structural);
-        // Unknown epochs (foreign lineage) are unanswerable.
-        assert_eq!(d.delta_since(999_999_999), None);
-    }
-
-    #[test]
-    fn delta_affects_reads_and_substrings() {
-        let mut d = db();
-        let e0 = d.epoch();
-        d.insert_rows(0, vec![vec!["abc"]]).unwrap();
-        let delta = d.delta_since(e0).unwrap();
-        // Reading the mutated table is affected; another table is not.
-        assert!(delta.affects(&[0], &[]));
-        assert!(!delta.affects(&[1], &[]));
-        // A string substring-related to the new value is affected.
-        assert!(delta.affects(&[1], &[Symbol::intern("xxabcxx")]));
-        assert!(delta.affects(&[1], &[Symbol::intern("b")]));
-        assert!(!delta.affects(&[1], &[Symbol::intern("zz")]));
-        // Structural deltas affect everything.
-        let all = DbDelta {
-            structural: true,
-            ..DbDelta::default()
-        };
-        assert!(all.affects(&[], &[]));
     }
 
     #[test]

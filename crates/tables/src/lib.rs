@@ -32,12 +32,9 @@
 //! write into a 10⁵–10⁶-row background table costs microseconds instead of
 //! an index rebuild.
 //! Deletes tombstone rows (ids stay stable) until garbage dominates, then
-//! compact. Every mutation draws a globally fresh [`Database::epoch`] and
-//! stamps the per-table [`Database::table_epochs`] entry;
-//! [`Database::delta_since`] summarizes a span of mutations as a
-//! [`DbDelta`] (which tables, which cell values, structural or not) so
-//! upstream caches can keep entries that provably didn't change instead of
-//! invalidating wholesale.
+//! compact. Every mutation draws a globally fresh [`Database::epoch`]; an
+//! upstream cache scoped to one database state re-derives what it served
+//! once the epoch moves.
 
 mod csv;
 mod database;
@@ -50,7 +47,7 @@ mod table;
 mod value_index;
 
 pub use csv::{parse_csv, write_csv, CsvError};
-pub use database::{Database, DbDelta, TableId};
+pub use database::{Database, TableId};
 pub use error::TableError;
 pub use intern::{IntHasher, IntMap, Symbol, SymbolMap};
 pub use progset::ProgSet;

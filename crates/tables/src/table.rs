@@ -348,11 +348,11 @@ impl Table {
     }
 
     /// Tombstones rows and splices their cells out of both indexes,
-    /// returning each removed row's cells (the database journals them as
-    /// touched values). Validates the whole batch — including in-batch
-    /// duplicates — before touching anything, so an invalid batch mutates
-    /// nothing. Slots stay allocated until [`Table::compact`].
-    pub fn delete_rows(&mut self, rows: &[RowId]) -> Result<Vec<(RowId, Vec<Symbol>)>, TableError> {
+    /// returning how many rows were removed. Validates the whole batch —
+    /// including in-batch duplicates — before touching anything, so an
+    /// invalid batch mutates nothing. Slots stay allocated until
+    /// [`Table::compact`].
+    pub fn delete_rows(&mut self, rows: &[RowId]) -> Result<usize, TableError> {
         let mut seen = HashSet::with_capacity(rows.len());
         for &r in rows {
             self.check_live(r)?;
@@ -360,10 +360,9 @@ impl Table {
                 return Err(TableError::DeadRow(r));
             }
         }
-        let mut removed = Vec::with_capacity(rows.len());
         for &r in rows {
-            let vals: Vec<Symbol> = self.cols.iter().map(|col| col[r as usize]).collect();
-            for (c, &v) in vals.iter().enumerate() {
+            for (c, col) in self.cols.iter().enumerate() {
+                let v = col[r as usize];
                 self.value_index.remove_cell(
                     v,
                     CellRef {
@@ -375,9 +374,8 @@ impl Table {
             }
             self.live[r as usize] = false;
             self.live_rows -= 1;
-            removed.push((r, vals));
         }
-        Ok(removed)
+        Ok(rows.len())
     }
 
     /// Whether enough tombstones have accumulated that [`Table::compact`]
@@ -866,10 +864,8 @@ mod tests {
     #[test]
     fn delete_rows_tombstones_and_hides() {
         let mut t = comp_table();
-        let removed = t.delete_rows(&[1]).unwrap();
-        assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].0, 1);
-        assert_eq!(removed[0].1[1].as_str(), "Google");
+        assert_eq!(t.row(1)[1].as_str(), "Google");
+        assert_eq!(t.delete_rows(&[1]).unwrap(), 1);
         assert_eq!(t.len(), 2);
         assert_eq!(t.slots(), 3);
         assert!(!t.is_live(1));

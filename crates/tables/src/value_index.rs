@@ -140,16 +140,16 @@ mod tests {
         idx.insert_cell(Symbol::intern("q"), CellRef { col: 1, row: 0 });
         assert_eq!(idx, ValueIndex::build(&table));
         // Delete a row; the vacated value "z" leaves the map.
-        for (r, vals) in table.delete_rows(&[1]).unwrap() {
-            for (c, v) in vals.into_iter().enumerate() {
-                idx.remove_cell(
-                    v,
-                    CellRef {
-                        col: c as ColId,
-                        row: r,
-                    },
-                );
-            }
+        let vals = table.row(1);
+        assert_eq!(table.delete_rows(&[1]).unwrap(), 1);
+        for (c, v) in vals.into_iter().enumerate() {
+            idx.remove_cell(
+                v,
+                CellRef {
+                    col: c as ColId,
+                    row: 1,
+                },
+            );
         }
         assert_eq!(idx, ValueIndex::build(&table));
         assert!(idx.cells_equal(Symbol::intern("z")).is_empty());

@@ -202,14 +202,14 @@
 //! mutations whose index maintenance is *incremental* — each table's value
 //! index and q-gram substring index are spliced in place
 //! (microseconds per row on 10⁵–10⁶-row tables) instead of rebuilt.
-//! Every table carries its own epoch and each mutation records a
-//! row-level delta, so invalidation is surgical: memo entries and
-//! cached session learns survive any mutation that provably doesn't
-//! touch the tables or values they read, and a mutation to one
-//! background table leaves sessions learning against others fully warm
-//! (no relearn, no recompile). Adding a whole table is the structural
-//! exception that still invalidates broadly. See the
-//! [`tables`] module docs for the exact epoch/delta semantics.
+//! Invalidation follows one rule: every mutation moves the database
+//! epoch, which marks each example-memo entry stale and nothing else.
+//! A session re-learns through the memo plane; an example whose
+//! regenerated structure is unchanged keeps its id, so the intersection
+//! chains and the ranking over it are served warm, and only the top
+//! program is lowered again for the new epoch. See
+//! [`DagCache`](core::DagCache) for the rule and the [`tables`] module
+//! docs for epochs.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -225,7 +225,7 @@
 //! session.add_example(Example::new(vec!["c2"], "Google"));
 //! assert_eq!(session.run(&["c1"]).unwrap().as_deref(), Some("Microsoft"));
 //!
-//! // Mutating the unrelated Jobs table leaves this session warm…
+//! // Mutating the unrelated Jobs table re-learns warm, same answer…
 //! let jobs = engine.db().table_id("Jobs").unwrap();
 //! engine.insert_rows(jobs, vec![vec!["j2", "pm"]]).unwrap();
 //! assert_eq!(session.run(&["c1"]).unwrap().as_deref(), Some("Microsoft"));

@@ -4,9 +4,12 @@
 //! observables and a memo-served replay, and *every* corruption of the
 //! file (bit flips, truncations, version patches) must answer a typed
 //! error, never a panic and never a silently different engine. Files an
-//! earlier build wrote (`tests/fixtures/`) must keep restoring warm.
+//! earlier build wrote (`tests/fixtures/`) must keep restoring warm, and a
+//! snapshot's bytes must depend on the engine alone, not on what the
+//! process interned before (checked across fresh child processes).
 
 use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -357,4 +360,71 @@ fn version_3_fixtures_restore_and_replay_warm() {
             "{file}: the replay missed the restored memo plane"
         );
     }
+}
+
+/// Carries the child's snapshot path from the parent; unset, the child
+/// test does nothing.
+const DETERMINISM_OUT_ENV: &str = "SST_SNAPSHOT_DETERMINISM_OUT";
+
+/// Set when the child should learn tasks 1–12 before task 13.
+const DETERMINISM_WARMUP_ENV: &str = "SST_SNAPSHOT_DETERMINISM_WARMUP";
+
+/// The child half of [`snapshot_bytes_do_not_depend_on_process_history`]:
+/// optionally converges and snapshots tasks 1–12 on their own engines, as
+/// a suite run does (learning and snapshot writes intern strings into the
+/// process), then converges task 13 on a cold engine and snapshots it to
+/// `$SST_SNAPSHOT_DETERMINISM_OUT`.
+#[test]
+#[ignore = "run by snapshot_bytes_do_not_depend_on_process_history as a child process"]
+fn determinism_child() {
+    let Some(out) = std::env::var_os(DETERMINISM_OUT_ENV) else {
+        return;
+    };
+    let warmup = std::env::var_os(DETERMINISM_WARMUP_ENV).is_some();
+    for task in all_tasks() {
+        if task.id == 13 || (warmup && task.id < 13) {
+            let engine = Engine::new(Arc::new(task.db.clone()));
+            replay(&engine, &task);
+            engine.snapshot_to(Path::new(&out)).expect("snapshot");
+        }
+    }
+}
+
+/// Task 13's snapshot is byte-identical whether or not its process learned
+/// tasks 1–12 first: the symbol table and every memo are written in an
+/// order the engine decides, never in the order of process-global symbol
+/// ids.
+#[test]
+fn snapshot_bytes_do_not_depend_on_process_history() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("snapshot_determinism-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("creating the snapshot directory");
+    let snapshot = |warmup: bool| {
+        let out = dir.join(format!("task_13_warmup_{warmup}.snap"));
+        let mut child = Command::new(std::env::current_exe().expect("the test binary's path"));
+        child
+            .args(["--exact", "determinism_child", "--ignored"])
+            .env(DETERMINISM_OUT_ENV, &out)
+            .env_remove(DETERMINISM_WARMUP_ENV);
+        if warmup {
+            child.env(DETERMINISM_WARMUP_ENV, "1");
+        }
+        let run = child.output().expect("spawning the snapshot process");
+        assert!(
+            run.status.success(),
+            "the snapshot process failed ({}):\n{}{}",
+            run.status,
+            String::from_utf8_lossy(&run.stdout),
+            String::from_utf8_lossy(&run.stderr)
+        );
+        std::fs::read(&out).expect("the child's snapshot")
+    };
+    let (alone, after_others) = (snapshot(false), snapshot(true));
+    assert!(
+        alone == after_others,
+        "task 13 snapshots {} bytes alone and {} bytes after tasks 1-12",
+        alone.len(),
+        after_others.len()
+    );
+    std::fs::remove_dir_all(&dir).expect("removing the snapshot directory");
 }
