@@ -73,52 +73,20 @@ impl LookupU {
             LookupU::Select { cond, .. } => {
                 1 + cond
                     .iter()
-                    .map(|p| match &p.rhs {
-                        PredRhsU::Const(_) => 0,
-                        PredRhsU::Expr(e) => sem_depth(e),
+                    .filter_map(|p| match &p.rhs {
+                        PredRhsU::Const(_) => None,
+                        PredRhsU::Expr(e) => Some(&e.atoms),
+                    })
+                    .flatten()
+                    .map(|a| match a {
+                        AtomicExpr::ConstStr(_) => 0,
+                        AtomicExpr::Whole(src) | AtomicExpr::SubStr { src, .. } => src.depth(),
                     })
                     .max()
                     .unwrap_or(0)
             }
         }
     }
-}
-
-/// Maximum `Select` depth across a semantic expression's atoms.
-pub fn sem_depth(e: &SemExpr) -> usize {
-    e.atoms
-        .iter()
-        .map(|a| match a {
-            AtomicExpr::ConstStr(_) => 0,
-            AtomicExpr::Whole(src) | AtomicExpr::SubStr { src, .. } => src.depth(),
-        })
-        .max()
-        .unwrap_or(0)
-}
-
-/// Number of `Select` constructors across a semantic expression.
-pub fn sem_select_count(e: &SemExpr) -> usize {
-    fn lookup(src: &LookupU) -> usize {
-        match src {
-            LookupU::Var(_) => 0,
-            LookupU::Select { cond, .. } => {
-                1 + cond
-                    .iter()
-                    .map(|p| match &p.rhs {
-                        PredRhsU::Const(_) => 0,
-                        PredRhsU::Expr(e) => sem_select_count(e),
-                    })
-                    .sum::<usize>()
-            }
-        }
-    }
-    e.atoms
-        .iter()
-        .map(|a| match a {
-            AtomicExpr::ConstStr(_) => 0,
-            AtomicExpr::Whole(src) | AtomicExpr::SubStr { src, .. } => lookup(src),
-        })
-        .sum()
 }
 
 impl fmt::Display for LookupU {
@@ -227,19 +195,6 @@ mod tests {
             }],
         };
         assert_eq!(nested.depth(), 2);
-    }
-
-    #[test]
-    fn select_count_sums_atoms() {
-        let e = SemExpr {
-            atoms: vec![
-                AtomicExpr::Whole(lookup_name_by_id()),
-                AtomicExpr::ConstStr(" ".into()),
-                AtomicExpr::Whole(lookup_name_by_id()),
-            ],
-        };
-        assert_eq!(sem_select_count(&e), 2);
-        assert_eq!(sem_depth(&e), 1);
     }
 
     #[test]

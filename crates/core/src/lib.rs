@@ -81,10 +81,7 @@ pub use eval::{eval_lookup_u, eval_sem};
 pub use generate::{generate_str_t, generate_str_u, generate_str_u_cached, LuOptions};
 pub use interaction::{converge, distinguishing_input, highlight_ambiguous, ConvergenceReport};
 pub use intersect::{intersect_du, intersect_du_unpruned};
-pub use language::{
-    display_sem, sem_depth, sem_select_count, LookupU, PredRhsU, PredicateU, SemAtom, SemExpr,
-    VarId,
-};
+pub use language::{display_sem, LookupU, PredRhsU, PredicateU, SemAtom, SemExpr, VarId};
 pub use par::{default_threads, CancelToken, Pool};
 pub use paraphrase::paraphrase_sem;
 pub use rank::{LuRankWeights, RankedSem};

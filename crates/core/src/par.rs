@@ -135,11 +135,6 @@ struct CancelInner {
 }
 
 impl CancelToken {
-    /// An inert token that can never cancel (the zero-cost default).
-    pub fn inert() -> CancelToken {
-        CancelToken::default()
-    }
-
     /// A live token with no deadline; it cancels only when
     /// [`cancel`](CancelToken::cancel) is called on any clone.
     pub fn new() -> CancelToken {

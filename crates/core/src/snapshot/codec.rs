@@ -5,12 +5,15 @@
 //!
 //! Interned [`Symbol`]s are process-local (shard-packed ids), so a
 //! snapshot never stores raw symbol ids: [`SymEncoder`] assigns dense
-//! indices to every symbol the payload references and writes the string
+//! indices to every string the payload references and writes the string
 //! table once; [`SymDecoder`] re-interns the strings on restore and maps
 //! indices to the new process's symbols.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
+
 use sst_syntactic::{PosSet, RegexSeq, Token};
-use sst_tables::{ColId, Database, Symbol, SymbolMap, Table};
+use sst_tables::{ColId, Database, Symbol, Table};
 
 use super::{corrupt, SnapshotError};
 
@@ -205,13 +208,15 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Assigns dense indices to every [`Symbol`] a payload references, so the
-/// string table can be written once ahead of the payload (raw interner
-/// ids are process-local and never serialized).
+/// Assigns dense indices, in first-reference order, to every string a
+/// payload references, so the string table can be written once ahead of
+/// the payload. Strings are numbered by content: symbols through
+/// [`Symbol::as_str`] (raw interner ids are process-local and never
+/// serialized) and constants as plain `&str`, so writing a snapshot never
+/// grows the interner.
 #[derive(Debug, Default)]
 pub struct SymEncoder {
-    ids: SymbolMap<u32>,
-    order: Vec<Symbol>,
+    ids: HashMap<Cow<'static, str>, u32>,
 }
 
 impl SymEncoder {
@@ -220,21 +225,35 @@ impl SymEncoder {
         SymEncoder::default()
     }
 
-    /// Writes one symbol reference: its dense index, assigned on first
-    /// reference.
-    pub fn sym(&mut self, s: Symbol, w: &mut Writer) {
-        let next = self.order.len() as u32;
-        let id = *self.ids.entry(s).or_insert(next);
-        if id == next {
-            self.order.push(s);
+    fn index(&mut self, s: &str, key: impl FnOnce() -> Cow<'static, str>) -> u32 {
+        if let Some(&id) = self.ids.get(s) {
+            return id;
         }
-        w.u32(id);
+        let id = self.ids.len() as u32;
+        self.ids.insert(key(), id);
+        id
+    }
+
+    /// Writes one symbol reference: its string's dense index.
+    pub fn sym(&mut self, s: Symbol, w: &mut Writer) {
+        let s = s.as_str();
+        w.u32(self.index(s, || Cow::Borrowed(s)));
+    }
+
+    /// Writes one constant-string reference: its dense index, shared with
+    /// a symbol of the same content.
+    pub fn str(&mut self, s: &str, w: &mut Writer) {
+        w.u32(self.index(s, || Cow::Owned(s.to_owned())));
     }
 
     /// Writes the string table (decode this *before* the payload that
     /// references it).
     pub fn write_table(&self, w: &mut Writer) {
-        w.list(&self.order, |w, s| w.str(s.as_str()));
+        let mut order = vec![""; self.ids.len()];
+        for (s, &id) in &self.ids {
+            order[id as usize] = s;
+        }
+        w.list(order, |w, s| w.str(s));
     }
 }
 

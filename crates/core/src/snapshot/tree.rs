@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sst_syntactic::{AtomSet, Dag, PosSet};
-use sst_tables::{IntMap, Symbol};
+use sst_tables::IntMap;
 
 use super::codec::{decode_pos, encode_pos, Reader, SymDecoder, SymEncoder, Writer};
 use super::{corrupt, ArenaStats, SnapshotError};
@@ -86,7 +86,7 @@ impl TreeEncoder {
             w.list(atoms, |w, atom| match atom {
                 AtomSet::ConstStr(s) => {
                     w.u8(0);
-                    sym.sym(Symbol::intern(s), w);
+                    sym.str(s, w);
                 }
                 AtomSet::Whole(n) => {
                     w.u8(1);
@@ -311,6 +311,7 @@ impl TreeDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sst_tables::Symbol;
 
     /// A two-node DAG whose one edge holds `atoms`.
     fn edge(atoms: Vec<AtomSet<NodeId>>) -> Arc<Dag<NodeId>> {

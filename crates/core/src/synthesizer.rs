@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use sst_counting::BigUint;
 use sst_syntactic::TokenSet;
-use sst_tables::{Database, Table, TableError, TableId};
+use sst_tables::Database;
 
 use crate::cache::{DagCache, TopEntry, TopMemo};
 use crate::dstruct::SemDStruct;
@@ -260,8 +260,9 @@ impl SynthesisOptionsBuilder {
 /// are served from memory. The cache is interior-mutable with a read-path
 /// that takes no exclusive lock, so concurrent learns over clones share
 /// the warm plane instead of serializing. It self-validates against the
-/// database epoch, so [`Synthesizer::add_table`] between learning steps
-/// can never leak stale structures.
+/// database epoch, so a database mutated between learning steps (through
+/// `sst-service`'s `Engine`, the one owner of a mutable database) can
+/// never leak stale structures.
 #[derive(Debug, Clone)]
 pub struct Synthesizer {
     db: Arc<Database>,
@@ -319,22 +320,6 @@ impl Synthesizer {
     /// The configured options.
     pub fn options(&self) -> &SynthesisOptions {
         &self.options
-    }
-
-    /// Adds a background-knowledge table between learning steps. The
-    /// database's mutation epoch moves, so the next `learn` invalidates
-    /// the whole DAG cache instead of serving structures computed against
-    /// the smaller database (stale reachability). Learned programs handed
-    /// out earlier keep their own snapshot (`Arc`-shared).
-    ///
-    /// The mutated synthesizer also detaches onto a fresh cache: clones
-    /// made before the mutation keep the old one, so two diverged
-    /// databases never alternate `validate` clears on a shared cache
-    /// (which would silently disable caching for both).
-    pub fn add_table(&mut self, table: Table) -> Result<TableId, TableError> {
-        let id = Arc::make_mut(&mut self.db).add_table(table)?;
-        self.cache = Arc::new(DagCache::new());
-        Ok(id)
     }
 
     /// Snapshot of the DAG-cache hit/miss counters (benchmark
@@ -673,50 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn add_table_invalidates_the_dag_cache() {
-        // Warm the whole-example memo while the database cannot solve the
-        // task semantically: the learned set is constants-only.
-        let mut s = Synthesizer::new(Arc::new(Database::new()));
-        let example = Example::new(vec!["c2"], "Google");
-        let constant_only = s.learn(std::slice::from_ref(&example)).unwrap();
-        assert_eq!(
-            constant_only.run(&["c1"]).as_deref(),
-            Some("Google"),
-            "without tables only the constant program exists"
-        );
-
-        // Mutate the database between learning steps. A stale memo hit
-        // would keep serving the constants-only structure; the epoch bump
-        // must invalidate it so the new table's lookups are found.
-        s.add_table(
-            Table::new(
-                "Comp",
-                vec!["Id", "Name"],
-                vec![
-                    vec!["c1", "Microsoft"],
-                    vec!["c2", "Google"],
-                    vec!["c3", "Apple"],
-                ],
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        let relearned = s.learn(std::slice::from_ref(&example)).unwrap();
-        assert_eq!(
-            relearned.run(&["c1"]).as_deref(),
-            Some("Microsoft"),
-            "stale DAG cache served: the lookup row is reachable now"
-        );
-
-        // And the post-mutation session is bit-identical to a fresh
-        // synthesizer over the same database.
-        let fresh = Synthesizer::new(Arc::new(s.db().clone()));
-        let baseline = fresh.learn(std::slice::from_ref(&example)).unwrap();
-        assert_eq!(relearned.count(), baseline.count());
-        assert_eq!(relearned.size(), baseline.size());
-    }
-
-    #[test]
     fn cloned_synthesizers_share_one_cache() {
         let s = Synthesizer::new(Arc::new(comp_db()));
         let clone = s.clone();
@@ -829,5 +770,81 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(learned.run(&["c3"]).as_deref(), Some("Apple"));
+    }
+
+    /// `Ls` is `Lu` over a database with no tables.
+    fn ls() -> Synthesizer {
+        Synthesizer::new(Arc::new(Database::new()))
+    }
+
+    fn run(learned: &LearnedPrograms, inputs: &[&str]) -> Option<String> {
+        learned.top().unwrap().run(inputs)
+    }
+
+    #[test]
+    fn ls_name_initial_format_generalizes() {
+        let learned = ls()
+            .learn(&[Example::new(vec!["Alan Turing"], "Turing A")])
+            .unwrap();
+        assert_eq!(
+            run(&learned, &["Grace Hopper"]).as_deref(),
+            Some("Hopper G")
+        );
+        let learned = ls()
+            .learn(&[
+                Example::new(vec!["Alan Turing"], "Turing A"),
+                Example::new(vec!["Grace Hopper"], "Hopper G"),
+            ])
+            .unwrap();
+        assert_eq!(
+            run(&learned, &["Barbara Liskov"]).as_deref(),
+            Some("Liskov B")
+        );
+    }
+
+    #[test]
+    fn ls_two_examples_drop_constants() {
+        let learned = ls()
+            .learn(&[
+                Example::new(vec!["ab 12 cd"], "12"),
+                Example::new(vec!["qq 7 rr"], "7"),
+            ])
+            .unwrap();
+        assert_eq!(run(&learned, &["zz 999 kk"]).as_deref(), Some("999"));
+    }
+
+    #[test]
+    fn ls_inconsistent_examples_have_no_program() {
+        let err = ls()
+            .learn(&[Example::new(vec!["a"], "X"), Example::new(vec!["a"], "Y")])
+            .unwrap_err();
+        assert_eq!(err, SynthesisError::NoConsistentProgram);
+    }
+
+    #[test]
+    fn ls_without_examples_is_an_error() {
+        assert_eq!(ls().learn(&[]).unwrap_err(), SynthesisError::NoExamples);
+    }
+
+    #[test]
+    fn ls_count_and_size_reported() {
+        let learned = ls().learn(&[Example::new(vec!["abcd"], "abcd")]).unwrap();
+        assert!(learned.count() > BigUint::from(1u64));
+        assert!(learned.size() > 0);
+        assert_eq!(run(&learned, &["abcd"]).as_deref(), Some("abcd"));
+    }
+
+    #[test]
+    fn ls_multi_variable_concatenation() {
+        let learned = ls()
+            .learn(&[
+                Example::new(vec!["Honda", "125"], "Honda-125"),
+                Example::new(vec!["Ducati", "250"], "Ducati-250"),
+            ])
+            .unwrap();
+        assert_eq!(
+            run(&learned, &["Yamaha", "600"]).as_deref(),
+            Some("Yamaha-600")
+        );
     }
 }

@@ -14,8 +14,8 @@
 //! - [`server`] — the accept loop, routing table, and error→status
 //!   mapping; one [`Server`] hosts many *named* engines.
 //! - [`sessions`] — server-side session registry; idle conversations
-//!   are evicted by a hashed deadline wheel, and a dead id answers the
-//!   typed `SessionNotFound` (HTTP 404) forever after.
+//!   are evicted by a periodic sweep, and a dead id answers the typed
+//!   `SessionNotFound` (HTTP 404) forever after.
 //! - [`admission`] — a bounded-queue semaphore in front of the engine
 //!   pool; past `max_in_flight` executing + `max_queue` waiting, a
 //!   request is rejected immediately with the typed `Overloaded`

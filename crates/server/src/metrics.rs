@@ -245,14 +245,6 @@ impl Metrics {
         self.retries.load(Ordering::Relaxed)
     }
 
-    /// Total requests observed across all endpoints.
-    pub fn total_requests(&self) -> u64 {
-        self.endpoints
-            .iter()
-            .map(|m| m.requests.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Renders the endpoint section of `/metrics` (the caller appends the
     /// gauge and cache sections it owns the state for).
     pub fn render(&self, out: &mut String) {

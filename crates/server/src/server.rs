@@ -7,8 +7,8 @@
 //! loop; synthesis-bearing endpoints (`learn`, `apply`, `status`,
 //! `run_column`) pass through [`Admission`] first, because connection
 //! threads are cheap but the shared engine pool is not. A sweeper thread
-//! ticks the session store's deadline wheel so idle conversations are
-//! evicted even when no traffic arrives.
+//! sweeps the session store once per granularity, so idle conversations
+//! are evicted even when no traffic arrives.
 //!
 //! # Routes
 //!
@@ -98,7 +98,8 @@ pub struct ServerConfig {
     pub max_queue: usize,
     /// Idle time after which a session is evicted.
     pub session_ttl: Duration,
-    /// Deadline-wheel tick (eviction resolution and sweeper interval).
+    /// Sweeper interval (how late past its ttl an idle session may be
+    /// evicted when nothing touches it).
     pub sweep_granularity: Duration,
     /// Default synthesis budget for requests that carry no `deadline-ms`
     /// header; `None` (the default) learns without a deadline.

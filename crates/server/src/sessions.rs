@@ -1,22 +1,13 @@
-//! Server-side session registry with deadline-wheel idle eviction.
+//! Server-side session registry with idle eviction.
 //!
 //! Sessions hold example state between requests, so a remote front door
 //! must bound how long an abandoned conversation can pin memory. Every
-//! session carries an idle deadline (`last touch + ttl`); touching it
-//! (any request naming the session) pushes the deadline forward. Expiry
-//! is tracked by a classic hashed timing wheel: time is divided into
-//! granularity-sized ticks, the wheel has one slot per tick across the
-//! ttl span, and arming a deadline is one `Vec::push` into
-//! `slot[deadline % slots]` — no sorted structure, no per-session timer.
-//! A session is armed once, at creation; a touch only moves its deadline.
-//! A sweep (driven by the server's sweeper thread, and opportunistically
-//! by any access) advances the cursor one tick at a time, draining each
-//! slot it passes; a drained arming whose session was closed is dropped,
-//! one whose deadline really passed evicts the session, and one whose
-//! session was touched since is pushed into the slot of its new deadline.
-//! The wheel thus holds one arming per session, not one per request: with
-//! a five-minute ttl, arming every touch would keep a wheel entry for
-//! every request of the last five minutes.
+//! session remembers when a request last named it; touching it pushes its
+//! idle deadline (`last touch + ttl`) forward. The server's sweeper thread
+//! calls [`SessionStore::sweep`] once per granularity, which drops every
+//! session idle for at least the ttl in one pass over the map, and
+//! [`SessionStore::touch`] checks the deadline itself, so an access
+//! between sweeps cannot resurrect an expired session.
 //!
 //! Requests naming an evicted (or never-created) session get the typed
 //! [`ServiceError::SessionNotFound`] — over the wire, an HTTP 404 with
@@ -27,7 +18,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use sst_service::{ServiceError, Session};
@@ -36,19 +27,13 @@ use sst_service::{ServiceError, Session};
 #[derive(Debug)]
 struct Entry {
     session: Arc<Mutex<Session>>,
-    /// Tick at which the session expires unless touched again. Its one
-    /// wheel arming sits at or before this tick.
-    deadline: u64,
+    /// When a request last named the session.
+    touched: Instant,
 }
 
 #[derive(Debug)]
 struct Inner {
     map: HashMap<u64, Entry>,
-    /// `slots[deadline % slots.len()]` holds the ids of the sessions
-    /// armed for that deadline.
-    slots: Vec<Vec<u64>>,
-    /// The last tick the sweep fully processed.
-    cursor: u64,
     next_id: u64,
 }
 
@@ -56,33 +41,24 @@ struct Inner {
 #[derive(Debug)]
 pub struct SessionStore {
     inner: Mutex<Inner>,
-    /// Idle ttl in ticks (≥ 1).
-    ttl_ticks: u64,
+    /// Idle time after which a session expires (at least one granularity).
+    ttl: Duration,
     granularity: Duration,
-    epoch: Instant,
     evicted: AtomicU64,
 }
 
 impl SessionStore {
-    /// A store evicting sessions idle for `ttl`, checked at `granularity`
-    /// resolution (both floored to sane minimums).
+    /// A store evicting sessions idle for `ttl`, swept at `granularity`
+    /// intervals (both floored to sane minimums).
     pub fn new(ttl: Duration, granularity: Duration) -> SessionStore {
         let granularity = granularity.max(Duration::from_millis(1));
-        let ttl_ticks = (ttl.as_nanos() / granularity.as_nanos()).max(1) as u64;
-        // One slot per tick across the ttl span, plus slack so a deadline
-        // armed "now + ttl" never lands on the slot the cursor is
-        // draining.
-        let slots = (ttl_ticks + 2) as usize;
         SessionStore {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
-                slots: vec![Vec::new(); slots],
-                cursor: 0,
                 next_id: 1,
             }),
-            ttl_ticks,
+            ttl: ttl.max(granularity),
             granularity,
-            epoch: Instant::now(),
             evicted: AtomicU64::new(0),
         }
     }
@@ -92,27 +68,22 @@ impl SessionStore {
         self.granularity
     }
 
-    fn tick(&self, now: Instant) -> u64 {
-        (now.duration_since(self.epoch).as_nanos() / self.granularity.as_nanos()) as u64
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn expired(&self, entry: &Entry, now: Instant) -> bool {
+        now.duration_since(entry.touched) >= self.ttl
     }
 
     /// Registers a session, returning its id.
     pub fn create(&self, session: Session) -> u64 {
-        let now = self.tick(Instant::now());
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        self.sweep_locked(&mut inner, now);
+        let touched = Instant::now();
+        let mut inner = self.lock();
         let id = inner.next_id;
         inner.next_id += 1;
-        let deadline = now + self.ttl_ticks;
-        let slot = (deadline % inner.slots.len() as u64) as usize;
-        inner.slots[slot].push(id);
-        inner.map.insert(
-            id,
-            Entry {
-                session: Arc::new(Mutex::new(session)),
-                deadline,
-            },
-        );
+        let session = Arc::new(Mutex::new(session));
+        inner.map.insert(id, Entry { session, touched });
         id
     }
 
@@ -120,81 +91,49 @@ impl SessionStore {
     /// Evicted, closed and never-created ids all answer the same typed
     /// not-found.
     pub fn touch(&self, id: u64) -> Result<Arc<Mutex<Session>>, ServiceError> {
-        let now = self.tick(Instant::now());
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        self.sweep_locked(&mut inner, now);
+        let now = Instant::now();
+        let mut inner = self.lock();
         let entry = inner
             .map
             .get_mut(&id)
             .ok_or(ServiceError::SessionNotFound(id))?;
-        // The sweep above already evicted anything past-deadline, but the
-        // deadline check stays: the sweeper only runs every granularity,
-        // and an access between ticks must not resurrect an expired
-        // session.
-        if entry.deadline <= now {
-            let session = inner.map.remove(&id);
-            drop(session);
+        // The sweeper only runs every granularity: an access between
+        // sweeps must not resurrect an expired session.
+        if self.expired(entry, now) {
+            inner.map.remove(&id);
             self.evicted.fetch_add(1, Ordering::Relaxed);
             return Err(ServiceError::SessionNotFound(id));
         }
-        // The arming stays where it is; the sweep re-arms on reaching it.
-        entry.deadline = now + self.ttl_ticks;
+        entry.touched = now;
         Ok(Arc::clone(&entry.session))
     }
 
     /// Closes a session explicitly.
     pub fn close(&self, id: u64) -> Result<(), ServiceError> {
-        let now = self.tick(Instant::now());
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        self.sweep_locked(&mut inner, now);
-        inner
+        self.lock()
             .map
             .remove(&id)
             .map(drop)
             .ok_or(ServiceError::SessionNotFound(id))
     }
 
-    /// Advances the wheel to `now`, evicting everything whose deadline
-    /// passed. Called by the sweeper thread; accesses also sweep
-    /// opportunistically.
+    /// Evicts every session idle for at least the ttl. Called by the
+    /// server's sweeper thread.
     pub fn sweep(&self) {
-        let now = self.tick(Instant::now());
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        self.sweep_locked(&mut inner, now);
+        self.sweep_at(Instant::now());
     }
 
-    fn sweep_locked(&self, inner: &mut Inner, now: u64) {
-        let slots = inner.slots.len() as u64;
-        while inner.cursor < now {
-            inner.cursor += 1;
-            let cursor = inner.cursor;
-            let slot = (cursor % slots) as usize;
-            let drained = std::mem::take(&mut inner.slots[slot]);
-            for id in drained {
-                let Some(entry) = inner.map.get(&id) else {
-                    continue; // closed since arming
-                };
-                if entry.deadline <= cursor {
-                    inner.map.remove(&id);
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    // Touched since arming: re-arm at the new deadline. A
-                    // slot the cursor reaches before the deadline (after a
-                    // catch-up sweep) only re-arms it once more.
-                    let slot = (entry.deadline % slots) as usize;
-                    inner.slots[slot].push(id);
-                }
-            }
-        }
+    fn sweep_at(&self, now: Instant) {
+        let mut inner = self.lock();
+        let before = inner.map.len();
+        inner.map.retain(|_, entry| !self.expired(entry, now));
+        let evicted = (before - inner.map.len()) as u64;
+        self.evicted.fetch_add(evicted, Ordering::Relaxed);
     }
 
     /// Live sessions right now.
     pub fn live(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .map
-            .len()
+        self.lock().map.len()
     }
 
     /// Sessions evicted by the idle deadline so far.
@@ -239,23 +178,37 @@ mod tests {
     }
 
     #[test]
-    fn touches_move_the_deadline_without_arming_again() {
+    fn one_sweep_evicts_exactly_the_expired_sessions() {
         let engine = engine();
-        let store = SessionStore::new(Duration::from_secs(60), Duration::from_millis(10));
-        let id = store.create(engine.session());
-        for _ in 0..1000 {
-            store.touch(id).expect("touched session stays live");
+        let ttl = Duration::from_secs(60);
+        let store = SessionStore::new(ttl, Duration::from_millis(10));
+        // Four sessions at different idle ages: each is created strictly
+        // after the previous one's creation finished.
+        let mut created = Vec::new();
+        for _ in 0..4 {
+            let id = store.create(engine.session());
+            created.push((id, Instant::now()));
+            std::thread::sleep(Duration::from_millis(2));
         }
-        let inner = store.inner.lock().expect("no panics under the lock");
-        let armings: usize = inner.slots.iter().map(Vec::len).sum();
-        assert_eq!(armings, 1, "one wheel arming per session, not per touch");
+        // At the second session's deadline the first two have been idle
+        // for the whole ttl and the last two have not.
+        store.sweep_at(created[1].1 + ttl);
+        assert_eq!(store.live(), 2);
+        assert_eq!(store.evicted(), 2);
+        for &(id, _) in &created[..2] {
+            assert!(store.touch(id).is_err(), "session {id} outlived its ttl");
+        }
+        for &(id, _) in &created[2..] {
+            store.touch(id).expect("younger sessions stay live");
+        }
+        assert_eq!(store.evicted(), 2, "a swept session is counted once");
     }
 
     #[test]
     fn access_between_sweeps_cannot_resurrect_an_expired_session() {
         let engine = engine();
-        // Coarse granularity: the wheel cursor barely moves during the
-        // test, so the deadline check in `touch` does the work.
+        // No sweep runs during the test, so the deadline check in `touch`
+        // does the work.
         let store = SessionStore::new(Duration::from_millis(30), Duration::from_millis(10));
         let id = store.create(engine.session());
         std::thread::sleep(Duration::from_millis(75));
@@ -275,8 +228,7 @@ mod tests {
             Err(ServiceError::SessionNotFound(_))
         ));
         assert_eq!(store.live(), 0);
-        // Closed-then-swept: the stale wheel arming must not double-count
-        // an eviction.
+        // Closed-then-swept: a closed session is not an eviction.
         std::thread::sleep(Duration::from_millis(20));
         store.sweep();
         assert_eq!(store.evicted(), 0);

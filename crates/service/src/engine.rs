@@ -189,11 +189,9 @@ impl Engine {
     /// Adds a background-knowledge table for **all** sessions.
     ///
     /// The database epoch moves exactly once per call, no matter how many
-    /// sessions are live: the engine owns the one mutable handle, so —
-    /// unlike per-clone [`Synthesizer::add_table`] mutation, where every
-    /// clone re-adds the table and bumps its own epoch — there is a single
-    /// new database state, and the shared DAG plane invalidates once, for
-    /// everyone. Sessions notice on their next learn (lazily) and re-learn
+    /// sessions are live: the engine owns the one mutable handle to the
+    /// database, so there is a single new database state, and the shared
+    /// DAG plane invalidates once, for everyone. Sessions notice on their next learn (lazily) and re-learn
     /// against the grown database; programs learned earlier keep their own
     /// database snapshot.
     pub fn add_table(&self, table: Table) -> Result<TableId, ServiceError> {

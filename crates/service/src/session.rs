@@ -4,8 +4,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sst_core::{
-    distinguishing_input, highlight_ambiguous, CompiledProgram, Example, LearnedPrograms, Program,
-    SynthesisError,
+    converge, distinguishing_input, highlight_ambiguous, CompiledProgram, Example, LearnedPrograms,
+    Program, SynthesisError,
 };
 use sst_counting::BigUint;
 use sst_tables::{Table, TableId};
@@ -140,11 +140,6 @@ impl Session {
     /// scans for ambiguity. Replaces any previously watched rows.
     pub fn watch_inputs(&mut self, inputs: Vec<Vec<String>>) {
         self.inputs = inputs;
-    }
-
-    /// Adds one watched input row.
-    pub fn watch_input(&mut self, input: Vec<String>) {
-        self.inputs.push(input);
     }
 
     /// The watched input rows.
@@ -290,46 +285,34 @@ impl Session {
         Ok(self.learned()?.size())
     }
 
-    /// Drives the conversation against a ground-truth oracle: starting
-    /// from the truth's first row, while the top-ranked program mislabels
-    /// some row, that row becomes the next example — the §3.2 loop with
-    /// the simulated user of the paper's §7 evaluation. Stops after
-    /// `max_examples` examples. All learning happens through the session
-    /// (no caller-side re-learn loop).
+    /// Drives the conversation against a ground-truth oracle: the §3.2
+    /// loop with the simulated user of the paper's §7 evaluation
+    /// ([`sst_core::converge`]), learning through this session's engine
+    /// and budget. Starting from the truth's first row, while the
+    /// top-ranked program mislabels some row, that row becomes the next
+    /// example; the loop stops after `max_examples` examples. The budget
+    /// covers the whole loop. On success the session's examples become
+    /// the converged sequence and its cached learn the final learned set,
+    /// so later queries are served without re-learning.
     pub fn converge_with(
         &mut self,
         truth: &[Example],
         max_examples: usize,
     ) -> Result<SessionConvergence, ServiceError> {
-        let first = truth
-            .first()
-            .ok_or(ServiceError::Synthesis(SynthesisError::NoExamples))?;
-        if self.examples.is_empty() {
-            self.add_example(first.clone());
+        let synthesizer = self.engine.budgeted_synthesizer(self.budget);
+        let mut result = converge(&synthesizer, truth, max_examples).map_err(ServiceError::from);
+        if let Some(budget) = self.budget {
+            result = with_deadline_error(result, budget);
         }
-        loop {
-            let top = self.top()?;
-            let failing = truth.iter().find(|row| {
-                let refs: Vec<&str> = row.inputs.iter().map(String::as_str).collect();
-                top.run(&refs).as_deref() != Some(row.output.as_str())
-            });
-            match failing {
-                None => {
-                    return Ok(SessionConvergence {
-                        examples_used: self.examples.len(),
-                        converged: true,
-                    })
-                }
-                Some(row) => {
-                    if self.examples.len() >= max_examples {
-                        return Ok(SessionConvergence {
-                            examples_used: self.examples.len(),
-                            converged: false,
-                        });
-                    }
-                    self.add_example(row.clone());
-                }
-            }
-        }
+        let report = result?;
+        let db_epoch = synthesizer.db_arc().epoch();
+        self.examples = report.examples;
+        self.learned = report
+            .learned
+            .map(|learned| CachedLearn { db_epoch, learned });
+        Ok(SessionConvergence {
+            examples_used: report.examples_used,
+            converged: report.converged,
+        })
     }
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use sst_core::{Example, SynthesisError, SynthesisOptions, Synthesizer};
 use sst_service::{Engine, LearnRequest, ServiceError, SessionStatus};
-use sst_tables::{Database, Table};
+use sst_tables::{Database, Symbol, Table};
 
 fn comp_table() -> Table {
     Table::new(
@@ -650,6 +650,30 @@ fn snapshot_restore_round_trips_and_serves_warm_replays() {
     assert!(
         after.example_hits > 0,
         "replay must be memo-served: {after:?}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+/// Writing a snapshot leaves the process-global interner as it was: the
+/// learned constants (every substring of the output) are numbered by
+/// content, not interned to be numbered. No snapshot is restored in this
+/// process, so nothing else could intern them.
+#[test]
+fn snapshot_writer_interns_no_constants() {
+    let path = std::env::temp_dir().join(format!(
+        "sst-service-snap-interner-{}.snap",
+        std::process::id()
+    ));
+    let engine = Engine::new(Arc::new(Database::new()));
+    engine
+        .learn(&[Example::new(vec!["ab"], "qz7-unique-wx")])
+        .unwrap();
+    assert_eq!(Symbol::get("7-uniq"), None, "learning interned a constant");
+    engine.snapshot_to(&path).unwrap();
+    assert_eq!(
+        Symbol::get("7-uniq"),
+        None,
+        "the snapshot writer interned a constant"
     );
     std::fs::remove_file(&path).ok();
 }

@@ -7,7 +7,7 @@
 //! matches starting there. An unmatched position makes the enclosing
 //! expression undefined (`None`), mirroring FlashFill's `⊥`.
 
-use crate::language::{AtomicExpr, PosExpr, StringExpr, Var};
+use crate::language::{AtomicExpr, PosExpr, StringExpr};
 use crate::matches::Matcher;
 use crate::tokens::{StringRuns, TokenSet};
 
@@ -81,24 +81,23 @@ pub fn eval_expr<S>(
     Some(out)
 }
 
-/// Evaluates an `Ls` expression (sources are input variables) on an input
-/// state, i.e. one spreadsheet row.
-pub fn eval_on_state(expr: &StringExpr<Var>, inputs: &[&str], set: &TokenSet) -> Option<String> {
-    eval_expr(
-        expr,
-        &mut |v: &Var| inputs.get(v.0 as usize).map(|s| (*s).to_string()),
-        set,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::language::RegexSeq;
+    use crate::language::{RegexSeq, Var};
     use crate::tokens::Token;
 
     fn set() -> TokenSet {
         TokenSet::standard()
+    }
+
+    /// Evaluates an `Ls` expression on one input row (`Var(i)` is column `i`).
+    fn eval_on_row(expr: &StringExpr<Var>, inputs: &[&str]) -> Option<String> {
+        eval_expr(
+            expr,
+            &mut |v: &Var| inputs.get(v.0 as usize).map(|s| (*s).to_string()),
+            &set(),
+        )
     }
 
     #[test]
@@ -167,10 +166,7 @@ mod tests {
             },
         };
         let expr = StringExpr::atom(atom);
-        assert_eq!(
-            eval_on_state(&expr, &["10/12/2010"], &set()),
-            Some("12/2010".into())
-        );
+        assert_eq!(eval_on_row(&expr, &["10/12/2010"]), Some("12/2010".into()));
     }
 
     #[test]
@@ -190,7 +186,7 @@ mod tests {
             },
         };
         assert_eq!(
-            eval_on_state(&StringExpr::atom(atom), &["Alan Turing"], &set()),
+            eval_on_row(&StringExpr::atom(atom), &["Alan Turing"]),
             Some("Turing".into())
         );
     }
@@ -229,7 +225,7 @@ mod tests {
             atoms: vec![word2, AtomicExpr::ConstStr(" ".into()), upper1],
         };
         assert_eq!(
-            eval_on_state(&expr, &["Alan Turing"], &set()),
+            eval_on_row(&expr, &["Alan Turing"]),
             Some("Turing A".into())
         );
     }
@@ -241,23 +237,17 @@ mod tests {
             p1: PosExpr::CPos(5),
             p2: PosExpr::CPos(-1),
         };
-        assert_eq!(
-            eval_on_state(&StringExpr::atom(atom), &["ab"], &set()),
-            None
-        );
+        assert_eq!(eval_on_row(&StringExpr::atom(atom), &["ab"]), None);
         // Unknown variable.
         let whole = StringExpr::atom(AtomicExpr::Whole(Var(7)));
-        assert_eq!(eval_on_state(&whole, &["ab"], &set()), None);
+        assert_eq!(eval_on_row(&whole, &["ab"]), None);
         // Crossed positions.
         let crossed: AtomicExpr<Var> = AtomicExpr::SubStr {
             src: Var(0),
             p1: PosExpr::CPos(-1),
             p2: PosExpr::CPos(0),
         };
-        assert_eq!(
-            eval_on_state(&StringExpr::atom(crossed), &["ab"], &set()),
-            None
-        );
+        assert_eq!(eval_on_row(&StringExpr::atom(crossed), &["ab"]), None);
     }
 
     #[test]
@@ -269,7 +259,7 @@ mod tests {
             p2: PosExpr::CPos(-1),
         };
         assert_eq!(
-            eval_on_state(&StringExpr::atom(atom), &["0815"], &set()),
+            eval_on_row(&StringExpr::atom(atom), &["0815"]),
             Some("15".into())
         );
     }
@@ -279,6 +269,6 @@ mod tests {
         let expr = StringExpr {
             atoms: vec![AtomicExpr::Whole(Var(1)), AtomicExpr::ConstStr("!".into())],
         };
-        assert_eq!(eval_on_state(&expr, &["a", "b"], &set()), Some("b!".into()));
+        assert_eq!(eval_on_row(&expr, &["a", "b"]), Some("b!".into()));
     }
 }

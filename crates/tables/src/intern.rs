@@ -21,13 +21,12 @@
 //! funnel through one global `RwLock` (the pre-shard design).
 //!
 //! Resolution ([`Symbol::as_str`]) takes **no lock at all**: each shard
-//! stores its strings in an append-only slab of doubling buckets. A bucket
-//! pointer is published with `Release` once allocated, and the shard's
-//! entry count is bumped with `Release` only *after* the new entry is
-//! written, so a reader that `Acquire`-loads the count and then reads an
-//! entry below it observes a fully written `&'static str`. Entries are
-//! never moved or freed, which is what makes the unsynchronized entry read
-//! sound.
+//! stores its strings in an append-only slab of doubling buckets, each
+//! bucket a set-once cell holding a boxed slice of set-once entry cells.
+//! A writer (serialized by the shard's map lock) initializes the bucket on
+//! first use and then sets the entry, so resolving is two `OnceLock::get`s
+//! — acquire loads that observe a fully written `&'static str`. Entries
+//! are never moved or freed.
 //!
 //! # Footprint
 //!
@@ -35,7 +34,7 @@
 //! design allows: its bytes are copied into per-shard arena chunks (no
 //! allocation per string), the shard map stores only the 4-byte symbol id
 //! (hashed and compared as the string it names, through the slab), and
-//! the slab holds one `&'static str` per string.
+//! the slab holds one set-once `&'static str` cell (24 bytes) per string.
 //!
 //! `Symbol(0)` is always the empty string, so emptiness tests need no
 //! resolution. Symbol ids are **not** ordered by interning time (the shard
@@ -46,7 +45,6 @@
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::sync::{OnceLock, RwLock};
 
 /// Number of low bits of a symbol id that name its shard.
@@ -103,6 +101,8 @@ struct ShardMap {
     keys: HashSet<Key>,
     /// The unused tail of the current arena chunk.
     free: &'static mut [u8],
+    /// Number of slab entries set so far (the next slab index).
+    len: u32,
 }
 
 impl ShardMap {
@@ -122,23 +122,21 @@ impl ShardMap {
     }
 }
 
+/// Bucket `b` of a shard slab: `BUCKET0 << b` set-once entries.
+type Bucket = Box<[OnceLock<&'static str>]>;
+
 /// One interner shard: the insert-side map plus the lock-free resolve slab.
 struct Shard {
     map: RwLock<ShardMap>,
-    /// Append-only bucket pointers; each is a leaked `[&'static str]` of
-    /// `BUCKET0 << b` entries, published once with `Release`.
-    buckets: [AtomicPtr<&'static str>; SLAB_BUCKETS],
-    /// Number of published entries. Bumped with `Release` after the entry
-    /// write; `Acquire` loads make those writes visible to readers.
-    len: AtomicU32,
+    /// Append-only slab buckets, each set once on first use.
+    buckets: [OnceLock<Bucket>; SLAB_BUCKETS],
 }
 
 impl Shard {
     fn empty() -> Shard {
         Shard {
             map: RwLock::new(ShardMap::default()),
-            buckets: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-            len: AtomicU32::new(0),
+            buckets: std::array::from_fn(|_| OnceLock::new()),
         }
     }
 
@@ -149,40 +147,27 @@ impl Shard {
         (b, (i - start) as usize)
     }
 
-    /// Appends `s`, returning its slab index. Caller must hold the shard's
-    /// map write lock (single writer per shard).
-    fn push(&self, s: &'static str) -> u32 {
-        let i = self.len.load(Ordering::Relaxed);
+    /// Appends `s`, returning its slab index. `map` is the shard's map
+    /// under its write lock (single writer per shard).
+    fn push(&self, map: &mut ShardMap, s: &'static str) -> u32 {
+        let i = map.len;
         let (b, off) = Shard::locate(i);
-        let mut ptr = self.buckets[b].load(Ordering::Acquire);
-        if ptr.is_null() {
-            // Allocate the bucket, placeholder-filled so every slot is a
-            // valid (if meaningless) `&str` before publication.
-            let cap = (BUCKET0 << b) as usize;
-            let slab: Box<[&'static str]> = vec![""; cap].into_boxed_slice();
-            ptr = Box::leak(slab).as_mut_ptr();
-            self.buckets[b].store(ptr, Ordering::Release);
-        }
-        // SAFETY: `off < BUCKET0 << b` by construction; this slot is above
-        // the published `len`, so no reader accesses it until the `Release`
-        // store below, and the map write lock serializes writers.
-        unsafe { ptr.add(off).write(s) };
-        self.len.store(i + 1, Ordering::Release);
+        let bucket =
+            self.buckets[b].get_or_init(|| (0..BUCKET0 << b).map(|_| OnceLock::new()).collect());
+        bucket[off]
+            .set(s)
+            .expect("a slab entry is set exactly once");
+        map.len = i + 1;
         i
     }
 
     /// Resolves slab index `i`, lock-free.
     fn resolve(&self, i: u32) -> &'static str {
-        assert!(
-            i < self.len.load(Ordering::Acquire),
-            "symbol index {i} was never interned"
-        );
         let (b, off) = Shard::locate(i);
-        let ptr = self.buckets[b].load(Ordering::Acquire);
-        // SAFETY: `i < len` implies the bucket was published and the entry
-        // written before the `Release` bump the `Acquire` above observed;
-        // entries are immutable and never freed.
-        unsafe { *ptr.add(off) }
+        self.buckets[b]
+            .get()
+            .and_then(|bucket| bucket[off].get())
+            .unwrap_or_else(|| panic!("symbol index {i} was never interned"))
     }
 }
 
@@ -193,7 +178,9 @@ fn shards() -> &'static [Shard; SHARDS] {
         // Pre-seed shard 0's slab so `Symbol(0)` resolves to "". The empty
         // string is special-cased before hashing in `intern`/`get`, so no
         // map entry is needed.
-        shards[0].push("");
+        let mut map = shards[0].map.write().expect("interner poisoned");
+        shards[0].push(&mut map, "");
+        drop(map);
         shards
     })
 }
@@ -233,7 +220,7 @@ impl Symbol {
             return Symbol(id); // raced: someone interned between locks
         }
         let stored = map.store(s);
-        let slab_idx = shard.push(stored);
+        let slab_idx = shard.push(&mut map, stored);
         let id = (slab_idx << SHARD_BITS) | shard_idx as u32;
         // After the push: the key resolves through the slab to hash.
         map.keys.insert(Key(id));
@@ -256,8 +243,8 @@ impl Symbol {
             .map(|&Key(id)| Symbol(id))
     }
 
-    /// The interned string. Lock-free: one `Acquire` load of the shard
-    /// length, one of the bucket pointer, then a plain read.
+    /// The interned string. Lock-free: one `OnceLock::get` for the slab
+    /// bucket, one for the entry.
     pub fn as_str(self) -> &'static str {
         shards()[(self.0 as usize) & (SHARDS - 1)].resolve(self.0 >> SHARD_BITS)
     }

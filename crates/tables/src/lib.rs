@@ -36,6 +36,8 @@
 //! upstream cache scoped to one database state re-derives what it served
 //! once the epoch moves.
 
+#![forbid(unsafe_code)]
+
 mod csv;
 mod database;
 mod error;

@@ -141,7 +141,7 @@
 //! *named* engines; per-engine routes cover batch `learn`/`apply` and
 //! the full interactive session lifecycle
 //! (create/attach/examples/inputs/status/run_column/close). Idle
-//! sessions are evicted by a deadline wheel and answer a typed
+//! sessions are evicted by a periodic sweep and answer a typed
 //! `SessionNotFound` (404) afterwards; a saturated server rejects with a
 //! typed `Overloaded` (429) instead of queueing unboundedly; `/metrics`
 //! exports per-endpoint latency quantiles and cache hit rates.
