@@ -38,12 +38,11 @@
 //!   genuinely new final example.
 //! * **Ranked top programs** — the learned structure's top program, keyed
 //!   by the same example-id chains (single-example chains `[e₁]`
-//!   included) plus the lookup depth and the [`LuRankWeights`] it was
-//!   ranked under. Ranking is a pure function of the structure's value,
-//!   the weights and the depth, and reads no database, so a hit is the
-//!   program a re-rank would extract. One cache can serve several weight
-//!   sets (`Synthesizer::with_shared_cache` is public), and the depth
-//!   moves when a table is added, so both are part of the key. The same
+//!   included). Ranking is a pure function of the structure's value, the
+//!   cache's [`LuRankWeights`] and the lookup depth, and reads no
+//!   database, so a hit is the program a re-rank would extract. Each chain
+//!   holds one entry, which records the depth it ranks at: the depth moves
+//!   when a table is added, and a moved depth replaces the entry. The same
 //!   entry holds the top program's compiled code, scoped to the
 //!   [`Database::epoch`] it was lowered against: lowering bakes cells in,
 //!   so the code is served only at that epoch. The code holds no database
@@ -52,6 +51,10 @@
 //!   mutation into a deep clone of its tables and indexes. `learn` hands
 //!   each `LearnedPrograms` a handle to its entry, so `top()` and
 //!   `compile()` on a warm apply are lookups.
+//!
+//! Every entry is sound only under one [`SynthesisOptions`], so the cache
+//! owns them: it is built from its options and hands them out through
+//! [`DagCache::options`], and every synthesizer over it learns under them.
 //!
 //! # Concurrency
 //!
@@ -105,12 +108,13 @@ use sst_tables::{Database, IntMap, Symbol};
 use crate::compiled::{Code, CompiledProgram};
 use crate::dstruct::{NodeId, SemDStruct};
 use crate::rank::{LuRankWeights, RankedSem};
+use crate::SynthesisOptions;
 
 /// Identity of one σ ∪ η̃ snapshot: equal epochs ⇔ equal ordered source
 /// symbol lists (within one database state). Allocated densely by
 /// [`DagCache::epoch_of`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SourcesEpoch(u32);
+pub(crate) struct SourcesEpoch(u32);
 
 /// Key of one memoized `GenerateStr_u` call: the example's interned
 /// inputs and output.
@@ -200,9 +204,9 @@ pub(crate) struct CacheState {
     pub(crate) next_example: u32,
     /// Intersection memo: example-id chain → the folded intersection.
     pub(crate) intersections: IntMap<Box<[u32]>, SemDStruct>,
-    /// Ranked memo: example-id chain → one entry per weight set (each
-    /// records the depth it ranks at).
-    pub(crate) ranked: IntMap<Box<[u32]>, Vec<Arc<TopEntry>>>,
+    /// Ranked memo: example-id chain → its entry (which records the depth
+    /// it ranks at).
+    pub(crate) ranked: IntMap<Box<[u32]>, Arc<TopEntry>>,
 }
 
 impl CacheState {
@@ -214,14 +218,13 @@ impl CacheState {
 }
 
 /// One ranked-memo entry: the top program of the structure its chain
-/// names, ranked at `depth` under `weights`, and that program's compiled
-/// form. `learn` also builds *private* entries — never listed in a cache —
-/// for structures no chain names (`dag_cache(false)`, a chain an epoch
-/// race left unmemoized), so a learned set still ranks once.
+/// names, ranked at `depth`, and that program's compiled form. `learn`
+/// also builds *private* entries — never listed in a cache — for
+/// structures no chain names (`dag_cache(false)`, a chain an epoch race
+/// left unmemoized), so a learned set still ranks once.
 #[derive(Debug)]
 pub(crate) struct TopEntry {
     depth: usize,
-    weights: LuRankWeights,
     /// `LuRankWeights::best` of the structure, filled by the first `top()`.
     top: OnceLock<Option<RankedSem>>,
     /// The top program's compiled code and the [`Database::epoch`] it was
@@ -230,10 +233,9 @@ pub(crate) struct TopEntry {
 }
 
 impl TopEntry {
-    pub(crate) fn new(depth: usize, weights: LuRankWeights) -> Self {
+    pub(crate) fn new(depth: usize) -> Self {
         TopEntry {
             depth,
-            weights,
             top: OnceLock::new(),
             compiled: Mutex::new(None),
         }
@@ -266,12 +268,13 @@ impl TopMemo {
         self.cache.as_ref().and_then(Weak::upgrade)
     }
 
-    /// The top program of `d`, ranked on the entry's first call.
-    pub(crate) fn top(&self, d: &SemDStruct) -> Option<&RankedSem> {
+    /// The top program of `d` under `weights`, ranked on the entry's
+    /// first call.
+    pub(crate) fn top(&self, d: &SemDStruct, weights: &LuRankWeights) -> Option<&RankedSem> {
         let mut ranked = false;
         let top = self.entry.top.get_or_init(|| {
             ranked = true;
-            self.entry.weights.best(d, self.entry.depth)
+            weights.best(d, self.entry.depth)
         });
         if let Some(cache) = self.cache() {
             let s = &cache.stats;
@@ -341,34 +344,43 @@ fn count(hit: bool, hits: &AtomicU64, misses: &AtomicU64) {
 }
 
 /// The memoized DAG plane (see the module docs). One cache serves one
-/// synthesizer configuration: entries are only sound across calls that
-/// share the database state *and* the generation options, which
-/// [`crate::Synthesizer`] guarantees by construction. Direct users of
-/// [`crate::generate_str_u_cached`] must not share a cache across differing
-/// [`crate::LuOptions`].
+/// configuration: it is built from the [`SynthesisOptions`] its entries
+/// are filled under and owns them, so every [`crate::Synthesizer`] over
+/// it learns under the same generation options and ranking weights. It
+/// validates itself against the database epoch, so sharing it across
+/// database *states* is safe.
 ///
 /// Memory is bounded: each memo flushes wholesale when it outgrows its
 /// threshold (`MAX_DAG_ENTRIES`, `MAX_EXAMPLE_ENTRIES`,
 /// `MAX_INTERSECTION_ENTRIES`).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DagCache {
+    options: Arc<SynthesisOptions>,
     state: RwLock<CacheState>,
     stats: AtomicStats,
 }
 
 impl DagCache {
-    /// An empty cache (binds to a database epoch on first
-    /// [`DagCache::validate`]).
-    pub fn new() -> Self {
-        DagCache::default()
+    /// An empty cache serving `options` (binds to a database epoch on
+    /// first [`DagCache::validate`]).
+    pub fn new(options: SynthesisOptions) -> Self {
+        DagCache::from_state(options, CacheState::default())
     }
 
-    /// A cache holding `state`, with zeroed counters (a snapshot restore).
-    pub(crate) fn from_state(state: CacheState) -> Self {
+    /// A cache serving `options` and holding `state`, with zeroed counters
+    /// (a snapshot restore).
+    pub(crate) fn from_state(options: SynthesisOptions, state: CacheState) -> Self {
         DagCache {
+            options: Arc::new(options),
             state: RwLock::new(state),
-            ..DagCache::default()
+            stats: AtomicStats::default(),
         }
+    }
+
+    /// The options every entry is filled under, shared with the learned
+    /// sets and programs served from this cache.
+    pub fn options(&self) -> &Arc<SynthesisOptions> {
+        &self.options
     }
 
     /// Recovers the state lock if a holder panicked: every entry is a
@@ -445,7 +457,7 @@ impl DagCache {
 
     /// Interns the identity of one σ ∪ η̃ snapshot (the ordered source
     /// symbol list) into an epoch id.
-    pub fn epoch_of(&self, symbols: &[Symbol]) -> SourcesEpoch {
+    pub(crate) fn epoch_of(&self, symbols: &[Symbol]) -> SourcesEpoch {
         if let Some(&id) = self.read().epochs.get(symbols) {
             return SourcesEpoch(id);
         }
@@ -464,7 +476,7 @@ impl DagCache {
     /// shared: every hit aliases one allocation, and racing builders for
     /// one key converge on whichever insert landed first (`build` runs
     /// outside any lock).
-    pub fn dag_for(
+    pub(crate) fn dag_for(
         &self,
         epoch: SourcesEpoch,
         value: Symbol,
@@ -614,25 +626,22 @@ impl DagCache {
     }
 
     /// The shared ranked-memo entry of the structure `chain` names, at
-    /// lookup depth `depth` under `weights`, created empty on a miss.
-    /// Epoch-checked like [`DagCache::store_intersection`]: `None` when
-    /// the cache was rebound to another database epoch. A weight set gets
-    /// one entry per chain, so a moved depth (a table was added) replaces
-    /// the entry ranked at the old depth.
+    /// lookup depth `depth`, created empty on a miss. Epoch-checked like
+    /// [`DagCache::store_intersection`]: `None` when the cache was rebound
+    /// to another database epoch. A chain holds one entry, so a moved depth
+    /// (a table was added) replaces the entry ranked at the old depth.
     pub(crate) fn top_entry(
         &self,
         db_epoch: u64,
         chain: &[u32],
         depth: usize,
-        weights: &LuRankWeights,
     ) -> Option<Arc<TopEntry>> {
         let find = |state: &CacheState| {
-            state.ranked.get(chain).and_then(|entries| {
-                entries
-                    .iter()
-                    .find(|e| e.depth == depth && e.weights == *weights)
-                    .cloned()
-            })
+            state
+                .ranked
+                .get(chain)
+                .filter(|e| e.depth == depth)
+                .cloned()
         };
         {
             let state = self.read();
@@ -650,16 +659,9 @@ impl DagCache {
         if let Some(entry) = find(&state) {
             return Some(entry); // raced: keep the first insert canonical
         }
-        let entry = Arc::new(TopEntry::new(depth, weights.clone()));
-        let entries = state.ranked.entry(chain.into()).or_default();
-        entries.retain(|e| e.weights != *weights);
-        entries.push(Arc::clone(&entry));
+        let entry = Arc::new(TopEntry::new(depth));
+        state.ranked.insert(chain.into(), Arc::clone(&entry));
         Some(entry)
-    }
-
-    /// Number of ranked-memo entries (one per chain and weight set).
-    pub fn ranked_entries(&self) -> usize {
-        self.read().ranked.values().map(Vec::len).sum()
     }
 }
 
@@ -667,6 +669,11 @@ impl DagCache {
 pub(crate) mod tests {
     use super::*;
     use std::collections::BTreeMap;
+
+    /// An empty cache under the default options.
+    pub(crate) fn cache() -> DagCache {
+        DagCache::new(SynthesisOptions::default())
+    }
 
     pub(crate) fn dag(n: u32) -> Dag<NodeId> {
         Dag {
@@ -679,7 +686,7 @@ pub(crate) mod tests {
 
     #[test]
     fn epochs_intern_by_content() {
-        let c = DagCache::new();
+        let c = cache();
         let (a, b) = (Symbol::intern("ep-a"), Symbol::intern("ep-b"));
         let e1 = c.epoch_of(&[a, b]);
         let e2 = c.epoch_of(&[a, b]);
@@ -691,7 +698,7 @@ pub(crate) mod tests {
 
     #[test]
     fn dag_for_builds_once_and_shares() {
-        let c = DagCache::new();
+        let c = cache();
         let e = c.epoch_of(&[Symbol::intern("s")]);
         let v = Symbol::intern("val");
         let mut builds = 0;
@@ -711,7 +718,7 @@ pub(crate) mod tests {
 
     #[test]
     fn validate_stales_examples_on_epoch_move_only() {
-        let c = DagCache::new();
+        let c = cache();
         c.validate(7);
         let e = c.epoch_of(&[Symbol::intern("s")]);
         c.dag_for(e, Symbol::intern("v"), || dag(2));
@@ -748,7 +755,7 @@ pub(crate) mod tests {
 
     #[test]
     fn intersection_memo_keys_by_example_id_chain() {
-        let c = DagCache::new();
+        let c = cache();
         let da = named_struct("sid-a");
         let db = named_struct("sid-b");
         let ea = c.store_example(0, &[Symbol::intern("ia")], Symbol::intern("oa"), &da);
@@ -802,7 +809,7 @@ pub(crate) mod tests {
 
     #[test]
     fn store_example_is_first_insert_wins() {
-        let c = DagCache::new();
+        let c = cache();
         let d = named_struct("fiw");
         let ins = [Symbol::intern("fi")];
         let out = Symbol::intern("fo");
@@ -820,7 +827,7 @@ pub(crate) mod tests {
 
     #[test]
     fn regenerated_equal_example_keeps_its_id_and_chains() {
-        let c = DagCache::new();
+        let c = cache();
         let (da, db) = (named_struct("keep-a"), named_struct("keep-b"));
         let (ka, kb) = ([Symbol::intern("ka")], [Symbol::intern("kb")]);
         let out = Symbol::intern("ko");
@@ -840,7 +847,7 @@ pub(crate) mod tests {
 
     #[test]
     fn regenerated_changed_example_mints_a_fresh_id() {
-        let c = DagCache::new();
+        let c = cache();
         let (da, db) = (named_struct("chg-a"), named_struct("chg-b"));
         let (ka, kb) = ([Symbol::intern("ca")], [Symbol::intern("cb")]);
         let out = Symbol::intern("co");
@@ -862,46 +869,43 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn ranked_entries_key_on_chain_depth_and_weights() {
-        let c = DagCache::new();
-        let w = LuRankWeights::default();
-        let cheap = LuRankWeights {
-            select: 0,
-            ..LuRankWeights::default()
-        };
-        let e = c.top_entry(0, &[1, 2], 1, &w).expect("same epoch");
-        let same = c.top_entry(0, &[1, 2], 1, &w).expect("same epoch");
+    fn ranked_entries_key_on_chain_and_depth() {
+        let c = cache();
+        let e = c.top_entry(0, &[1, 2], 1).expect("same epoch");
+        let same = c.top_entry(0, &[1, 2], 1).expect("same epoch");
         assert!(Arc::ptr_eq(&e, &same), "equal keys share one entry");
-        let other_chain = c.top_entry(0, &[1], 1, &w).unwrap();
+        let other_chain = c.top_entry(0, &[1], 1).unwrap();
         assert!(!Arc::ptr_eq(&e, &other_chain));
-        let other_weights = c.top_entry(0, &[1, 2], 1, &cheap).unwrap();
-        assert!(!Arc::ptr_eq(&e, &other_weights), "weights are keyed");
-        assert_eq!(c.ranked_entries(), 3);
-        let deeper = c.top_entry(0, &[1, 2], 2, &w).unwrap();
+        assert_eq!(c.read().ranked.len(), 2);
+        let deeper = c.top_entry(0, &[1, 2], 2).unwrap();
         assert!(!Arc::ptr_eq(&e, &deeper), "the depth is keyed");
         assert_eq!(
-            c.ranked_entries(),
-            3,
-            "a moved depth replaces the weight set's entry"
+            c.read().ranked.len(),
+            2,
+            "a moved depth replaces the chain's entry"
         );
         assert!(
-            c.top_entry(5, &[1, 2], 1, &w).is_none(),
+            c.top_entry(5, &[1, 2], 1).is_none(),
             "another database epoch gets a private entry"
         );
         // Re-minting an example id prunes the chains naming it; a flush of
         // the example memo takes every chain with it.
         let (ka, out) = ([Symbol::intern("rk-a")], Symbol::intern("rk-o"));
         let id = c.store_example(0, &ka, out, &named_struct("rk-1")).unwrap();
-        c.top_entry(0, &[id], 1, &w).unwrap();
-        assert_eq!(c.ranked_entries(), 4);
+        c.top_entry(0, &[id], 1).unwrap();
+        assert_eq!(c.read().ranked.len(), 3);
         c.validate(1);
         c.store_example(1, &ka, out, &named_struct("rk-2"));
-        assert_eq!(c.ranked_entries(), 3, "the re-minted id's chain is pruned");
+        assert_eq!(
+            c.read().ranked.len(),
+            2,
+            "the re-minted id's chain is pruned"
+        );
     }
 
     #[test]
     fn concurrent_readers_share_the_plane() {
-        let c = Arc::new(DagCache::new());
+        let c = Arc::new(cache());
         let e = c.epoch_of(&[Symbol::intern("cc-s")]);
         let v = Symbol::intern("cc-v");
         let canonical = c.dag_for(e, v, || dag(4));

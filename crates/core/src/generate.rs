@@ -329,32 +329,21 @@ pub fn generate_str_u(
     generate_str_u_impl(db, inputs, output, opts, None, &CancelToken::default())
 }
 
-/// [`generate_str_u`] backed by a [`DagCache`]: per-value DAGs are served
-/// from `(sources_epoch, value)` entries and whole repeated examples from
-/// the example memo, with results bit-identical to the uncached path (the
-/// cache self-validates against `db.epoch()` first, so a mutated database
-/// never serves stale structures). The cache must not be shared across
-/// differing `opts`.
-pub fn generate_str_u_cached(
-    db: &Database,
-    inputs: &[&str],
-    output: &str,
-    opts: &LuOptions,
-    cache: &DagCache,
-) -> SemDStruct {
-    generate_str_u_keyed(db, inputs, output, opts, cache, &CancelToken::default()).0
-}
-
-/// [`generate_str_u_cached`] that also reports the structure's example
-/// id, the link of the intersection memo's chain keys (`Synthesizer::learn`
-/// keys `d₁ ∩ d₂ ∩ …` on the examples' ids, in fold order). A
-/// cancellation observed during the build skips the whole-example store
-/// (the partial structure never enters the memo) and reports no id.
+/// [`generate_str_u`] backed by a [`DagCache`], under the cache's own
+/// generation options: per-value DAGs are served from
+/// `(sources_epoch, value)` entries and whole repeated examples from the
+/// example memo, with results bit-identical to the uncached path (the
+/// cache validates itself against `db.epoch()` first, so a mutated
+/// database never serves stale structures). Also reports the structure's
+/// example id, the link of the intersection memo's chain keys
+/// (`Synthesizer::learn` keys `d₁ ∩ d₂ ∩ …` on the examples' ids, in fold
+/// order). A cancellation observed during the build skips the
+/// whole-example store (the partial structure never enters the memo) and
+/// reports no id.
 pub(crate) fn generate_str_u_keyed(
     db: &Database,
     inputs: &[&str],
     output: &str,
-    opts: &LuOptions,
     cache: &DagCache,
     cancel: &CancelToken,
 ) -> (SemDStruct, Option<u32>) {
@@ -369,6 +358,7 @@ pub(crate) fn generate_str_u_keyed(
     if let Some((id, hit)) = cache.example(db_epoch, &ins, out) {
         return (hit, Some(id));
     }
+    let opts = &cache.options().lu;
     let d = generate_str_u_impl(db, inputs, output, opts, Some(cache), cancel);
     if cancel.is_cancelled() {
         // Partial structure: never enters the whole-example memo.

@@ -83,14 +83,12 @@ pub fn distinguishing_input(
 /// Outcome of the simulated interaction loop.
 #[derive(Debug)]
 pub struct ConvergenceReport {
-    /// Examples the user had to provide before the top-ranked program was
-    /// correct on every row.
-    pub examples_used: usize,
     /// Whether convergence was reached within the example budget.
     pub converged: bool,
-    /// The final learned program set (when learning succeeded at all).
-    pub learned: Option<LearnedPrograms>,
-    /// The exact example sequence the simulated user provided.
+    /// The program set learned from the final examples.
+    pub learned: LearnedPrograms,
+    /// The exact example sequence the simulated user provided: its length
+    /// is how many examples the loop used.
     pub examples: Vec<Example>,
 }
 
@@ -113,24 +111,13 @@ pub fn converge(
             top.run(&refs).as_deref() != Some(r.output.as_str())
         });
         match failing {
-            None => {
+            Some(row) if examples.len() < max_examples => examples.push(row.clone()),
+            _ => {
                 return Ok(ConvergenceReport {
-                    examples_used: examples.len(),
-                    converged: true,
-                    learned: Some(learned),
+                    converged: failing.is_none(),
+                    learned,
                     examples,
                 })
-            }
-            Some(row) => {
-                if examples.len() >= max_examples {
-                    return Ok(ConvergenceReport {
-                        examples_used: examples.len(),
-                        converged: false,
-                        learned: Some(learned),
-                        examples,
-                    });
-                }
-                examples.push(row.clone());
             }
         }
     }
@@ -172,7 +159,7 @@ mod tests {
         let s = Synthesizer::new(Arc::new(comp_db()));
         let report = converge(&s, &rows(), 3).unwrap();
         assert!(report.converged);
-        assert_eq!(report.examples_used, 1);
+        assert_eq!(report.examples.len(), 1);
     }
 
     #[test]
@@ -198,7 +185,7 @@ mod tests {
         ];
         let report = converge(&s, &tricky, 1).unwrap();
         assert!(!report.converged);
-        assert_eq!(report.examples_used, 1);
+        assert_eq!(report.examples.len(), 1);
     }
 
     #[test]

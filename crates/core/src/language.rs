@@ -65,30 +65,6 @@ pub enum PredRhsU {
     Expr(SemExpr),
 }
 
-impl LookupU {
-    /// Maximum nesting depth of `Select` constructors.
-    pub fn depth(&self) -> usize {
-        match self {
-            LookupU::Var(_) => 0,
-            LookupU::Select { cond, .. } => {
-                1 + cond
-                    .iter()
-                    .filter_map(|p| match &p.rhs {
-                        PredRhsU::Const(_) => None,
-                        PredRhsU::Expr(e) => Some(&e.atoms),
-                    })
-                    .flatten()
-                    .map(|a| match a {
-                        AtomicExpr::ConstStr(_) => 0,
-                        AtomicExpr::Whole(src) | AtomicExpr::SubStr { src, .. } => src.depth(),
-                    })
-                    .max()
-                    .unwrap_or(0)
-            }
-        }
-    }
-}
-
 impl fmt::Display for LookupU {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -179,22 +155,6 @@ mod tests {
                 rhs: PredRhsU::Expr(SemExpr::atom(AtomicExpr::Whole(LookupU::Var(0)))),
             }],
         }
-    }
-
-    #[test]
-    fn depth_counts_nested_selects() {
-        assert_eq!(LookupU::Var(0).depth(), 0);
-        let l = lookup_name_by_id();
-        assert_eq!(l.depth(), 1);
-        let nested = LookupU::Select {
-            col: 0,
-            table: 0,
-            cond: vec![PredicateU {
-                col: 1,
-                rhs: PredRhsU::Expr(SemExpr::atom(AtomicExpr::Whole(l))),
-            }],
-        };
-        assert_eq!(nested.depth(), 2);
     }
 
     #[test]

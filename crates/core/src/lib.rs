@@ -74,11 +74,11 @@ mod reach;
 pub mod snapshot;
 mod synthesizer;
 
-pub use cache::{DagCache, DagCacheStats, SourcesEpoch};
+pub use cache::{DagCache, DagCacheStats};
 pub use compiled::{ApplyScratch, CompiledProgram};
 pub use dstruct::{GenCondU, GenLookupU, GenPredU, NodeId, SemDStruct, SemNode};
 pub use eval::{eval_lookup_u, eval_sem};
-pub use generate::{generate_str_t, generate_str_u, generate_str_u_cached, LuOptions};
+pub use generate::{generate_str_t, generate_str_u, LuOptions};
 pub use interaction::{converge, distinguishing_input, highlight_ambiguous, ConvergenceReport};
 pub use intersect::{intersect_du, intersect_du_unpruned};
 pub use language::{display_sem, LookupU, PredRhsU, PredicateU, SemAtom, SemExpr, VarId};

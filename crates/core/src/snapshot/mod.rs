@@ -18,7 +18,7 @@
 //! once and named by a back-reference after that, so the file keeps
 //! exactly the sharing the live engine holds and a restore rebuilds it.
 //!
-//! The fingerprint hashes the generation-relevant options
+//! The fingerprint hashes the generation-relevant options of the cache
 //! ([`crate::LuOptions`], via its `Debug` rendering): memo entries are
 //! only sound across equal generation options, so a restore into an
 //! engine configured differently fails typed. Ranking weights, pool width
@@ -41,7 +41,7 @@ use std::path::Path;
 use sst_tables::{Database, IntMap};
 
 use crate::cache::{CacheState, DagCache, ExampleEntry, ExampleKey};
-use crate::SynthesisOptions;
+use crate::{LuOptions, SynthesisOptions};
 use codec::{decode_database, encode_database, Reader, SymDecoder, SymEncoder, Writer};
 use tree::{within, TreeDecoder, TreeEncoder};
 
@@ -144,11 +144,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The fingerprint of `options.lu`, which pins depth bounds, syntactic
-/// generation parameters and the substring gate — everything a memoized
-/// structure depends on.
-fn options_fingerprint(options: &SynthesisOptions) -> u64 {
-    fnv1a(format!("{:?}", options.lu).as_bytes())
+/// The fingerprint of `lu`, which pins depth bounds, syntactic generation
+/// parameters and the substring gate — everything a memoized structure
+/// depends on.
+fn options_fingerprint(lu: &LuOptions) -> u64 {
+    fnv1a(format!("{lu:?}").as_bytes())
 }
 
 /// Frames `payload` into a complete snapshot file image.
@@ -201,20 +201,19 @@ pub fn open_snapshot(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
 }
 
 /// Writes `db` and `cache` as one snapshot to `path` (temp file +
-/// rename). Returns the file size in bytes and the memo plane's sharing
-/// counters.
+/// rename), fingerprinting the cache's own generation options. Returns the
+/// file size in bytes and the memo plane's sharing counters.
 pub fn write(
     path: &Path,
     db: &Database,
     cache: &DagCache,
-    options: &SynthesisOptions,
 ) -> Result<(u64, ArenaStats), SnapshotError> {
     let mut body = Writer::new();
     let mut sym = SymEncoder::new();
     encode_database(db, &mut body, &mut sym);
     let stats = encode_cache(cache, &mut body, &mut sym);
     let mut payload = Writer::new();
-    payload.u64(options_fingerprint(options));
+    payload.u64(options_fingerprint(&cache.options().lu));
     sym.write_table(&mut payload);
     payload.raw(&body.into_bytes());
     let sealed = seal_snapshot(&payload.into_bytes());
@@ -233,22 +232,23 @@ pub fn write(
 }
 
 /// Reads and fully validates a snapshot written by [`write()`], refusing
-/// one taken under different generation options. The restored database
-/// draws fresh process-local epochs and the cache binds to them. Returns
-/// the memo plane's sharing counters too.
+/// one taken under generation options other than `options`. The restored
+/// cache serves `options`; the restored database draws fresh
+/// process-local epochs and the cache binds to them. Returns the memo
+/// plane's sharing counters too.
 pub fn read(
     path: &Path,
-    options: &SynthesisOptions,
+    options: SynthesisOptions,
 ) -> Result<(Database, DagCache, ArenaStats), SnapshotError> {
     let bytes = std::fs::read(path)
         .map_err(|e| SnapshotError::Io(format!("reading {}: {e}", path.display())))?;
     let mut r = Reader::new(open_snapshot(&bytes)?);
-    if r.u64()? != options_fingerprint(options) {
+    if r.u64()? != options_fingerprint(&options.lu) {
         return Err(SnapshotError::OptionsMismatch);
     }
     let sym = SymDecoder::read_table(&mut r)?;
     let db = decode_database(&mut r, &sym)?;
-    let (cache, stats) = decode_cache(&mut r, &sym, db.epoch())?;
+    let (cache, stats) = decode_cache(&mut r, &sym, db.epoch(), options)?;
     r.expect_end()?;
     Ok((db, cache, stats))
 }
@@ -323,12 +323,14 @@ fn encode_cache(cache: &DagCache, w: &mut Writer, sym: &mut SymEncoder) -> Arena
 /// is checked against the structure (or sources epoch) referencing it,
 /// example ids are checked unique and below `next_example`, and every
 /// chain must name restored examples only — a crafted payload fails
-/// typed, never panics. The cache binds to `db_epoch`, the restoring
-/// process's epoch for the restored database; counters start at zero.
+/// typed, never panics. The cache serves `options` and binds to
+/// `db_epoch`, the restoring process's epoch for the restored database;
+/// counters start at zero.
 fn decode_cache(
     r: &mut Reader<'_>,
     sym: &SymDecoder,
     db_epoch: u64,
+    options: SynthesisOptions,
 ) -> Result<(DagCache, ArenaStats), SnapshotError> {
     let start = r.remaining();
     let mut tree = TreeDecoder::default();
@@ -423,7 +425,7 @@ fn decode_cache(
         resident_bytes: (start - r.remaining()) as u64,
         ..tree.stats
     };
-    Ok((DagCache::from_state(state), stats))
+    Ok((DagCache::from_state(options, state), stats))
 }
 
 #[cfg(test)]
@@ -433,7 +435,7 @@ mod tests {
     use sst_tables::Symbol;
 
     use super::*;
-    use crate::cache::tests::{dag, named_struct};
+    use crate::cache::tests::{cache, dag, named_struct};
 
     #[test]
     fn frame_round_trips() {
@@ -498,7 +500,7 @@ mod tests {
     fn decode_stats(bytes: &[u8]) -> Result<(DagCache, ArenaStats), SnapshotError> {
         let mut r = Reader::new(bytes);
         let dec = SymDecoder::read_table(&mut r)?;
-        let decoded = decode_cache(&mut r, &dec, 77)?;
+        let decoded = decode_cache(&mut r, &dec, 77, SynthesisOptions::default())?;
         r.expect_end()?;
         Ok(decoded)
     }
@@ -509,7 +511,7 @@ mod tests {
 
     #[test]
     fn sharing_counters_match_across_encode_and_decode() {
-        let c = DagCache::new();
+        let c = cache();
         let mut d = named_struct("dup");
         d.top = Some(Arc::new(dag(2)));
         c.store_example(0, &[Symbol::intern("a1")], Symbol::intern("b1"), &d);
@@ -529,7 +531,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_cache_state() {
-        let c = DagCache::new();
+        let c = cache();
         c.validate(5);
         let e = c.epoch_of(&[Symbol::intern("snap-src")]);
         let dag_val = Symbol::intern("snap-val");
@@ -579,7 +581,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_out_of_range_ids() {
-        let c = DagCache::new();
+        let c = cache();
         let d = named_struct("oob");
         c.store_example(0, &[Symbol::intern("oi")], Symbol::intern("oo"), &d);
         let bytes = encode(&c);
@@ -732,7 +734,7 @@ mod tests {
 
     #[test]
     fn encode_skips_chains_naming_dropped_ids() {
-        let c = DagCache::new();
+        let c = cache();
         let d = named_struct("orphan");
         let e = c.store_example(0, &[Symbol::intern("or")], Symbol::intern("oo"), &d);
         let e = e.unwrap();

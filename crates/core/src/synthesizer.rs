@@ -61,12 +61,12 @@ pub enum SynthesisError {
     },
     /// No `Lu` program is consistent with all examples.
     NoConsistentProgram,
-    /// Learning was cancelled mid-flight — the configured
-    /// [`CancelToken`] fired (deadline expiry or caller-triggered) before
-    /// the consistent-program set was complete. All caches and memos are
-    /// left exactly as they were: partial results are never inserted, so
-    /// an immediate retry without a budget is bit-identical to a cold
-    /// learn.
+    /// Learning was cancelled mid-flight — the synthesizer's
+    /// [`CancelToken`] ([`Synthesizer::with_cancel`]) fired (deadline
+    /// expiry or caller-triggered) before the consistent-program set was
+    /// complete. All caches and memos are left exactly as they were:
+    /// partial results are never inserted, so an immediate retry without a
+    /// budget is bit-identical to a cold learn.
     Cancelled,
 }
 
@@ -95,7 +95,9 @@ impl fmt::Display for SynthesisError {
 impl std::error::Error for SynthesisError {}
 
 /// Synthesis configuration: generation options, ranking weights, the
-/// memoized DAG plane toggle and the serving pool width.
+/// memoized DAG plane toggle, the serving pool width and the implicit
+/// `k`. A [`DagCache`] owns one and every synthesizer over it learns
+/// under it.
 ///
 /// The struct is `#[non_exhaustive]` — construct it through the builder
 /// ([`SynthesisOptions::builder`]), which stays source-compatible as knobs
@@ -138,17 +140,6 @@ pub struct SynthesisOptions {
     /// highlighting (§3.2 flags inputs where the `top_k` best programs
     /// disagree) and a learn response's ranked programs. Default: 10.
     pub top_k: usize,
-    /// Cooperative cancellation for the synthesis hot loops. The default
-    /// is the inert token (zero overhead — a single `None` branch per
-    /// checkpoint); a live token (deadline- or caller-triggered, see
-    /// [`CancelToken`]) makes `learn` abort with
-    /// [`SynthesisError::Cancelled`] at the next coarse checkpoint
-    /// (per generated example; per node-pair and per left-operand edge of
-    /// every DAG product inside `Intersect_u`; per reachability frontier
-    /// step and activated row inside `GenerateStr_u`). A cancelled
-    /// learn never stores partial structures into the [`DagCache`], so
-    /// retrying without a budget is bit-identical to a cold learn.
-    pub cancel: CancelToken,
 }
 
 impl Default for SynthesisOptions {
@@ -159,7 +150,6 @@ impl Default for SynthesisOptions {
             dag_cache: true,
             threads: crate::default_threads(),
             top_k: 10,
-            cancel: CancelToken::default(),
         }
     }
 }
@@ -170,15 +160,6 @@ impl SynthesisOptions {
     pub fn builder() -> SynthesisOptionsBuilder {
         SynthesisOptionsBuilder {
             options: SynthesisOptions::default(),
-        }
-    }
-
-    /// A builder seeded with *these* options — for deriving a variant
-    /// (e.g. the same configuration at a different thread width) without
-    /// enumerating every knob.
-    pub fn to_builder(&self) -> SynthesisOptionsBuilder {
-        SynthesisOptionsBuilder {
-            options: self.clone(),
         }
     }
 }
@@ -237,14 +218,6 @@ impl SynthesisOptionsBuilder {
         self
     }
 
-    /// Installs a cooperative cancellation token (see
-    /// [`SynthesisOptions::cancel`]). The default is the inert token,
-    /// which never cancels and costs nothing.
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.options.cancel = token;
-        self
-    }
-
     /// Finishes the build.
     pub fn build(self) -> SynthesisOptions {
         self.options
@@ -257,7 +230,8 @@ impl SynthesisOptionsBuilder {
 /// Holds the session's memoized DAG plane: a [`DagCache`] shared by every
 /// `learn` call (and by clones of this synthesizer), so the §3.2
 /// interaction loop's repeated generations and example-pair intersections
-/// are served from memory. The cache is interior-mutable with a read-path
+/// are served from memory. The cache owns the [`SynthesisOptions`] the
+/// synthesizer learns under. It is interior-mutable with a read-path
 /// that takes no exclusive lock, so concurrent learns over clones share
 /// the warm plane instead of serializing. It self-validates against the
 /// database epoch, so a database mutated between learning steps (through
@@ -266,8 +240,8 @@ impl SynthesisOptionsBuilder {
 #[derive(Debug, Clone)]
 pub struct Synthesizer {
     db: Arc<Database>,
-    options: SynthesisOptions,
     cache: Arc<DagCache>,
+    cancel: CancelToken,
 }
 
 impl Synthesizer {
@@ -284,27 +258,34 @@ impl Synthesizer {
 
     /// Creates a synthesizer with explicit options.
     pub fn with_options(db: Arc<Database>, options: SynthesisOptions) -> Self {
+        Synthesizer::with_shared_cache(db, Arc::new(DagCache::new(options)))
+    }
+
+    /// Creates a synthesizer wired to an existing memoized DAG plane,
+    /// learning under the cache's options. This is the service plane's
+    /// seam: an `Engine` owns one warm [`DagCache`] and builds a cheap
+    /// synthesizer view per learn, so every session and batch request
+    /// shares the plane.
+    pub fn with_shared_cache(db: Arc<Database>, cache: Arc<DagCache>) -> Self {
         Synthesizer {
             db,
-            options,
-            cache: Arc::new(DagCache::new()),
+            cache,
+            cancel: CancelToken::default(),
         }
     }
 
-    /// Creates a synthesizer wired to an existing memoized DAG plane. This
-    /// is the service plane's seam: an `Engine` owns one warm [`DagCache`]
-    /// and builds a cheap synthesizer view per learn, so every session and
-    /// batch request shares the plane. The cache must only ever be shared
-    /// across synthesizers with equal generation options (entries are not
-    /// keyed on `LuOptions`); it self-validates against the database
-    /// epoch, so sharing across database *states* is safe. Ranking weights
-    /// may differ: ranked entries are keyed on them.
-    pub fn with_shared_cache(
-        db: Arc<Database>,
-        options: SynthesisOptions,
-        cache: Arc<DagCache>,
-    ) -> Self {
-        Synthesizer { db, options, cache }
+    /// This synthesizer learning under `cancel`: a fired token (deadline-
+    /// or caller-triggered, see [`CancelToken`]) makes `learn` abort with
+    /// [`SynthesisError::Cancelled`] at the next coarse checkpoint (per
+    /// generated example; per node-pair and per left-operand edge of every
+    /// DAG product inside `Intersect_u`; per reachability frontier step
+    /// and activated row inside `GenerateStr_u`). Clones share the token.
+    /// A cancelled learn never stores partial structures into the
+    /// [`DagCache`], so retrying without a token is bit-identical to a
+    /// cold learn. Without a token, the inert default costs a single
+    /// `None` branch per checkpoint.
+    pub fn with_cancel(self, cancel: CancelToken) -> Self {
+        Synthesizer { cancel, ..self }
     }
 
     /// The database (user tables + background knowledge).
@@ -317,9 +298,9 @@ impl Synthesizer {
         &self.db
     }
 
-    /// The configured options.
+    /// The options this synthesizer learns under (its cache's).
     pub fn options(&self) -> &SynthesisOptions {
-        &self.options
+        self.cache.options()
     }
 
     /// Snapshot of the DAG-cache hit/miss counters (benchmark
@@ -352,27 +333,15 @@ impl Synthesizer {
             }
         }
         let db_epoch = self.db.epoch();
-        let cancel = &self.options.cancel;
-        let cache: Option<&DagCache> = self.options.dag_cache.then_some(&*self.cache);
+        let cancel = &self.cancel;
+        let options = self.cache.options();
+        let cache: Option<&DagCache> = options.dag_cache.then_some(&*self.cache);
         let generate = |e: &Example| -> (SemDStruct, Option<u32>) {
+            let inputs = e.input_refs();
             match cache {
-                Some(c) => generate_str_u_keyed(
-                    &self.db,
-                    &e.input_refs(),
-                    &e.output,
-                    &self.options.lu,
-                    c,
-                    cancel,
-                ),
+                Some(c) => generate_str_u_keyed(&self.db, &inputs, &e.output, c, cancel),
                 None => (
-                    generate_str_u_impl(
-                        &self.db,
-                        &e.input_refs(),
-                        &e.output,
-                        &self.options.lu,
-                        None,
-                        cancel,
-                    ),
+                    generate_str_u_impl(&self.db, &inputs, &e.output, &options.lu, None, cancel),
                     None,
                 ),
             }
@@ -398,20 +367,19 @@ impl Synthesizer {
         if !d.has_programs() {
             return Err(SynthesisError::NoConsistentProgram);
         }
-        let depth = self.options.lu.depth_for(&self.db);
-        let weights = &self.options.weights;
+        let depth = options.lu.depth_for(&self.db);
         let shared = cache
             .zip(chain)
-            .and_then(|(c, chain)| c.top_entry(db_epoch, &chain, depth, weights));
+            .and_then(|(c, chain)| c.top_entry(db_epoch, &chain, depth));
         let memo = match shared {
             Some(entry) => TopMemo::new(entry, Some(Arc::downgrade(&self.cache))),
-            None => TopMemo::new(Arc::new(TopEntry::new(depth, weights.clone())), None),
+            None => TopMemo::new(Arc::new(TopEntry::new(depth)), None),
         };
         Ok(LearnedPrograms {
             depth,
             dstruct: d,
             db: Arc::clone(&self.db),
-            options: self.options.clone(),
+            options: Arc::clone(options),
             memo,
         })
     }
@@ -456,7 +424,8 @@ fn intersect_step(
 pub struct LearnedPrograms {
     dstruct: SemDStruct,
     db: Arc<Database>,
-    options: SynthesisOptions,
+    /// The options of the cache it was learned through.
+    options: Arc<SynthesisOptions>,
     depth: usize,
     /// The ranked memo entry behind [`LearnedPrograms::top`]: shared
     /// through the [`DagCache`] when an example-id chain names the
@@ -485,15 +454,16 @@ impl LearnedPrograms {
     ///
     /// Memoized: the structure is ranked once per memo entry — shared by
     /// every learn of the same examples through one [`DagCache`] at the
-    /// same lookup depth and weights, or private to this learned set — and
+    /// same lookup depth, or private to this learned set — and
     /// later calls clone the stored program. The returned program's
     /// [`Program::compile`] is memoized the same way.
     pub fn top(&self) -> Option<Program> {
-        self.memo.top(&self.dstruct).map(|r| Program {
+        let top = self.memo.top(&self.dstruct, &self.options.weights);
+        top.map(|r| Program {
             expr: r.expr.clone(),
             cost: r.cost,
             db: Arc::clone(&self.db),
-            tokens: self.options.lu.syntactic.token_set.clone(),
+            options: Arc::clone(&self.options),
             memo: Some(self.memo.clone()),
         })
     }
@@ -509,7 +479,7 @@ impl LearnedPrograms {
                 expr: r.expr,
                 cost: r.cost,
                 db: Arc::clone(&self.db),
-                tokens: self.options.lu.syntactic.token_set.clone(),
+                options: Arc::clone(&self.options),
                 memo: None,
             })
             .collect()
@@ -528,14 +498,14 @@ impl LearnedPrograms {
     }
 }
 
-/// A concrete, runnable transformation (bundles the database and token set
-/// so it can be applied anywhere).
+/// A concrete, runnable transformation (bundles the database and the
+/// options holding its token set, so it can be applied anywhere).
 #[derive(Debug, Clone)]
 pub struct Program {
     expr: SemExpr,
     cost: u64,
     db: Arc<Database>,
-    tokens: TokenSet,
+    options: Arc<SynthesisOptions>,
     /// Set on [`LearnedPrograms::top`]'s program: where
     /// [`Program::compile`] finds and stores its compiled form.
     memo: Option<TopMemo>,
@@ -554,7 +524,7 @@ impl Program {
 
     /// Applies the program to an input row.
     pub fn run(&self, inputs: &[&str]) -> Option<String> {
-        eval_sem(&self.expr, &self.db, inputs, &self.tokens)
+        eval_sem(&self.expr, &self.db, inputs, self.tokens())
     }
 
     /// Lowers the program to linear bytecode for batch application
@@ -568,11 +538,15 @@ impl Program {
     /// epoch it was lowered against. Other programs lower on every call.
     pub fn compile(&self) -> Arc<crate::CompiledProgram> {
         let lower =
-            || crate::CompiledProgram::lower(&self.expr, Arc::clone(&self.db), &self.tokens);
+            || crate::CompiledProgram::lower(&self.expr, Arc::clone(&self.db), self.tokens());
         match &self.memo {
             Some(memo) => memo.compile(&self.db, lower),
             None => Arc::new(lower()),
         }
+    }
+
+    fn tokens(&self) -> &TokenSet {
+        &self.options.lu.syntactic.token_set
     }
 
     /// An English description of the program (§3.2's paraphrasing).
@@ -681,12 +655,8 @@ mod tests {
         ];
         // An already-expired deadline: the learn must abort with the typed
         // error at the first checkpoint.
-        let cancelled = Synthesizer::with_options(
-            Arc::clone(&db),
-            SynthesisOptions::builder()
-                .cancel_token(CancelToken::with_deadline(std::time::Duration::ZERO))
-                .build(),
-        );
+        let cancelled = Synthesizer::new(Arc::clone(&db))
+            .with_cancel(CancelToken::with_deadline(std::time::Duration::ZERO));
         assert_eq!(
             cancelled.learn(&examples).unwrap_err(),
             SynthesisError::Cancelled
@@ -695,11 +665,7 @@ mod tests {
         // Nothing partial entered the shared plane: a learn over the very
         // same cache serves no example memo entries from the aborted
         // attempt and matches a cold engine bit for bit.
-        let warm = Synthesizer::with_shared_cache(
-            Arc::clone(&db),
-            SynthesisOptions::default(),
-            Arc::clone(&cancelled.cache),
-        );
+        let warm = Synthesizer::with_shared_cache(Arc::clone(&db), Arc::clone(&cancelled.cache));
         let relearned = warm.learn(&examples).unwrap();
         assert_eq!(
             warm.cache_stats().example_hits,
@@ -714,17 +680,15 @@ mod tests {
     #[test]
     fn caller_triggered_cancel_token_is_shared_across_clones() {
         let token = CancelToken::new();
-        let s = Synthesizer::with_options(
-            Arc::new(comp_db()),
-            SynthesisOptions::builder()
-                .cancel_token(token.clone())
-                .build(),
-        );
+        let s = Synthesizer::new(Arc::new(comp_db())).with_cancel(token.clone());
+        let clone = s.clone();
         // Not yet cancelled: the learn completes normally.
         s.learn(&[Example::new(vec!["c2"], "Google")]).unwrap();
         token.cancel();
         assert_eq!(
-            s.learn(&[Example::new(vec!["c3"], "Apple")]).unwrap_err(),
+            clone
+                .learn(&[Example::new(vec!["c3"], "Apple")])
+                .unwrap_err(),
             SynthesisError::Cancelled
         );
     }
@@ -734,14 +698,9 @@ mod tests {
         // Two database states sharing one cache: the example's structure
         // (and so its chain and ranking) is the same in both, but the
         // compiled program bakes in the lookup table's cells.
-        let cache = Arc::new(DagCache::new());
-        let synthesizer = |db: Database| {
-            Synthesizer::with_shared_cache(
-                Arc::new(db),
-                SynthesisOptions::default(),
-                Arc::clone(&cache),
-            )
-        };
+        let cache = Arc::new(DagCache::new(SynthesisOptions::default()));
+        let synthesizer =
+            |db: Database| Synthesizer::with_shared_cache(Arc::new(db), Arc::clone(&cache));
         let example = [Example::new(vec!["c2"], "Google")];
         let before = synthesizer(comp_db()).learn(&example).unwrap();
         let compiled = before.top().unwrap().compile();

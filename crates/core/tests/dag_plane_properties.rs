@@ -18,11 +18,13 @@
 //!   generations, including repeated examples (the whole-example memo
 //!   path) and repeated key values (the `(sources_epoch, value)` path).
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use sst_core::{
-    eval_sem, generate_str_u, generate_str_u_cached, intersect_du, intersect_du_unpruned, DagCache,
-    LuOptions, LuRankWeights, SemDStruct,
+    eval_sem, generate_str_u, intersect_du, intersect_du_unpruned, Example, LuOptions,
+    LuRankWeights, SemDStruct, Synthesizer,
 };
 use sst_tables::{Database, Table};
 
@@ -154,9 +156,10 @@ proptest! {
         assert_observably_equal(&pruned, &oracle, &db, &[&in1, &in2], &ctx)?;
     }
 
-    /// A randomized multi-step session through one `DagCache` produces
-    /// bit-identical structures to fresh uncached generations — including
-    /// the repeated-example (memo hit) and repeated-key-value cases.
+    /// A randomized multi-step session through one synthesizer's
+    /// `DagCache` produces bit-identical structures to fresh uncached
+    /// generations — including the repeated-example (memo hit) and
+    /// repeated-key-value cases.
     #[test]
     fn cached_generation_is_bit_identical_across_sessions(
         n in 3usize..7,
@@ -164,22 +167,25 @@ proptest! {
         steps in prop::collection::vec(0usize..8, 2..6),
     ) {
         let table = code_table(n, seed, true);
-        let db = Database::from_tables(vec![table.clone()]).unwrap();
+        let db = Arc::new(Database::from_tables(vec![table.clone()]).unwrap());
         let opts = LuOptions::default();
         let depth = opts.depth_for(&db);
-        let cache = DagCache::new();
+        let synthesizer = Synthesizer::new(Arc::clone(&db));
         for &pick in &steps {
             let pick = pick % n;
             let input = table.cell(0, pick as u32).to_string();
             let output = table.cell(1, pick as u32).to_string();
-            let cached = generate_str_u_cached(&db, &[&input], &output, &opts, &cache);
+            let learned = synthesizer
+                .learn(&[Example::new(vec![input.as_str()], output.as_str())])
+                .expect("one example always learns");
+            let cached = learned.dstruct();
             let fresh = generate_str_u(&db, &[&input], &output, &opts);
             prop_assert_eq!(cached.len(), fresh.len());
             prop_assert_eq!(cached.count(depth), fresh.count(depth));
             prop_assert_eq!(cached.size(), fresh.size());
             // Intersecting a cached and a fresh structure exercises the
             // Arc-shared DAGs through the full pipeline.
-            let inter = intersect_du(&cached, &fresh);
+            let inter = intersect_du(cached, &fresh);
             prop_assert_eq!(inter.count(depth), fresh.count(depth));
         }
     }
@@ -203,12 +209,12 @@ fn dag_cache_shares_repeated_key_value_dags() {
         ],
     )
     .unwrap();
-    let db = Database::from_tables(vec![table]).unwrap();
-    let opts = LuOptions::default();
-    let cache = DagCache::new();
-    let d = generate_str_u_cached(&db, &["Ducati 125 vs Ducati 250"], "12,500", &opts, &cache);
-    assert!(d.has_programs());
-    let stats = cache.stats();
+    let synthesizer = Synthesizer::new(Arc::new(Database::from_tables(vec![table]).unwrap()));
+    let learned = synthesizer
+        .learn(&[Example::new(vec!["Ducati 125 vs Ducati 250"], "12,500")])
+        .expect("one example always learns");
+    assert!(learned.dstruct().has_programs());
+    let stats = synthesizer.cache_stats();
     assert!(
         stats.dag_hits > 0,
         "repeated key values must hit the per-value DAG memo: {stats:?}"

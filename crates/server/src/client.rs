@@ -38,6 +38,7 @@ use sst_service::{
     LearnRequest, ServiceError, SessionStatus, Wire, WireError, WireLearnResponse,
 };
 
+use crate::fault::splitmix64;
 use crate::proto::SessionInfo;
 
 /// What a request can fail with.
@@ -131,14 +132,6 @@ impl Default for ClientConfig {
             deadline_ms: None,
         }
     }
-}
-
-/// splitmix64 — deterministic jitter without a rand dependency.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// One keep-alive connection to a server. See the module docs.

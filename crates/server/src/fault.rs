@@ -85,8 +85,9 @@ pub struct FaultPlan {
 }
 
 /// splitmix64: the standard 64-bit finalizer — a cheap, well-mixed
-/// stateless PRNG (the same device the client uses for retry jitter).
-fn splitmix64(mut x: u64) -> u64 {
+/// stateless PRNG, deterministic without a rand dependency (fault draws
+/// here, retry jitter in the client).
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

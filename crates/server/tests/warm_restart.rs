@@ -133,5 +133,9 @@ fn corrupt_snapshot_falls_back_to_cold_boot() {
         )
         .unwrap();
     assert!(responses[0].result.is_ok());
+    // Dropping the server writes its snapshot: remove the file after.
+    drop(client);
+    drop(server);
     std::fs::remove_file(&path).ok();
+    assert!(!path.exists());
 }

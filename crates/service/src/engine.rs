@@ -23,14 +23,13 @@ pub(crate) struct EngineInner {
     /// learned programs keep their snapshot alive after the engine moves
     /// on.
     db: RwLock<Arc<Database>>,
-    /// The one warm memoized DAG plane. Interior-mutable with a read-lock
-    /// warm path, so concurrent sessions share it without serializing; it
-    /// self-validates against the database epoch, so any mutation through
-    /// the engine stales its example entries for *every* session at once.
+    /// The one warm memoized DAG plane, which owns the engine-wide
+    /// synthesis options (every learn runs under them). Interior-mutable
+    /// with a read-lock warm path, so concurrent sessions share it without
+    /// serializing; it self-validates against the database epoch, so any
+    /// mutation through the engine stales its example entries for *every*
+    /// session at once.
     cache: Arc<DagCache>,
-    /// Engine-wide synthesis options (a session cannot diverge from them:
-    /// the shared cache is only sound across equal generation options).
-    options: SynthesisOptions,
     /// The global worker pool: batch requests and `run_column` row ranges
     /// fan out across it; learning itself is serial.
     pool: Pool,
@@ -56,8 +55,9 @@ pub(crate) fn with_deadline_error<T>(
 }
 
 /// The serving front-end: owns one `Arc<Database>` of background
-/// knowledge, one warm [`DagCache`] plane and one global [`Pool`],
-/// and hands out cheap handles — [`Session`]s for the §3.2 interactive
+/// knowledge, one warm [`DagCache`] plane (which keeps the engine's
+/// [`SynthesisOptions`]) and one global [`Pool`], and hands out cheap
+/// handles — [`Session`]s for the §3.2 interactive
 /// protocol, [`Engine::learn_batch`] for independent bulk requests.
 ///
 /// `Engine` is `Clone + Send + Sync`; clones share everything (they are
@@ -85,21 +85,15 @@ impl Engine {
     /// An engine with explicit options (build them with
     /// [`SynthesisOptions::builder`]).
     pub fn with_options(db: Arc<Database>, options: SynthesisOptions) -> Self {
-        Engine::from_parts(db, DagCache::new(), options, ArenaStats::default())
+        Engine::from_parts(db, DagCache::new(options), ArenaStats::default())
     }
 
-    fn from_parts(
-        db: Arc<Database>,
-        cache: DagCache,
-        options: SynthesisOptions,
-        snapshot_stats: ArenaStats,
-    ) -> Self {
-        let pool = Pool::new(options.threads);
+    fn from_parts(db: Arc<Database>, cache: DagCache, snapshot_stats: ArenaStats) -> Self {
+        let pool = Pool::new(cache.options().threads);
         Engine {
             inner: Arc::new(EngineInner {
                 db: RwLock::new(db),
                 cache: Arc::new(cache),
-                options,
                 pool,
                 snapshot_stats: Mutex::new(snapshot_stats),
             }),
@@ -111,9 +105,9 @@ impl Engine {
         Ok(Engine::new(Arc::new(Database::from_tables(tables)?)))
     }
 
-    /// The engine-wide synthesis options.
+    /// The engine-wide synthesis options (its memo plane's).
     pub fn options(&self) -> &SynthesisOptions {
-        &self.inner.options
+        self.inner.cache.options()
     }
 
     /// A snapshot of the current database state. The handle stays valid
@@ -160,7 +154,7 @@ impl Engine {
     pub fn snapshot_to(&self, path: &Path) -> Result<u64, ServiceError> {
         self.validate_cache();
         let db = self.db();
-        let (bytes, stats) = snapshot::write(path, &db, &self.inner.cache, &self.inner.options)?;
+        let (bytes, stats) = snapshot::write(path, &db, &self.inner.cache)?;
         *self.snapshot_stats() = stats;
         Ok(bytes)
     }
@@ -174,8 +168,8 @@ impl Engine {
     /// restart must boot with the same configuration it snapshotted
     /// under.
     pub fn restore_from(path: &Path, options: SynthesisOptions) -> Result<Engine, ServiceError> {
-        let (db, cache, stats) = snapshot::read(path, &options)?;
-        Ok(Engine::from_parts(Arc::new(db), cache, options, stats))
+        let (db, cache, stats) = snapshot::read(path, options)?;
+        Ok(Engine::from_parts(Arc::new(db), cache, stats))
     }
 
     /// Opens a new interactive learning session. Sessions are cheap (an
@@ -312,7 +306,7 @@ impl Engine {
         budget: Option<Duration>,
     ) -> Vec<LearnResponse> {
         let synthesizer = self.budgeted_synthesizer(budget);
-        let default_k = self.inner.options.top_k;
+        let default_k = self.options().top_k;
         self.inner.pool.par_map_indexed(requests, |i, request| {
             let mut result = synthesizer
                 .learn(&request.examples)
@@ -381,29 +375,18 @@ impl Engine {
     /// shared memo plane — what sessions and batch workers learn through.
     /// Constructing one is a couple of `Arc` clones.
     pub fn synthesizer(&self) -> Synthesizer {
-        Synthesizer::with_shared_cache(
-            self.db(),
-            self.inner.options.clone(),
-            Arc::clone(&self.inner.cache),
-        )
+        Synthesizer::with_shared_cache(self.db(), Arc::clone(&self.inner.cache))
     }
 
     /// [`Engine::synthesizer`] whose learns, under a `budget`, race one
     /// fresh deadline from *now* — what batches and sessions learn through.
     /// A batch shares the one deadline token across all its requests.
     pub(crate) fn budgeted_synthesizer(&self, budget: Option<Duration>) -> Synthesizer {
-        let Some(budget) = budget else {
-            return self.synthesizer();
-        };
-        Synthesizer::with_shared_cache(
-            self.db(),
-            self.inner
-                .options
-                .to_builder()
-                .cancel_token(CancelToken::with_deadline(budget))
-                .build(),
-            Arc::clone(&self.inner.cache),
-        )
+        let synthesizer = self.synthesizer();
+        match budget {
+            Some(budget) => synthesizer.with_cancel(CancelToken::with_deadline(budget)),
+            None => synthesizer,
+        }
     }
 
     fn read_db(&self) -> Arc<Database> {

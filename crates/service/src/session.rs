@@ -306,12 +306,14 @@ impl Session {
         }
         let report = result?;
         let db_epoch = synthesizer.db_arc().epoch();
+        let examples_used = report.examples.len();
         self.examples = report.examples;
-        self.learned = report
-            .learned
-            .map(|learned| CachedLearn { db_epoch, learned });
+        self.learned = Some(CachedLearn {
+            db_epoch,
+            learned: report.learned,
+        });
         Ok(SessionConvergence {
-            examples_used: report.examples_used,
+            examples_used,
             converged: report.converged,
         })
     }

@@ -270,7 +270,11 @@
 //! The stateless [`Synthesizer`](core::Synthesizer) underneath the service
 //! plane remains public for callers that manage their own state — one
 //! `learn` call over an explicit example slice, options built with
-//! [`SynthesisOptions::builder`](core::SynthesisOptions::builder):
+//! [`SynthesisOptions::builder`](core::SynthesisOptions::builder). The
+//! synthesizer's memo plane ([`DagCache`](core::DagCache)) owns those
+//! options, and
+//! [`Synthesizer::with_cancel`](core::Synthesizer::with_cancel) learns
+//! under a [`CancelToken`](core::CancelToken):
 //!
 //! ```
 //! use std::sync::Arc;

@@ -69,9 +69,7 @@ fn compiled_matches_interpreter_on_every_task() {
         let synthesizer = Synthesizer::new(Arc::new(task.db.clone()));
         let report = converge(&synthesizer, &task.rows, MAX_EXAMPLES)
             .unwrap_or_else(|e| panic!("task {} ({}) failed to learn: {e}", task.id, task.name));
-        let learned = report
-            .learned
-            .expect("converge returns a learned set on Ok");
+        let learned = report.learned;
         let rows = probe_rows(&task);
         for (rank, p) in learned.top_k(TOP_K).iter().enumerate() {
             let compiled = p.compile();

@@ -14,15 +14,13 @@
 //! sharing counters, as an unmutated database gives them. A third replay
 //! pins the ranked memo: the memoized `top()` and its compiled form must
 //! match an uncached ranking on a warm hit, after a snapshot restore,
-//! after a mutation round trip, after an added table moves the lookup
-//! depth, and under two weight sets sharing one cache.
+//! after a mutation round trip, and after an added table moves the lookup
+//! depth.
 
 use std::sync::Arc;
 
 use semantic_strings::benchmarks::all_tasks;
-use semantic_strings::core::{
-    converge, DagCache, DagCacheStats, LuRankWeights, Pool, SynthesisOptions,
-};
+use semantic_strings::core::{converge, DagCacheStats, Pool, SynthesisOptions};
 use semantic_strings::prelude::*;
 
 const MAX_EXAMPLES: usize = 3;
@@ -70,8 +68,8 @@ fn cache_on_and_off_agree_on_every_task() {
         let ru = converge(&uncached, &task.rows, MAX_EXAMPLES)
             .unwrap_or_else(|e| panic!("task {} ({}) uncached: {e}", task.id, task.name));
         assert_eq!(
-            (rc.examples_used, rc.converged),
-            (ru.examples_used, ru.converged),
+            (rc.examples.len(), rc.converged),
+            (ru.examples.len(), ru.converged),
             "convergence drifted on task {} ({})",
             task.id,
             task.name
@@ -88,11 +86,9 @@ fn cache_on_and_off_agree_on_every_task() {
             task.id,
             task.name
         );
-        let lc = rc.learned.expect("cached learned set");
-        let lu = ru.learned.expect("uncached learned set");
         assert_eq!(
-            observe(&lc, &task.rows),
-            observe(&lu, &task.rows),
+            observe(&rc.learned, &task.rows),
+            observe(&ru.learned, &task.rows),
             "count/size/top-k outputs drifted on task {} ({})",
             task.id,
             task.name
@@ -105,7 +101,7 @@ fn cache_on_and_off_agree_on_every_task() {
             .unwrap_or_else(|e| panic!("task {} ({}) warm relearn: {e}", task.id, task.name));
         assert_eq!(
             observe(&warm, &task.rows),
-            observe(&lu, &task.rows),
+            observe(&ru.learned, &task.rows),
             "warm relearn drifted on task {} ({})",
             task.id,
             task.name
@@ -149,14 +145,14 @@ fn intersection_memo_serves_replays() {
         .find(|t| {
             let s = synthesizer(&t.db, true);
             converge(&s, &t.rows, MAX_EXAMPLES)
-                .map(|r| r.examples_used >= 2)
+                .map(|r| r.examples.len() >= 2)
                 .unwrap_or(false)
         })
         .expect("some task needs two examples");
     let s = synthesizer(&task.db, true);
     converge(&s, &task.rows, MAX_EXAMPLES).expect("converges");
     let report = converge(&s, &task.rows, MAX_EXAMPLES).expect("replay converges");
-    assert!(report.learned.is_some());
+    assert!(report.learned.top().is_some());
     let stats = s.cache_stats();
     assert!(
         stats.intersect_hits > 0,
@@ -259,18 +255,14 @@ fn top_view(learned: &LearnedPrograms, rows: &[Vec<String>], pool: &Pool) -> Top
     )
 }
 
-/// The top program an uncached synthesizer ranks under `weights`.
+/// The top program an uncached synthesizer ranks.
 fn uncached_view(
     db: Arc<Database>,
-    weights: &LuRankWeights,
     examples: &[Example],
     rows: &[Vec<String>],
     pool: &Pool,
 ) -> TopView {
-    let options = SynthesisOptions::builder()
-        .dag_cache(false)
-        .weights(weights.clone())
-        .build();
+    let options = SynthesisOptions::builder().dag_cache(false).build();
     let learned = Synthesizer::with_options(db, options)
         .learn(examples)
         .expect("the examples learn uncached");
@@ -291,13 +283,6 @@ fn memo_moves(before: DagCacheStats, after: DagCacheStats) -> (u64, u64, u64, u6
 #[test]
 fn rank_and_compile_memo_match_uncached_ranking_on_every_task() {
     let pool = Pool::new(2);
-    let default = LuRankWeights::default();
-    // The ranking ablation's cheap-deep-selects variant (`paper_claims`).
-    let cheap = LuRankWeights {
-        select: 0,
-        pred: 0,
-        ..LuRankWeights::default()
-    };
     for task in all_tasks() {
         let tag = format!("task {} ({})", task.id, task.name);
         let db = Arc::new(task.db.clone());
@@ -306,7 +291,7 @@ fn rank_and_compile_memo_match_uncached_ranking_on_every_task() {
             .unwrap_or_else(|e| panic!("{tag}: {e}"))
             .examples;
         let rows: Vec<Vec<String>> = task.rows.iter().map(|r| r.inputs.clone()).collect();
-        let want = uncached_view(Arc::clone(&db), &default, &examples, &rows, &pool);
+        let want = uncached_view(Arc::clone(&db), &examples, &rows, &pool);
         let engine = Engine::new(Arc::clone(&db));
         let learn = |engine: &Engine| engine.learn(&examples).expect("warm learn");
 
@@ -381,7 +366,7 @@ fn rank_and_compile_memo_match_uncached_ranking_on_every_task() {
         let before = engine.cache_stats();
         assert_eq!(
             top_view(&learn(&engine), &rows, &pool),
-            uncached_view(Arc::clone(&grown), &default, &examples, &rows, &pool),
+            uncached_view(Arc::clone(&grown), &examples, &rows, &pool),
             "{tag}: after add_table"
         );
         if SynthesisOptions::default().lu.depth_for(&grown) != depth_before {
@@ -391,33 +376,5 @@ fn rank_and_compile_memo_match_uncached_ranking_on_every_task() {
                 "{tag}: a moved depth must re-rank, not serve"
             );
         }
-
-        // Two weight sets sharing one cache each get their own program.
-        let cache = Arc::new(DagCache::new());
-        let shared = |weights: &LuRankWeights| {
-            Synthesizer::with_shared_cache(
-                Arc::clone(&db),
-                SynthesisOptions::builder().weights(weights.clone()).build(),
-                Arc::clone(&cache),
-            )
-        };
-        let (plain, cheap_selects) = (shared(&default), shared(&cheap));
-        let want_cheap = uncached_view(Arc::clone(&db), &cheap, &examples, &rows, &pool);
-        for round in 0..2 {
-            for (s, want) in [(&plain, &want), (&cheap_selects, &want_cheap)] {
-                let learned = s.learn(&examples).expect("shared learn");
-                assert_eq!(
-                    &top_view(&learned, &rows, &pool),
-                    want,
-                    "{tag}: shared cache, round {round}"
-                );
-            }
-        }
-        assert_eq!(cache.ranked_entries(), 2, "{tag}: one entry per weight set");
-        assert_eq!(
-            (cache.stats().rank_hits, cache.stats().rank_misses),
-            (2, 2),
-            "{tag}: the second round is served"
-        );
     }
 }

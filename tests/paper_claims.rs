@@ -47,9 +47,7 @@ fn evaluate(task: &BenchmarkTask) -> TaskReport {
     let synthesizer = Synthesizer::new(Arc::new(task.db.clone()));
     let report = converge(&synthesizer, &task.rows, MAX_EXAMPLES)
         .unwrap_or_else(|e| panic!("task {} ({}): {e}", task.id, task.name));
-    let learned = report
-        .learned
-        .expect("converge returns a learned set on Ok");
+    let learned = &report.learned;
     let first = synthesizer.learn(&report.examples[..1]).expect("learnable");
 
     let cold = Synthesizer::new(Arc::new(task.db.clone()));
@@ -75,7 +73,7 @@ fn evaluate(task: &BenchmarkTask) -> TaskReport {
     TaskReport {
         id: task.id,
         name: task.name,
-        examples_used: report.examples_used,
+        examples_used: report.examples.len(),
         converged: report.converged,
         count: learned.count(),
         size_first: first.size(),
@@ -253,7 +251,7 @@ fn ranking_ablation_table_is_pinned() {
             let options = SynthesisOptions::builder().weights(weights.clone()).build();
             let synthesizer = Synthesizer::with_options(Arc::new(task.db.clone()), options);
             converge(&synthesizer, &task.rows, MAX_EXAMPLES)
-                .map_or((false, MAX_EXAMPLES), |r| (r.converged, r.examples_used))
+                .map_or((false, MAX_EXAMPLES), |r| (r.converged, r.examples.len()))
         }))
     };
 

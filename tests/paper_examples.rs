@@ -82,9 +82,9 @@ fn paper_examples_converge_within_three() {
             converge(&synthesizer, &task.rows, 3).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(report.converged, "{name} did not converge within 3");
         assert!(
-            report.examples_used <= 2,
+            report.examples.len() <= 2,
             "{name} needed {} examples",
-            report.examples_used
+            report.examples.len()
         );
     }
 }

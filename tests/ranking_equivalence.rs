@@ -56,7 +56,7 @@ fn render_conversations() -> String {
                 .unwrap_or_else(|e| panic!("task {} ({}) prefix {n}: {e}", task.id, task.name));
             out.push_str(&format!("  top@{n}: {}\n", top_line(&learned)));
         }
-        let learned = report.learned.expect("a converged task has a learned set");
+        let learned = report.learned;
         for (rank, p) in learned.top_k(TOP_K).iter().enumerate() {
             out.push_str(&format!("  k{rank}: {} | {p}\n", p.cost()));
         }

@@ -114,7 +114,7 @@ fn converge_with_single_row_spreadsheet() {
     let rows = vec![Example::new(vec!["a"], "Apple")];
     let report = converge(&s, &rows, 3).unwrap();
     assert!(report.converged);
-    assert_eq!(report.examples_used, 1);
+    assert_eq!(report.examples.len(), 1);
 }
 
 #[test]
