@@ -74,9 +74,11 @@
 //! Per-value DAGs are pure functions of the ordered source-symbol list
 //! behind their `SourcesEpoch` key, and intersection and ranked entries are
 //! pure functions of the id-named *values* — none reads the database, so
-//! all three survive every mutation. The cache records the epoch it was
-//! filled under, and [`DagCache::validate`] applies the rule when the
-//! epoch moved.
+//! all three survive every mutation, and their probes and stores take no
+//! epoch. The example memo's do: a probe or store at an epoch the cache is
+//! not bound to misses and names no id, so every id a learn holds names
+//! the value it holds. The cache records the epoch it was filled under,
+//! and [`DagCache::validate`] applies the rule when the epoch moved.
 //!
 //! A stale entry probes as a miss, so the example is regenerated; the
 //! regenerated structure is then *compared* with the stale value. Equal
@@ -220,8 +222,8 @@ impl CacheState {
 /// One ranked-memo entry: the top program of the structure its chain
 /// names, ranked at `depth`, and that program's compiled form. `learn`
 /// also builds *private* entries — never listed in a cache — for
-/// structures no chain names (`dag_cache(false)`, a chain an epoch race
-/// left unmemoized), so a learned set still ranks once.
+/// structures no chain names (an example store that lost a race with an
+/// epoch move names no id), so a learned set still ranks once.
 #[derive(Debug)]
 pub(crate) struct TopEntry {
     depth: usize,
@@ -418,11 +420,6 @@ impl DagCache {
         }
     }
 
-    /// The database epoch the entries are valid for.
-    pub fn db_epoch(&self) -> u64 {
-        self.read().db_epoch
-    }
-
     /// Hit/miss counters.
     pub fn stats(&self) -> DagCacheStats {
         DagCacheStats {
@@ -595,28 +592,21 @@ impl DagCache {
     }
 
     /// A previously intersected chain of examples (by example ids, in
-    /// fold order), if cached. Epoch-checked like [`DagCache::example`].
-    pub(crate) fn intersection(&self, db_epoch: u64, chain: &[u32]) -> Option<SemDStruct> {
-        let state = self.read();
-        match state.intersections.get(chain) {
-            Some(d) if state.db_epoch == db_epoch => {
-                self.stats.intersect_hits.fetch_add(1, Ordering::Relaxed);
-                Some(d.clone())
-            }
-            _ => {
-                self.stats.intersect_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    /// fold order), if cached. Not scoped to a database state: the ids
+    /// name values (see the module docs).
+    pub(crate) fn intersection(&self, chain: &[u32]) -> Option<SemDStruct> {
+        let hit = self.read().intersections.get(chain).cloned();
+        let s = &self.stats;
+        count(hit.is_some(), &s.intersect_hits, &s.intersect_misses);
+        hit
     }
 
     /// Stores one intersection result under its example-id chain (first
     /// insert wins on a race — both values are equal, since the chain
-    /// names its operand values; a stale epoch skips the insert, like
-    /// [`DagCache::store_example`]).
-    pub(crate) fn store_intersection(&self, db_epoch: u64, chain: &[u32], d: &SemDStruct) {
+    /// names its operand values).
+    pub(crate) fn store_intersection(&self, chain: &[u32], d: &SemDStruct) {
         let mut state = self.write();
-        if state.db_epoch != db_epoch || state.intersections.contains_key(chain) {
+        if state.intersections.contains_key(chain) {
             return;
         }
         if state.intersections.len() >= MAX_INTERSECTION_ENTRIES {
@@ -626,16 +616,10 @@ impl DagCache {
     }
 
     /// The shared ranked-memo entry of the structure `chain` names, at
-    /// lookup depth `depth`, created empty on a miss. Epoch-checked like
-    /// [`DagCache::store_intersection`]: `None` when the cache was rebound
-    /// to another database epoch. A chain holds one entry, so a moved depth
-    /// (a table was added) replaces the entry ranked at the old depth.
-    pub(crate) fn top_entry(
-        &self,
-        db_epoch: u64,
-        chain: &[u32],
-        depth: usize,
-    ) -> Option<Arc<TopEntry>> {
+    /// lookup depth `depth`, created empty on a miss. A chain holds one
+    /// entry, so a moved depth (a table was added) replaces the entry
+    /// ranked at the old depth.
+    pub(crate) fn top_entry(&self, chain: &[u32], depth: usize) -> Arc<TopEntry> {
         let find = |state: &CacheState| {
             state
                 .ranked
@@ -643,25 +627,16 @@ impl DagCache {
                 .filter(|e| e.depth == depth)
                 .cloned()
         };
-        {
-            let state = self.read();
-            if state.db_epoch != db_epoch {
-                return None;
-            }
-            if let Some(entry) = find(&state) {
-                return Some(entry);
-            }
+        if let Some(entry) = find(&self.read()) {
+            return entry;
         }
         let mut state = self.write();
-        if state.db_epoch != db_epoch {
-            return None;
-        }
         if let Some(entry) = find(&state) {
-            return Some(entry); // raced: keep the first insert canonical
+            return entry; // raced: keep the first insert canonical
         }
         let entry = Arc::new(TopEntry::new(depth));
         state.ranked.insert(chain.into(), Arc::clone(&entry));
-        Some(entry)
+        entry
     }
 }
 
@@ -739,7 +714,14 @@ pub(crate) mod tests {
             "moved epoch stales the example memo"
         );
         assert!(c.example(8, &ins, out).is_none(), "stale entries miss");
-        assert_eq!(c.db_epoch(), 8);
+        assert_eq!(
+            c.store_example(7, &ins, out, &SemDStruct::default()),
+            None,
+            "the cache is bound to the moved epoch"
+        );
+        assert!(c
+            .store_example(8, &ins, out, &SemDStruct::default())
+            .is_some());
     }
 
     /// A tiny structure distinguishable by its node value.
@@ -766,45 +748,61 @@ pub(crate) mod tests {
         // different example key is a different id.
         let ec = c.store_example(0, &[Symbol::intern("ic")], Symbol::intern("oc"), &da);
         assert_ne!(ec, Some(ea), "each example entry mints its own id");
-        assert!(c.intersection(0, &[ea, eb]).is_none());
-        c.store_intersection(0, &[ea, eb], &da);
-        let hit = c.intersection(0, &[ea, eb]).expect("stored");
+        assert!(c.intersection(&[ea, eb]).is_none());
+        c.store_intersection(&[ea, eb], &da);
+        let hit = c.intersection(&[ea, eb]).expect("stored");
         assert_eq!(hit.nodes[0].vals, da.nodes[0].vals);
         assert!(
-            c.intersection(0, &[eb, ea]).is_none(),
+            c.intersection(&[eb, ea]).is_none(),
             "order is part of the key"
         );
         assert!(
-            c.intersection(0, &[ea, eb, eb]).is_none(),
+            c.intersection(&[ea, eb, eb]).is_none(),
             "a longer chain is a different fold"
         );
         assert_eq!(c.intersection_entries(), 1);
-        // A probe validated against a different db epoch must miss even
-        // though the key is present (cross-database cache sharing).
-        assert!(c.intersection(42, &[ea, eb]).is_none());
-        // Validation to a new db state *keeps* the intersection memo: ids
-        // name operand values (never reused or rebound), so the pure
-        // `d₁ ∩ d₂` result stays sound across mutations.
-        c.validate(99);
-        assert!(
-            c.intersection(99, &[ea, eb]).is_some(),
-            "pure memo survives"
-        );
-        // Stores against a stale epoch are not memoized — they could be
-        // mid-flight results from a diverged database sharing the cache.
-        c.store_intersection(0, &[eb, ea], &db);
-        assert_eq!(c.intersection_entries(), 1, "stale-epoch store dropped");
-        assert_eq!(
-            c.store_example(0, &[Symbol::intern("id")], Symbol::intern("od"), &db),
-            None,
-            "stale-epoch example store names no id"
-        );
-        c.store_intersection(99, &[eb, ea], &db);
+        c.store_intersection(&[eb, ea], &db);
         assert_eq!(c.intersection_entries(), 2);
         // First insert wins.
-        c.store_intersection(99, &[eb, ea], &da);
-        let kept = c.intersection(99, &[eb, ea]).unwrap();
+        c.store_intersection(&[eb, ea], &da);
+        let kept = c.intersection(&[eb, ea]).unwrap();
         assert_eq!(kept.nodes[0].vals, db.nodes[0].vals);
+    }
+
+    #[test]
+    fn chain_memos_survive_an_epoch_move() {
+        // Only the example memo is scoped to a database state: ids name
+        // values (never reused or rebound), so a chain names one value and
+        // its intersection and ranked entries are served after a mutation.
+        let c = cache();
+        c.validate(0);
+        let d = SemDStruct {
+            top: Some(Arc::new(dag(2))),
+            ..named_struct("epoch-a")
+        };
+        let (ka, out) = ([Symbol::intern("epoch-ka")], Symbol::intern("epoch-o"));
+        let ea = c.store_example(0, &ka, out, &d).unwrap();
+        c.store_intersection(&[ea, ea], &d);
+        let ranked = c.top_entry(&[ea, ea], 1);
+        c.validate(1);
+        let hit = c.intersection(&[ea, ea]).expect("the chain is served");
+        assert!(
+            Arc::ptr_eq(hit.top.as_ref().unwrap(), d.top.as_ref().unwrap()),
+            "the stored structure is served, not rebuilt"
+        );
+        assert!(
+            Arc::ptr_eq(&c.top_entry(&[ea, ea], 1), &ranked),
+            "the ranked entry is served"
+        );
+        // An example store raced by the epoch move names no id, so no
+        // chain can be keyed on a structure of the old database state.
+        let (kb, ob) = ([Symbol::intern("epoch-kb")], Symbol::intern("epoch-ob"));
+        assert_eq!(c.store_example(0, &kb, ob, &d), None);
+        assert!(c.example(0, &kb, ob).is_none());
+        assert!(
+            c.example(1, &kb, ob).is_none(),
+            "the raced store kept nothing"
+        );
     }
 
     #[test]
@@ -833,7 +831,7 @@ pub(crate) mod tests {
         let out = Symbol::intern("ko");
         let ea = c.store_example(0, &ka, out, &da).unwrap();
         let eb = c.store_example(0, &kb, out, &db).unwrap();
-        c.store_intersection(0, &[ea, eb], &da);
+        c.store_intersection(&[ea, eb], &da);
         c.validate(1);
         assert!(c.example(1, &ka, out).is_none(), "stale probes miss");
         assert_eq!(c.example_entries(), 0);
@@ -842,7 +840,7 @@ pub(crate) mod tests {
         assert_eq!(c.store_example(1, &kb, out, &db), Some(eb));
         assert_eq!(c.example_entries(), 2);
         assert_eq!(c.example(1, &ka, out).map(|(id, _)| id), Some(ea));
-        assert!(c.intersection(1, &[ea, eb]).is_some(), "chain stays warm");
+        assert!(c.intersection(&[ea, eb]).is_some(), "chain stays warm");
     }
 
     #[test]
@@ -853,8 +851,8 @@ pub(crate) mod tests {
         let out = Symbol::intern("co");
         let ea = c.store_example(0, &ka, out, &da).unwrap();
         let eb = c.store_example(0, &kb, out, &db).unwrap();
-        c.store_intersection(0, &[ea, eb], &da);
-        c.store_intersection(0, &[eb, eb], &db);
+        c.store_intersection(&[ea, eb], &da);
+        c.store_intersection(&[eb, eb], &db);
         c.validate(1);
         let changed = named_struct("chg-a2");
         let ea2 = c.store_example(1, &ka, out, &changed).unwrap();
@@ -863,36 +861,32 @@ pub(crate) mod tests {
         let (id, d) = c.example(1, &ka, out).expect("fresh entry");
         assert_eq!(id, ea2);
         assert_eq!(d.nodes[0].vals, changed.nodes[0].vals);
-        assert!(c.intersection(1, &[ea2, eb]).is_none());
-        assert!(c.intersection(1, &[ea, eb]).is_none(), "old chain dropped");
+        assert!(c.intersection(&[ea2, eb]).is_none());
+        assert!(c.intersection(&[ea, eb]).is_none(), "old chain dropped");
         assert_eq!(c.intersection_entries(), 1, "unrelated chains survive");
     }
 
     #[test]
     fn ranked_entries_key_on_chain_and_depth() {
         let c = cache();
-        let e = c.top_entry(0, &[1, 2], 1).expect("same epoch");
-        let same = c.top_entry(0, &[1, 2], 1).expect("same epoch");
+        let e = c.top_entry(&[1, 2], 1);
+        let same = c.top_entry(&[1, 2], 1);
         assert!(Arc::ptr_eq(&e, &same), "equal keys share one entry");
-        let other_chain = c.top_entry(0, &[1], 1).unwrap();
+        let other_chain = c.top_entry(&[1], 1);
         assert!(!Arc::ptr_eq(&e, &other_chain));
         assert_eq!(c.read().ranked.len(), 2);
-        let deeper = c.top_entry(0, &[1, 2], 2).unwrap();
+        let deeper = c.top_entry(&[1, 2], 2);
         assert!(!Arc::ptr_eq(&e, &deeper), "the depth is keyed");
         assert_eq!(
             c.read().ranked.len(),
             2,
             "a moved depth replaces the chain's entry"
         );
-        assert!(
-            c.top_entry(5, &[1, 2], 1).is_none(),
-            "another database epoch gets a private entry"
-        );
         // Re-minting an example id prunes the chains naming it; a flush of
         // the example memo takes every chain with it.
         let (ka, out) = ([Symbol::intern("rk-a")], Symbol::intern("rk-o"));
         let id = c.store_example(0, &ka, out, &named_struct("rk-1")).unwrap();
-        c.top_entry(0, &[id], 1).unwrap();
+        c.top_entry(&[id], 1);
         assert_eq!(c.read().ranked.len(), 3);
         c.validate(1);
         c.store_example(1, &ka, out, &named_struct("rk-2"));

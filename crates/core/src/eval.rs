@@ -25,7 +25,7 @@ pub fn eval_sem(
 }
 
 /// Evaluates a lookup expression of the unified language.
-pub fn eval_lookup_u(
+fn eval_lookup_u(
     expr: &LookupU,
     db: &Database,
     inputs: &[&str],

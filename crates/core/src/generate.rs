@@ -88,8 +88,6 @@ impl ReachPolicy for ExactGate {
     // Empty inputs still seed nodes (the frontier probe skips them:
     // empty strings match empty cells only vacuously).
     const SEED_EMPTY_INPUTS: bool = true;
-    // Matched cells are reachable strings themselves.
-    const MATERIALIZE_HITS: bool = true;
 
     fn activations(
         &mut self,
@@ -232,9 +230,6 @@ impl ReachPolicy for RelaxedGate<'_> {
     // Empty inputs are dropped up front: they can neither relate to a cell
     // nor contribute atoms.
     const SEED_EMPTY_INPUTS: bool = false;
-    // The assembled cell is not a lookup output — it is merely assemblable
-    // — so it only becomes a node if some other activation reaches it.
-    const MATERIALIZE_HITS: bool = false;
 
     fn activations(
         &mut self,
@@ -332,7 +327,7 @@ pub fn generate_str_u(
 /// [`generate_str_u`] backed by a [`DagCache`], under the cache's own
 /// generation options: per-value DAGs are served from
 /// `(sources_epoch, value)` entries and whole repeated examples from the
-/// example memo, with results bit-identical to the uncached path (the
+/// example memo, with results bit-identical to [`generate_str_u`] (the
 /// cache validates itself against `db.epoch()` first, so a mutated
 /// database never serves stale structures). Also reports the structure's
 /// example id, the link of the intersection memo's chain keys

@@ -77,7 +77,7 @@ mod synthesizer;
 pub use cache::{DagCache, DagCacheStats};
 pub use compiled::{ApplyScratch, CompiledProgram};
 pub use dstruct::{GenCondU, GenLookupU, GenPredU, NodeId, SemDStruct, SemNode};
-pub use eval::{eval_lookup_u, eval_sem};
+pub use eval::eval_sem;
 pub use generate::{generate_str_t, generate_str_u, LuOptions};
 pub use interaction::{converge, distinguishing_input, highlight_ambiguous, ConvergenceReport};
 pub use intersect::{intersect_du, intersect_du_unpruned};
@@ -86,6 +86,5 @@ pub use par::{default_threads, CancelToken, Pool};
 pub use paraphrase::paraphrase_sem;
 pub use rank::{LuRankWeights, RankedSem};
 pub use synthesizer::{
-    Example, LearnedPrograms, Program, SynthesisError, SynthesisOptions, SynthesisOptionsBuilder,
-    Synthesizer,
+    Example, LearnedPrograms, Program, SynthesisError, SynthesisOptions, Synthesizer,
 };

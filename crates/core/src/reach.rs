@@ -23,9 +23,11 @@ use sst_tables::{ColId, Database, IntMap, ProgSet, RowId, Symbol, SymbolMap, Tab
 use crate::dstruct::{GenCondU, GenLookupU, GenPredU, NodeId, SemNode};
 
 /// One activated row within a reachability step: the row plus the columns
-/// the gate hit directly. Hit columns never receive a `Select` (they were
-/// reached another way); whether they still materialize nodes is the
-/// policy's [`ReachPolicy::MATERIALIZE_HITS`].
+/// the gate hit directly. Hit columns neither receive a `Select` nor
+/// materialize a node: they were reached another way (the exact gate's
+/// matched cells equal a frontier node's value), or are merely assemblable
+/// and become nodes only if some other activation reaches them (the
+/// relaxed gate's).
 #[derive(Debug, Clone)]
 pub(crate) struct Activation {
     /// Owning table.
@@ -109,12 +111,6 @@ pub(crate) trait ReachPolicy {
     /// exact gate does (its frontier probe skips them); the relaxed gate
     /// drops them up front.
     const SEED_EMPTY_INPUTS: bool;
-
-    /// Whether hit columns also materialize nodes. The exact gate's
-    /// matched cells are themselves reachable strings; the relaxed gate's
-    /// assembled cell is *not* a lookup output, so it only becomes a node
-    /// if some other activation reaches it.
-    const MATERIALIZE_HITS: bool;
 
     /// Appends this step's activations to `out`, in the order both passes
     /// visit them (the order must be deterministic — sort before pushing).
@@ -201,7 +197,7 @@ pub(crate) fn reach<P: ReachPolicy>(
         for act in &activations {
             let table = db.table(act.table);
             for col in 0..table.width() as ColId {
-                if !P::MATERIALIZE_HITS && act.hit_cols.contains(&col) {
+                if act.hit_cols.contains(&col) {
                     continue;
                 }
                 let value = table.cell_sym(col, act.row);

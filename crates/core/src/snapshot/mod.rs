@@ -546,7 +546,7 @@ mod tests {
             .unwrap();
         let stale_key = [Symbol::intern("snap-stale")];
         c.store_example(5, &stale_key, out, &db);
-        c.store_intersection(5, &[ua, ub], &da);
+        c.store_intersection(&[ua, ub], &da);
         // Stale entries travel with their flag.
         let key = ExampleKey {
             inputs: stale_key.into(),
@@ -555,16 +555,17 @@ mod tests {
         c.write().examples.get_mut(&key).expect("stored").stale = true;
 
         let restored = decode(&encode(&c)).unwrap();
-        assert_eq!(restored.db_epoch(), 77, "binds to the caller's epoch");
         assert_eq!(restored.example_entries(), 2, "stale entry not counted");
         assert_eq!(restored.intersection_entries(), 1);
         assert_eq!(restored.dag_entries(), 1);
         assert!(restored.example(77, &stale_key, out).is_none());
-        // Warm probes hit and return the same ids.
+        // The restore binds to the caller's epoch, not the writer's: warm
+        // probes at 77 hit and return the same ids.
+        assert!(restored.example(5, &ins, out).is_none());
         let (id, d) = restored.example(77, &ins, out).expect("warm example");
         assert_eq!(id, ua);
         assert_eq!(d.nodes[0].vals, da.nodes[0].vals);
-        assert!(restored.intersection(77, &[ua, ub]).is_some());
+        assert!(restored.intersection(&[ua, ub]).is_some());
         let hit = restored.dag_for(
             restored.epoch_of(&[Symbol::intern("snap-src")]),
             dag_val,
@@ -738,9 +739,9 @@ mod tests {
         let d = named_struct("orphan");
         let e = c.store_example(0, &[Symbol::intern("or")], Symbol::intern("oo"), &d);
         let e = e.unwrap();
-        c.store_intersection(0, &[e, e], &d);
+        c.store_intersection(&[e, e], &d);
         // A chain a racing learn stored after its id was re-minted.
-        c.store_intersection(0, &[e, e + 100], &d);
+        c.store_intersection(&[e, e + 100], &d);
         let restored = decode(&encode(&c)).expect("live state always decodes");
         assert_eq!(restored.intersection_entries(), 1);
     }

@@ -14,7 +14,7 @@ use sst_tables::Database;
 use crate::cache::{DagCache, TopEntry, TopMemo};
 use crate::dstruct::SemDStruct;
 use crate::eval::eval_sem;
-use crate::generate::{generate_str_u_impl, generate_str_u_keyed, LuOptions};
+use crate::generate::{generate_str_u_keyed, LuOptions};
 use crate::intersect::{intersect_du_impl, Product};
 use crate::language::{display_sem, SemExpr};
 use crate::paraphrase::paraphrase_sem;
@@ -95,50 +95,40 @@ impl fmt::Display for SynthesisError {
 impl std::error::Error for SynthesisError {}
 
 /// Synthesis configuration: generation options, ranking weights, the
-/// memoized DAG plane toggle, the serving pool width and the implicit
-/// `k`. A [`DagCache`] owns one and every synthesizer over it learns
-/// under it.
+/// serving pool width and the implicit `k`. A [`DagCache`] owns one and
+/// every synthesizer over it learns under it.
 ///
-/// The struct is `#[non_exhaustive]` — construct it through the builder
-/// ([`SynthesisOptions::builder`]), which stays source-compatible as knobs
-/// are added:
+/// Plain data: set the fields you need and take the rest from
+/// [`Default`], which keeps compiling as fields are added:
 ///
 /// ```
 /// use sst_core::SynthesisOptions;
-/// let options = SynthesisOptions::builder()
-///     .threads(4)
-///     .dag_cache(true)
-///     .top_k(10)
-///     .build();
+/// let options = SynthesisOptions {
+///     threads: 4,
+///     top_k: 10,
+///     ..Default::default()
+/// };
 /// assert_eq!(options.threads, 4);
 /// ```
 #[derive(Debug, Clone)]
-#[non_exhaustive]
 pub struct SynthesisOptions {
-    /// Generation options (depth bound, token set).
+    /// Generation options (depth bound, token set, substring gate).
     pub lu: LuOptions,
     /// Ranking weights.
     pub weights: LuRankWeights,
-    /// Whether learning runs on the memoized DAG plane ([`DagCache`]):
-    /// per-value predicate/top DAGs shared by `(sources_epoch, value)`,
-    /// whole repeated examples served from the session memo, and repeated
-    /// intersections served from the intersection memo, keyed by the
-    /// chain of example ids they fold. Results are bit-identical either
-    /// way (pinned by `tests/dag_memo_equivalence.rs`); the toggle exists
-    /// for that differential harness and for perf comparisons. Default:
-    /// enabled.
-    pub dag_cache: bool,
     /// Width of the engine pool that the service plane (`sst-service`'s
     /// `Engine`) builds from these options: batch requests fan out across
     /// it, and so do `run_column`'s row ranges. Learning itself is serial,
     /// so the width never changes a learned observable (pinned at widths 1,
-    /// 2 and the machine width by `tests/service_equivalence.rs`). Default:
+    /// 2 and the machine width by `tests/service_equivalence.rs`). `0`
+    /// means the machine width ([`crate::Pool::new`]). Default:
     /// [`crate::default_threads`] (the machine's available parallelism).
     pub threads: usize,
     /// How many top-ranked programs the service plane considers where a
     /// caller gives no explicit `k`: `Session::top_k`, ambiguity
     /// highlighting (§3.2 flags inputs where the `top_k` best programs
-    /// disagree) and a learn response's ranked programs. Default: 10.
+    /// disagree) and a learn response's ranked programs. The service plane
+    /// reads `0` as 1. Default: 10.
     pub top_k: usize,
 }
 
@@ -147,80 +137,9 @@ impl Default for SynthesisOptions {
         SynthesisOptions {
             lu: LuOptions::default(),
             weights: LuRankWeights::default(),
-            dag_cache: true,
             threads: crate::default_threads(),
             top_k: 10,
         }
-    }
-}
-
-impl SynthesisOptions {
-    /// A builder over the defaults — the only way to construct options
-    /// outside this crate (the struct is `#[non_exhaustive]`).
-    pub fn builder() -> SynthesisOptionsBuilder {
-        SynthesisOptionsBuilder {
-            options: SynthesisOptions::default(),
-        }
-    }
-}
-
-/// Builder for [`SynthesisOptions`]; see [`SynthesisOptions::builder`].
-/// Every setter returns `self`, so knobs chain; unset knobs keep their
-/// defaults, and adding a knob in a future version cannot break callers.
-#[derive(Debug, Clone)]
-pub struct SynthesisOptionsBuilder {
-    options: SynthesisOptions,
-}
-
-impl SynthesisOptionsBuilder {
-    /// Replaces the generation options (depth bound, token set, substring
-    /// gate) wholesale.
-    pub fn lu(mut self, lu: LuOptions) -> Self {
-        self.options.lu = lu;
-        self
-    }
-
-    /// Reachability depth bound (`LuOptions::max_depth`); the default
-    /// derives it from the database (§4.3: number of tables).
-    pub fn max_depth(mut self, depth: usize) -> Self {
-        self.options.lu.max_depth = Some(depth);
-        self
-    }
-
-    /// Replaces the ranking weights.
-    pub fn weights(mut self, weights: LuRankWeights) -> Self {
-        self.options.weights = weights;
-        self
-    }
-
-    /// Toggles the memoized DAG plane (see
-    /// [`SynthesisOptions::dag_cache`]).
-    pub fn dag_cache(mut self, enabled: bool) -> Self {
-        self.options.dag_cache = enabled;
-        self
-    }
-
-    /// Width of the serving pool (see [`SynthesisOptions::threads`]); `0`
-    /// means the machine's available parallelism.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = if threads == 0 {
-            crate::default_threads()
-        } else {
-            threads
-        };
-        self
-    }
-
-    /// How many top-ranked programs implicit-`k` APIs consider (see
-    /// [`SynthesisOptions::top_k`]).
-    pub fn top_k(mut self, k: usize) -> Self {
-        self.options.top_k = k.max(1);
-        self
-    }
-
-    /// Finishes the build.
-    pub fn build(self) -> SynthesisOptions {
-        self.options
     }
 }
 
@@ -332,20 +251,10 @@ impl Synthesizer {
                 });
             }
         }
-        let db_epoch = self.db.epoch();
         let cancel = &self.cancel;
-        let options = self.cache.options();
-        let cache: Option<&DagCache> = options.dag_cache.then_some(&*self.cache);
-        let generate = |e: &Example| -> (SemDStruct, Option<u32>) {
-            let inputs = e.input_refs();
-            match cache {
-                Some(c) => generate_str_u_keyed(&self.db, &inputs, &e.output, c, cancel),
-                None => (
-                    generate_str_u_impl(&self.db, &inputs, &e.output, &options.lu, None, cancel),
-                    None,
-                ),
-            }
-        };
+        let cache = &*self.cache;
+        let generate =
+            |e: &Example| generate_str_u_keyed(&self.db, &e.input_refs(), &e.output, cache, cancel);
         let (mut d, first_id) = generate(first);
         let mut chain = first_id.map(|id| vec![id]);
         if cancel.is_cancelled() {
@@ -356,7 +265,7 @@ impl Synthesizer {
             if cancel.is_cancelled() {
                 return Err(SynthesisError::Cancelled);
             }
-            (d, chain) = intersect_step(cache, db_epoch, d, chain, &next, next_id, cancel);
+            (d, chain) = intersect_step(cache, d, chain, &next, next_id, cancel);
             if cancel.is_cancelled() {
                 return Err(SynthesisError::Cancelled);
             }
@@ -367,12 +276,13 @@ impl Synthesizer {
         if !d.has_programs() {
             return Err(SynthesisError::NoConsistentProgram);
         }
+        let options = cache.options();
         let depth = options.lu.depth_for(&self.db);
-        let shared = cache
-            .zip(chain)
-            .and_then(|(c, chain)| c.top_entry(db_epoch, &chain, depth));
-        let memo = match shared {
-            Some(entry) => TopMemo::new(entry, Some(Arc::downgrade(&self.cache))),
+        let memo = match chain {
+            Some(chain) => TopMemo::new(
+                cache.top_entry(&chain, depth),
+                Some(Arc::downgrade(&self.cache)),
+            ),
             None => TopMemo::new(Arc::new(TopEntry::new(depth)), None),
         };
         Ok(LearnedPrograms {
@@ -393,29 +303,26 @@ impl Synthesizer {
 /// compute skips the store — partial intersections never enter the memo —
 /// and the caller aborts the learn at its own checkpoint.
 fn intersect_step(
-    cache: Option<&DagCache>,
-    db_epoch: u64,
+    cache: &DagCache,
     a: SemDStruct,
     a_chain: Option<Vec<u32>>,
     b: &SemDStruct,
     b_id: Option<u32>,
     cancel: &CancelToken,
 ) -> (SemDStruct, Option<Vec<u32>>) {
-    match (cache, a_chain, b_id) {
-        (Some(c), Some(mut chain), Some(ib)) => {
-            chain.push(ib);
-            if let Some(hit) = c.intersection(db_epoch, &chain) {
-                return (hit, Some(chain));
-            }
-            let r = intersect_du_impl(&a, b, Product::Pruned, cancel);
-            if cancel.is_cancelled() {
-                return (r, None);
-            }
-            c.store_intersection(db_epoch, &chain, &r);
-            (r, Some(chain))
-        }
-        _ => (intersect_du_impl(&a, b, Product::Pruned, cancel), None),
+    let (Some(mut chain), Some(ib)) = (a_chain, b_id) else {
+        return (intersect_du_impl(&a, b, Product::Pruned, cancel), None);
+    };
+    chain.push(ib);
+    if let Some(hit) = cache.intersection(&chain) {
+        return (hit, Some(chain));
     }
+    let r = intersect_du_impl(&a, b, Product::Pruned, cancel);
+    if cancel.is_cancelled() {
+        return (r, None);
+    }
+    cache.store_intersection(&chain, &r);
+    (r, Some(chain))
 }
 
 /// The set of all consistent programs, plus ranking; the result of

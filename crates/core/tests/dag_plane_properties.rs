@@ -192,7 +192,7 @@ proptest! {
 }
 
 #[test]
-fn dag_cache_shares_repeated_key_value_dags() {
+fn memo_plane_shares_repeated_key_value_dags() {
     // A composite candidate key (Brand, Disp): single key-column values
     // repeat across rows ("Ducati" pins three of them), so every row
     // activated in one step re-derives the same predicate DAG. With the

@@ -39,6 +39,7 @@ use sst_service::{
 };
 
 use crate::fault::splitmix64;
+use crate::http::MAX_BODY;
 use crate::proto::SessionInfo;
 
 /// What a request can fail with.
@@ -55,6 +56,13 @@ pub enum ClientError {
         /// The decoded error body.
         error: ServiceError,
     },
+    /// The response declared a body longer than [`MAX_BODY`], the cap the
+    /// server puts on request bodies; it was refused before allocating.
+    /// The unread body is left on the connection, so drop the client.
+    TooLarge {
+        /// The declared `Content-Length`.
+        length: usize,
+    },
 }
 
 impl fmt::Display for ClientError {
@@ -63,6 +71,10 @@ impl fmt::Display for ClientError {
             ClientError::Io(err) => write!(f, "transport: {err}"),
             ClientError::Decode(err) => write!(f, "bad response body: {err}"),
             ClientError::Http { status, error } => write!(f, "HTTP {status}: {error}"),
+            ClientError::TooLarge { length } => write!(
+                f,
+                "response body of {length} bytes exceeds the {MAX_BODY}-byte cap"
+            ),
         }
     }
 }
@@ -73,6 +85,7 @@ impl std::error::Error for ClientError {
             ClientError::Io(err) => Some(err),
             ClientError::Decode(err) => Some(err),
             ClientError::Http { error, .. } => Some(error),
+            ClientError::TooLarge { .. } => None,
         }
     }
 }
@@ -267,6 +280,11 @@ impl Client {
             }
         }
 
+        if content_length > MAX_BODY {
+            return Err(ClientError::TooLarge {
+                length: content_length,
+            });
+        }
         let mut body = vec![0u8; content_length];
         self.reader.read_exact(&mut body)?;
         let body = String::from_utf8(body).map_err(|_| {
@@ -481,5 +499,36 @@ impl Client {
             true,
         )?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn oversized_content_length_is_refused_before_allocating() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stub = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap() > 0 && line != "\r\n" {
+                line.clear();
+            }
+            (&stream)
+                .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\n")
+                .unwrap();
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let err = client.request("GET", "/healthz", "").unwrap_err();
+        stub.join().unwrap();
+        assert!(
+            matches!(err, ClientError::TooLarge { length } if length == usize::MAX),
+            "got {err:?}"
+        );
+        assert!(err.to_string().contains("exceeds"), "{err}");
     }
 }

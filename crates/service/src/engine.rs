@@ -82,8 +82,7 @@ impl Engine {
         Engine::with_options(db, SynthesisOptions::default())
     }
 
-    /// An engine with explicit options (build them with
-    /// [`SynthesisOptions::builder`]).
+    /// An engine with explicit options.
     pub fn with_options(db: Arc<Database>, options: SynthesisOptions) -> Self {
         Engine::from_parts(db, DagCache::new(options), ArenaStats::default())
     }
@@ -108,6 +107,12 @@ impl Engine {
     /// The engine-wide synthesis options (its memo plane's).
     pub fn options(&self) -> &SynthesisOptions {
         self.inner.cache.options()
+    }
+
+    /// How many top-ranked programs a call without an explicit `k`
+    /// considers: [`SynthesisOptions::top_k`], with `0` read as 1.
+    pub(crate) fn default_top_k(&self) -> usize {
+        self.options().top_k.max(1)
     }
 
     /// A snapshot of the current database state. The handle stays valid
@@ -306,7 +311,7 @@ impl Engine {
         budget: Option<Duration>,
     ) -> Vec<LearnResponse> {
         let synthesizer = self.budgeted_synthesizer(budget);
-        let default_k = self.options().top_k;
+        let default_k = self.default_top_k();
         self.inner.pool.par_map_indexed(requests, |i, request| {
             let mut result = synthesizer
                 .learn(&request.examples)
@@ -316,7 +321,7 @@ impl Engine {
             }
             let top = result
                 .as_ref()
-                .map(|learned| learned.top_k(request.top_k.unwrap_or(default_k).max(1)))
+                .map(|learned| learned.top_k(request.top_k.map_or(default_k, |k| k.max(1))))
                 .unwrap_or_default();
             LearnResponse {
                 request: i,

@@ -163,7 +163,7 @@ impl Session {
                 ambiguous_inputs: self.inputs.clone(),
             });
         }
-        let k = self.engine.options().top_k;
+        let k = self.engine.default_top_k();
         self.ensure_learned()?;
         let learned = &self.learned.as_ref().expect("just ensured").learned;
         let flagged = highlight_ambiguous(learned, &self.inputs, k);
@@ -180,7 +180,7 @@ impl Session {
     /// programs disagree — the cheapest question to ask the user (§3.2,
     /// oracle-guided synthesis).
     pub fn distinguishing_input(&mut self) -> Result<Option<Vec<String>>, ServiceError> {
-        let k = self.engine.options().top_k;
+        let k = self.engine.default_top_k();
         self.ensure_learned()?;
         let learned = &self.learned.as_ref().expect("just ensured").learned;
         let found = distinguishing_input(learned, &self.inputs, k);
@@ -246,7 +246,7 @@ impl Session {
     /// ([`SynthesisOptions::top_k`](sst_core::SynthesisOptions::top_k)),
     /// ascending cost; the first is [`Session::top`]'s program.
     pub fn top_k(&mut self) -> Result<Vec<Program>, ServiceError> {
-        let k = self.engine.options().top_k;
+        let k = self.engine.default_top_k();
         Ok(self.learned()?.top_k(k))
     }
 

@@ -143,8 +143,8 @@ impl LearnRequest {
     }
 
     /// Overrides how many ranked programs the response carries (clamped
-    /// to at least 1, like the options builder — a successful learn always
-    /// materializes its best program).
+    /// to at least 1, like the engine's default `k` — a successful learn
+    /// always materializes its best program).
     pub fn with_top_k(mut self, k: usize) -> Self {
         self.top_k = Some(k.max(1));
         self

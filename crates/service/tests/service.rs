@@ -555,11 +555,11 @@ fn sessions_are_independent_conversations() {
 
 #[test]
 fn engine_options_flow_into_sessions() {
-    let options = SynthesisOptions::builder()
-        .threads(1)
-        .dag_cache(true)
-        .top_k(2)
-        .build();
+    let options = SynthesisOptions {
+        threads: 1,
+        top_k: 2,
+        ..Default::default()
+    };
     let engine = Engine::with_options(
         Arc::new(Database::from_tables(vec![comp_table()]).unwrap()),
         options,
@@ -690,13 +690,18 @@ fn snapshot_restore_refuses_mismatched_options() {
     engine.learn(&[Example::new(vec!["c2"], "Google")]).unwrap();
     engine.snapshot_to(&path).unwrap();
 
-    let other = SynthesisOptions::builder().max_depth(7).build();
+    let mut other = SynthesisOptions::default();
+    other.lu.max_depth = Some(7);
     let err = Engine::restore_from(&path, other).unwrap_err();
     assert!(matches!(err, ServiceError::Snapshot(_)), "got {err:?}");
     assert!(err.to_string().contains("fingerprint"), "got {err}");
 
     // Non-generation knobs (threads, top_k) are outside the fingerprint.
-    let reranked = SynthesisOptions::builder().threads(1).top_k(3).build();
+    let reranked = SynthesisOptions {
+        threads: 1,
+        top_k: 3,
+        ..Default::default()
+    };
     Engine::restore_from(&path, reranked).unwrap();
     std::fs::remove_file(&path).ok();
 }

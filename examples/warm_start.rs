@@ -72,7 +72,8 @@ fn main() {
 
     // A differently configured engine refuses the file instead of
     // serving memos that another configuration produced.
-    let other = SynthesisOptions::builder().max_depth(7).build();
+    let mut other = SynthesisOptions::default();
+    other.lu.max_depth = Some(7);
     let refused = Engine::restore_from(&path, other);
     println!(
         "Restore under different generation options: {}",

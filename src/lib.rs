@@ -269,10 +269,10 @@
 //!
 //! The stateless [`Synthesizer`](core::Synthesizer) underneath the service
 //! plane remains public for callers that manage their own state — one
-//! `learn` call over an explicit example slice, options built with
-//! [`SynthesisOptions::builder`](core::SynthesisOptions::builder). The
-//! synthesizer's memo plane ([`DagCache`](core::DagCache)) owns those
-//! options, and
+//! `learn` call over an explicit example slice, under
+//! [`SynthesisOptions`](core::SynthesisOptions) written as plain data
+//! (set some fields, take the rest from `Default`). The synthesizer's memo
+//! plane ([`DagCache`](core::DagCache)) owns those options, and
 //! [`Synthesizer::with_cancel`](core::Synthesizer::with_cancel) learns
 //! under a [`CancelToken`](core::CancelToken):
 //!
@@ -284,7 +284,10 @@
 //! # let comp = Table::new("Comp", vec!["Id", "Name"],
 //! #     vec![vec!["c1", "Microsoft"], vec!["c2", "Google"], vec!["c3", "Apple"]]).unwrap();
 //! let db = Arc::new(Database::from_tables(vec![comp]).unwrap());
-//! let options = SynthesisOptions::builder().dag_cache(true).top_k(5).build();
+//! let options = SynthesisOptions {
+//!     top_k: 5,
+//!     ..Default::default()
+//! };
 //! let synthesizer = Synthesizer::with_options(db, options);
 //! let learned = synthesizer
 //!     .learn(&[Example::new(vec!["c2"], "Google")])
@@ -307,10 +310,7 @@ pub use sst_benchmarks as benchmarks;
 
 /// Convenience re-exports covering the common entry points.
 pub mod prelude {
-    pub use sst_core::{
-        CancelToken, Example, LearnedPrograms, SynthesisOptions, SynthesisOptionsBuilder,
-        Synthesizer,
-    };
+    pub use sst_core::{CancelToken, Example, LearnedPrograms, SynthesisOptions, Synthesizer};
     pub use sst_server::{Client, ClientConfig, Server, ServerConfig};
     pub use sst_service::{
         ApplyRequest, ApplyResponse, Engine, LearnRequest, LearnResponse, ServiceError, Session,

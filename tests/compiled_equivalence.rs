@@ -148,8 +148,13 @@ fn prop_programs() -> &'static Vec<Program> {
         )
         .unwrap();
         let db = Arc::new(Database::from_tables(vec![comp]).unwrap());
-        let synthesizer =
-            Synthesizer::with_options(db, SynthesisOptions::builder().threads(1).build());
+        let synthesizer = Synthesizer::with_options(
+            db,
+            SynthesisOptions {
+                threads: 1,
+                ..Default::default()
+            },
+        );
         let learned = synthesizer
             .learn(&[
                 Example::new(vec!["c2"], "Google"),

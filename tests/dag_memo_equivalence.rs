@@ -1,138 +1,160 @@
 //! Differential harness for the memoized DAG plane.
 //!
-//! The `DagCache` (per-value DAG memo keyed by `(sources_epoch, value)`,
-//! whole-example generation memo, `Arc`-shared predicate/top DAGs) and the
-//! pruned `Intersect_u` are *representation and scheduling* changes: every
-//! observable — program counts, data-structure sizes, convergence
-//! behavior, top-k ranked outputs — must be bit-identical with the cache
-//! enabled and disabled. This harness replays the full benchmark suite
-//! both ways, including warm-cache relearns (the §3.2 loop is what fills
-//! the memo), so any stale or mis-keyed hit fails loudly on the exact
-//! task that exposed it. A second replay runs every task that has a table
-//! on a database that took a benign insert-then-delete round trip: the
+//! `Synthesizer::learn` always runs on the `DagCache` (per-value DAG memo
+//! keyed by `(sources_epoch, value)`, whole-example generation memo,
+//! intersection chains and ranked tops) and the pruned `Intersect_u`.
+//! These are *representation and scheduling* choices: every observable —
+//! program counts, data-structure sizes, convergence behavior, top-k
+//! ranked outputs — must be bit-identical to the memo-free reference, the
+//! paper's `Synthesize` written with the public free functions
+//! (`generate_str_u` on each example, folded by `intersect_du`, ranked by
+//! `LuRankWeights`). This harness replays the full benchmark suite both
+//! ways, including warm-cache relearns (the §3.2 loop is what fills the
+//! memo), so any stale or mis-keyed hit fails loudly on the exact task
+//! that exposed it. A second replay runs every task that has a table on a
+//! database that took a benign insert-then-delete round trip: the
 //! incremental index paths must leave every observable, and a snapshot's
 //! sharing counters, as an unmutated database gives them. A third replay
 //! pins the ranked memo: the memoized `top()` and its compiled form must
-//! match an uncached ranking on a warm hit, after a snapshot restore,
-//! after a mutation round trip, and after an added table moves the lookup
-//! depth.
+//! match the ranking of a fresh synthesizer on a warm hit, after a
+//! snapshot restore, after a mutation round trip, and after an added table
+//! moves the lookup depth.
 
 use std::sync::Arc;
 
 use semantic_strings::benchmarks::all_tasks;
-use semantic_strings::core::{converge, DagCacheStats, Pool, SynthesisOptions};
+use semantic_strings::core::{
+    converge, eval_sem, generate_str_u, intersect_du, DagCacheStats, LuOptions, LuRankWeights,
+    Pool, SemDStruct, SynthesisOptions,
+};
 use semantic_strings::prelude::*;
 
 const MAX_EXAMPLES: usize = 3;
 const TOP_K: usize = 3;
 
-fn synthesizer(db: &Database, dag_cache: bool) -> Synthesizer {
-    Synthesizer::with_options(
-        std::sync::Arc::new(db.clone()),
-        SynthesisOptions::builder().dag_cache(dag_cache).build(),
-    )
+fn synthesizer(db: &Database) -> Synthesizer {
+    Synthesizer::new(Arc::new(db.clone()))
 }
+
+/// Count, size and the outputs of `top_k` over every spreadsheet row.
+type Observed = (String, usize, Vec<Vec<Option<String>>>);
 
 /// All observables of one learned program set: exact count, size, and the
 /// top-k ranked outputs over every spreadsheet row.
-fn observe(
-    learned: &semantic_strings::core::LearnedPrograms,
-    rows: &[semantic_strings::core::Example],
-) -> (String, usize, Vec<Vec<Option<String>>>) {
+fn observe(learned: &LearnedPrograms, rows: &[Example]) -> Observed {
     let outputs = learned
         .top_k(TOP_K)
         .iter()
-        .map(|p| {
-            rows.iter()
-                .map(|r| {
-                    let refs: Vec<&str> = r.inputs.iter().map(String::as_str).collect();
-                    p.run(&refs)
-                })
-                .collect()
-        })
+        .map(|p| rows.iter().map(|r| p.run(&r.input_refs())).collect())
         .collect();
     (learned.count().to_decimal(), learned.size(), outputs)
+}
+
+/// The memo-free reference's `Synthesize`: `GenerateStr_u` on each
+/// example, folded by `Intersect_u`; `None` when no program survives.
+fn reference_learn(db: &Database, examples: &[Example]) -> Option<SemDStruct> {
+    let opts = LuOptions::default();
+    let generate = |e: &Example| generate_str_u(db, &e.input_refs(), &e.output, &opts);
+    let mut d = generate(&examples[0]);
+    for e in &examples[1..] {
+        d = intersect_du(&d, &generate(e));
+    }
+    d.has_programs().then_some(d)
+}
+
+/// [`converge`]'s §3.2 loop over the memo-free reference: the examples it
+/// used, whether it converged, and the observables of its last learn.
+fn reference_converge(
+    db: &Database,
+    rows: &[Example],
+    tag: &str,
+) -> (Vec<Example>, bool, Observed) {
+    let weights = LuRankWeights::default();
+    let depth = LuOptions::default().depth_for(db);
+    let tokens = LuOptions::default().syntactic.token_set;
+    let mut examples = vec![rows[0].clone()];
+    loop {
+        let d = reference_learn(db, &examples)
+            .unwrap_or_else(|| panic!("{tag} reference: no consistent program"));
+        let top = weights.best(&d, depth).expect("a consistent program");
+        let failing = rows.iter().find(|r| {
+            eval_sem(&top.expr, db, &r.input_refs(), &tokens).as_deref() != Some(r.output.as_str())
+        });
+        match failing {
+            Some(row) if examples.len() < MAX_EXAMPLES => examples.push(row.clone()),
+            _ => {
+                let outputs = weights
+                    .top_k(&d, depth, TOP_K)
+                    .iter()
+                    .map(|p| {
+                        rows.iter()
+                            .map(|r| eval_sem(&p.expr, db, &r.input_refs(), &tokens))
+                            .collect()
+                    })
+                    .collect();
+                let seen = (d.count(depth).to_decimal(), d.size(), outputs);
+                return (examples, failing.is_none(), seen);
+            }
+        }
+    }
 }
 
 #[test]
 fn cache_on_and_off_agree_on_every_task() {
     for task in all_tasks() {
-        let cached = synthesizer(&task.db, true);
-        let uncached = synthesizer(&task.db, false);
+        let tag = format!("task {} ({})", task.id, task.name);
+        let cached = synthesizer(&task.db);
 
         // The interaction loop is the differential workload: it re-learns
-        // on a growing prefix, so the cached synthesizer serves earlier
-        // examples from the memo while the uncached one regenerates them.
+        // on a growing prefix, so the synthesizer serves earlier examples
+        // from the memo while the reference regenerates them.
         let rc = converge(&cached, &task.rows, MAX_EXAMPLES)
-            .unwrap_or_else(|e| panic!("task {} ({}) cached: {e}", task.id, task.name));
-        let ru = converge(&uncached, &task.rows, MAX_EXAMPLES)
-            .unwrap_or_else(|e| panic!("task {} ({}) uncached: {e}", task.id, task.name));
+            .unwrap_or_else(|e| panic!("{tag} cached: {e}"));
+        let (examples, converged, want) = reference_converge(&task.db, &task.rows, &tag);
         assert_eq!(
             (rc.examples.len(), rc.converged),
-            (ru.examples.len(), ru.converged),
-            "convergence drifted on task {} ({})",
-            task.id,
-            task.name
+            (examples.len(), converged),
+            "convergence drifted on {tag}"
         );
-        let first = |s: &Synthesizer, examples: &[Example]| {
-            s.learn(&examples[..1])
-                .unwrap_or_else(|e| panic!("task {} ({}) first: {e}", task.id, task.name))
-                .size()
-        };
+        let first = cached
+            .learn(&rc.examples[..1])
+            .unwrap_or_else(|e| panic!("{tag} first: {e}"))
+            .size();
         assert_eq!(
-            first(&cached, &rc.examples),
-            first(&uncached, &ru.examples),
-            "first-example size drifted on task {} ({})",
-            task.id,
-            task.name
+            Some(first),
+            reference_learn(&task.db, &examples[..1]).map(|d| d.size()),
+            "first-example size drifted on {tag}"
         );
         assert_eq!(
             observe(&rc.learned, &task.rows),
-            observe(&ru.learned, &task.rows),
-            "count/size/top-k outputs drifted on task {} ({})",
-            task.id,
-            task.name
+            want,
+            "count/size/top-k outputs drifted on {tag}"
         );
 
         // Warm relearn: every example of the converged set is now in the
-        // cached synthesizer's memo; a full learn must still be identical.
+        // synthesizer's memo; a full learn must still be identical.
         let warm = cached
             .learn(&rc.examples)
-            .unwrap_or_else(|e| panic!("task {} ({}) warm relearn: {e}", task.id, task.name));
+            .unwrap_or_else(|e| panic!("{tag} warm relearn: {e}"));
         assert_eq!(
             observe(&warm, &task.rows),
-            observe(&ru.learned, &task.rows),
-            "warm relearn drifted on task {} ({})",
-            task.id,
-            task.name
+            want,
+            "warm relearn drifted on {tag}"
         );
     }
 }
 
 #[test]
 fn cache_actually_serves_hits_on_the_suite() {
-    // Guard against the toggle silently wiring both paths to the same
-    // implementation: the cached run must observe real cache traffic.
+    // Guard against a memo plane that is wired but never consulted: the
+    // §3.2 loop must observe real per-value DAG hits.
     let task = &all_tasks()[0];
-    let s = synthesizer(&task.db, true);
+    let s = synthesizer(&task.db);
     converge(&s, &task.rows, MAX_EXAMPLES).expect("task 1 converges");
     let stats = s.cache_stats();
     assert!(
         stats.dag_hits > 0,
         "no per-value DAG hits recorded: {stats:?}"
-    );
-    let s_off = synthesizer(&task.db, false);
-    converge(&s_off, &task.rows, MAX_EXAMPLES).expect("task 1 converges");
-    let off = s_off.cache_stats();
-    assert_eq!(
-        (
-            off.dag_hits,
-            off.dag_misses,
-            off.example_hits,
-            off.example_misses
-        ),
-        (0, 0, 0, 0),
-        "disabled cache must see no traffic: {off:?}"
     );
 }
 
@@ -143,13 +165,13 @@ fn intersection_memo_serves_replays() {
     let task = all_tasks()
         .into_iter()
         .find(|t| {
-            let s = synthesizer(&t.db, true);
+            let s = synthesizer(&t.db);
             converge(&s, &t.rows, MAX_EXAMPLES)
                 .map(|r| r.examples.len() >= 2)
                 .unwrap_or(false)
         })
         .expect("some task needs two examples");
-    let s = synthesizer(&task.db, true);
+    let s = synthesizer(&task.db);
     converge(&s, &task.rows, MAX_EXAMPLES).expect("converges");
     let report = converge(&s, &task.rows, MAX_EXAMPLES).expect("replay converges");
     assert!(report.learned.top().is_some());
@@ -173,7 +195,7 @@ fn observe_engine(
 ) -> (
     (usize, bool),
     usize,
-    (String, usize, Vec<Vec<Option<String>>>),
+    Observed,
     (u64, u64),
     Option<(String, usize)>,
 ) {
@@ -255,17 +277,17 @@ fn top_view(learned: &LearnedPrograms, rows: &[Vec<String>], pool: &Pool) -> Top
     )
 }
 
-/// The top program an uncached synthesizer ranks.
+/// The top program a fresh synthesizer ranks: its ranked memo is empty,
+/// so `top()` ranks the structure and `compile()` lowers it.
 fn uncached_view(
     db: Arc<Database>,
     examples: &[Example],
     rows: &[Vec<String>],
     pool: &Pool,
 ) -> TopView {
-    let options = SynthesisOptions::builder().dag_cache(false).build();
-    let learned = Synthesizer::with_options(db, options)
+    let learned = Synthesizer::new(db)
         .learn(examples)
-        .expect("the examples learn uncached");
+        .expect("the examples learn on a fresh synthesizer");
     top_view(&learned, rows, pool)
 }
 
@@ -286,10 +308,7 @@ fn rank_and_compile_memo_match_uncached_ranking_on_every_task() {
     for task in all_tasks() {
         let tag = format!("task {} ({})", task.id, task.name);
         let db = Arc::new(task.db.clone());
-        let uncached = synthesizer(&task.db, false);
-        let examples = converge(&uncached, &task.rows, MAX_EXAMPLES)
-            .unwrap_or_else(|e| panic!("{tag}: {e}"))
-            .examples;
+        let (examples, _, _) = reference_converge(&task.db, &task.rows, &tag);
         let rows: Vec<Vec<String>> = task.rows.iter().map(|r| r.inputs.clone()).collect();
         let want = uncached_view(Arc::clone(&db), &examples, &rows, &pool);
         let engine = Engine::new(Arc::clone(&db));

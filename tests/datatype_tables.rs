@@ -10,7 +10,9 @@ use semantic_strings::prelude::*;
 /// `k = #tables` explores far deeper than these single-hop tasks need;
 /// bound it like the Excel add-in would for responsiveness.
 fn options(depth: usize) -> SynthesisOptions {
-    SynthesisOptions::builder().max_depth(depth).build()
+    let mut options = SynthesisOptions::default();
+    options.lu.max_depth = Some(depth);
+    options
 }
 
 fn standard_synth() -> Synthesizer {

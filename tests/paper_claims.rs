@@ -248,7 +248,10 @@ fn ranking_ablation_table_is_pinned() {
     };
     let under = |weights: &LuRankWeights| {
         histogram(all_tasks().iter().map(|task| {
-            let options = SynthesisOptions::builder().weights(weights.clone()).build();
+            let options = SynthesisOptions {
+                weights: weights.clone(),
+                ..Default::default()
+            };
             let synthesizer = Synthesizer::with_options(Arc::new(task.db.clone()), options);
             converge(&synthesizer, &task.rows, MAX_EXAMPLES)
                 .map_or((false, MAX_EXAMPLES), |r| (r.converged, r.examples.len()))

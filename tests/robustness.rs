@@ -124,9 +124,8 @@ fn deep_depth_bound_is_safe_on_cyclic_tables() {
     let t1 = Table::new("A", vec!["X", "Y"], vec![vec!["p", "q"], vec!["r", "s"]]).unwrap();
     let t2 = Table::new("B", vec!["Y", "X"], vec![vec!["q", "p"], vec!["s", "r"]]).unwrap();
     let db = Database::from_tables(vec![t1, t2]).unwrap();
-    let options = semantic_strings::core::SynthesisOptions::builder()
-        .max_depth(40)
-        .build();
+    let mut options = semantic_strings::core::SynthesisOptions::default();
+    options.lu.max_depth = Some(40);
     let s = Synthesizer::with_options(std::sync::Arc::new(db), options);
     let learned = s.learn(&[Example::new(vec!["p"], "q")]).unwrap();
     let top = learned.top().unwrap();

@@ -29,7 +29,10 @@ fn served_responses_are_bit_identical_to_the_service_plane() {
 
     let tasks = all_tasks();
     for &threads in &widths {
-        let options = SynthesisOptions::builder().threads(threads).build();
+        let options = SynthesisOptions {
+            threads,
+            ..Default::default()
+        };
 
         // The served engines and their in-process twins share nothing but
         // the database contents and options: separate caches, separate

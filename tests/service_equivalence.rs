@@ -101,7 +101,10 @@ fn learn_batch_matches_sequential_learning_on_every_task() {
         for baseline in &baselines {
             let engine = Engine::with_options(
                 Arc::new(baseline.task.db.clone()),
-                SynthesisOptions::builder().threads(threads).build(),
+                SynthesisOptions {
+                    threads,
+                    ..Default::default()
+                },
             );
             let requests: Vec<LearnRequest> = (1..=baseline.examples.len())
                 .map(|n| LearnRequest::new(baseline.examples[..n].to_vec()))
